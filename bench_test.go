@@ -74,7 +74,7 @@ func BenchmarkSuitePrewarm(b *testing.B) {
 // trace (the pre-optimisation hot loop), event-horizon fast-forwarding with
 // a recorded trace, and fast-forwarding with residencies streamed to no
 // sink at all. All three produce identical results (pinned by
-// TestCycleSkipDifferential and the ace stream tests); only the cost
+// TestCycleSkipDifferential and the ace collector tests); only the cost
 // differs. Reports simulated Mcycles/s alongside allocs/op.
 func BenchmarkPipelineHotLoop(b *testing.B) {
 	bench, ok := spec.ByName("mcf")

@@ -95,16 +95,15 @@ func run(args []string) error {
 		return cli.Usagef("%v", err)
 	}
 	pol.Apply(&pcfg)
-	// Stream by default: residencies fold into the AVF integrals as they
-	// close and a fault campaign records just what injection samples. Only
-	// -savetrace still needs the full trace materialised.
-	keepTrace := *saveTrace != ""
+	// Residencies fold into the AVF integrals as they close and a fault
+	// campaign records just what injection samples. Only -savetrace needs
+	// the full trace materialised.
 	ccfg := core.Config{
 		Workload: params, Pipeline: pcfg, Commits: runCommits,
-		RegFile: true, FrontEnd: true, StoreBuffer: true, KeepTrace: keepTrace,
+		RegFile: true, FrontEnd: true, StoreBuffer: true, KeepTrace: *saveTrace != "",
 	}
 	var rec *fault.StreamRecorder
-	if *strikes > 0 && !keepTrace {
+	if *strikes > 0 {
 		rec = fault.NewStreamRecorder(runCommits)
 		ccfg.Sink = rec
 	}
@@ -208,12 +207,7 @@ func run(args []string) error {
 
 	if *strikes > 0 {
 		fmt.Println()
-		var inj *fault.Injector
-		if rec != nil {
-			inj = rec.Injector(res.Cycles, rep.Entries, rep.Dead)
-		} else {
-			inj = fault.NewInjector(res.Trace, rep.Dead)
-		}
+		inj := rec.Injector(res.Cycles, rep.Entries, rep.Dead)
 		if err := faultCampaign(ctx, res, inj, *strikes, *faultSeed, d.Jobs(), *ckPath, *resume); err != nil {
 			return err
 		}

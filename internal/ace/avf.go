@@ -117,9 +117,9 @@ func (r *Report) addNeverRead(occ uint64) {
 
 // addRead charges one issued residency: wait cycles of pre-read exposure,
 // classified by category and per field, plus linger cycles of post-issue
-// Ex-ACE state. This is the single classification point — the batch
-// integrator and the streaming Collector both fold through it, so the two
-// paths cannot diverge arithmetically.
+// Ex-ACE state. This is the single classification point — the trace
+// analyses and the streaming BatchCollector both fold through it, so the
+// two paths cannot diverge arithmetically.
 func (r *Report) addRead(wait, linger uint64, cat Category, hasDest, isControl bool) {
 	allBits := uint64(isa.EntryPayloadBits)
 	r.ExACEBC += linger * allBits

@@ -8,17 +8,72 @@ import (
 	"softerror/internal/pipeline"
 )
 
-// This file is the analysis half of the batched evaluation path. A
-// BatchGroup owns the per-stream work every variant shares — chiefly the
+// This file is the streaming half of the ACE analysis, folding a pipeline
+// lane's events into the AVF integrals without materialising a trace. A
+// BatchGroup owns the per-stream work every lane shares — chiefly the
 // deadness classification of the commit log, which is Seq-value-independent
-// and so identical across variants that committed the same number of body
+// and so identical across lanes that committed the same number of body
 // instructions. A BatchCollector is one lane's pipeline.BatchSink: it keys
 // every deferred charge by body index instead of sequence number, which
 // both skips instruction reconstruction on the hot path and turns Finish's
-// per-event binary searches into direct indexing. All charges flow through
-// the same Report.addRead/addNeverRead/SBReport.add helpers as the solo
-// Collector, so the finished reports are byte-identical to K independent
-// runs — the batched-independent seraudit check pins exactly that.
+// lookups into direct indexing. All charges are commutative uint64 sums
+// through the same Report.addRead/addNeverRead/SBReport.add helpers as the
+// trace analyses (Analyze and friends), so the reports are exactly equal to
+// analysing a recorded trace of the run — the stream-batch and
+// batched-independent seraudit checks pin that.
+
+// CollectorConfig parameterises a BatchCollector: the geometry of the
+// structures under analysis plus which optional analyses to run. Geometry
+// must match the pipeline configuration that drives the lane —
+// StructureConfig derives it.
+type CollectorConfig struct {
+	IQSize         int
+	FrontEndCap    int
+	StoreBufferCap int
+	// ROBSize and LSQSize enable the out-of-order structure analyses when
+	// nonzero (they stay zero for the in-order family, whose runs emit no
+	// ROB/LSQ events).
+	ROBSize int
+	LSQSize int
+	// Commits pre-sizes the per-commit records (0 if unknown).
+	Commits uint64
+
+	// FrontEnd, StoreBuffer and RegFile enable the corresponding extra
+	// analyses; each costs some per-event bookkeeping, so they are opt-in.
+	FrontEnd    bool
+	StoreBuffer bool
+	RegFile     bool
+}
+
+// StructureConfig derives a collector's geometry from the pipeline
+// configuration that will drive it. The optional analyses start disabled.
+func StructureConfig(pcfg pipeline.Config, commits uint64) CollectorConfig {
+	cfg := CollectorConfig{
+		IQSize:         pcfg.IQSize,
+		FrontEndCap:    pcfg.FrontEndCap(),
+		StoreBufferCap: pcfg.StoreBufferSize,
+		Commits:        commits,
+	}
+	if pcfg.OutOfOrder {
+		n := pcfg.Normalized()
+		cfg.ROBSize = n.ROBSize
+		cfg.LSQSize = n.LSQSize
+	}
+	return cfg
+}
+
+// Reports bundles the analyses a collector produced from one lane. The
+// optional reports are nil unless enabled in the CollectorConfig.
+type Reports struct {
+	IQ          *Report
+	FrontEnd    *Report
+	StoreBuffer *SBReport
+	RegFile     *RegFileReport
+	// ROB and LSQ are produced only for out-of-order runs (nonzero
+	// ROBSize/LSQSize in the CollectorConfig).
+	ROB *Report
+	LSQ *LSQReport
+}
 
 // bodyPrefixer is the optional fast path for obtaining the shared commit
 // log as a slice; workload.Shared implements it.
@@ -76,8 +131,8 @@ func (g *BatchGroup) viewFor(m int, seqs []uint64) *Deadness {
 	return &d
 }
 
-// batchPendingRead defers one front-end read charge to Finish, keyed by
-// body index (the solo Collector keys by Seq and binary-searches later).
+// batchPendingRead defers one read charge to Finish, keyed by body index:
+// its category needs the complete commit log.
 type batchPendingRead struct {
 	body int
 	wait uint64
@@ -88,9 +143,6 @@ type batchPendingOcc struct {
 	occ  uint64
 }
 
-// BatchCollector folds one lane's compact events into ACE reports. It is
-// the BatchSink counterpart of Collector: same charges, same helpers, no
-// isa.Inst reconstruction anywhere on the event path.
 // commitRec is one body position's deferred IQ charge: the lane's
 // relabeled Seq, the pre-issue wait, and the post-issue linger, packed into
 // one cache line's worth so the three per-commit writes touch one array.
@@ -98,12 +150,16 @@ type commitRec struct {
 	seq, wait, linger uint64
 }
 
+// BatchCollector folds one lane's compact events into ACE reports. Charges
+// with a static category are integrated on arrival; correct-path reads,
+// whose category needs the complete commit log, are settled in Finish.
 type BatchCollector struct {
 	cfg   CollectorConfig
 	group *BatchGroup
 
 	recs    []commitRec // indexed by body position; zero value = no commit yet
 	bits    []uint64    // committed-body bitmap, parallel to recs
+	issues  []uint64    // issue cycle per body position; RegFile only
 	n       int         // one past the highest committed body index
 	commits int         // total commits; == n iff [0, n) is hole-free
 
@@ -124,8 +180,8 @@ type BatchCollector struct {
 }
 
 // NewBatchCollector builds one lane's collector over the batch's shared
-// group. The RegFile analysis needs per-commit cycle retention that the
-// batched path does not carry; request it through the solo path.
+// group. Pass it to pipeline.RunBatchStreamArena, then call Finish with the
+// lane's cycle count.
 func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector, error) {
 	c := &BatchCollector{}
 	if err := c.Reset(cfg, group); err != nil {
@@ -140,8 +196,8 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 // the returned Reports are detached copies and the deadness views own
 // their seqs, so resetting never mutates previously returned results.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
-	if cfg.RegFile {
-		return fmt.Errorf("ace: the RegFile analysis is not available on the batched path")
+	if group == nil {
+		return fmt.Errorf("ace: nil batch group")
 	}
 	c.cfg, c.group = cfg, group
 	// A lane overshoots its commit target by at most IssueWidth-1 commits
@@ -157,6 +213,13 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 		c.bits = c.bits[:nb]
 		clear(c.recs)
 		clear(c.bits)
+	}
+	// The RegFile pass needs each commit's issue cycle; a body index is
+	// always written by its commit before Finish reads it, so the reused
+	// array needs no clearing.
+	c.issues = c.issues[:0]
+	if cfg.RegFile {
+		c.issues = slices.Grow(c.issues, want)[:want]
 	}
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
@@ -179,10 +242,16 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 	if body >= len(c.recs) {
 		c.recs = append(c.recs, make([]commitRec, body+16-len(c.recs))...)
 		c.bits = append(c.bits, make([]uint64, (len(c.recs)+63)/64-len(c.bits))...)
+		if c.cfg.RegFile {
+			c.issues = append(c.issues, make([]uint64, len(c.recs)-len(c.issues))...)
+		}
 	}
 	c.recs[body].seq = seq
 	c.recs[body].wait = issue - enq
 	c.bits[body>>6] |= 1 << (uint(body) & 63)
+	if c.cfg.RegFile {
+		c.issues[body] = issue
+	}
 	c.commits++
 	if body >= c.n {
 		c.n = body + 1
@@ -219,7 +288,7 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	// closes its interval at t+1 or later), so the body's record exists and
 	// the linger parks next to the wait for one fused addRead in Finish.
 	// addRead charges linger category-independently (ExACEBC only), so the
-	// fused call is bit-identical to the solo Collector's split charges.
+	// fused call is bit-identical to charging wait and linger separately.
 	if body := ref.Body(); body < c.n {
 		c.recs[body].linger += linger
 	} else {
@@ -304,8 +373,8 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	// shares the group's memoised deadness. An out-of-order lane, though,
 	// can stop mid dataflow window with younger bodies committed while
 	// older ones are still in flight; the analysis must then run over
-	// exactly the committed sub-log — the solo Collector's log — with the
-	// holes excluded, so the lane pays for a private AnalyzeDeadness.
+	// exactly the committed sub-log — a recorded trace's commit log — with
+	// the holes excluded, so the lane pays for a private AnalyzeDeadness.
 	m := c.n
 	var (
 		dead   *Deadness
@@ -397,7 +466,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	c.iq.Dead = dead
 	c.iq.finalize()
 	iq := c.iq
-	out := &Reports{IQ: &iq, Dead: dead}
+	out := &Reports{IQ: &iq}
 
 	if c.cfg.FrontEnd {
 		for i := range c.fePending {
@@ -434,6 +503,16 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		c.sb.finalize()
 		sb := c.sb
 		out.StoreBuffer = &sb
+	}
+	if c.cfg.RegFile {
+		issues := c.issues[:len(log)]
+		if bodies != nil {
+			issues = make([]uint64, len(bodies))
+			for i, b := range bodies {
+				issues[i] = c.issues[b]
+			}
+		}
+		out.RegFile = analyzeRegFileLog(log, issues, cats, cycles)
 	}
 	if c.cfg.ROBSize > 0 {
 		for i := range c.robPending {

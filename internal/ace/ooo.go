@@ -73,8 +73,8 @@ func AnalyzeLSQ(tr *pipeline.Trace, dead *Deadness) *LSQReport {
 }
 
 // add charges one read (retired or drained) entry's occupancy under its
-// deadness category — the shared classification point of the batch and
-// streaming paths.
+// deadness category — the shared classification point of the trace and
+// streaming analyses.
 func (r *LSQReport) add(occ uint64, cat Category) {
 	switch cat {
 	case CatPredFalse:

@@ -73,13 +73,20 @@ type regValue struct {
 // committed stream. It requires a trace recorded with commit cycles and the
 // deadness analysis of the same commit log (before Compact).
 func AnalyzeRegFile(tr *pipeline.Trace, dead *Deadness) *RegFileReport {
-	return analyzeRegFileLog(tr.CommitLog, tr.CommitCycles, tr.Cycles, dead)
+	cats := make([]Category, len(tr.CommitLog))
+	for i := range tr.CommitLog {
+		cats[i] = dead.Of(&tr.CommitLog[i])
+	}
+	return analyzeRegFileLog(tr.CommitLog, tr.CommitCycles, cats, tr.Cycles)
 }
 
-// analyzeRegFileLog is AnalyzeRegFile over a bare commit log — the entry
-// point the streaming Collector shares, since the register-file analysis
-// is inherently a program-order pass over commits, not residencies.
-func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cycles uint64, dead *Deadness) *RegFileReport {
+// analyzeRegFileLog is AnalyzeRegFile over a bare program-order commit log
+// with its issue cycles and categories index-aligned — the entry point the
+// BatchCollector shares, since the register-file analysis is inherently a
+// program-order pass over commits, not residencies. Categories come in by
+// index because a lane's log is the shared body prefix, whose Seq values
+// are not the lane's.
+func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cats []Category, cycles uint64) *RegFileReport {
 	rep := &RegFileReport{
 		Cycles:  cycles,
 		TotalBC: cycles * regFileCapacityBits,
@@ -119,7 +126,7 @@ func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cycles uint64, dea
 	for i := range log {
 		in := &log[i]
 		cycle := commitCycles[i]
-		cat := dead.Of(in)
+		cat := cats[i]
 
 		// Reads: neutral instructions consume nothing; predicated-false
 		// instructions read only their guard. A read is "live" when the

@@ -47,7 +47,7 @@ func AnalyzeStoreBuffer(tr *pipeline.Trace, dead *Deadness) *SBReport {
 }
 
 // add charges one drained store's occupancy under its deadness category —
-// the shared classification point of the batch and streaming paths.
+// the shared classification point of the trace and streaming analyses.
 func (r *SBReport) add(occ uint64, cat Category) {
 	switch cat {
 	case CatFDDMem, CatTDDMem:

@@ -11,9 +11,9 @@ import (
 )
 
 // BatchSpec is one lane of a batched evaluation: a pipeline configuration
-// plus the lane's optional extra analyses. The RegFile analysis is not
-// available on the batched path (it needs per-commit cycle retention only
-// the solo Collector carries); route such runs through RunContext.
+// plus the lane's optional extra analyses. RunContext runs the same lane
+// engine with one lane, adding the RegFile analysis and sinks a Config can
+// ask for.
 type BatchSpec struct {
 	Pipeline    pipeline.Config
 	FrontEnd    bool
@@ -23,13 +23,14 @@ type BatchSpec struct {
 // RunBatchContext evaluates K configuration variants over one decode of
 // the workload's instruction stream: one generator pass, one deadness
 // analysis per realised commit-log length, K compact pipeline lanes. Each
-// returned Result is byte-identical to RunContext under the same spec —
-// the batched-independent seraudit check pins this.
+// returned Result equals RunContext under the same spec — that is the same
+// engine with one lane — and equals the solo engine's recorded trace
+// analysed by the ace trace analyses, which the batched-independent
+// seraudit check pins.
 //
 // Workloads whose stream cannot be shared (PC-indexed branch predictors)
 // fail with an error wrapping workload.ErrUnshareable; callers fall back
-// to per-spec RunContext. Caches are always pre-warmed (the batched path
-// serves sweeps and suites, which never skip warming).
+// to per-spec RunContext. Caches are always pre-warmed.
 func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	a := defaultArenas.Get()
 	defer defaultArenas.Put(a)
@@ -45,6 +46,18 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
+	lanes := make([]Config, len(specs))
+	for i, sp := range specs {
+		lanes[i] = Config{Pipeline: sp.Pipeline, FrontEnd: sp.FrontEnd, StoreBuffer: sp.StoreBuffer}
+	}
+	return runLanes(ctx, a, w, commits, lanes)
+}
+
+// runLanes is the one lane runner behind RunContext and RunBatchArena: one
+// lane per Config over a single decode of w, with state drawn from a (nil
+// for a fresh arena). Each Config's Workload and Commits are ignored;
+// KeepTrace and Sink are plain sinks teed in beside the lane's collector.
+func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()
 	}
@@ -67,25 +80,38 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 	// tests), and a memcpy of the warm state is far cheaper than
 	// re-simulating the warm-up K times.
 	zero := pipeline.Config{}
-	cfgs := make([]pipeline.Config, len(specs))
-	mems := make([]*cache.Hierarchy, len(specs))
-	sinks := make([]pipeline.BatchSink, len(specs))
-	colls := make([]*ace.BatchCollector, len(specs))
-	for i, sp := range specs {
-		cfg := sp.Pipeline
+	cfgs := make([]pipeline.Config, len(lanes))
+	mems := make([]*cache.Hierarchy, len(lanes))
+	sinks := make([]pipeline.BatchSink, len(lanes))
+	colls := make([]*ace.BatchCollector, len(lanes))
+	recs := make([]*pipeline.TraceRecorder, len(lanes))
+	for i, ln := range lanes {
+		cfg := ln.Pipeline
 		if cfg == zero {
 			cfg = pipeline.DefaultConfig()
 		}
 		cfgs[i] = cfg
 		mems[i] = a.warmHierarchy()
 		ccfg := ace.StructureConfig(cfg, commits)
-		ccfg.FrontEnd, ccfg.StoreBuffer = sp.FrontEnd, sp.StoreBuffer
+		ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = ln.FrontEnd, ln.StoreBuffer, ln.RegFile
 		coll, err := a.collector(ccfg, group)
 		if err != nil {
 			return nil, err
 		}
 		colls[i] = coll
 		sinks[i] = coll
+		var plain []pipeline.Sink
+		if ln.KeepTrace {
+			recs[i] = pipeline.NewTraceRecorder(cfg, commits)
+			plain = append(plain, recs[i])
+		}
+		if ln.Sink != nil {
+			plain = append(plain, ln.Sink)
+		}
+		if len(plain) > 0 {
+			ext := pipeline.LiftSink(sh, pipeline.Tee(plain...)).(laneSink)
+			sinks[i] = &laneTee{coll: coll, ext: ext}
+		}
 	}
 
 	stats, err := pipeline.RunBatchStreamArena(ctx, commits, sh, cfgs, mems, sinks, &a.pipe)
@@ -93,30 +119,66 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 		return nil, err
 	}
 
-	out := make([]*Result, len(specs))
-	for i := range specs {
+	out := make([]*Result, len(lanes))
+	for i := range lanes {
 		st := stats[i]
 		reps := colls[i].Finish(st.Cycles)
 		a.putCollector(colls[i])
 		a.putHierarchy(mems[i])
 		simCycles.Add(st.Cycles)
-		out[i] = &Result{
-			Name:              w.Name,
-			IPC:               st.IPC(),
-			Report:            reps.IQ,
-			Cycles:            st.Cycles,
-			Commits:           st.Commits,
-			Squashes:          st.Squashes,
-			Refetches:         st.Refetches,
-			ThrottleEvents:    st.ThrottleEvents,
-			LoadMissRateL0:    st.LoadMissRate(cache.LevelL0),
-			LoadMissRateL1:    st.LoadMissRate(cache.LevelL1),
-			FrontEndReport:    reps.FrontEnd,
-			StoreBufferReport: reps.StoreBuffer,
-			ROBReport:         reps.ROB,
-			LSQReport:         reps.LSQ,
-			TAGEReport:        tageReport(cfgs[i], st),
+		res := newResult(w.Name, st)
+		res.Report, res.RegFile = reps.IQ, reps.RegFile
+		res.FrontEndReport, res.StoreBufferReport = reps.FrontEnd, reps.StoreBuffer
+		res.ROBReport, res.LSQReport = reps.ROB, reps.LSQ
+		res.TAGEReport = tageReport(cfgs[i], st)
+		if recs[i] != nil {
+			res.Trace = recs[i].Trace(st)
 		}
+		out[i] = res
 	}
 	return out, nil
+}
+
+// laneSink is the compact event interface of both families, implemented by
+// ace.BatchCollector and by every sink pipeline.LiftSink adapts.
+type laneSink interface {
+	pipeline.BatchSink
+	pipeline.BatchOOOSink
+}
+
+// laneTee feeds one lane's compact events to its collector and to the
+// caller's plain sinks, lifted through the shared stream.
+type laneTee struct {
+	coll *ace.BatchCollector
+	ext  laneSink
+}
+
+func (t *laneTee) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint64) {
+	t.coll.BatchCommit(ref, seq, enq, issue)
+	t.ext.BatchCommit(ref, seq, enq, issue)
+}
+
+func (t *laneTee) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, evict uint64, issued, squashed bool) {
+	t.coll.BatchResidency(ref, seq, enq, issue, evict, issued, squashed)
+	t.ext.BatchResidency(ref, seq, enq, issue, evict, issued, squashed)
+}
+
+func (t *laneTee) BatchFrontEnd(ref pipeline.BatchRef, seq, fetched, until uint64, delivered bool) {
+	t.coll.BatchFrontEnd(ref, seq, fetched, until, delivered)
+	t.ext.BatchFrontEnd(ref, seq, fetched, until, delivered)
+}
+
+func (t *laneTee) BatchStoreBuffer(ref pipeline.BatchRef, seq, enq, evict uint64) {
+	t.coll.BatchStoreBuffer(ref, seq, enq, evict)
+	t.ext.BatchStoreBuffer(ref, seq, enq, evict)
+}
+
+func (t *laneTee) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64, read bool) {
+	t.coll.BatchROB(ref, seq, enq, evict, read)
+	t.ext.BatchROB(ref, seq, enq, evict, read)
+}
+
+func (t *laneTee) BatchLSQ(ref pipeline.BatchRef, seq, enq, evict uint64, read bool) {
+	t.coll.BatchLSQ(ref, seq, enq, evict, read)
+	t.ext.BatchLSQ(ref, seq, enq, evict, read)
 }

@@ -13,7 +13,8 @@ import (
 
 // TestRunBatchMatchesIndependentRuns pins the tentpole identity end to
 // end: a batched evaluation's Results — IPC, stats, IQ/front-end/store-
-// buffer reports, deadness — equal K independent RunContext runs exactly.
+// buffer reports, deadness — equal K independent solo-engine runs analysed
+// from their recorded traces exactly.
 func TestRunBatchMatchesIndependentRuns(t *testing.T) {
 	b, ok := spec.ByName("mcf")
 	if !ok {
@@ -37,7 +38,7 @@ func TestRunBatchMatchesIndependentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		solo, err := RunContext(context.Background(), Config{
+		solo, err := runSolo(context.Background(), Config{
 			Workload:    b.Params,
 			Pipeline:    sp.Pipeline,
 			Commits:     commits,
@@ -57,7 +58,8 @@ func TestRunBatchMatchesIndependentRuns(t *testing.T) {
 
 // TestRunBatchUnshareableFallsThrough pins the typed fallback: a workload
 // with a PC-indexed predictor reports ErrUnshareable so callers can route
-// each spec through the solo path.
+// each spec through the solo path — and RunContext, itself a one-lane
+// batch, takes that route on its own, honouring every option.
 func TestRunBatchUnshareableFallsThrough(t *testing.T) {
 	p := workload.Default()
 	p.BranchPredictor = "gshare"
@@ -65,5 +67,15 @@ func TestRunBatchUnshareableFallsThrough(t *testing.T) {
 		[]BatchSpec{{Pipeline: pipeline.DefaultConfig()}})
 	if !errors.Is(err, workload.ErrUnshareable) {
 		t.Fatalf("gshare batch = %v, want ErrUnshareable", err)
+	}
+	res, err := RunContext(context.Background(), Config{
+		Workload: p, Commits: 1000,
+		KeepTrace: true, RegFile: true, FrontEnd: true, StoreBuffer: true,
+	})
+	if err != nil {
+		t.Fatalf("gshare RunContext = %v, want the solo fallback", err)
+	}
+	if res.Trace == nil || res.RegFile == nil || res.FrontEndReport == nil || res.StoreBufferReport == nil {
+		t.Fatal("fallback dropped a requested report or the trace")
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -107,16 +108,14 @@ type Config struct {
 	Pipeline pipeline.Config
 	// Commits is how many instructions to commit (default 100,000 —
 	// one thousandth of the paper's SimPoint length, enough for the AVF
-	// integrals to stabilise on a laptop-scale run).
+	// integrals to stabilise on a laptop-scale run). Caches are always
+	// pre-warmed: the paper measures slices after skipping billions of
+	// instructions.
 	Commits uint64
-	// SkipWarm skips pre-warming the cache hierarchy. The paper measures
-	// slices after skipping billions of instructions, so warm caches are
-	// the faithful default.
-	SkipWarm bool
 	// KeepTrace retains the full pipeline trace (residencies and commit
-	// log) on the Result, as needed for fault-injection campaigns. Off by
-	// default: without it the run streams residencies straight into the
-	// AVF integrals and never materialises a trace.
+	// log) on the Result, as needed for trace-level fault-injection
+	// campaigns. It is one more sink on the run: the AVF reports come from
+	// the same streaming analysis either way.
 	KeepTrace bool
 	// RegFile additionally computes the architectural register files'
 	// vulnerability report (the paper's closing "other structures"
@@ -127,9 +126,10 @@ type Config struct {
 	// the conclusion's "other structures").
 	FrontEnd    bool
 	StoreBuffer bool
-	// Sink, when non-nil, is teed into the pipeline's event stream on the
-	// streaming path (KeepTrace false) — e.g. a fault.StreamRecorder that
-	// retains just the intervals an injection campaign samples.
+	// Sink, when non-nil, receives the run's event stream alongside the
+	// analysis (and the trace recorder, under KeepTrace) — e.g. a
+	// fault.StreamRecorder that retains just the intervals an injection
+	// campaign samples.
 	Sink pipeline.Sink
 }
 
@@ -180,6 +180,22 @@ type Result struct {
 	TAGEReport *ace.TAGEReport
 }
 
+// newResult distils a run's stats into a Result; the caller attaches the
+// reports.
+func newResult(name string, st pipeline.Stats) *Result {
+	return &Result{
+		Name:           name,
+		IPC:            st.IPC(),
+		Cycles:         st.Cycles,
+		Commits:        st.Commits,
+		Squashes:       st.Squashes,
+		Refetches:      st.Refetches,
+		ThrottleEvents: st.ThrottleEvents,
+		LoadMissRateL0: st.LoadMissRate(cache.LevelL0),
+		LoadMissRateL1: st.LoadMissRate(cache.LevelL1),
+	}
+}
+
 // tageReport closes the TAGE exposure integral carried by an out-of-order
 // run's stats; nil for the in-order family.
 func tageReport(cfg pipeline.Config, st pipeline.Stats) *ace.TAGEReport {
@@ -204,6 +220,11 @@ func Run(cfg Config) (*Result, error) {
 // RunContext is Run with cooperative cancellation threaded through the
 // pipeline's cycle loop, so a SIGINT or watchdog aborts within one
 // simulation rather than one campaign.
+//
+// The run is a one-lane batch on RunBatchArena's lane engine. Only where a
+// lane cannot run — a workload whose stream cannot be shared
+// (workload.ErrUnshareable) or a SingleStep configuration — does it fall
+// back to runSolo; both paths return identical Results.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Commits == 0 {
 		cfg.Commits = DefaultCommits
@@ -212,96 +233,58 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Pipeline == zero {
 		cfg.Pipeline = pipeline.DefaultConfig()
 	}
+	if !cfg.Pipeline.SingleStep {
+		a := defaultArenas.Get()
+		res, err := runLanes(ctx, a, cfg.Workload, cfg.Commits, []Config{cfg})
+		defaultArenas.Put(a)
+		if err == nil {
+			return res[0], nil
+		}
+		if !errors.Is(err, workload.ErrUnshareable) {
+			return nil, err
+		}
+	}
+	return runSolo(ctx, cfg)
+}
+
+// runSolo runs cfg on the solo engine, records the trace (teed with
+// cfg.Sink) and analyses it with the ace trace analyses — the independent
+// oracle the lane engine's streaming analysis is pinned against.
+func runSolo(ctx context.Context, cfg Config) (*Result, error) {
 	gen, err := workload.New(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
-	// Warm runs clone a process-wide warmed snapshot instead of redoing the
-	// (workload-independent) warm sweep; the clone is bit-identical to a
-	// freshly warmed hierarchy, so results are unchanged — only cheaper.
-	var mem *cache.Hierarchy
-	if cfg.SkipWarm {
-		var err error
-		mem, err = cache.NewHierarchy(cache.DefaultHierarchy())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		mem = workload.WarmedDefault()
-	}
-	pipe, err := pipeline.New(cfg.Pipeline, gen, mem)
+	pipe, err := pipeline.New(cfg.Pipeline, gen, workload.WarmedDefault())
 	if err != nil {
 		return nil, err
 	}
+	rec := pipeline.NewTraceRecorder(cfg.Pipeline, cfg.Commits)
+	st, err := pipe.RunStream(ctx, cfg.Commits, pipeline.Tee(rec, cfg.Sink))
+	if err != nil {
+		return nil, err
+	}
+	tr := rec.Trace(st)
+	rep := ace.Analyze(tr)
+	res := newResult(cfg.Workload.Name, st)
+	res.Report = rep
 	if cfg.KeepTrace {
-		tr, err := pipe.RunContext(ctx, cfg.Commits, true)
-		if err != nil {
-			return nil, err
-		}
-		rep := ace.Analyze(tr)
-		res := &Result{
-			Name:           cfg.Workload.Name,
-			IPC:            tr.IPC(),
-			Report:         rep,
-			Cycles:         tr.Cycles,
-			Commits:        tr.Commits,
-			Squashes:       tr.Squashes,
-			Refetches:      tr.Refetches,
-			ThrottleEvents: tr.ThrottleEvents,
-			LoadMissRateL0: tr.LoadMissRate(cache.LevelL0),
-			LoadMissRateL1: tr.LoadMissRate(cache.LevelL1),
-			Trace:          tr,
-		}
-		if cfg.RegFile {
-			res.RegFile = ace.AnalyzeRegFile(tr, rep.Dead)
-		}
-		if cfg.FrontEnd {
-			res.FrontEndReport = ace.AnalyzeFrontEnd(tr, rep.Dead)
-		}
-		if cfg.StoreBuffer {
-			res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, rep.Dead)
-		}
-		if cfg.Pipeline.OutOfOrder {
-			res.ROBReport = ace.AnalyzeROB(tr, rep.Dead)
-			res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
-			res.TAGEReport = ace.AnalyzeTAGE(tr)
-		}
-		simCycles.Add(res.Cycles)
-		return res, nil
+		res.Trace = tr
 	}
-	// Streaming path: residencies fold into the AVF integrals as their
-	// intervals close; no trace is ever materialised. The resulting reports
-	// are exactly equal to the batch path's (pinned by the ace stream
-	// tests), just cheaper.
-	ccfg := ace.StructureConfig(cfg.Pipeline, cfg.Commits)
-	ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = cfg.FrontEnd, cfg.StoreBuffer, cfg.RegFile
-	coll := ace.NewCollector(ccfg)
-	var sink pipeline.Sink = coll
-	if cfg.Sink != nil {
-		sink = pipeline.Tee(coll, cfg.Sink)
+	if cfg.RegFile {
+		res.RegFile = ace.AnalyzeRegFile(tr, rep.Dead)
 	}
-	st, err := pipe.RunStream(ctx, cfg.Commits, sink)
-	if err != nil {
-		return nil, err
+	if cfg.FrontEnd {
+		res.FrontEndReport = ace.AnalyzeFrontEnd(tr, rep.Dead)
 	}
-	reps := coll.Finish(st.Cycles)
-	simCycles.Add(st.Cycles)
-	return &Result{
-		Name:              cfg.Workload.Name,
-		IPC:               st.IPC(),
-		Report:            reps.IQ,
-		Cycles:            st.Cycles,
-		Commits:           st.Commits,
-		Squashes:          st.Squashes,
-		Refetches:         st.Refetches,
-		ThrottleEvents:    st.ThrottleEvents,
-		LoadMissRateL0:    st.LoadMissRate(cache.LevelL0),
-		LoadMissRateL1:    st.LoadMissRate(cache.LevelL1),
-		RegFile:           reps.RegFile,
-		FrontEndReport:    reps.FrontEnd,
-		StoreBufferReport: reps.StoreBuffer,
-		ROBReport:         reps.ROB,
-		LSQReport:         reps.LSQ,
-		TAGEReport:        tageReport(cfg.Pipeline, st),
-	}, nil
+	if cfg.StoreBuffer {
+		res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, rep.Dead)
+	}
+	if cfg.Pipeline.OutOfOrder {
+		res.ROBReport = ace.AnalyzeROB(tr, rep.Dead)
+		res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
+		res.TAGEReport = ace.AnalyzeTAGE(tr)
+	}
+	simCycles.Add(res.Cycles)
+	return res, nil
 }

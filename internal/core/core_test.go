@@ -7,6 +7,8 @@ import (
 
 	"softerror/internal/ace"
 	"softerror/internal/fault"
+	"softerror/internal/isa"
+	"softerror/internal/pipeline"
 	"softerror/internal/spec"
 	"softerror/internal/workload"
 )
@@ -62,6 +64,52 @@ func TestRunDefaultsAndValidation(t *testing.T) {
 	}
 	if kept.Trace == nil {
 		t.Fatal("KeepTrace did not retain the trace")
+	}
+}
+
+// countSink tallies every event kind a run delivers.
+type countSink struct{ res, fe, sb, commits, rob, lsq int }
+
+func (c *countSink) OnResidency(pipeline.Residency)    { c.res++ }
+func (c *countSink) OnFrontEnd(pipeline.Residency)     { c.fe++ }
+func (c *countSink) OnStoreBuffer(pipeline.Residency)  { c.sb++ }
+func (c *countSink) OnCommit(isa.Inst, uint64, uint64) { c.commits++ }
+func (c *countSink) OnROB(pipeline.Residency)          { c.rob++ }
+func (c *countSink) OnLSQ(pipeline.Residency)          { c.lsq++ }
+
+// TestSinkSeesEventsUnderKeepTrace pins that Config.Sink receives the run's
+// whole event stream whether or not KeepTrace also records it, on the lane
+// path and on the solo fallback (a gshare workload), for both core
+// families — and that the totals match the trace KeepTrace recorded.
+func TestSinkSeesEventsUnderKeepTrace(t *testing.T) {
+	gshare := workload.Default()
+	gshare.BranchPredictor = "gshare"
+	for _, w := range []workload.Params{workload.Default(), gshare} {
+		for _, ooo := range []bool{false, true} {
+			pcfg := pipeline.DefaultConfig()
+			pcfg.OutOfOrder = ooo
+			var counts [2]countSink
+			var tr *pipeline.Trace
+			for i, keep := range []bool{false, true} {
+				res, err := Run(Config{Workload: w, Pipeline: pcfg, Commits: 4000, KeepTrace: keep, Sink: &counts[i]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = res.Trace
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("%s ooo=%v: sink totals %+v without KeepTrace, %+v with it",
+					w.BranchPredictor, ooo, counts[0], counts[1])
+			}
+			c := counts[1]
+			if c.res != len(tr.Residencies) || c.fe != len(tr.FrontEnd) || c.sb != len(tr.StoreBuffer) ||
+				c.commits != len(tr.CommitLog) || c.rob != len(tr.ROB) || c.lsq != len(tr.LSQ) {
+				t.Fatalf("%s ooo=%v: sink totals %+v disagree with the recorded trace", w.BranchPredictor, ooo, c)
+			}
+			if c.commits == 0 || (ooo && c.rob == 0) {
+				t.Fatalf("%s ooo=%v: sink saw no events: %+v", w.BranchPredictor, ooo, c)
+			}
+		}
 	}
 }
 

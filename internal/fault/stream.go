@@ -11,10 +11,10 @@ import (
 
 // StreamRecorder is a pipeline.Sink that retains exactly what injection
 // over the instruction queue needs — the IQ residency intervals and the
-// committed stream — and nothing else. Campaign drivers tee it alongside a
-// streaming ace.Collector so one run feeds both the analytic AVFs and the
-// Monte-Carlo injector without materialising a full trace (front-end and
-// store-buffer intervals, commit cycles) that injection never samples.
+// committed stream — and nothing else. Campaign drivers pass it as a run's
+// core.Config.Sink, so one run feeds both the streamed analytic AVFs and
+// the Monte-Carlo injector without materialising a full trace (front-end
+// and store-buffer intervals, commit cycles) that injection never samples.
 type StreamRecorder struct {
 	res []pipeline.Residency
 	log []isa.Inst

@@ -13,8 +13,8 @@ import (
 // evaluation path on randomised inputs: K random configurations evaluated
 // over one decode of a random workload's stream (core.RunBatchContext)
 // must produce Results equal — reports, deadness, stats, everything — to
-// K independent core.RunContext runs. The batch width, each lane's
-// geometry and each lane's optional analyses all vary per seed.
+// K independent solo-trace oracle runs (soloOracle). The batch width, each
+// lane's geometry and each lane's optional analyses all vary per seed.
 func checkBatchedIndependent(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0xBA7C)
@@ -38,13 +38,7 @@ func checkBatchedIndependent(seed uint64, opt Options) error {
 		return err
 	}
 	for i, sp := range specs {
-		solo, err := core.RunContext(context.Background(), core.Config{
-			Workload:    params,
-			Pipeline:    sp.Pipeline,
-			Commits:     opt.Commits,
-			FrontEnd:    sp.FrontEnd,
-			StoreBuffer: sp.StoreBuffer,
-		})
+		solo, _, err := soloOracle(params, sp.Pipeline, opt.Commits, sp.FrontEnd, sp.StoreBuffer, false)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 
 	"softerror/internal/ace"
+	"softerror/internal/cache"
 	"softerror/internal/checkpoint"
 	"softerror/internal/core"
 	"softerror/internal/pipeline"
@@ -67,44 +68,70 @@ func checkTraceDifferential(seed uint64, opt Options) error {
 	return nil
 }
 
-// checkStreamBatch runs ONE random simulation with the streaming
-// ace.Collector and a TraceRecorder teed off the same event stream, then
-// batch-analyses the recorded trace: the two report sets must be exactly
-// equal — same integrals, same categories, not statistically close.
+// soloOracle runs one configuration on the solo engine and analyses its
+// recorded trace with the ace trace analyses: a core.RunContext-shaped
+// Result independent of the lane engine, plus the trace itself.
+func soloOracle(params workload.Params, cfg pipeline.Config, commits uint64, fe, sb, rf bool) (*core.Result, *pipeline.Trace, error) {
+	tr, err := runTrace(cfg, params, commits)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := ace.Analyze(tr)
+	res := &core.Result{
+		Name:           params.Name,
+		IPC:            tr.IPC(),
+		Report:         rep,
+		Cycles:         tr.Cycles,
+		Commits:        tr.Commits,
+		Squashes:       tr.Squashes,
+		Refetches:      tr.Refetches,
+		ThrottleEvents: tr.ThrottleEvents,
+		LoadMissRateL0: tr.LoadMissRate(cache.LevelL0),
+		LoadMissRateL1: tr.LoadMissRate(cache.LevelL1),
+	}
+	if fe {
+		res.FrontEndReport = ace.AnalyzeFrontEnd(tr, rep.Dead)
+	}
+	if sb {
+		res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, rep.Dead)
+	}
+	if rf {
+		res.RegFile = ace.AnalyzeRegFile(tr, rep.Dead)
+	}
+	if cfg.OutOfOrder {
+		res.ROBReport = ace.AnalyzeROB(tr, rep.Dead)
+		res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
+		res.TAGEReport = ace.AnalyzeTAGE(tr)
+	}
+	return res, tr, nil
+}
+
+// checkStreamBatch runs ONE random configuration as a one-lane batch with
+// every optional analysis and KeepTrace on, and through soloOracle: the
+// traces must be equal, and the streamed reports equal to the trace
+// analyses exactly — same integrals, same categories, not merely close.
 func checkStreamBatch(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0x57BA)
 	params := RandomWorkload(s)
 	cfg := RandomPipelineConfig(s)
-	gen, err := workload.New(params)
+	lane, err := core.RunContext(context.Background(), core.Config{
+		Workload: params, Pipeline: cfg, Commits: opt.Commits,
+		KeepTrace: true, FrontEnd: true, StoreBuffer: true, RegFile: true,
+	})
 	if err != nil {
 		return err
 	}
-	pipe, err := pipeline.New(cfg, gen, workload.WarmedDefault())
+	want, tr, err := soloOracle(params, cfg, opt.Commits, true, true, true)
 	if err != nil {
 		return err
 	}
-	ccfg := ace.StructureConfig(cfg, opt.Commits)
-	ccfg.FrontEnd = true
-	ccfg.StoreBuffer = true
-	coll := ace.NewCollector(ccfg)
-	rec := pipeline.NewTraceRecorder(cfg, opt.Commits)
-	st, err := pipe.RunStream(context.Background(), opt.Commits, pipeline.Tee(coll, rec))
-	if err != nil {
-		return err
+	if !reflect.DeepEqual(lane.Trace, tr) {
+		return fmt.Errorf("lane-recorded trace diverges from the solo engine's (cfg=%+v)", cfg)
 	}
-	streamed := coll.Finish(st.Cycles)
-	tr := rec.Trace(st)
-
-	batchIQ := ace.Analyze(tr)
-	if !reflect.DeepEqual(streamed.IQ, batchIQ) {
-		return fmt.Errorf("streamed IQ report diverges from batch analysis (cfg=%+v)", cfg)
-	}
-	if batchFE := ace.AnalyzeFrontEnd(tr, batchIQ.Dead); !reflect.DeepEqual(streamed.FrontEnd, batchFE) {
-		return fmt.Errorf("streamed front-end report diverges from batch analysis (cfg=%+v)", cfg)
-	}
-	if batchSB := ace.AnalyzeStoreBuffer(tr, batchIQ.Dead); !reflect.DeepEqual(streamed.StoreBuffer, batchSB) {
-		return fmt.Errorf("streamed store-buffer report diverges from batch analysis (cfg=%+v)", cfg)
+	lane.Trace = nil
+	if !reflect.DeepEqual(lane, want) {
+		return fmt.Errorf("streamed reports diverge from trace analysis (cfg=%+v)", cfg)
 	}
 	return nil
 }

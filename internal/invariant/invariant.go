@@ -70,12 +70,12 @@ func All() []Check {
 		},
 		{
 			Name: "stream-batch",
-			Doc:  "streaming ace.Collector reports equal batch trace analysis exactly, on one shared run",
+			Doc:  "a one-lane run's recorded trace equals the solo engine's, and its streamed reports (regfile included) equal trace analysis exactly",
 			Run:  checkStreamBatch,
 		},
 		{
 			Name: "batched-independent",
-			Doc:  "batched K-config evaluation equals K independent single-config runs, reports byte-identical",
+			Doc:  "batched K-config evaluation equals K independent solo-engine runs analysed from their traces, reports byte-identical",
 			Run:  checkBatchedIndependent,
 		},
 		{

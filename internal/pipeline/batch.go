@@ -9,15 +9,16 @@ import (
 	"softerror/internal/isa"
 )
 
-// This file is the batched evaluation path: RunBatch drives K configuration
-// variants through ONE decode of the generated instruction stream. The solo
-// engine (pipeline.go) pulls instructions from a Source and stores full
-// isa.Inst copies in its queues; each lane here instead stores a compact
-// (BatchRef, Seq) pair into struct-of-arrays ring buffers and reads
-// instruction content through the shared BatchSource memo, so K variants
-// share one generation pass and one L2-resident body window. The engines
-// are kept behaviourally identical phase by phase — the batched-independent
-// seraudit check pins byte-identical reports against K solo runs.
+// This file is the batched evaluation path: RunBatchStreamArena drives K
+// configuration variants through ONE decode of the generated instruction
+// stream. The solo engine (pipeline.go) pulls instructions from a Source
+// and stores full isa.Inst copies in its queues; each lane here instead
+// stores a compact (BatchRef, Seq) pair into struct-of-arrays ring buffers
+// and reads instruction content through the shared BatchSource memo, so K
+// variants share one generation pass and one L2-resident body window. The
+// engines are kept behaviourally identical phase by phase — the
+// batched-independent seraudit check pins byte-identical reports against K
+// solo runs.
 
 // BatchSource is a decoded-once instruction stream shared by every lane of
 // a batch: Body(n) is the n-th correct-path instruction of the
@@ -88,6 +89,24 @@ type BatchSink interface {
 	BatchResidency(ref BatchRef, seq, enq, issue, evict uint64, issued, squashed bool)
 	BatchFrontEnd(ref BatchRef, seq, fetched, until uint64, delivered bool)
 	BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64)
+}
+
+// LiftSink is the one way a plain Sink joins a lane: it returns s itself
+// when s already speaks BatchSink, nil for a nil sink, and otherwise an
+// adapter that reconstructs each event's instruction from the shared
+// stream (BatchRef.Inst), so s sees exactly the events a solo RunStream
+// would deliver — OnROB/OnLSQ included when s implements OOOSink. Every
+// adapter it builds also implements BatchOOOSink.
+func LiftSink(src BatchSource, s Sink) BatchSink {
+	switch t := s.(type) {
+	case nil:
+		return nil
+	case BatchSink:
+		return t
+	}
+	ad := &sinkAdapter{src: src, s: s}
+	ad.os, _ = s.(OOOSink)
+	return ad
 }
 
 // sinkAdapter lifts a plain Sink to a BatchSink by reconstructing each
@@ -307,29 +326,6 @@ type batchLane struct {
 // across lanes.
 const batchChunk = 4096
 
-// RunBatch drives K configuration variants through one decode of the
-// shared instruction stream, delivering each lane's events to the
-// corresponding sink (nil to discard; a sink that implements BatchSink
-// receives compact events directly). mems supplies each lane's private
-// data-cache hierarchy — lanes interleave loads and store drains
-// differently, so the hierarchy cannot be shared. Returns one Stats per
-// lane, byte-identical to K independent RunStream runs.
-func RunBatch(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []Sink) ([]Stats, error) {
-	bs := make([]BatchSink, len(cfgs))
-	for i, s := range sinks {
-		switch t := s.(type) {
-		case nil:
-		case BatchSink:
-			bs[i] = t
-		default:
-			ad := &sinkAdapter{src: src, s: s}
-			ad.os, _ = s.(OOOSink)
-			bs[i] = ad
-		}
-	}
-	return RunBatchStream(ctx, commits, src, cfgs, mems, bs)
-}
-
 // BatchArena owns the batched engine's reusable allocations: the lane
 // structs and the shared queue slabs. A zero BatchArena is ready to use;
 // passing the same arena to successive runs reuses its storage, so a sweep
@@ -359,14 +355,14 @@ func slab[T any](buf []T, n int) []T {
 	return buf
 }
 
-// RunBatchStream is RunBatch for compact sinks — the zero-reconstruction
-// hot path ace.BatchCollector rides.
-func RunBatchStream(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink) ([]Stats, error) {
-	return RunBatchStreamArena(ctx, commits, src, cfgs, mems, sinks, nil)
-}
-
-// RunBatchStreamArena is RunBatchStream drawing lane state from a; nil
-// runs with one-shot allocations exactly as before.
+// RunBatchStreamArena drives K configuration variants through one decode
+// of the shared instruction stream, delivering each lane's compact events
+// to the corresponding sink (nil to discard; lift a plain Sink with
+// LiftSink). mems supplies each lane's private data-cache hierarchy —
+// lanes interleave loads and store drains differently, so the hierarchy
+// cannot be shared. Lane state comes from a (nil runs with one-shot
+// allocations). Returns one Stats per lane, byte-identical to K
+// independent RunStream runs.
 func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink, a *BatchArena) ([]Stats, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil batch source")

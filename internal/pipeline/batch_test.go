@@ -55,8 +55,9 @@ func TestBatchSingleLaneMatchesRunStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := NewTraceRecorder(cfg, commits)
-		stats, err := RunBatch(context.Background(), commits, sh,
-			[]Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()}, []Sink{rec})
+		stats, err := RunBatchStreamArena(context.Background(), commits, sh,
+			[]Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()},
+			[]BatchSink{LiftSink(sh, rec)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +83,14 @@ func TestBatchLanesMatchIndependentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := make([]*TraceRecorder, len(cfgs))
-	sinks := make([]Sink, len(cfgs))
+	sinks := make([]BatchSink, len(cfgs))
 	mems := make([]*cache.Hierarchy, len(cfgs))
 	for i, cfg := range cfgs {
 		recs[i] = NewTraceRecorder(cfg, commits)
-		sinks[i] = recs[i]
+		sinks[i] = LiftSink(sh, recs[i])
 		mems[i] = workload.WarmedDefault()
 	}
-	stats, err := RunBatch(context.Background(), commits, sh, cfgs, mems, sinks)
+	stats, err := RunBatchStreamArena(context.Background(), commits, sh, cfgs, mems, sinks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +124,9 @@ func TestBatchRejectsSingleStep(t *testing.T) {
 		for i := range mems {
 			mems[i] = workload.WarmedDefault()
 		}
-		_, err := RunBatch(context.Background(), 100, sh, cfgs, mems, make([]Sink, len(cfgs)))
+		_, err := RunBatchStreamArena(context.Background(), 100, sh, cfgs, mems, make([]BatchSink, len(cfgs)), nil)
 		if !errors.Is(err, ErrBatchSingleStep) {
-			t.Fatalf("RunBatch with SingleStep lane = %v, want ErrBatchSingleStep", err)
+			t.Fatalf("batch with SingleStep lane = %v, want ErrBatchSingleStep", err)
 		}
 	}
 }
@@ -140,8 +141,8 @@ func TestBatchCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunBatch(ctx, 1_000_000, sh,
-		[]Config{DefaultConfig()}, []*cache.Hierarchy{workload.WarmedDefault()}, []Sink{nil})
+	_, err = RunBatchStreamArena(ctx, 1_000_000, sh,
+		[]Config{DefaultConfig()}, []*cache.Hierarchy{workload.WarmedDefault()}, []BatchSink{nil}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch = %v, want context.Canceled", err)
 	}

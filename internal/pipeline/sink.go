@@ -194,7 +194,7 @@ func (rec *TraceRecorder) Trace(st Stats) *Trace {
 }
 
 // Tee fans the event stream out to several sinks, in argument order. Nil
-// sinks are skipped; a campaign driver uses it to feed an ace.Collector and
+// sinks are skipped; a campaign driver uses it to feed a trace recorder and
 // a fault residency recorder from one run.
 func Tee(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))

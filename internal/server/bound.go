@@ -122,8 +122,9 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := bs.fingerprint()
+	// Bound traffic is counted by bounds_served alone: cache_hits and
+	// cache_misses count evals, and a bound never simulates.
 	if body, ctype, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
 		s.metrics.boundsServed.Add(1)
 		s.serveBody(w, ctype, "hit", body)
 		return
@@ -164,7 +165,6 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	body = append(body, '\n')
 	const ctype = "application/json; charset=utf-8"
 	s.cache.Put(key, ctype, body)
-	s.metrics.cacheMisses.Add(1)
 	s.metrics.boundsServed.Add(1)
 	s.serveBody(w, ctype, "miss", body)
 }

@@ -52,6 +52,9 @@ func TestBoundServesWithoutSimulating(t *testing.T) {
 	if got := s.metrics.boundsServed.Value(); got != 2 {
 		t.Errorf("bounds_served = %d, want 2", got)
 	}
+	if hits, misses := s.metrics.cacheHits.Value(), s.metrics.cacheMisses.Value(); hits != 0 || misses != 0 {
+		t.Errorf("bound queries moved the eval cache counters: hits %d, misses %d", hits, misses)
+	}
 }
 
 // TestBoundResponseShape decodes one response and sanity-checks the bound

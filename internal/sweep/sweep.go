@@ -150,7 +150,7 @@ const maxBatchLanes = 8
 // groupRun is the shared state of one batch group: the cells of one
 // benchmark that evaluate together over a single decode of its instruction
 // stream. The first cell task to arrive becomes the leader and simulates
-// every still-pending member in one pipeline.RunBatch pass; the others wait
+// every still-pending member in one core.RunBatchArena pass; the others wait
 // on done and collect their rows. Each cell still checkpoints and reports
 // progress from its own task, so failure blame, retries, and resume all
 // keep per-cell granularity.

@@ -2,28 +2,31 @@
 # Repository verify recipe, in tiers:
 #   1. format + tier-1: gofmt, build + full test suite (the gate every
 #      change must pass)
-#   2. race tier: the packages that run simulations concurrently, under the
+#   2. artefact tier: every checked-in results/ artefact regenerated from
+#      the CLIs and compared byte for byte (cmp) — the reproduction's
+#      numbers may not drift silently (~25 s on 2 vCPU)
+#   3. race tier: the packages that run simulations concurrently, under the
 #      race detector (parallel engine, suite memo, sweep grid, fault
 #      fan-out, and the server's concurrent-load test)
-#   3. chaos tier: the resilience tests — injected panics, hangs and crashes
+#   4. chaos tier: the resilience tests — injected panics, hangs and crashes
 #      driven through the par chaos hook, checkpoint/resume byte-identity,
 #      server overflow shedding and drain/resume — under the race detector,
 #      since failure paths exercise the locking the happy path never touches
-#   4. audit tier: cmd/seraudit -quick under the race detector — every
+#   5. audit tier: cmd/seraudit -quick under the race detector — every
 #      invariant check (conservation, differential oracles, server
 #      properties, and static-bounds: analytic AVF bounds dominating
 #      simulated AVF per structure and bit class) over a small seed sweep;
 #      plus a short go-native fuzz pass over each harness (skip with
 #      SERA_SKIP_FUZZ=1 when iterating)
-#   5. smoke tier: the real seratd binary booted on an ephemeral port,
+#   6. smoke tier: the real seratd binary booted on an ephemeral port,
 #      health-checked, served a cached eval and SIGINT-drained
-#   6. fleet tier: the coordinator/worker suite under the race detector,
+#   7. fleet tier: the coordinator/worker suite under the race detector,
 #      the fleet-identity invariant (fleet CSV ≡ local CSV under injected
 #      worker crash/hang/error/slow chaos) and the real-process fleet
 #      smoke: a coordinator plus two worker daemons, one killed -9
 #      mid-sweep, byte-identical output demanded anyway. Skip with
 #      SERA_SKIP_FLEET=1 when iterating on unrelated code
-#   7. bench tier: a short run of the tracked benchmarks (hot loop +
+#   8. bench tier: a short run of the tracked benchmarks (hot loop +
 #      batched sweep), gated against the committed BENCH_<date>.json
 #      snapshot with scripts/benchdiff.sh — fails loudly past a 10%
 #      regression. Skip with SERA_SKIP_BENCH=1 when iterating; widen with
@@ -31,10 +34,10 @@
 #      machine-local baselines)
 #
 # Opt-outs, for iterating on unrelated code — never for shipping:
-#   SERA_SKIP_FUZZ=1   skip the go-native fuzz passes (tier 4)
-#   SERA_SKIP_FLEET=1  skip the fleet race/invariant/smoke suite (tier 6)
-#   SERA_SKIP_BENCH=1  skip the benchmark regression gate (tier 7)
-#   BENCH_GATE_PCT=N   widen tier 7's regression gate to N percent
+#   SERA_SKIP_FUZZ=1   skip the go-native fuzz passes (tier 5)
+#   SERA_SKIP_FLEET=1  skip the fleet race/invariant/smoke suite (tier 7)
+#   SERA_SKIP_BENCH=1  skip the benchmark regression gate (tier 8)
+#   BENCH_GATE_PCT=N   widen tier 8's regression gate to N percent
 set -eux
 
 fmtdirs="$(gofmt -l cmd internal examples scripts *.go)"
@@ -43,6 +46,17 @@ fmtdirs="$(gofmt -l cmd internal examples scripts *.go)"
 go build ./...
 go vet ./...
 go test ./...
+# artefact tier: regenerate results/ with the commands EXPERIMENTS.md lists
+art=$(mktemp -d)
+go build -o "$art/" ./cmd/repro ./cmd/sweep
+"$art/repro" all > "$art/repro_all.txt"
+cmp "$art/repro_all.txt" results/repro_all.txt
+{ "$art/repro" -core ooo table1 && "$art/repro" -core ooo structures; } > "$art/repro_ooo.txt"
+cmp "$art/repro_ooo.txt" results/repro_ooo.txt
+"$art/sweep" -benches mcf,gzip-graphic,ammp -policies baseline,squash-l1 \
+	-iqsizes 16,32,64,128 > "$art/sweep_iqsize.csv"
+cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
+rm -rf "$art"
 go test -race ./internal/par ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
 go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
