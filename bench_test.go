@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"softerror/internal/cache"
 	"softerror/internal/core"
 	"softerror/internal/fault"
 	"softerror/internal/pipeline"
@@ -69,13 +70,16 @@ func BenchmarkSuitePrewarm(b *testing.B) {
 }
 
 // BenchmarkPipelineHotLoop measures the cycle loop itself on the paper's
-// most squash-heavy point (mcf under squash-on-L1-miss), across the three
-// execution modes: the reference single-step interpreter with a recorded
-// trace (the pre-optimisation hot loop), event-horizon fast-forwarding with
-// a recorded trace, and fast-forwarding with residencies streamed to no
-// sink at all. All three produce identical results (pinned by
+// most squash-heavy point (mcf under squash-on-L1-miss), across the
+// execution modes: the single-step reference interpreter with a recorded
+// trace (the pre-optimisation hot loop), a one-lane run of the lane engine
+// with a recorded trace (a TraceRecorder lifted into the lane), the same
+// lane with no sink at all, and that nil-sink lane on the out-of-order
+// family. All produce identical results (pinned by
 // TestCycleSkipDifferential and the ace collector tests); only the cost
-// differs. Reports simulated Mcycles/s alongside allocs/op.
+// differs. Every iteration decodes its stream afresh, into memos reserved
+// up front and lane state from a reused arena, as core.RunContext runs
+// it. Reports simulated Mcycles/s alongside allocs/op.
 func BenchmarkPipelineHotLoop(b *testing.B) {
 	bench, ok := spec.ByName("mcf")
 	if !ok {
@@ -84,33 +88,51 @@ func BenchmarkPipelineHotLoop(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
 	cfg.SquashTrigger = pipeline.TriggerL1Miss
 	const commits = 100_000
-	run := func(b *testing.B, cfg pipeline.Config, record bool) {
+	reference := func(b *testing.B) {
 		b.ReportAllocs()
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
 			p := pipeline.MustNew(cfg, workload.MustNew(bench.Params), workload.WarmedDefault())
-			if record {
-				cycles += p.Run(commits, true).Cycles
-			} else {
-				st, err := p.RunStream(context.Background(), commits, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += st.Cycles
-			}
+			cycles += p.Run(commits, true).Cycles
 		}
 		b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
 	}
-	single := cfg
-	single.SingleStep = true
+	lane := func(b *testing.B, cfg pipeline.Config, record bool) {
+		b.ReportAllocs()
+		var cycles uint64
+		var arena pipeline.BatchArena
+		for i := 0; i < b.N; i++ {
+			sh, err := workload.NewShared(bench.Params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh.Reserve(commits+1024, commits/4+256) // as core.RunContext does
+			var rec *pipeline.TraceRecorder
+			sinks := []pipeline.BatchSink{nil}
+			if record {
+				rec = pipeline.NewTraceRecorder(cfg, commits)
+				sinks[0] = pipeline.LiftSink(sh, rec)
+			}
+			st, err := pipeline.RunBatchStreamArena(context.Background(), commits, sh,
+				[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()}, sinks, &arena)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if record {
+				rec.Trace(st[0])
+			}
+			cycles += st[0].Cycles
+		}
+		b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
+	}
 	ooo := cfg
 	ooo.OutOfOrder = true
-	b.Run("singlestep-materialized", func(b *testing.B) { run(b, single, true) })
-	b.Run("fastforward-materialized", func(b *testing.B) { run(b, cfg, true) })
-	b.Run("fastforward-stream", func(b *testing.B) { run(b, cfg, false) })
-	// The out-of-order family on the same streaming path: ROB, LSQ and TAGE
-	// machinery active, residencies folded into the collectors' integrals.
-	b.Run("ooo", func(b *testing.B) { run(b, ooo, false) })
+	b.Run("singlestep-materialized", reference)
+	b.Run("fastforward-materialized", func(b *testing.B) { lane(b, cfg, true) })
+	b.Run("fastforward-stream", func(b *testing.B) { lane(b, cfg, false) })
+	// The out-of-order family on the same nil-sink lane: ROB, LSQ and TAGE
+	// machinery active.
+	b.Run("ooo", func(b *testing.B) { lane(b, ooo, false) })
 }
 
 // BenchmarkBatchedSweep measures the batched evaluation path on the

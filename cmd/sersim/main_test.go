@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,5 +74,41 @@ func TestRunWithConfigFile(t *testing.T) {
 	}
 	if err := run([]string{"-config", filepath.Join(t.TempDir(), "none.json")}); err == nil {
 		t.Error("missing config accepted")
+	}
+}
+
+// TestGshareConfigGolden pins the -config surface for a PC-indexed branch
+// predictor: a gshare out-of-order mcf run under squash-l1, with a strike
+// campaign, prints exactly the checked-in golden output. Regenerate with
+//
+//	go run ./cmd/sersim -config cmd/sersim/testdata/gshare.json -policy squash-l1 -strikes 300 > cmd/sersim/testdata/gshare.golden
+//
+// only for a deliberate change of the model.
+func TestGshareConfigGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "gshare.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := run([]string{"-config", filepath.Join("testdata", "gshare.json"), "-policy", "squash-l1", "-strikes", "300"})
+	os.Stdout = old
+	w.Close()
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sersim output drifted from testdata/gshare.golden:\n%s", got)
 	}
 }

@@ -17,6 +17,9 @@ type sliceSource struct{ body, wrong []isa.Inst }
 
 func (s *sliceSource) Body(n int) *isa.Inst  { return &s.body[n] }
 func (s *sliceSource) Wrong(j int) *isa.Inst { return &s.wrong[j] }
+func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
+	return s.body[n].PC + 4*uint64(j), 0
+}
 
 // TestBatchCollectorEventPathZeroAlloc pins the arena property on the
 // collector: once a BatchCollector has been through one Reset/feed cycle,

@@ -71,6 +71,7 @@ func TestParseRejections(t *testing.T) {
 		"unknown top":      `{"bogus": 1}`,
 		"unknown workload": `{"workload": {"NoSuchKnob": 1}}`,
 		"unknown pipeline": `{"pipeline": {"NoSuchKnob": 1}}`,
+		"removed knob":     `{"pipeline": {"SingleStep": true}}`,
 		"unknown bench":    `{"bench": "nosuch"}`,
 		"invalid workload": `{"workload": {"MeanBlockLen": 0}}`,
 		"invalid pipeline": `{"pipeline": {"IQSize": 0}}`,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"softerror/internal/ace"
@@ -24,13 +25,11 @@ type BatchSpec struct {
 // the workload's instruction stream: one generator pass, one deadness
 // analysis per realised commit-log length, K compact pipeline lanes. Each
 // returned Result equals RunContext under the same spec — that is the same
-// engine with one lane — and equals the solo engine's recorded trace
-// analysed by the ace trace analyses, which the batched-independent
-// seraudit check pins.
-//
-// Workloads whose stream cannot be shared (PC-indexed branch predictors)
-// fail with an error wrapping workload.ErrUnshareable; callers fall back
-// to per-spec RunContext. Caches are always pre-warmed.
+// engine with one lane — and equals the reference interpreter's recorded
+// trace analysed by the ace trace analyses, which the batched-independent
+// seraudit check pins. Workloads with a PC-indexed branch predictor run
+// the same lanes, each over its own generator. Caches are always
+// pre-warmed.
 func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	a := defaultArenas.Get()
 	defer defaultArenas.Put(a)
@@ -57,6 +56,12 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 // lane per Config over a single decode of w, with state drawn from a (nil
 // for a fresh arena). Each Config's Workload and Commits are ignored;
 // KeepTrace and Sink are plain sinks teed in beside the lane's collector.
+//
+// It is also the one place that knows whether a stream can be shared. A
+// PC-indexed branch predictor makes the stream depend on each lane's fetch
+// order (workload.ErrUnshareable), so each such lane fetches from its own
+// generator through a pipeline.PrivateSource, analysed by its own
+// ace.BatchGroup; neither is cached in the arena's stream list.
 func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()
@@ -65,6 +70,22 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 		commits = DefaultCommits
 	}
 	sh, group, err := a.stream(w)
+	if errors.Is(err, workload.ErrUnshareable) {
+		out := make([]*Result, len(lanes))
+		for i := range lanes {
+			gen, err := workload.New(w)
+			if err != nil {
+				return nil, err
+			}
+			src := pipeline.NewPrivateSource(gen)
+			res, err := runGroup(ctx, a, w.Name, commits, src, ace.NewBatchGroup(src), lanes[i:i+1])
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res[0]
+		}
+		return out, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +95,12 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	// append-doublings the memos would otherwise pay; on a reused stream
 	// the memos are already materialised and this is a no-op.
 	sh.Reserve(int(commits)+1024, int(commits)/4+256)
+	return runGroup(ctx, a, w.Name, commits, sh, group, lanes)
+}
 
+// runGroup runs one lane per Config over src, every lane's collector
+// sharing group.
+func runGroup(ctx context.Context, a *Arena, name string, commits uint64, src pipeline.BatchSource, group *ace.BatchGroup, lanes []Config) ([]*Result, error) {
 	// Warm hierarchies come re-stamped from the arena's pool: CloneInto is
 	// bit-identical to a fresh warm clone (pinned by the cache clone
 	// tests), and a memcpy of the warm state is far cheaper than
@@ -109,12 +135,12 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 			plain = append(plain, ln.Sink)
 		}
 		if len(plain) > 0 {
-			ext := pipeline.LiftSink(sh, pipeline.Tee(plain...)).(laneSink)
+			ext := pipeline.LiftSink(src, pipeline.Tee(plain...)).(laneSink)
 			sinks[i] = &laneTee{coll: coll, ext: ext}
 		}
 	}
 
-	stats, err := pipeline.RunBatchStreamArena(ctx, commits, sh, cfgs, mems, sinks, &a.pipe)
+	stats, err := pipeline.RunBatchStreamArena(ctx, commits, src, cfgs, mems, sinks, &a.pipe)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +152,7 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 		a.putCollector(colls[i])
 		a.putHierarchy(mems[i])
 		simCycles.Add(st.Cycles)
-		res := newResult(w.Name, st)
+		res := newResult(name, st)
 		res.Report, res.RegFile = reps.IQ, reps.RegFile
 		res.FrontEndReport, res.StoreBufferReport = reps.FrontEnd, reps.StoreBuffer
 		res.ROBReport, res.LSQReport = reps.ROB, reps.LSQ
@@ -147,7 +173,7 @@ type laneSink interface {
 }
 
 // laneTee feeds one lane's compact events to its collector and to the
-// caller's plain sinks, lifted through the shared stream.
+// caller's plain sinks, lifted through the lane's source.
 type laneTee struct {
 	coll *ace.BatchCollector
 	ext  laneSink

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -219,72 +218,14 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation threaded through the
 // pipeline's cycle loop, so a SIGINT or watchdog aborts within one
-// simulation rather than one campaign.
-//
-// The run is a one-lane batch on RunBatchArena's lane engine. Only where a
-// lane cannot run — a workload whose stream cannot be shared
-// (workload.ErrUnshareable) or a SingleStep configuration — does it fall
-// back to runSolo; both paths return identical Results.
+// simulation rather than one campaign. The run is a one-lane batch on
+// RunBatchArena's lane engine, whatever the workload's branch predictor.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Commits == 0 {
-		cfg.Commits = DefaultCommits
-	}
-	zero := pipeline.Config{}
-	if cfg.Pipeline == zero {
-		cfg.Pipeline = pipeline.DefaultConfig()
-	}
-	if !cfg.Pipeline.SingleStep {
-		a := defaultArenas.Get()
-		res, err := runLanes(ctx, a, cfg.Workload, cfg.Commits, []Config{cfg})
-		defaultArenas.Put(a)
-		if err == nil {
-			return res[0], nil
-		}
-		if !errors.Is(err, workload.ErrUnshareable) {
-			return nil, err
-		}
-	}
-	return runSolo(ctx, cfg)
-}
-
-// runSolo runs cfg on the solo engine, records the trace (teed with
-// cfg.Sink) and analyses it with the ace trace analyses — the independent
-// oracle the lane engine's streaming analysis is pinned against.
-func runSolo(ctx context.Context, cfg Config) (*Result, error) {
-	gen, err := workload.New(cfg.Workload)
+	a := defaultArenas.Get()
+	defer defaultArenas.Put(a)
+	res, err := runLanes(ctx, a, cfg.Workload, cfg.Commits, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := pipeline.New(cfg.Pipeline, gen, workload.WarmedDefault())
-	if err != nil {
-		return nil, err
-	}
-	rec := pipeline.NewTraceRecorder(cfg.Pipeline, cfg.Commits)
-	st, err := pipe.RunStream(ctx, cfg.Commits, pipeline.Tee(rec, cfg.Sink))
-	if err != nil {
-		return nil, err
-	}
-	tr := rec.Trace(st)
-	rep := ace.Analyze(tr)
-	res := newResult(cfg.Workload.Name, st)
-	res.Report = rep
-	if cfg.KeepTrace {
-		res.Trace = tr
-	}
-	if cfg.RegFile {
-		res.RegFile = ace.AnalyzeRegFile(tr, rep.Dead)
-	}
-	if cfg.FrontEnd {
-		res.FrontEndReport = ace.AnalyzeFrontEnd(tr, rep.Dead)
-	}
-	if cfg.StoreBuffer {
-		res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, rep.Dead)
-	}
-	if cfg.Pipeline.OutOfOrder {
-		res.ROBReport = ace.AnalyzeROB(tr, rep.Dead)
-		res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
-		res.TAGEReport = ace.AnalyzeTAGE(tr)
-	}
-	simCycles.Add(res.Cycles)
-	return res, nil
+	return res[0], nil
 }

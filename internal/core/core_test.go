@@ -78,9 +78,10 @@ func (c *countSink) OnROB(pipeline.Residency)          { c.rob++ }
 func (c *countSink) OnLSQ(pipeline.Residency)          { c.lsq++ }
 
 // TestSinkSeesEventsUnderKeepTrace pins that Config.Sink receives the run's
-// whole event stream whether or not KeepTrace also records it, on the lane
-// path and on the solo fallback (a gshare workload), for both core
-// families — and that the totals match the trace KeepTrace recorded.
+// whole event stream whether or not KeepTrace also records it, on a
+// shared-stream lane and on a private-source lane (a gshare workload), for
+// both core families — and that the totals match the trace KeepTrace
+// recorded.
 func TestSinkSeesEventsUnderKeepTrace(t *testing.T) {
 	gshare := workload.Default()
 	gshare.BranchPredictor = "gshare"

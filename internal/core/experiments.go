@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"softerror/internal/pipeline"
 	"softerror/internal/serate"
 	"softerror/internal/spec"
-	"softerror/internal/workload"
 )
 
 // Suite evaluates a benchmark roster under multiple policies, memoising
@@ -199,9 +197,8 @@ func (s *Suite) prewarmBench(b spec.Benchmark, policies []Policy) error {
 }
 
 // simulateBatch runs one benchmark's policy set through the batched
-// evaluation path — or, for workloads whose stream cannot be shared,
-// through per-policy solo runs. Either way each result is byte-identical
-// to what simulate would have produced.
+// evaluation path; each result is byte-identical to what simulate would
+// have produced.
 func (s *Suite) simulateBatch(b spec.Benchmark, pols []Policy) ([]*Result, error) {
 	specs := make([]BatchSpec, len(pols))
 	for i, pol := range pols {
@@ -211,23 +208,12 @@ func (s *Suite) simulateBatch(b spec.Benchmark, pols []Policy) ([]*Result, error
 		specs[i] = BatchSpec{Pipeline: cfg}
 	}
 	results, err := RunBatchContext(s.ctx(), b.Params, s.Commits, specs)
-	if err == nil {
-		s.sims.Add(uint64(len(pols)))
-		for _, r := range results {
-			r.Report.Dead.Compact()
-		}
-		return results, nil
-	}
-	if !errors.Is(err, workload.ErrUnshareable) {
+	if err != nil {
 		return nil, fmt.Errorf("core: %s batched prewarm: %w", b.Name, err)
 	}
-	results = make([]*Result, len(pols))
-	for i, pol := range pols {
-		r, err := s.simulate(b, pol)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
+	s.sims.Add(uint64(len(pols)))
+	for _, r := range results {
+		r.Report.Dead.Compact()
 	}
 	return results, nil
 }

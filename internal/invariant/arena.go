@@ -36,12 +36,8 @@ func checkArenaReuse(seed uint64, opt Options) error {
 		k := 1 + s.Intn(3)
 		specs := make([]core.BatchSpec, k)
 		for i := range specs {
-			cfg := RandomPipelineConfig(s)
-			// The batched engine is event-horizon only (see
-			// checkBatchedIndependent).
-			cfg.SingleStep = false
 			specs[i] = core.BatchSpec{
-				Pipeline:    cfg,
+				Pipeline:    RandomPipelineConfig(s),
 				FrontEnd:    s.Bool(0.5),
 				StoreBuffer: s.Bool(0.5),
 			}

@@ -13,7 +13,7 @@ import (
 // evaluation path on randomised inputs: K random configurations evaluated
 // over one decode of a random workload's stream (core.RunBatchContext)
 // must produce Results equal — reports, deadness, stats, everything — to
-// K independent solo-trace oracle runs (soloOracle). The batch width, each
+// K independent reference-trace oracle runs (soloOracle). The batch width, each
 // lane's geometry and each lane's optional analyses all vary per seed.
 func checkBatchedIndependent(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
@@ -22,12 +22,8 @@ func checkBatchedIndependent(seed uint64, opt Options) error {
 	k := 2 + s.Intn(4)
 	specs := make([]core.BatchSpec, k)
 	for i := range specs {
-		cfg := RandomPipelineConfig(s)
-		// The batched engine is event-horizon only; SingleStep lanes are
-		// rejected with a typed error (pinned by the pipeline batch tests).
-		cfg.SingleStep = false
 		specs[i] = core.BatchSpec{
-			Pipeline:    cfg,
+			Pipeline:    RandomPipelineConfig(s),
 			FrontEnd:    s.Bool(0.5),
 			StoreBuffer: s.Bool(0.5),
 		}

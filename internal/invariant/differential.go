@@ -19,8 +19,9 @@ import (
 	"softerror/internal/workload"
 )
 
-// runTrace runs one pipeline built from (cfg, params) on a warmed default
-// hierarchy and returns the materialised trace.
+// runTrace runs the single-step reference interpreter built from (cfg,
+// params) on a warmed default hierarchy and returns the materialised
+// trace.
 func runTrace(cfg pipeline.Config, params workload.Params, commits uint64) (*pipeline.Trace, error) {
 	gen, err := workload.New(params)
 	if err != nil {
@@ -33,8 +34,28 @@ func runTrace(cfg pipeline.Config, params workload.Params, commits uint64) (*pip
 	return p.Run(commits, true), nil
 }
 
-// checkTraceDifferential cross-validates the event-horizon fast path
-// against the reference single-step interpreter on one random
+// laneTrace runs one configuration as a one-lane run of the lane engine
+// over its own generator (pipeline.PrivateSource, which serves every
+// predictor kind) on a warmed default hierarchy and returns the recorded
+// trace.
+func laneTrace(cfg pipeline.Config, params workload.Params, commits uint64) (*pipeline.Trace, error) {
+	gen, err := workload.New(params)
+	if err != nil {
+		return nil, err
+	}
+	src := pipeline.NewPrivateSource(gen)
+	rec := pipeline.NewTraceRecorder(cfg, commits)
+	st, err := pipeline.RunBatchStreamArena(context.Background(), commits, src,
+		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()},
+		[]pipeline.BatchSink{pipeline.LiftSink(src, rec)}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rec.Trace(st[0]), nil
+}
+
+// checkTraceDifferential cross-validates the lane engine's event-horizon
+// fast path against the single-step reference interpreter on one random
 // configuration: the traces must be identical in every cycle count,
 // residency interval and committed instruction.
 func checkTraceDifferential(seed uint64, opt Options) error {
@@ -48,19 +69,16 @@ func checkTraceDifferential(seed uint64, opt Options) error {
 		cfg.IQSize = 8
 		cfg.StoreBufferSize = 2
 	}
-	ref, fast := cfg, cfg
-	ref.SingleStep = true
-	fast.SingleStep = false
-	want, err := runTrace(ref, params, opt.Commits)
+	want, err := runTrace(cfg, params, opt.Commits)
 	if err != nil {
 		return err
 	}
-	got, err := runTrace(fast, params, opt.Commits)
+	got, err := laneTrace(cfg, params, opt.Commits)
 	if err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(want, got) {
-		return fmt.Errorf("fast-forward trace diverges from single-step "+
+		return fmt.Errorf("lane trace diverges from the single-step reference "+
 			"(cycles %d vs %d, commits %d vs %d, squashes %d vs %d, cfg=%+v)",
 			want.Cycles, got.Cycles, want.Commits, got.Commits,
 			want.Squashes, got.Squashes, cfg)
@@ -68,9 +86,10 @@ func checkTraceDifferential(seed uint64, opt Options) error {
 	return nil
 }
 
-// soloOracle runs one configuration on the solo engine and analyses its
-// recorded trace with the ace trace analyses: a core.RunContext-shaped
-// Result independent of the lane engine, plus the trace itself.
+// soloOracle runs one configuration on the reference interpreter and
+// analyses its recorded trace with the ace trace analyses: a
+// core.RunContext-shaped Result independent of the lane engine, plus the
+// trace itself.
 func soloOracle(params workload.Params, cfg pipeline.Config, commits uint64, fe, sb, rf bool) (*core.Result, *pipeline.Trace, error) {
 	tr, err := runTrace(cfg, params, commits)
 	if err != nil {
@@ -127,7 +146,7 @@ func checkStreamBatch(seed uint64, opt Options) error {
 		return err
 	}
 	if !reflect.DeepEqual(lane.Trace, tr) {
-		return fmt.Errorf("lane-recorded trace diverges from the solo engine's (cfg=%+v)", cfg)
+		return fmt.Errorf("lane-recorded trace diverges from the reference interpreter's (cfg=%+v)", cfg)
 	}
 	lane.Trace = nil
 	if !reflect.DeepEqual(lane, want) {

@@ -65,17 +65,17 @@ func All() []Check {
 		},
 		{
 			Name: "trace-differential",
-			Doc:  "event-horizon fast path and single-step interpreter produce identical traces on random configurations",
+			Doc:  "the lane engine (over a private fetch-order source) and the single-step reference interpreter produce identical traces on random configurations",
 			Run:  checkTraceDifferential,
 		},
 		{
 			Name: "stream-batch",
-			Doc:  "a one-lane run's recorded trace equals the solo engine's, and its streamed reports (regfile included) equal trace analysis exactly",
+			Doc:  "a one-lane run's recorded trace equals the reference interpreter's, and its streamed reports (regfile included) equal trace analysis exactly",
 			Run:  checkStreamBatch,
 		},
 		{
 			Name: "batched-independent",
-			Doc:  "batched K-config evaluation equals K independent solo-engine runs analysed from their traces, reports byte-identical",
+			Doc:  "batched K-config evaluation equals K independent reference-interpreter runs analysed from their traces, reports byte-identical",
 			Run:  checkBatchedIndependent,
 		},
 		{

@@ -8,11 +8,22 @@ import (
 
 // RandomWorkload draws a valid workload profile from across the parameter
 // space, including corners the Table-2 roster never visits: near-total
-// dead code, saturated mispredict rates, degenerate cache mixes. The draw
-// consumes a fixed number of stream values, so a seed pins the profile.
+// dead code, saturated mispredict rates, degenerate cache mixes, and
+// PC-indexed branch predictors, whose streams every lane fetches privately.
+// The draw consumes a fixed number of stream values, so a seed pins the
+// profile.
 func RandomWorkload(s *rng.Stream) workload.Params {
 	p := workload.Default()
 	p.Seed = s.Uint64()
+	// The predictor derives from the seed already drawn, consuming no
+	// stream value, so every other per-seed draw stays where it was: about
+	// a quarter of profiles get gshare and a quarter bimodal.
+	switch p.Seed % 4 {
+	case 0:
+		p.BranchPredictor = "gshare"
+	case 1:
+		p.BranchPredictor = "bimodal"
+	}
 	p.LoadFrac = 0.05 + 0.2*s.Float64()
 	p.StoreFrac = 0.02 + 0.1*s.Float64()
 	p.FPFrac = 0.15 * s.Float64()

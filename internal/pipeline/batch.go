@@ -2,44 +2,104 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"softerror/internal/cache"
 	"softerror/internal/isa"
 )
 
-// This file is the batched evaluation path: RunBatchStreamArena drives K
-// configuration variants through ONE decode of the generated instruction
-// stream. The solo engine (pipeline.go) pulls instructions from a Source
-// and stores full isa.Inst copies in its queues; each lane here instead
-// stores a compact (BatchRef, Seq) pair into struct-of-arrays ring buffers
-// and reads instruction content through the shared BatchSource memo, so K
-// variants share one generation pass and one L2-resident body window. The
-// engines are kept behaviourally identical phase by phase — the
-// batched-independent seraudit check pins byte-identical reports against K
-// solo runs.
+// This file is the lane engine, the one production engine of both core
+// families: RunBatchStreamArena drives K configuration variants through
+// ONE decode of the generated instruction stream. Each lane stores a
+// compact (BatchRef, Seq) pair into struct-of-arrays ring buffers and
+// reads instruction content through the BatchSource memo, so K variants
+// share one generation pass and one L2-resident body window, and it skips
+// quiescent cycles to its next event horizon. The single-step reference
+// interpreter (pipeline.go) pulls full isa.Inst copies from a Source and
+// steps every cycle; the two are kept behaviourally identical phase by
+// phase — the trace-differential and batched-independent seraudit checks
+// pin byte-identical traces and reports against the reference.
 
-// BatchSource is a decoded-once instruction stream shared by every lane of
-// a batch: Body(n) is the n-th correct-path instruction of the
-// un-interleaved stream (Seq n, pure correct-path PC), Wrong(j) the content
-// of the j-th wrong-path draw. workload.Shared implements it. Returned
-// pointers are valid until the next call extends the memo.
+// BatchSource is the instruction stream a lane fetches from, memoised in
+// two sequences: Body(n) is the n-th correct-path instruction in the
+// lane-independent coordinates BatchRef relabels (Seq n, PC reduced by 4
+// per wrong-path draw fetched before it), Wrong(j) the content of the j-th
+// wrong-path draw, and WrongSite(n, j) the fetch PC and call depth of draw
+// j taken while body n is the next correct-path fetch. Each source kind
+// owns that last relabel. workload.Shared is the decoded-once stream every
+// lane of a batch shares; PrivateSource is one lane's own stream for
+// workloads whose content depends on the fetch order. Returned pointers
+// are valid until the next call extends the memo.
 type BatchSource interface {
 	Body(n int) *isa.Inst
 	Wrong(j int) *isa.Inst
+	WrongSite(n, j int) (pc uint64, callDepth uint8)
 }
 
-// ErrBatchSingleStep rejects SingleStep configurations from batches: the
-// batch engine is the fast path, and mixing single-stepped and
-// fast-forwarded variants in one pass would tie every lane to the slowest
-// discipline. Run SingleStep configs through RunStream.
-var ErrBatchSingleStep = errors.New("pipeline: SingleStep configurations cannot join a batch")
+// PrivateSource is a BatchSource over one lane's own Source, for streams
+// that cannot be decoded once and shared: with a PC-indexed branch
+// predictor (gshare, bimodal) every wrong-path draw shifts later PCs, and
+// with them the realised mispredict sequence, so the stream depends on
+// the lane's configuration. The source calls Next and NextWrong in its
+// lane's fetch order, exactly as the reference interpreter does: the lane
+// generates body n when it first fetches it and tells the source about
+// each wrong-path draw as it fetches it. Body n is memoised at Seq n with its
+// PC reduced by 4 per wrong draw so far, which BatchRef relabelling adds
+// back; wrong draws keep the PC and call depth they were fetched at, so
+// WrongSite never reads a body the lane has not fetched yet. A
+// PrivateSource serves exactly one lane of one run.
+type PrivateSource struct {
+	src   Source
+	body  []isa.Inst
+	wrong []isa.Inst
+}
+
+// NewPrivateSource wraps a fresh Source for one lane.
+func NewPrivateSource(src Source) *PrivateSource {
+	return &PrivateSource{src: src}
+}
+
+// Body implements BatchSource, fetching correct-path instructions from the
+// underlying Source up to n.
+func (s *PrivateSource) Body(n int) *isa.Inst {
+	for len(s.body) <= n {
+		in := s.src.Next()
+		in.Seq = uint64(len(s.body))
+		in.PC -= 4 * uint64(len(s.wrong))
+		s.body = append(s.body, in)
+	}
+	return &s.body[n]
+}
+
+// BodyPrefix returns the first m correct-path instructions as a slice
+// aliasing the memo, fetching up to m-1 first.
+func (s *PrivateSource) BodyPrefix(m int) []isa.Inst {
+	if m > 0 {
+		s.Body(m - 1)
+	}
+	return s.body[:m]
+}
+
+// Wrong implements BatchSource, drawing wrong-path instructions from the
+// underlying Source up to j.
+func (s *PrivateSource) Wrong(j int) *isa.Inst {
+	for len(s.wrong) <= j {
+		s.wrong = append(s.wrong, s.src.NextWrong())
+	}
+	return &s.wrong[j]
+}
+
+// WrongSite implements BatchSource: a private draw carries the PC and call
+// depth it was fetched at.
+func (s *PrivateSource) WrongSite(_, j int) (uint64, uint8) {
+	in := s.Wrong(j)
+	return in.PC, in.CallDepth
+}
 
 // BatchRef locates one fetched instruction within a shared stream: the
 // correct-path body cursor n, plus a flag marking wrong-path fetches. The
 // fetch-order sequence number is carried alongside, and together they
-// reconstruct the exact instruction the solo engine would have fetched:
+// reconstruct the exact instruction the reference interpreter fetched:
 // a lane that has drawn w wrong-path instructions before body position n
 // holds Seq n+w, so w (or the wrong-path ordinal j) is Seq minus the body
 // cursor.
@@ -52,22 +112,19 @@ func wrongAt(n int) BatchRef   { return BatchRef(n) | wrongRef }
 func (r BatchRef) Wrong() bool { return r&wrongRef != 0 }
 func (r BatchRef) Body() int   { return int(r &^ wrongRef) }
 
-// Inst reconstructs the instruction a solo pipeline would have fetched at
-// this reference with the given sequence number: the shared-stream content
-// relabeled into the lane's coordinate system (Seq, PC shifted by 4 per
-// preceding wrong-path fetch, wrong-path call depth from the preceding
-// body instruction). FetchBubble is zero — the bubble is charged at fetch
-// and never visible in a recorded event.
+// Inst reconstructs the instruction the reference interpreter would have
+// fetched at this reference with the given sequence number: the memoised
+// content relabeled into the lane's coordinate system (Seq, PC shifted by
+// 4 per preceding wrong-path fetch, wrong-path PC and call depth from the
+// source's WrongSite). FetchBubble is zero — the bubble is charged at
+// fetch and never visible in a recorded event.
 func (r BatchRef) Inst(src BatchSource, seq uint64) isa.Inst {
 	n := r.Body()
 	if r.Wrong() {
 		j := int(seq) - n
 		in := *src.Wrong(j)
 		in.Seq = seq
-		in.PC = src.Body(n).PC + 4*uint64(j)
-		if n > 0 {
-			in.CallDepth = src.Body(n - 1).CallDepth
-		}
+		in.PC, in.CallDepth = src.WrongSite(n, j)
 		return in
 	}
 	in := *src.Body(n)
@@ -93,10 +150,11 @@ type BatchSink interface {
 
 // LiftSink is the one way a plain Sink joins a lane: it returns s itself
 // when s already speaks BatchSink, nil for a nil sink, and otherwise an
-// adapter that reconstructs each event's instruction from the shared
-// stream (BatchRef.Inst), so s sees exactly the events a solo RunStream
-// would deliver — OnROB/OnLSQ included when s implements OOOSink. Every
-// adapter it builds also implements BatchOOOSink.
+// adapter that reconstructs each event's instruction from the lane's
+// source (BatchRef.Inst), so s sees exactly the events the reference
+// interpreter delivers to its trace — OnROB/OnLSQ included when s
+// implements OOOSink. Every adapter it builds also implements
+// BatchOOOSink.
 func LiftSink(src BatchSource, s Sink) BatchSink {
 	switch t := s.(type) {
 	case nil:
@@ -168,7 +226,7 @@ func (a *sinkAdapter) BatchLSQ(ref BatchRef, seq, enq, evict uint64, read bool) 
 	a.os.OnLSQ(r)
 }
 
-// Compact queue entries: ~3× smaller than their solo counterparts, which
+// Compact queue entries: ~3× smaller than their reference counterparts, which
 // carry a full isa.Inst each. Content is read back through the BatchSource.
 type biqEntry struct {
 	enq     uint64
@@ -197,16 +255,21 @@ type bsbEntry struct {
 }
 
 // bodySlicer is the optional bulk accessor of a BatchSource:
-// workload.Shared implements it, letting lanes index the memoised body
-// slice directly instead of calling Body per lookup.
+// workload.Shared and PrivateSource implement it, letting lanes index the
+// memoised body slice directly instead of calling Body per lookup.
 type bodySlicer interface {
 	BodyPrefix(m int) []isa.Inst
 }
 
-// bodyAhead is how far past a missing index a lane's snapshot extends:
-// large enough to amortise the interface call, small enough that the tail
-// over-generation after the last commit stays negligible.
+// bodyAhead is how far past a missing index a shared-stream lane's
+// snapshot extends: large enough to amortise the interface call, small
+// enough that the tail over-generation after the last commit stays
+// negligible. A private-stream lane extends by exactly one body, since
+// generating ahead of its fetch order would change the stream.
 const bodyAhead = 512
+
+// neverCycle is the "no scheduled event" horizon sentinel.
+const neverCycle = ^uint64(0)
 
 // inst returns body instruction n, through the snapshot on the hot path.
 func (ln *batchLane) inst(n int) *isa.Inst {
@@ -220,7 +283,11 @@ func (ln *batchLane) instSlow(n int) *isa.Inst {
 	if ln.slicer == nil {
 		return ln.src.Body(n)
 	}
-	ln.body = ln.slicer.BodyPrefix(n + bodyAhead)
+	ahead := bodyAhead
+	if ln.private {
+		ahead = 1
+	}
+	ln.body = ln.slicer.BodyPrefix(n + ahead)
 	return &ln.body[n]
 }
 
@@ -230,8 +297,8 @@ type streamRef struct {
 	ref BatchRef
 }
 
-// ring is a fixed-capacity FIFO over a preallocated buffer. The solo
-// engine compacts its queues by copying the tail down on every head
+// ring is a fixed-capacity FIFO over a preallocated buffer. The reference
+// interpreter compacts its queues by copying the tail down on every head
 // removal; lanes instead advance a head index, so steady-state dequeues
 // are O(1) and the backing slab never moves.
 type ring[T any] struct {
@@ -266,15 +333,18 @@ func (r *ring[T]) pop(k int) {
 }
 
 // batchLane is one configuration variant's complete pipeline state. It is
-// the solo Pipeline translated to compact entries: every phase below
+// the reference Pipeline translated to compact entries: every phase below
 // mirrors its pipeline.go counterpart exactly, so a lane's event stream
-// and statistics are byte-identical to a solo run of the same config.
+// and statistics are byte-identical to a reference run of the same config.
 type batchLane struct {
 	cfg   Config
 	src   BatchSource
 	mem   *cache.Hierarchy
 	sink  BatchSink
 	feCap int
+	// private marks a lane fetching from its own PrivateSource, which must
+	// see every fetch in order; shared-stream lanes read ahead freely.
+	private bool
 
 	// body is a snapshot of the source's materialised body prefix, so hot
 	// lookups index a slice instead of calling through the interface; it is
@@ -362,7 +432,8 @@ func slab[T any](buf []T, n int) []T {
 // lanes interleave loads and store drains differently, so the hierarchy
 // cannot be shared. Lane state comes from a (nil runs with one-shot
 // allocations). Returns one Stats per lane, byte-identical to K
-// independent RunStream runs.
+// independent runs of the reference interpreter. A PrivateSource serves
+// exactly one lane.
 func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink, a *BatchArena) ([]Stats, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil batch source")
@@ -375,12 +446,12 @@ func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, c
 		if err := cfgs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, err)
 		}
-		if cfgs[i].SingleStep {
-			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, ErrBatchSingleStep)
-		}
 		if mems[i] == nil {
 			return nil, fmt.Errorf("pipeline: batch lane %d: nil memory", i)
 		}
+	}
+	if _, ok := src.(*PrivateSource); ok && len(cfgs) > 1 {
+		return nil, fmt.Errorf("pipeline: a private source serves one lane, got %d", len(cfgs))
 	}
 	lanes := newLanes(src, cfgs, mems, sinks, a)
 
@@ -446,6 +517,7 @@ func newLanes(src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []B
 		a.lanes = append(a.lanes, &batchLane{})
 	}
 	slicer, _ := src.(bodySlicer)
+	_, private := src.(*PrivateSource)
 	lanes := a.lanes[:len(cfgs)]
 	iqOff, feOff, sbOff := 0, 0, 0
 	robOff, lsqOff, tageOff := 0, 0, 0
@@ -469,6 +541,7 @@ func newLanes(src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []B
 			mem:       mems[i],
 			sink:      sinks[i],
 			feCap:     feCap,
+			private:   private,
 			refetch:   refetch,
 			squashQ:   squashQ,
 			throttleQ: throttleQ,
@@ -497,8 +570,8 @@ func newLanes(src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []B
 }
 
 // run advances the lane until its commit count reaches target, with the
-// solo engine's loop structure: step, watchdog, fast-forward to the lane's
-// own next event horizon. Stopping at an intermediate chunk target skips
+// reference interpreter's loop structure plus one phase: step, watchdog,
+// fast-forward to the lane's own next event horizon. Stopping at an intermediate chunk target skips
 // at most one fast-forward, and the first step of the next chunk is then a
 // provable no-op cycle, so chunking never changes results.
 func (ln *batchLane) run(ctx context.Context, target uint64) error {
@@ -523,7 +596,7 @@ func (ln *batchLane) run(ctx context.Context, target uint64) error {
 }
 
 // flush closes residencies for entries still in flight, clipped at the
-// final cycle, exactly as RunStream does.
+// final cycle, exactly as the reference interpreter's Run does.
 func (ln *batchLane) flush() {
 	if ln.sink == nil {
 		return
@@ -940,9 +1013,10 @@ func (ln *batchLane) execute(e *biqEntry, now uint64) {
 	}
 }
 
-// sbHolds reports whether a live store-buffer entry covers addr. The solo
-// engine keeps a refcounted map; the buffer is at most StoreBufferSize
-// entries, so a linear scan of the ring is cheaper than map traffic.
+// sbHolds reports whether a live store-buffer entry covers addr. The
+// reference interpreter keeps a refcounted map; the buffer is at most
+// StoreBufferSize entries, so a linear scan of the ring is cheaper than
+// map traffic.
 func (ln *batchLane) sbHolds(addr uint64) bool {
 	for i := 0; i < ln.sb.n; i++ {
 		if ln.sb.at(i).addr == addr {
@@ -1039,14 +1113,17 @@ func (ln *batchLane) fetch(now uint64) {
 		case ln.wrongMode:
 			ref = wrongAt(ln.nextBody)
 			seq = uint64(ln.nextBody + ln.wrongDrawn)
+			if ln.private {
+				ln.src.Wrong(ln.wrongDrawn) // draw in fetch order
+			}
 			ln.wrongDrawn++
 		default:
 			in := ln.inst(ln.nextBody)
 			if in.FetchBubble > 0 {
 				// Charge the delivery gap and park: the bubble lives in
-				// the shared memo, so it is honoured on the first fetch
-				// and ignored on refetch, exactly as the solo engine's
-				// clear-on-park behaves.
+				// the memo, so it is honoured on the first fetch and
+				// ignored on refetch, exactly as the reference
+				// interpreter's clear-on-park behaves.
 				until := now + uint64(in.FetchBubble)
 				if until > ln.stallUntil {
 					ln.stallUntil = until

@@ -25,25 +25,20 @@ func batchConfigs() []Config {
 	return []Config{base, narrow, squash, deepSB, ooo}
 }
 
-// soloTrace runs one config through the solo engine.
+// soloTrace runs one config through the single-step reference
+// interpreter.
 func soloTrace(t *testing.T, p workload.Params, cfg Config, commits uint64) *Trace {
 	t.Helper()
 	gen, err := workload.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := workload.WarmedDefault()
-	rec := NewTraceRecorder(cfg, commits)
-	st, err := MustNew(cfg, gen, mem).RunStream(context.Background(), commits, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec.Trace(st)
+	return MustNew(cfg, gen, workload.WarmedDefault()).Run(commits, true)
 }
 
 // TestBatchSingleLaneMatchesRunStream pins the K=1 degenerate case: one
-// lane in a batch produces the exact trace RunStream produces — every
-// residency, commit and statistic.
+// lane in a batch produces the exact trace the reference interpreter
+// records — every residency, commit and statistic.
 func TestBatchSingleLaneMatchesRunStream(t *testing.T) {
 	const commits = 20_000
 	p := workload.Default()
@@ -63,7 +58,7 @@ func TestBatchSingleLaneMatchesRunStream(t *testing.T) {
 		}
 		got := rec.Trace(stats[0])
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("K=1 batch diverges from RunStream for cfg %+v:\n want cycles=%d commits=%d res=%d\n got  cycles=%d commits=%d res=%d",
+			t.Fatalf("K=1 batch diverges from the reference for cfg %+v:\n want cycles=%d commits=%d res=%d\n got  cycles=%d commits=%d res=%d",
 				cfg, want.Cycles, want.Commits, len(want.Residencies),
 				got.Cycles, got.Commits, len(got.Residencies))
 		}
@@ -72,7 +67,7 @@ func TestBatchSingleLaneMatchesRunStream(t *testing.T) {
 
 // TestBatchLanesMatchIndependentRuns pins the tentpole identity at the
 // engine level: K lanes sharing one decoded stream each produce the trace
-// of an independent solo run of their config.
+// of an independent reference run of their config.
 func TestBatchLanesMatchIndependentRuns(t *testing.T) {
 	const commits = 20_000
 	p := workload.Default()
@@ -98,36 +93,22 @@ func TestBatchLanesMatchIndependentRuns(t *testing.T) {
 		want := soloTrace(t, p, cfg, commits)
 		got := recs[i].Trace(stats[i])
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("lane %d (cfg %+v) diverges from its solo run:\n want cycles=%d commits=%d res=%d\n got  cycles=%d commits=%d res=%d",
+			t.Fatalf("lane %d (cfg %+v) diverges from its reference run:\n want cycles=%d commits=%d res=%d\n got  cycles=%d commits=%d res=%d",
 				i, cfg, want.Cycles, want.Commits, len(want.Residencies),
 				got.Cycles, got.Commits, len(got.Residencies))
 		}
 	}
 }
 
-// TestBatchRejectsSingleStep pins the typed rejection: SingleStep lanes —
-// alone or mixed with fast-path lanes — cannot join a batch.
-func TestBatchRejectsSingleStep(t *testing.T) {
-	p := workload.Default()
-	sh, err := workload.NewShared(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := DefaultConfig()
-	stepped := DefaultConfig()
-	stepped.SingleStep = true
-	for _, cfgs := range [][]Config{
-		{stepped},
-		{fast, stepped, fast},
-	} {
-		mems := make([]*cache.Hierarchy, len(cfgs))
-		for i := range mems {
-			mems[i] = workload.WarmedDefault()
-		}
-		_, err := RunBatchStreamArena(context.Background(), 100, sh, cfgs, mems, make([]BatchSink, len(cfgs)), nil)
-		if !errors.Is(err, ErrBatchSingleStep) {
-			t.Fatalf("batch with SingleStep lane = %v, want ErrBatchSingleStep", err)
-		}
+// TestPrivateSourceServesOneLane pins the private source's contract: it
+// follows one lane's fetch order, so a batch of two lanes over one
+// private source is rejected.
+func TestPrivateSourceServesOneLane(t *testing.T) {
+	src := NewPrivateSource(workload.MustNew(workload.Default()))
+	cfgs := []Config{DefaultConfig(), DefaultConfig()}
+	mems := []*cache.Hierarchy{workload.WarmedDefault(), workload.WarmedDefault()}
+	if _, err := RunBatchStreamArena(context.Background(), 100, src, cfgs, mems, make([]BatchSink, 2), nil); err == nil {
+		t.Fatal("two lanes over one private source accepted")
 	}
 }
 

@@ -2,12 +2,12 @@ package pipeline
 
 import "softerror/internal/isa"
 
-// This file is the batched mirror of ooo.go: the out-of-order family's
-// structures in compact (ref, seq) form, phase-identical to the solo
-// engine so a lane's event stream and statistics stay byte-identical to a
-// solo run of the same configuration. Entry content is read back through
-// the shared BatchSource exactly where the solo engine reads its inlined
-// isa.Inst copies.
+// This file is the lane mirror of ooo.go: the out-of-order family's
+// structures in compact (ref, seq) form, phase-identical to the reference
+// interpreter so a lane's event stream and statistics stay byte-identical
+// to a reference run of the same configuration. Entry content is read
+// back through the BatchSource exactly where the reference interpreter
+// reads its inlined isa.Inst copies.
 
 // brobEntry is one compact reorder-buffer slot.
 type brobEntry struct {
@@ -49,13 +49,16 @@ func (ln *batchLane) feContent(fe *bfeEntry) *isa.Inst {
 	return ln.src.Wrong(int(fe.seq) - fe.ref.Body())
 }
 
-// lanePC reconstructs the lane-relabeled PC the solo engine would hold
-// for this fetch — the TAGE hash input (see BatchRef.Inst).
+// lanePC reconstructs the lane-relabeled PC the reference interpreter
+// would hold for this fetch — the TAGE hash input (see BatchRef.Inst).
+// A wrong-path PC comes from the source's WrongSite: a private stream has
+// not generated body n yet, and reading it here would break fetch order.
 func (ln *batchLane) lanePC(in *isa.Inst, fe *bfeEntry) uint64 {
 	n := fe.ref.Body()
 	d := fe.seq - uint64(n)
 	if fe.ref.Wrong() {
-		return ln.inst(n).PC + 4*d
+		pc, _ := ln.src.WrongSite(n, int(d))
+		return pc
 	}
 	return in.PC + 4*d
 }
@@ -176,7 +179,7 @@ func (ln *batchLane) retire(now uint64) {
 }
 
 // lsqRetire mirrors Pipeline.lsqRetire. The store flag pre-encodes the
-// solo engine's "executed correct-path store" test.
+// reference interpreter's "executed correct-path store" test.
 func (ln *batchLane) lsqRetire(seq, now uint64, read bool) {
 	for i := 0; i < ln.lsq.n; i++ {
 		e := ln.lsq.at(i)
@@ -287,7 +290,10 @@ func (ln *batchLane) oooFlushEnd(cycle uint64) {
 	}
 }
 
-// oooEventCycle mirrors Pipeline.oooEventCycle.
+// oooEventCycle folds the out-of-order structures' horizon candidates:
+// the head ROB entry's retire and the head LSQ store's drain. Unissued
+// heads are covered by the IQ issue scan (every unissued ROB entry has an
+// IQ twin), and dispatch admission unblocks only through these events.
 func (ln *batchLane) oooEventCycle(horizon uint64) uint64 {
 	if ln.rob.n > 0 {
 		if at := ln.rob.at(0).completeAt; at != 0 && at < horizon {
@@ -302,7 +308,7 @@ func (ln *batchLane) oooEventCycle(horizon uint64) uint64 {
 	return horizon
 }
 
-// lsqHolds mirrors the solo engine's refcounted lsqAddrs map: a live
+// lsqHolds mirrors the reference interpreter's refcounted lsqAddrs map: a live
 // (executed, undrained) store entry covering addr forwards to loads.
 func (ln *batchLane) lsqHolds(addr uint64) bool {
 	for i := 0; i < ln.lsq.n; i++ {

@@ -139,12 +139,6 @@ type Config struct {
 	// ThrottleTrigger stalls fetch (without squashing) until the
 	// triggering miss returns — the paper's second, less effective action.
 	ThrottleTrigger Trigger
-
-	// SingleStep disables event-horizon cycle skipping, forcing one step
-	// per simulated cycle. The fast path is exact (pinned by the
-	// differential fuzz tests), so this is a debugging and
-	// cross-validation knob, not a fidelity one.
-	SingleStep bool
 }
 
 // FrontEndCap returns the fetch-buffer capacity implied by the front-end

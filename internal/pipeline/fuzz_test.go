@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -123,9 +124,10 @@ func TestRandomisedKernels(t *testing.T) {
 	}
 }
 
-// runTraced runs one pipeline built from (params, cfg) on a freshly warmed
-// default hierarchy and returns the recorded trace.
-func runTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commits uint64) *pipeline.Trace {
+// runTraced runs the single-step reference interpreter built from
+// (params, cfg) on a freshly warmed default hierarchy and returns the
+// recorded trace.
+func runTraced(t testing.TB, cfg pipeline.Config, params workload.Params, commits uint64) *pipeline.Trace {
 	t.Helper()
 	gen := workload.MustNew(params)
 	mem := cache.MustNewDefault()
@@ -133,11 +135,35 @@ func runTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commit
 	return pipeline.MustNew(cfg, gen, mem).Run(commits, true)
 }
 
-// TestCycleSkipDifferential cross-validates the event-horizon fast path
-// against the reference single-step interpreter: for random workload ×
-// machine configurations spanning in-order/out-of-order, every trigger
-// combination and tiny queues, both must produce *identical* traces —
-// every cycle count, residency interval and committed instruction.
+// laneTraced runs (params, cfg) as a one-lane run of the lane engine on a
+// freshly warmed default hierarchy, recording its events through a lifted
+// TraceRecorder. The lane reads the decoded-once shared stream where the
+// workload allows it and its own private fetch-order source otherwise
+// (PC-indexed branch predictors).
+func laneTraced(t testing.TB, cfg pipeline.Config, params workload.Params, commits uint64) *pipeline.Trace {
+	t.Helper()
+	var src pipeline.BatchSource
+	if sh, err := workload.NewShared(params); err == nil {
+		src = sh
+	} else {
+		src = pipeline.NewPrivateSource(workload.MustNew(params))
+	}
+	rec := pipeline.NewTraceRecorder(cfg, commits)
+	st, err := pipeline.RunBatchStreamArena(context.Background(), commits, src,
+		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()},
+		[]pipeline.BatchSink{pipeline.LiftSink(src, rec)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace(st[0])
+}
+
+// TestCycleSkipDifferential cross-validates the lane engine's event-horizon
+// fast path against the single-step reference interpreter: for random
+// workload × machine configurations spanning in-order/out-of-order, every
+// trigger combination, every branch predictor and tiny queues, both must
+// produce *identical* traces — every cycle count, residency interval and
+// committed instruction.
 func TestCycleSkipDifferential(t *testing.T) {
 	s := rng.New(0x5C1F, 17)
 	const trials = 15
@@ -150,16 +176,13 @@ func TestCycleSkipDifferential(t *testing.T) {
 			cfg.IQSize = 8
 			cfg.StoreBufferSize = 2
 		}
-		ref, fast := cfg, cfg
-		ref.SingleStep = true
-		fast.SingleStep = false
-		want := runTraced(t, ref, params, 4000)
-		got := runTraced(t, fast, params, 4000)
+		want := runTraced(t, cfg, params, 4000)
+		got := laneTraced(t, cfg, params, 4000)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: fast-forward trace diverges from single-step "+
-				"(cycles %d vs %d, commits %d vs %d, squashes %d vs %d, cfg=%+v)",
+			t.Fatalf("trial %d: lane trace diverges from single-step reference "+
+				"(cycles %d vs %d, commits %d vs %d, squashes %d vs %d, bp=%q, cfg=%+v)",
 				trial, want.Cycles, got.Cycles, want.Commits, got.Commits,
-				want.Squashes, got.Squashes, cfg)
+				want.Squashes, got.Squashes, params.BranchPredictor, cfg)
 		}
 	}
 }
@@ -168,8 +191,8 @@ func TestCycleSkipDifferential(t *testing.T) {
 // the hardest of any configuration the randomised differential has visited:
 // near-universal L0 misses with a deep miss tail, squash-on-L0 plus
 // throttle-on-L0, a shallow front end and a tiny store buffer. Most cycles
-// here are quiescent waits, so the fast path fast-forwards through the
-// bulk of the run — exactly where a horizon bug would surface.
+// here are quiescent waits, so the lane fast-forwards through the bulk of
+// the run — exactly where a horizon bug would surface.
 func TestCycleSkipDifferentialWorstStaller(t *testing.T) {
 	params := workload.Default()
 	params.LoadFrac = 0.25
@@ -191,20 +214,39 @@ func TestCycleSkipDifferentialWorstStaller(t *testing.T) {
 	cfg.FetchWidth = 1
 	cfg.IssueWidth = 1
 
-	ref, fast := cfg, cfg
-	ref.SingleStep = true
-	fast.SingleStep = false
-	want := runTraced(t, ref, params, 4000)
-	got := runTraced(t, fast, params, 4000)
+	want := runTraced(t, cfg, params, 4000)
+	got := laneTraced(t, cfg, params, 4000)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("worst-staller trace diverges (cycles %d vs %d, commits %d vs %d)",
 			want.Cycles, got.Cycles, want.Commits, got.Commits)
 	}
-	// The entry earns its keep only if stalls dominate: the fast path must
-	// actually be skipping here, not single-stepping a busy machine.
+	// The entry earns its keep only if stalls dominate: the lane must
+	// actually be skipping here, not stepping a busy machine.
 	if frac := float64(want.FetchStallCycles) / float64(want.Cycles); frac < 0.5 {
 		t.Fatalf("corpus entry no longer stall-dominated: %.2f of cycles stalled", frac)
 	}
+}
+
+// FuzzLaneMatchesReference draws a random workload and machine from the
+// fuzzed seed and requires the one-lane trace to equal the single-step
+// reference interpreter's.
+func FuzzLaneMatchesReference(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 0x5C1F} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		s := rng.New(seed, 0x1A4E)
+		params := invariant.RandomWorkload(s)
+		cfg := invariant.RandomPipelineConfig(s)
+		want := runTraced(t, cfg, params, 2000)
+		got := laneTraced(t, cfg, params, 2000)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: lane trace diverges from single-step reference "+
+				"(cycles %d vs %d, commits %d vs %d, bp=%q, cfg=%+v)",
+				seed, want.Cycles, got.Cycles, want.Commits, got.Commits,
+				params.BranchPredictor, cfg)
+		}
+	})
 }
 
 func sprintf(format string, args ...int) string {

@@ -7,11 +7,12 @@ import "softerror/internal/isa"
 // engine's composable-structure protocol — every vulnerable structure
 // supplies (a) a dispatch/admission hook (oooAdmit/oooDispatch), (b)
 // occupancy intervals through a per-structure sink method with a defined
-// read point (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the
-// event-horizon skipper folds (oooEventCycle), and (d) flush, squash and
-// end-of-run clip rules mirroring the instruction queue's. The in-order
-// family never reaches this code: every hook is gated on p.ooo, so its
-// cycle-level behaviour and event stream are byte-identical to before.
+// read point (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the lane
+// engine's event-horizon skipper folds (batchLane.oooEventCycle), and (d)
+// flush, squash and end-of-run clip rules mirroring the instruction
+// queue's. The in-order family never reaches this code: every hook is
+// gated on p.ooo, so its cycle-level behaviour and event stream are
+// byte-identical to before.
 //
 // The three structures:
 //
@@ -136,7 +137,7 @@ func (p *Pipeline) oooDispatch(in *isa.Inst, now uint64) {
 	}
 }
 
-// executeOOO issues one entry under the out-of-order family: the solo
+// executeOOO issues one entry under the out-of-order family: the in-order
 // execute with the store buffer replaced by the LSQ and a ROB completion
 // mark scheduling the in-order retire.
 func (p *Pipeline) executeOOO(e *iqEntry, now uint64) {
@@ -153,8 +154,8 @@ func (p *Pipeline) executeOOO(e *iqEntry, now uint64) {
 	}
 
 	p.stats.Commits++
-	if p.sink != nil {
-		p.sink.OnCommit(*in, e.enq, now)
+	if p.rec != nil {
+		p.rec.OnCommit(*in, e.enq, now)
 	}
 
 	if in.PredFalse {
@@ -355,28 +356,10 @@ func (p *Pipeline) oooFlushEnd(cycle uint64) {
 	}
 }
 
-// oooEventCycle folds the out-of-order structures' horizon candidates:
-// the head ROB entry's retire and the head LSQ store's drain. Unissued
-// heads are covered by the IQ issue scan (every unissued ROB entry has an
-// IQ twin), and dispatch admission unblocks only through these events.
-func (p *Pipeline) oooEventCycle(horizon uint64) uint64 {
-	if len(p.rob) > 0 {
-		if at := p.rob[0].completeAt; at != 0 && at < horizon {
-			horizon = at
-		}
-	}
-	if len(p.lsq) > 0 {
-		if at := p.lsq[0].drainAt; at != 0 && at < horizon {
-			horizon = at
-		}
-	}
-	return horizon
-}
-
 // recordROB reports one reorder-buffer residency ending at evict; read
 // marks an in-order retire (the read point is the retire cycle itself).
 func (p *Pipeline) recordROB(e *robEntry, evict uint64, read bool) {
-	if p.oooSink == nil {
+	if p.rec == nil {
 		return
 	}
 	r := Residency{Inst: e.inst, Enq: e.enq, Evict: evict, Squashed: !read}
@@ -384,14 +367,14 @@ func (p *Pipeline) recordROB(e *robEntry, evict uint64, read bool) {
 		r.Issued = true
 		r.Issue = evict
 	}
-	p.oooSink.OnROB(r)
+	p.rec.OnROB(r)
 }
 
 // recordLSQ reports one load/store-queue residency ending at evict; read
 // marks consumption (retire for loads and predicated-false stores, drain
 // for executed stores).
 func (p *Pipeline) recordLSQ(e *lsqEntry, evict uint64, read bool) {
-	if p.oooSink == nil {
+	if p.rec == nil {
 		return
 	}
 	r := Residency{Inst: e.inst, Enq: e.enq, Evict: evict, Squashed: !read}
@@ -399,5 +382,5 @@ func (p *Pipeline) recordLSQ(e *lsqEntry, evict uint64, read bool) {
 		r.Issued = true
 		r.Issue = evict
 	}
-	p.oooSink.OnLSQ(r)
+	p.rec.OnLSQ(r)
 }

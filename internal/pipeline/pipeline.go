@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
 	"softerror/internal/cache"
@@ -20,9 +19,6 @@ type Source interface {
 // watchdogCycles bounds forward-progress stalls; exceeding it indicates a
 // simulator bug, not a workload property.
 const watchdogCycles = 500_000
-
-// neverCycle is the "no scheduled event" horizon sentinel.
-const neverCycle = ^uint64(0)
 
 type iqEntry struct {
 	inst    isa.Inst
@@ -55,8 +51,14 @@ type throttleEvent struct {
 	missReturn uint64
 }
 
-// Pipeline is the core model. Create one per run with New; a Pipeline is
-// not safe for concurrent use and cannot be restarted after Run.
+// Pipeline is the single-step reference interpreter of the core model: it
+// pulls full instructions from a Source and steps every cycle, with no
+// event-horizon skipping and no shared stream. Production runs use the
+// lane engine (RunBatchStreamArena); this engine stays as the independent
+// oracle the lane engine is pinned against, phase for phase, and as a
+// plain trace producer for tests and examples. Create one per run with
+// New; a Pipeline is not safe for concurrent use and cannot be restarted
+// after Run.
 type Pipeline struct {
 	cfg Config
 	src Source
@@ -94,9 +96,8 @@ type Pipeline struct {
 	lsqAddrs map[uint64]int // live LSQ store addresses, refcounted
 	tage     tageState
 
-	stats   Stats
-	sink    Sink
-	oooSink OOOSink // sink's optional OOOSink side, bound at run start
+	stats Stats
+	rec   *TraceRecorder // nil unless Run records
 }
 
 // New builds a pipeline over the given instruction source and data-cache
@@ -145,52 +146,18 @@ func MustNew(cfg Config, src Source, mem *cache.Hierarchy) *Pipeline {
 	return p
 }
 
-// Run simulates until the given number of correct-path instructions have
-// committed, then drains residency records and returns the trace. record
-// controls whether residencies and the commit log are captured (disable for
-// warm-up runs).
+// Run simulates one cycle at a time until the given number of correct-path
+// instructions have committed, then closes the residencies still in
+// flight, clipped at the final cycle so occupancy integrals stay
+// consistent, and returns the trace. record controls whether residencies
+// and the commit log are captured (disable for warm-up runs).
 func (p *Pipeline) Run(commits uint64, record bool) *Trace {
-	tr, _ := p.RunContext(context.Background(), commits, record)
-	return tr
-}
-
-// RunContext is Run with cooperative cancellation: the cycle loop checks
-// ctx every so often, so a SIGINT or a per-task watchdog aborts within one
-// simulation rather than waiting for it to finish. A cancelled run returns
-// a nil trace and ctx's error; the pipeline must not be reused afterwards.
-func (p *Pipeline) RunContext(ctx context.Context, commits uint64, record bool) (*Trace, error) {
-	if !record {
-		st, err := p.RunStream(ctx, commits, nil)
-		if err != nil {
-			return nil, err
-		}
-		return NewTraceRecorder(p.cfg, 0).Trace(st), nil
-	}
-	rec := NewTraceRecorder(p.cfg, commits)
-	st, err := p.RunStream(ctx, commits, rec)
-	if err != nil {
-		return nil, err
-	}
-	return rec.Trace(st), nil
-}
-
-// RunStream simulates until the given number of correct-path instructions
-// have committed, delivering every residency and commit to sink as it
-// closes instead of materialising a Trace (sink may be nil for warm-up).
-// In-flight entries are flushed to the sink, clipped at the final cycle, so
-// occupancy integrals stay consistent. This is the zero-materialisation hot
-// path: with a streaming sink no per-instruction slice is ever built.
-func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (Stats, error) {
-	p.sink = sink
-	if s, ok := sink.(OOOSink); ok {
-		p.oooSink = s
+	if record {
+		p.rec = NewTraceRecorder(p.cfg, commits)
 	}
 	lastCommitCycle := uint64(0)
 	lastCommits := uint64(0)
-	for iter := uint64(0); p.stats.Commits < commits; iter++ {
-		if iter&1023 == 0 && ctx.Err() != nil {
-			return Stats{}, ctx.Err()
-		}
+	for p.stats.Commits < commits {
 		p.step()
 		if p.stats.Commits != lastCommits {
 			lastCommits = p.stats.Commits
@@ -200,32 +167,28 @@ func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (St
 				"pipeline: no commit for %d cycles at cycle %d (iq=%d fe=%d refetch=%d wrong=%v stall=%d)",
 				watchdogCycles, p.cycle, len(p.iq), len(p.frontEnd), p.refetchLen(), p.wrongMode, p.stallUntil))
 		}
-		if !p.cfg.SingleStep && p.stats.Commits < commits {
-			p.fastForward()
-		}
-	}
-	// Close residencies for entries still in flight, clipped at the final
-	// cycle so occupancy integrals stay consistent.
-	if sink != nil {
-		for i := range p.iq {
-			p.recordResidency(&p.iq[i], p.cycle, false)
-		}
-		for i := range p.frontEnd {
-			p.recordFrontEnd(&p.frontEnd[i], p.cycle, false)
-		}
-		for i := range p.sb {
-			e := &p.sb[i]
-			sink.OnStoreBuffer(Residency{
-				Inst: e.inst, Enq: e.enq, Evict: p.cycle,
-				Issued: true, Issue: p.cycle,
-			})
-		}
-		if p.ooo {
-			p.oooFlushEnd(p.cycle)
-		}
 	}
 	p.stats.Cycles = p.cycle
-	return p.stats, nil
+	if p.rec == nil {
+		return NewTraceRecorder(p.cfg, 0).Trace(p.stats)
+	}
+	for i := range p.iq {
+		p.recordResidency(&p.iq[i], p.cycle, false)
+	}
+	for i := range p.frontEnd {
+		p.recordFrontEnd(&p.frontEnd[i], p.cycle, false)
+	}
+	for i := range p.sb {
+		e := &p.sb[i]
+		p.rec.OnStoreBuffer(Residency{
+			Inst: e.inst, Enq: e.enq, Evict: p.cycle,
+			Issued: true, Issue: p.cycle,
+		})
+	}
+	if p.ooo {
+		p.oooFlushEnd(p.cycle)
+	}
+	return p.rec.Trace(p.stats)
 }
 
 // step advances one cycle.
@@ -249,127 +212,12 @@ func (p *Pipeline) step() {
 	p.cycle++
 }
 
-// fastForward jumps the clock to the next cycle at which anything can
-// happen, charging the skipped fetch-stall cycles in bulk. Skipped cycles
-// are provably no-ops — every state change the step phases can make is
-// scheduled at a known cycle (nextEventCycle), so executing the next step
-// at the horizon produces exactly the state single-stepping would.
-func (p *Pipeline) fastForward() {
-	now := p.cycle
-	horizon := p.nextEventCycle(now)
-	if horizon <= now {
-		return
-	}
-	if p.stallUntil > now {
-		// Each skipped cycle below stallUntil would have charged one
-		// fetch-stall cycle.
-		stallEnd := p.stallUntil
-		if horizon < stallEnd {
-			stallEnd = horizon
-		}
-		p.stats.FetchStallCycles += stallEnd - now
-	}
-	p.cycle = horizon
-}
-
-// nextEventCycle returns the earliest cycle ≥ now at which any step phase
-// can act: the min over the fetch stall's end, the head store's drain, the
-// branch redirect, queued squash/throttle detections, the head entry's
-// eviction, front-end delivery, and the earliest issue among unissued IQ
-// entries. A result of now means the coming cycle is not quiescent (or an
-// event horizon cannot be bounded conservatively) and must be stepped.
-func (p *Pipeline) nextEventCycle(now uint64) uint64 {
-	// Fetch proceeds this cycle: nothing to skip. (This is the common case
-	// off the stall path and keeps the scan off the IPC-bound hot loop.)
-	if now >= p.stallUntil && len(p.frontEnd) < p.feCap {
-		return now
-	}
-	horizon := neverCycle
-	if now < p.stallUntil {
-		horizon = p.stallUntil
-	}
-	if len(p.sb) > 0 && p.sb[0].drainAt < horizon {
-		horizon = p.sb[0].drainAt
-	}
-	if p.resolveAt != 0 && p.resolveAt < horizon {
-		horizon = p.resolveAt
-	}
-	for i := range p.squashQ {
-		if at := p.squashQ[i].at; at < horizon {
-			horizon = at
-		}
-	}
-	for i := range p.throttleQ {
-		if at := p.throttleQ[i].at; at < horizon {
-			horizon = at
-		}
-	}
-	if len(p.iq) > 0 && p.iq[0].issued && p.iq[0].evictAt < horizon {
-		horizon = p.iq[0].evictAt
-	}
-	if len(p.frontEnd) > 0 && len(p.iq) < p.cfg.IQSize && p.frontEnd[0].readyAt < horizon {
-		horizon = p.frontEnd[0].readyAt
-	}
-	if p.ooo {
-		horizon = p.oooEventCycle(horizon)
-	}
-	// Earliest issue among unissued entries. In-order issue stalls on the
-	// first unissued instruction, so only its readiness matters; out of
-	// order, any entry may issue next.
-	for i := p.issuePtr; i < len(p.iq); i++ {
-		if horizon <= now {
-			return now
-		}
-		e := &p.iq[i]
-		if e.issued {
-			continue
-		}
-		if rc := p.readyCycle(&e.inst); rc < horizon {
-			horizon = rc
-		}
-		if !p.cfg.OutOfOrder {
-			break
-		}
-	}
-	if horizon < now || horizon == neverCycle {
-		return now
-	}
-	return horizon
-}
-
-// readyCycle returns the first cycle at which the instruction's operands
-// are available — ready(in, c) holds exactly when readyCycle(in) ≤ c. A
-// store blocked on a full store buffer returns neverCycle: it unblocks on
-// a drain, which contributes its own horizon candidate.
-func (p *Pipeline) readyCycle(in *isa.Inst) uint64 {
-	if in.WrongPath {
-		return 0
-	}
-	t := uint64(0)
-	if in.PredGuard != isa.RegNone {
-		t = p.regReady[in.PredGuard]
-	}
-	if in.PredFalse {
-		return t // guard known false: operand values are irrelevant
-	}
-	if in.Class == isa.ClassStore && !p.ooo && len(p.sb) >= p.cfg.StoreBufferSize {
-		return neverCycle
-	}
-	if in.Src1 != isa.RegNone && p.regReady[in.Src1] > t {
-		t = p.regReady[in.Src1]
-	}
-	if in.Src2 != isa.RegNone && p.regReady[in.Src2] > t {
-		t = p.regReady[in.Src2]
-	}
-	return t
-}
-
 // recordResidency reports a residency for e ending at evict.
 func (p *Pipeline) recordResidency(e *iqEntry, evict uint64, squashed bool) {
-	if p.sink == nil {
+	if p.rec == nil {
 		return
 	}
-	p.sink.OnResidency(Residency{
+	p.rec.OnResidency(Residency{
 		Inst:     e.inst,
 		Enq:      e.enq,
 		Evict:    evict,
@@ -623,8 +471,8 @@ func (p *Pipeline) execute(e *iqEntry, now uint64) {
 	}
 
 	p.stats.Commits++
-	if p.sink != nil {
-		p.sink.OnCommit(*in, e.enq, now)
+	if p.rec != nil {
+		p.rec.OnCommit(*in, e.enq, now)
 	}
 
 	if in.PredFalse {
@@ -706,8 +554,8 @@ func (p *Pipeline) drainStores(now uint64) {
 		return
 	}
 	p.mem.Access(e.inst.Addr, true)
-	if p.sink != nil {
-		p.sink.OnStoreBuffer(Residency{
+	if p.rec != nil {
+		p.rec.OnStoreBuffer(Residency{
 			Inst:   e.inst,
 			Enq:    e.enq,
 			Evict:  now,
@@ -753,10 +601,10 @@ func (p *Pipeline) deliver(now uint64) {
 // entries are read into decode (the front end's parity-check point);
 // flushed ones never are.
 func (p *Pipeline) recordFrontEnd(fe *feEntry, until uint64, delivered bool) {
-	if p.sink == nil {
+	if p.rec == nil {
 		return
 	}
-	p.sink.OnFrontEnd(Residency{
+	p.rec.OnFrontEnd(Residency{
 		Inst:     fe.inst,
 		Enq:      fe.fetched,
 		Evict:    until,

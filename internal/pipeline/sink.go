@@ -12,10 +12,12 @@ import (
 // the same order, with the same contents — so a sink sees precisely the
 // stream a recorded Trace would hold, one interval at a time.
 //
-// Consumers that only fold the stream into counters (the ACE/AVF integrals)
-// implement Sink directly and skip the O(commits) slices entirely;
-// TraceRecorder is the Sink that reconstructs today's Trace for callers that
-// still want materialised intervals (fault injection, tracefile, traceview).
+// A Sink joins a lane through LiftSink. Consumers that only fold the
+// stream into counters (the ACE/AVF integrals) implement the compact
+// BatchSink instead and skip both reconstruction and the O(commits)
+// slices; TraceRecorder is the Sink that reconstructs the Trace for
+// callers that still want materialised intervals (fault injection,
+// tracefile, traceview).
 type Sink interface {
 	// OnResidency reports one closed instruction-queue occupancy interval
 	// (eviction, squash, wrong-path flush, or end-of-run clip).
@@ -50,8 +52,9 @@ type OOOSink interface {
 }
 
 // Stats holds the scalar counters of one run — everything a Trace records
-// besides its interval slices. RunStream returns it so streaming consumers
-// get IPC, miss rates and event counts without a Trace.
+// besides its interval slices. RunBatchStreamArena returns one per lane,
+// so streaming consumers get IPC, miss rates and event counts without a
+// Trace.
 type Stats struct {
 	Cycles  uint64
 	Commits uint64

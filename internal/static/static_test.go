@@ -51,6 +51,7 @@ func TestBoundsInRange(t *testing.T) {
 	for s := uint64(1); s <= 4; s++ {
 		r := rng.New(s, 0x57A71)
 		p := invariant.RandomWorkload(r)
+		p.BranchPredictor = "" // the analyzer bounds position-addressable streams only
 		sh, err := workload.NewShared(p)
 		if err != nil {
 			t.Fatal(err)
@@ -104,6 +105,7 @@ func TestBoundsDominateSimulation(t *testing.T) {
 	for seed := uint64(1); seed <= seeds; seed++ {
 		s := rng.New(seed, 0x57A7B)
 		p := invariant.RandomWorkload(s)
+		p.BranchPredictor = "" // the analyzer bounds position-addressable streams only
 		cfg := invariant.RandomPipelineConfig(s)
 		res, err := core.RunContext(context.Background(), core.Config{
 			Workload: p, Pipeline: cfg, Commits: commits,

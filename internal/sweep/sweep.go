@@ -8,7 +8,6 @@ package sweep
 import (
 	"context"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -160,7 +159,6 @@ type groupRun struct {
 
 	mu   sync.Mutex
 	done chan struct{} // non-nil while a leader is simulating
-	solo bool          // stream unshareable: every member runs solo
 	rows map[int]Row   // batched results awaiting their cell's task
 }
 
@@ -199,10 +197,10 @@ func (g *Grid) buildGroupsFor(indices []int) map[int]*groupRun {
 	return index
 }
 
-// cellRow produces cell i's row, through the group's shared batch when the
-// stream is shareable and solo otherwise. It loops until the row exists:
-// a waiter whose leader failed claims leadership itself, so one poisoned
-// member costs the group a re-run, not the campaign a deadlock.
+// cellRow produces cell i's row through the group's shared batch. It loops
+// until the row exists: a waiter whose leader failed claims leadership
+// itself, so one poisoned member costs the group a re-run, not the
+// campaign a deadlock.
 func (g *Grid) cellRow(ctx context.Context, i int, gr *groupRun, ck *checkpoint.File[Row], commits uint64) (Row, error) {
 	for {
 		gr.mu.Lock()
@@ -210,16 +208,11 @@ func (g *Grid) cellRow(ctx context.Context, i int, gr *groupRun, ck *checkpoint.
 			gr.mu.Unlock()
 			return r, nil
 		}
-		if gr.solo {
-			gr.mu.Unlock()
-			return g.soloCell(ctx, i, commits)
-		}
 		if gr.done == nil {
 			done := make(chan struct{})
 			gr.done = done
 			gr.mu.Unlock()
-			if err := g.leadBatch(ctx, gr, ck, commits, done); err != nil &&
-				!errors.Is(err, workload.ErrUnshareable) {
+			if err := g.leadBatch(ctx, gr, ck, commits, done); err != nil {
 				return Row{}, err
 			}
 			continue
@@ -270,11 +263,6 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 		res, err = core.RunBatchContext(ctx, gr.bench.Params, commits, specs)
 	}
 	if err != nil {
-		if errors.Is(err, workload.ErrUnshareable) {
-			gr.mu.Lock()
-			gr.solo = true
-			gr.mu.Unlock()
-		}
 		return fmt.Errorf("sweep: %s batch (%d cells): %w",
 			gr.bench.Name, len(pending), err)
 	}
@@ -286,30 +274,14 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 	return nil
 }
 
-// soloCell is the unbatched fallback: one cell, one independent run —
-// exactly the pre-batching sweep path.
-func (g *Grid) soloCell(ctx context.Context, i int, commits uint64) (Row, error) {
-	b, cfg := g.cellConfig(i)
-	res, err := core.RunContext(ctx, core.Config{
-		Workload: b.Params,
-		Pipeline: cfg,
-		Commits:  commits,
-	})
-	if err != nil {
-		_, pol, iq, ooo := g.cell(i)
-		return Row{}, fmt.Errorf("sweep: %s/%v/iq%d/ooo=%v: %w",
-			b.Name, pol, iq, ooo, err)
-	}
-	return g.rowFrom(i, res), nil
-}
-
 // EstimateCells prices every cell analytically: one decode of each
 // benchmark's stream through the static analyzer, then one warm bound
 // query per cell — no simulation. The returned slice is indexed like the
 // rows (benchmark-major cell order) and holds each cell's estimated
-// simulated cycle count (static.Bounds.EstCycles). ok is false when any
-// benchmark's stream cannot be decoded position-addressably or the grid
-// is invalid; callers then fall back to unpriced behaviour.
+// simulated cycle count (static.Bounds.EstCycles). ok is false when the
+// static analyzer cannot bound some benchmark (PC-indexed branch
+// predictors) or the grid is invalid; callers then fall back to unpriced
+// behaviour.
 func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if err := g.validate(); err != nil {
 		return nil, false
@@ -412,8 +384,7 @@ func (g *Grid) Run(progress func(done, total int)) ([]Row, error) {
 // Cells sharing a benchmark evaluate in batches of up to maxBatchLanes
 // configurations over one decode of the instruction stream
 // (core.RunBatchContext); batching changes only wall-clock, never bytes —
-// every cell's row is identical to an independent run, and workloads whose
-// stream cannot be shared fall back to per-cell simulation.
+// every cell's row is identical to an independent run.
 //
 // Cells recorded in ck are restored, not re-simulated, and newly completed
 // cells are written back, so an interrupted grid resumes where it stopped;

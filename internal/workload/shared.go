@@ -13,7 +13,8 @@ import (
 // predictors (gshare, bimodal) are the one case: wrong-path fetches shift
 // every later correct-path PC by 4 bytes each, so the predictor — and with
 // it the realised mispredict sequence — would observe configuration-
-// dependent PCs. Callers fall back to per-configuration generators.
+// dependent PCs. core gives each lane of such a workload its own
+// generator behind a pipeline.PrivateSource instead.
 var ErrUnshareable = errors.New(
 	"workload: PC-indexed branch predictor makes the stream configuration-dependent")
 
@@ -111,4 +112,15 @@ func (s *Shared) Wrong(j int) *isa.Inst {
 		s.wrong = append(s.wrong, wrongInst(s.wrongSrc))
 	}
 	return &s.wrong[j]
+}
+
+// WrongSite returns the fetch PC and call depth of wrong-path draw j taken
+// while body n is the next correct-path fetch: Body(n)'s PC shifted by 4
+// per preceding draw, and the call depth Body(n-1) left behind.
+func (s *Shared) WrongSite(n, j int) (pc uint64, callDepth uint8) {
+	pc = s.Body(n).PC + 4*uint64(j)
+	if n > 0 {
+		callDepth = s.Body(n - 1).CallDepth
+	}
+	return pc, callDepth
 }

@@ -16,7 +16,8 @@
 #      invariant check (conservation, differential oracles, server
 #      properties, and static-bounds: analytic AVF bounds dominating
 #      simulated AVF per structure and bit class) over a small seed sweep;
-#      plus a short go-native fuzz pass over each harness (skip with
+#      plus a short go-native fuzz pass over each harness, the lane engine
+#      against the single-step reference interpreter included (skip with
 #      SERA_SKIP_FUZZ=1 when iterating)
 #   6. smoke tier: the real seratd binary booted on an ephemeral port,
 #      health-checked, served a cached eval and SIGINT-drained
@@ -72,6 +73,7 @@ if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzLeaseRequest -fuzztime 10s ./internal/fleet
 	go test -run NONE -fuzz FuzzWorkerRegister -fuzztime 10s ./internal/fleet
 	go test -run NONE -fuzz FuzzStaticBound -fuzztime 10s ./internal/static
+	go test -run NONE -fuzz FuzzLaneMatchesReference -fuzztime 10s ./internal/pipeline
 fi
 sh scripts/smoke_seratd.sh
 if [ -z "${SERA_SKIP_FLEET:-}" ]; then
