@@ -14,7 +14,7 @@ import (
 // log, for exact-arithmetic AVF tests.
 func fakeTrace(cycles uint64, iqSize int, log []isa.Inst, res []pipeline.Residency) *pipeline.Trace {
 	return &pipeline.Trace{
-		Cycles:      cycles,
+		Stats:       pipeline.Stats{Cycles: cycles},
 		IQSize:      iqSize,
 		CommitLog:   log,
 		Residencies: res,

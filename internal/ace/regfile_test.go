@@ -12,7 +12,7 @@ import (
 // regTrace builds a trace from a commit log with explicit cycles.
 func regTrace(cycles uint64, log []isa.Inst, at []uint64) *pipeline.Trace {
 	return &pipeline.Trace{
-		Cycles:       cycles,
+		Stats:        pipeline.Stats{Cycles: cycles},
 		IQSize:       64,
 		CommitLog:    log,
 		CommitCycles: at,

@@ -11,7 +11,7 @@ import (
 
 func sbTrace(cycles uint64, cap int, log []isa.Inst, res []pipeline.Residency) *pipeline.Trace {
 	return &pipeline.Trace{
-		Cycles:         cycles,
+		Stats:          pipeline.Stats{Cycles: cycles},
 		IQSize:         64,
 		CommitLog:      log,
 		StoreBuffer:    res,

@@ -16,9 +16,12 @@ import (
 // share one generation pass and one L2-resident body window, and it skips
 // quiescent cycles to its next event horizon. The single-step reference
 // interpreter (pipeline.go) pulls full isa.Inst copies from a Source and
-// steps every cycle; the two are kept behaviourally identical phase by
-// phase — the trace-differential and batched-independent seraudit checks
-// pin byte-identical traces and reports against the reference.
+// steps every cycle. Both engines read one set of timing rules (rules.go:
+// issue readiness, dispatch admission, miss-event scheduling); each keeps
+// its own queue mechanics, event-horizon skipping (lanes only), wrong-path
+// relabelling and squash/flush compaction, which the trace-differential
+// and batched-independent seraudit checks pin byte-identical against the
+// reference.
 
 // BatchSource is the instruction stream a lane fetches from, memoised in
 // two sequences: Body(n) is the n-th correct-path instruction in the
@@ -268,9 +271,6 @@ type bodySlicer interface {
 // generating ahead of its fetch order would change the stream.
 const bodyAhead = 512
 
-// neverCycle is the "no scheduled event" horizon sentinel.
-const neverCycle = ^uint64(0)
-
 // inst returns body instruction n, through the snapshot on the hot path.
 func (ln *batchLane) inst(n int) *isa.Inst {
 	if n < len(ln.body) {
@@ -334,8 +334,9 @@ func (r *ring[T]) pop(k int) {
 
 // batchLane is one configuration variant's complete pipeline state. It is
 // the reference Pipeline translated to compact entries: every phase below
-// mirrors its pipeline.go counterpart exactly, so a lane's event stream
-// and statistics are byte-identical to a reference run of the same config.
+// mirrors its pipeline.go counterpart and calls the same rules, so a
+// lane's event stream and statistics are byte-identical to a reference
+// run of the same config.
 type batchLane struct {
 	cfg   Config
 	src   BatchSource
@@ -371,9 +372,7 @@ type batchLane struct {
 	wrongMode   bool
 	wrongSrcSeq uint64
 	resolveAt   uint64
-	squashQ     []squashEvent
-	throttleQ   []throttleEvent
-	stallUntil  uint64
+	missQueue
 
 	nextBody   int // correct-path cursor: next body index to fetch fresh
 	wrongDrawn int // wrong-path draws so far
@@ -543,8 +542,7 @@ func newLanes(src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []B
 			feCap:     feCap,
 			private:   private,
 			refetch:   refetch,
-			squashQ:   squashQ,
-			throttleQ: throttleQ,
+			missQueue: missQueue{squashQ: squashQ, throttleQ: throttleQ},
 		}
 		ln.iq.buf = a.iqSlab[iqOff : iqOff+cfg.IQSize]
 		ln.fe.buf = a.feSlab[feOff : feOff+feCap]
@@ -625,7 +623,7 @@ func (ln *batchLane) step() {
 	}
 	ln.resolveBranch(now)
 	ln.applySquashes(now)
-	ln.applyThrottles(now)
+	ln.stats.ThrottleEvents += ln.applyThrottles(now)
 	if ln.ooo {
 		ln.retire(now)
 	}
@@ -699,7 +697,10 @@ func (ln *batchLane) nextEventCycle(now uint64) uint64 {
 		if e.issued {
 			continue
 		}
-		if rc := ln.readyCycle(e); rc < horizon {
+		if e.in == nil {
+			return now // wrong path: issues this cycle
+		}
+		if rc := readyAt(&ln.regReady, e.in, ln.sb.n >= ln.cfg.StoreBufferSize); rc < horizon {
 			horizon = rc
 		}
 		if !ln.cfg.OutOfOrder {
@@ -710,30 +711,6 @@ func (ln *batchLane) nextEventCycle(now uint64) uint64 {
 		return now
 	}
 	return horizon
-}
-
-func (ln *batchLane) readyCycle(e *biqEntry) uint64 {
-	if e.ref.Wrong() {
-		return 0
-	}
-	in := e.in
-	t := uint64(0)
-	if in.PredGuard != isa.RegNone {
-		t = ln.regReady[in.PredGuard]
-	}
-	if in.PredFalse {
-		return t
-	}
-	if in.Class == isa.ClassStore && !ln.ooo && ln.sb.n >= ln.cfg.StoreBufferSize {
-		return neverCycle
-	}
-	if in.Src1 != isa.RegNone && ln.regReady[in.Src1] > t {
-		t = ln.regReady[in.Src1]
-	}
-	if in.Src2 != isa.RegNone && ln.regReady[in.Src2] > t {
-		t = ln.regReady[in.Src2]
-	}
-	return t
 }
 
 func (ln *batchLane) recordResidency(e *biqEntry, evict uint64, squashed bool) {
@@ -846,16 +823,7 @@ func (ln *batchLane) doSquash(now uint64, ev squashEvent) {
 		ln.refetchHead = 0
 	}
 	sortStreamRefs(ln.refetch)
-	restart := uint64(0)
-	if mr := ev.missReturn; mr > uint64(ln.cfg.RefetchOverlap) {
-		restart = mr - uint64(ln.cfg.RefetchOverlap)
-	}
-	if restart < now {
-		restart = now
-	}
-	if restart > ln.stallUntil {
-		ln.stallUntil = restart
-	}
+	ln.squashRestart(now, ev.missReturn, ln.cfg.RefetchOverlap)
 }
 
 func (ln *batchLane) squashVictim(ref BatchRef, seq uint64) {
@@ -875,21 +843,6 @@ func sortStreamRefs(q []streamRef) {
 			q[j-1], q[j] = q[j], q[j-1]
 		}
 	}
-}
-
-func (ln *batchLane) applyThrottles(now uint64) {
-	rest := ln.throttleQ[:0]
-	for _, ev := range ln.throttleQ {
-		if ev.at > now {
-			rest = append(rest, ev)
-			continue
-		}
-		ln.stats.ThrottleEvents++
-		if ev.missReturn > ln.stallUntil {
-			ln.stallUntil = ev.missReturn
-		}
-	}
-	ln.throttleQ = rest
 }
 
 func (ln *batchLane) evict(now uint64) {
@@ -918,7 +871,7 @@ func (ln *batchLane) issue(now uint64) {
 		if e.issued {
 			continue
 		}
-		if !ln.ready(e, now) {
+		if e.in != nil && readyAt(&ln.regReady, e.in, ln.sb.n >= ln.cfg.StoreBufferSize) > now {
 			if ln.cfg.OutOfOrder {
 				continue
 			}
@@ -932,92 +885,81 @@ func (ln *batchLane) issue(now uint64) {
 	}
 }
 
-func (ln *batchLane) ready(e *biqEntry, now uint64) bool {
-	if e.ref.Wrong() {
-		return true
-	}
-	in := e.in
-	if in.PredGuard != isa.RegNone && ln.regReady[in.PredGuard] > now {
-		return false
-	}
-	if in.PredFalse {
-		return true
-	}
-	if in.Class == isa.ClassStore && !ln.ooo && ln.sb.n >= ln.cfg.StoreBufferSize {
-		return false
-	}
-	if in.Src1 != isa.RegNone && ln.regReady[in.Src1] > now {
-		return false
-	}
-	if in.Src2 != isa.RegNone && ln.regReady[in.Src2] > now {
-		return false
-	}
-	return true
-}
-
+// execute mirrors Pipeline.execute; e.in is nil on the wrong path.
 func (ln *batchLane) execute(e *biqEntry, now uint64) {
-	if ln.ooo {
-		ln.executeOOO(e, now)
-		return
-	}
 	e.issued = true
 	e.issue = now
 	e.evictAt = now + uint64(ln.cfg.ReplayWindow)
-
-	if e.ref.Wrong() {
-		return
-	}
 	in := e.in
-
-	ln.stats.Commits++
-	if ln.sink != nil {
-		ln.sink.BatchCommit(e.ref, e.seq, e.enq, now)
+	if in != nil {
+		ln.stats.Commits++
+		if ln.sink != nil {
+			ln.sink.BatchCommit(e.ref, e.seq, e.enq, now)
+		}
 	}
 
-	if in.PredFalse {
-		return
+	done := now + 1 // earliest ROB retire; refined per class below
+	if in != nil && !in.PredFalse {
+		switch in.Class {
+		case isa.ClassALU:
+			done = now + uint64(ln.cfg.ALULatency)
+			ln.writeDest(in, done)
+		case isa.ClassFPU:
+			done = now + uint64(ln.cfg.FPLatency)
+			ln.writeDest(in, done)
+		case isa.ClassLoad:
+			if ln.forwards(in.Addr) {
+				ln.stats.ForwardedLoads++
+				ln.writeDest(in, now+1)
+				break
+			}
+			res := ln.mem.Access(in.Addr, false)
+			ln.stats.LoadsByLevel[res.Level]++
+			done = now + uint64(res.Latency)
+			ln.writeDest(in, done)
+			ln.trigger(&ln.cfg, ln.mem, e.seq, res, now)
+		case isa.ClassStore:
+			if ln.ooo {
+				ln.lsqClaim(e.seq)
+				break
+			}
+			ln.sb.push(bsbEntry{
+				addr:    in.Addr,
+				enq:     now,
+				drainAt: now + uint64(ln.cfg.StoreDrainLatency),
+				seq:     e.seq,
+				ref:     e.ref,
+			})
+		case isa.ClassIO:
+			ln.mem.Access(in.Addr, true)
+		case isa.ClassPrefetch:
+			ln.mem.Prefetch(in.Addr)
+		case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
+			if in.Mispred && ln.wrongMode && ln.wrongSrcSeq == e.seq {
+				ln.resolveAt = now + uint64(ln.cfg.BranchResolveLatency)
+				done = ln.resolveAt
+			}
+		case isa.ClassNop, isa.ClassHint:
+		}
 	}
-
-	switch in.Class {
-	case isa.ClassALU:
-		ln.writeDest(in, now+uint64(ln.cfg.ALULatency))
-	case isa.ClassFPU:
-		ln.writeDest(in, now+uint64(ln.cfg.FPLatency))
-	case isa.ClassLoad:
-		if ln.sbHolds(in.Addr) {
-			ln.stats.ForwardedLoads++
-			ln.writeDest(in, now+1)
-			break
-		}
-		res := ln.mem.Access(in.Addr, false)
-		ln.stats.LoadsByLevel[res.Level]++
-		ln.writeDest(in, now+uint64(res.Latency))
-		ln.maybeTrigger(e.seq, res, now)
-	case isa.ClassStore:
-		ln.sb.push(bsbEntry{
-			addr:    in.Addr,
-			enq:     now,
-			drainAt: now + uint64(ln.cfg.StoreDrainLatency),
-			seq:     e.seq,
-			ref:     e.ref,
-		})
-	case isa.ClassIO:
-		ln.mem.Access(in.Addr, true)
-	case isa.ClassPrefetch:
-		ln.mem.Prefetch(in.Addr)
-	case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
-		if in.Mispred && ln.wrongMode && ln.wrongSrcSeq == e.seq {
-			ln.resolveAt = now + uint64(ln.cfg.BranchResolveLatency)
-		}
-	case isa.ClassNop, isa.ClassHint:
+	if ln.ooo {
+		ln.robComplete(e.seq, done)
 	}
 }
 
-// sbHolds reports whether a live store-buffer entry covers addr. The
-// reference interpreter keeps a refcounted map; the buffer is at most
-// StoreBufferSize entries, so a linear scan of the ring is cheaper than
-// map traffic.
-func (ln *batchLane) sbHolds(addr uint64) bool {
+// forwards reports whether a live store covers addr: a store-buffer entry
+// in-order, an executed undrained LSQ store out of order. The reference
+// interpreter keeps a refcounted map; both queues are small, so a linear
+// scan of the ring is cheaper than map traffic.
+func (ln *batchLane) forwards(addr uint64) bool {
+	if ln.ooo {
+		for i := 0; i < ln.lsq.n; i++ {
+			if e := ln.lsq.at(i); e.live && e.addr == addr {
+				return true
+			}
+		}
+		return false
+	}
 	for i := 0; i < ln.sb.n; i++ {
 		if ln.sb.at(i).addr == addr {
 			return true
@@ -1029,22 +971,6 @@ func (ln *batchLane) sbHolds(addr uint64) bool {
 func (ln *batchLane) writeDest(in *isa.Inst, readyAt uint64) {
 	if in.Dest != isa.RegNone {
 		ln.regReady[in.Dest] = readyAt
-	}
-}
-
-func (ln *batchLane) maybeTrigger(seq uint64, res cache.AccessResult, now uint64) {
-	if lvl := ln.cfg.SquashTrigger.level(); lvl >= 0 && res.MissedLevel(lvl) {
-		ln.squashQ = append(ln.squashQ, squashEvent{
-			at:         now + uint64(ln.mem.Level(lvl).Config().HitLatency),
-			loadSeq:    seq,
-			missReturn: now + uint64(res.Latency),
-		})
-	}
-	if lvl := ln.cfg.ThrottleTrigger.level(); lvl >= 0 && res.MissedLevel(lvl) {
-		ln.throttleQ = append(ln.throttleQ, throttleEvent{
-			at:         now + uint64(ln.mem.Level(lvl).Config().HitLatency),
-			missReturn: now + uint64(res.Latency),
-		})
 	}
 }
 
@@ -1072,7 +998,7 @@ func (ln *batchLane) deliver(now uint64) {
 		}
 		if ln.ooo {
 			in := ln.feContent(fe)
-			if !ln.oooAdmit(in) {
+			if !admits(&ln.cfg, ln.rob.n, ln.lsq.n, in.Class) {
 				break
 			}
 			ln.oooDispatch(in, fe, now)

@@ -63,17 +63,6 @@ func (ln *batchLane) lanePC(in *isa.Inst, fe *bfeEntry) uint64 {
 	return in.PC + 4*d
 }
 
-// oooAdmit mirrors Pipeline.oooAdmit.
-func (ln *batchLane) oooAdmit(in *isa.Inst) bool {
-	if ln.rob.n >= ln.cfg.ROBSize {
-		return false
-	}
-	if (in.Class == isa.ClassLoad || in.Class == isa.ClassStore) && ln.lsq.n >= ln.cfg.LSQSize {
-		return false
-	}
-	return true
-}
-
 // oooDispatch mirrors Pipeline.oooDispatch.
 func (ln *batchLane) oooDispatch(in *isa.Inst, fe *bfeEntry, now uint64) {
 	mem := in.Class == isa.ClassLoad || in.Class == isa.ClassStore
@@ -88,64 +77,6 @@ func (ln *batchLane) oooDispatch(in *isa.Inst, fe *bfeEntry, now uint64) {
 		ln.stats.TAGEReadCycles += ln.tage.touch(ln.lanePC(in, fe), now)
 		ln.tage.note(in.Taken)
 	}
-}
-
-// executeOOO mirrors Pipeline.executeOOO.
-func (ln *batchLane) executeOOO(e *biqEntry, now uint64) {
-	e.issued = true
-	e.issue = now
-	e.evictAt = now + uint64(ln.cfg.ReplayWindow)
-
-	done := now + 1 // earliest retire; refined per class below
-
-	if e.ref.Wrong() {
-		ln.robComplete(e.seq, done)
-		return
-	}
-	in := e.in
-
-	ln.stats.Commits++
-	if ln.sink != nil {
-		ln.sink.BatchCommit(e.ref, e.seq, e.enq, now)
-	}
-
-	if in.PredFalse {
-		ln.robComplete(e.seq, done)
-		return
-	}
-
-	switch in.Class {
-	case isa.ClassALU:
-		done = now + uint64(ln.cfg.ALULatency)
-		ln.writeDest(in, done)
-	case isa.ClassFPU:
-		done = now + uint64(ln.cfg.FPLatency)
-		ln.writeDest(in, done)
-	case isa.ClassLoad:
-		if ln.lsqHolds(in.Addr) {
-			ln.stats.ForwardedLoads++
-			ln.writeDest(in, now+1)
-			break
-		}
-		res := ln.mem.Access(in.Addr, false)
-		ln.stats.LoadsByLevel[res.Level]++
-		done = now + uint64(res.Latency)
-		ln.writeDest(in, done)
-		ln.maybeTrigger(e.seq, res, now)
-	case isa.ClassStore:
-		ln.lsqClaim(e.seq)
-	case isa.ClassIO:
-		ln.mem.Access(in.Addr, true)
-	case isa.ClassPrefetch:
-		ln.mem.Prefetch(in.Addr)
-	case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
-		if in.Mispred && ln.wrongMode && ln.wrongSrcSeq == e.seq {
-			ln.resolveAt = now + uint64(ln.cfg.BranchResolveLatency)
-			done = ln.resolveAt
-		}
-	case isa.ClassNop, isa.ClassHint:
-	}
-	ln.robComplete(e.seq, done)
 }
 
 // robComplete mirrors Pipeline.robComplete.
@@ -306,17 +237,6 @@ func (ln *batchLane) oooEventCycle(horizon uint64) uint64 {
 		}
 	}
 	return horizon
-}
-
-// lsqHolds mirrors the reference interpreter's refcounted lsqAddrs map: a live
-// (executed, undrained) store entry covering addr forwards to loads.
-func (ln *batchLane) lsqHolds(addr uint64) bool {
-	for i := 0; i < ln.lsq.n; i++ {
-		if e := ln.lsq.at(i); e.live && e.addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // lsqClaim opens the forwarding window of the store that just executed.

@@ -5,14 +5,17 @@ import "softerror/internal/isa"
 // This file is the out-of-order core family: the structures and phases
 // that exist only when Config.OutOfOrder is set. The family follows the
 // engine's composable-structure protocol — every vulnerable structure
-// supplies (a) a dispatch/admission hook (oooAdmit/oooDispatch), (b)
-// occupancy intervals through a per-structure sink method with a defined
-// read point (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the lane
-// engine's event-horizon skipper folds (batchLane.oooEventCycle), and (d)
-// flush, squash and end-of-run clip rules mirroring the instruction
-// queue's. The in-order family never reaches this code: every hook is
-// gated on p.ooo, so its cycle-level behaviour and event stream are
-// byte-identical to before.
+// supplies (a) a dispatch/admission hook (admits in rules.go, then
+// oooDispatch), (b) occupancy intervals through a per-structure sink
+// method with a defined read point (OOOSink.OnROB/OnLSQ), (c) the cycle of
+// its next state change — the head ROB entry's retire, the head LSQ
+// store's drain — which the lane engine folds into its event horizon
+// (batchLane.oooEventCycle; this reference interpreter single-steps and
+// needs none), and (d) flush, squash and end-of-run clip rules mirroring
+// the instruction queue's. The in-order family never reaches this code:
+// every hook is gated on p.ooo, and the shared execute branches on the
+// family only for the ROB completion mark and store routing (an LSQ claim
+// instead of a store-buffer entry).
 //
 // The three structures:
 //
@@ -110,18 +113,6 @@ func (t *tageState) note(taken bool) {
 	}
 }
 
-// oooAdmit reports whether dispatch has room for one more instruction: a
-// free ROB entry, plus a free LSQ entry for memory operations.
-func (p *Pipeline) oooAdmit(in *isa.Inst) bool {
-	if len(p.rob) >= p.cfg.ROBSize {
-		return false
-	}
-	if (in.Class == isa.ClassLoad || in.Class == isa.ClassStore) && len(p.lsq) >= p.cfg.LSQSize {
-		return false
-	}
-	return true
-}
-
 // oooDispatch allocates the instruction's ROB entry (and LSQ entry for
 // memory operations) and, for control-class instructions on either path,
 // reads the TAGE tables and trains the global history.
@@ -135,74 +126,6 @@ func (p *Pipeline) oooDispatch(in *isa.Inst, now uint64) {
 		p.stats.TAGEReadCycles += p.tage.touch(in.PC, now)
 		p.tage.note(in.Taken)
 	}
-}
-
-// executeOOO issues one entry under the out-of-order family: the in-order
-// execute with the store buffer replaced by the LSQ and a ROB completion
-// mark scheduling the in-order retire.
-func (p *Pipeline) executeOOO(e *iqEntry, now uint64) {
-	e.issued = true
-	e.issue = now
-	e.evictAt = now + uint64(p.cfg.ReplayWindow)
-	in := &e.inst
-
-	done := now + 1 // earliest retire; refined per class below
-
-	if in.WrongPath {
-		p.robComplete(in.Seq, done)
-		return // consumed an issue slot; no architectural effects
-	}
-
-	p.stats.Commits++
-	if p.rec != nil {
-		p.rec.OnCommit(*in, e.enq, now)
-	}
-
-	if in.PredFalse {
-		p.robComplete(in.Seq, done)
-		return // retires without executing
-	}
-
-	switch in.Class {
-	case isa.ClassALU:
-		done = now + uint64(p.cfg.ALULatency)
-		p.writeDest(in, done)
-	case isa.ClassFPU:
-		done = now + uint64(p.cfg.FPLatency)
-		p.writeDest(in, done)
-	case isa.ClassLoad:
-		if p.lsqAddrs[in.Addr] > 0 {
-			// Store-to-load forwarding from the LSQ: no cache access,
-			// no miss trigger.
-			p.stats.ForwardedLoads++
-			p.writeDest(in, now+1)
-			break
-		}
-		res := p.mem.Access(in.Addr, false)
-		p.stats.LoadsByLevel[res.Level]++
-		done = now + uint64(res.Latency)
-		p.writeDest(in, done)
-		p.maybeTrigger(in, res, now)
-	case isa.ClassStore:
-		// The LSQ entry was allocated at dispatch; executing claims the
-		// forwarding window, which lasts until the store drains.
-		p.lsqAddrs[in.Addr]++
-	case isa.ClassIO:
-		p.mem.Access(in.Addr, true)
-	case isa.ClassPrefetch:
-		p.mem.Prefetch(in.Addr)
-	case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
-		if in.Mispred && p.wrongMode && p.wrongSrcSeq == in.Seq {
-			p.resolveAt = now + uint64(p.cfg.BranchResolveLatency)
-			// The branch retires no earlier than it redirects, so the
-			// resolution flush (which runs first in the step) removes its
-			// wrong-path successors before they could ever reach the head.
-			done = p.resolveAt
-		}
-	case isa.ClassNop, isa.ClassHint:
-		// No effects.
-	}
-	p.robComplete(in.Seq, done)
 }
 
 // robComplete marks the issuing instruction's ROB entry ready to retire
@@ -276,11 +199,7 @@ func (p *Pipeline) drainLSQ(now uint64) {
 	}
 	p.mem.Access(e.inst.Addr, true)
 	p.recordLSQ(e, now, true)
-	if n := p.lsqAddrs[e.inst.Addr]; n <= 1 {
-		delete(p.lsqAddrs, e.inst.Addr)
-	} else {
-		p.lsqAddrs[e.inst.Addr] = n - 1
-	}
+	p.releaseStore(e.inst.Addr)
 	m := copy(p.lsq, p.lsq[1:])
 	p.lsq = p.lsq[:m]
 }

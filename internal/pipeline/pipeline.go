@@ -40,17 +40,6 @@ type feEntry struct {
 	readyAt uint64
 }
 
-type squashEvent struct {
-	at         uint64
-	loadSeq    uint64
-	missReturn uint64
-}
-
-type throttleEvent struct {
-	at         uint64
-	missReturn uint64
-}
-
 // Pipeline is the single-step reference interpreter of the core model: it
 // pulls full instructions from a Source and steps every cycle, with no
 // event-horizon skipping and no shared stream. Production runs use the
@@ -70,7 +59,7 @@ type Pipeline struct {
 	iq          []iqEntry
 	frontEnd    []feEntry
 	sb          []sbEntry
-	sbAddrs     map[uint64]int // live store-buffer addresses, refcounted
+	storeAddrs  map[uint64]int // live forwarding stores (store buffer or LSQ), refcounted
 	refetch     []isa.Inst
 	refetchHead int // index of the next refetch victim (popped O(1))
 	feCap       int
@@ -85,16 +74,13 @@ type Pipeline struct {
 	wrongMode   bool
 	wrongSrcSeq uint64 // Seq of the unresolved mispredicted branch
 	resolveAt   uint64 // cycle the outstanding mispredict redirects; 0 = none scheduled
-	squashQ     []squashEvent
-	throttleQ   []throttleEvent
-	stallUntil  uint64
+	missQueue
 
 	// Out-of-order family state (see ooo.go); nil/zero for in-order.
-	ooo      bool
-	rob      []robEntry
-	lsq      []lsqEntry
-	lsqAddrs map[uint64]int // live LSQ store addresses, refcounted
-	tage     tageState
+	ooo  bool
+	rob  []robEntry
+	lsq  []lsqEntry
+	tage tageState
 
 	stats Stats
 	rec   *TraceRecorder // nil unless Run records
@@ -123,7 +109,7 @@ func New(cfg Config, src Source, mem *cache.Hierarchy) (*Pipeline, error) {
 	p.iq = make([]iqEntry, 0, cfg.IQSize)
 	p.frontEnd = make([]feEntry, 0, p.feCap)
 	p.sb = make([]sbEntry, 0, cfg.StoreBufferSize)
-	p.sbAddrs = make(map[uint64]int, cfg.StoreBufferSize)
+	p.storeAddrs = make(map[uint64]int, max(cfg.StoreBufferSize, cfg.LSQSize))
 	p.refetch = make([]isa.Inst, 0, cfg.IQSize+p.feCap)
 	p.squashQ = make([]squashEvent, 0, 8)
 	p.throttleQ = make([]throttleEvent, 0, 8)
@@ -131,7 +117,6 @@ func New(cfg Config, src Source, mem *cache.Hierarchy) (*Pipeline, error) {
 		p.ooo = true
 		p.rob = make([]robEntry, 0, cfg.ROBSize)
 		p.lsq = make([]lsqEntry, 0, cfg.LSQSize)
-		p.lsqAddrs = make(map[uint64]int, cfg.LSQSize)
 		p.tage.init(&cfg, make([]uint64, cfg.TAGETables<<cfg.TAGETableBits))
 	}
 	return p, nil
@@ -201,7 +186,7 @@ func (p *Pipeline) step() {
 	}
 	p.resolveBranch(now)
 	p.applySquashes(now)
-	p.applyThrottles(now)
+	p.stats.ThrottleEvents += p.applyThrottles(now)
 	if p.ooo {
 		p.retire(now)
 	}
@@ -319,20 +304,7 @@ func (p *Pipeline) doSquash(now uint64, ev squashEvent) {
 		p.refetchHead = 0
 	}
 	sortRefetch(p.refetch)
-	// Restart fetch early enough that the front-end refill overlaps the
-	// remaining miss shadow. The subtraction saturates at 0: a miss that
-	// returns within the overlap window (tiny warm-up cycle counts, large
-	// overlap sweeps) must not wrap to a near-infinite stall.
-	restart := uint64(0)
-	if mr := ev.missReturn; mr > uint64(p.cfg.RefetchOverlap) {
-		restart = mr - uint64(p.cfg.RefetchOverlap)
-	}
-	if restart < now {
-		restart = now
-	}
-	if restart > p.stallUntil {
-		p.stallUntil = restart
-	}
+	p.squashRestart(now, ev.missReturn, p.cfg.RefetchOverlap)
 }
 
 // squashVictim routes one squashed instruction: correct-path instructions
@@ -366,22 +338,6 @@ func sortRefetch(q []isa.Inst) {
 	}
 }
 
-// applyThrottles fires pending fetch-throttle events.
-func (p *Pipeline) applyThrottles(now uint64) {
-	rest := p.throttleQ[:0]
-	for _, ev := range p.throttleQ {
-		if ev.at > now {
-			rest = append(rest, ev)
-			continue
-		}
-		p.stats.ThrottleEvents++
-		if ev.missReturn > p.stallUntil {
-			p.stallUntil = ev.missReturn
-		}
-	}
-	p.throttleQ = rest
-}
-
 // evict retires issued entries from the queue head once their replay window
 // closes.
 func (p *Pipeline) evict(now uint64) {
@@ -407,7 +363,9 @@ func (p *Pipeline) evict(now uint64) {
 // issue performs scoreboarded issue: up to IssueWidth instructions per
 // cycle. In-order mode stops at the first unissued instruction with an
 // unready operand (stall-on-use); out-of-order mode skips stalled entries
-// and issues any ready instruction, oldest first.
+// and issues any ready instruction, oldest first. Wrong-path instructions
+// are always ready: their operands are speculative garbage. The store
+// buffer stays empty out of order, so it never blocks a store there.
 func (p *Pipeline) issue(now uint64) {
 	issued := 0
 	for i := p.issuePtr; i < len(p.iq) && issued < p.cfg.IssueWidth; i++ {
@@ -415,7 +373,7 @@ func (p *Pipeline) issue(now uint64) {
 		if e.issued {
 			continue
 		}
-		if !p.ready(&e.inst, now) {
+		if !e.inst.WrongPath && readyAt(&p.regReady, &e.inst, len(p.sb) >= p.cfg.StoreBufferSize) > now {
 			if p.cfg.OutOfOrder {
 				continue // skip the stalled entry, look younger
 			}
@@ -429,90 +387,74 @@ func (p *Pipeline) issue(now uint64) {
 	}
 }
 
-// ready reports whether the instruction's operands are available. Wrong-path
-// instructions are always "ready": their operands are speculative garbage.
-func (p *Pipeline) ready(in *isa.Inst, now uint64) bool {
-	if in.WrongPath {
-		return true
-	}
-	if in.PredGuard != isa.RegNone && p.regReady[in.PredGuard] > now {
-		return false
-	}
-	if in.PredFalse {
-		return true // guard known false: operand values are irrelevant
-	}
-	if in.Class == isa.ClassStore && !p.ooo && len(p.sb) >= p.cfg.StoreBufferSize {
-		return false // store buffer full: the store cannot issue
-	}
-	if in.Src1 != isa.RegNone && p.regReady[in.Src1] > now {
-		return false
-	}
-	if in.Src2 != isa.RegNone && p.regReady[in.Src2] > now {
-		return false
-	}
-	return true
-}
-
 // execute issues one entry: reads it (the parity-check point), performs its
-// side effects, and schedules its eviction. The out-of-order family runs
-// its own copy (ooo.go) so the in-order hot path stays branch-identical.
+// side effects, and schedules its eviction — and, out of order, its ROB
+// entry's retire. Wrong-path instructions consume an issue slot and
+// nothing more; predicated-false ones commit without executing.
 func (p *Pipeline) execute(e *iqEntry, now uint64) {
-	if p.ooo {
-		p.executeOOO(e, now)
-		return
-	}
 	e.issued = true
 	e.issue = now
 	e.evictAt = now + uint64(p.cfg.ReplayWindow)
 	in := &e.inst
-
-	if in.WrongPath {
-		return // consumed an issue slot; no architectural effects
-	}
-
-	p.stats.Commits++
-	if p.rec != nil {
-		p.rec.OnCommit(*in, e.enq, now)
-	}
-
-	if in.PredFalse {
-		return // retires without executing
-	}
-
-	switch in.Class {
-	case isa.ClassALU:
-		p.writeDest(in, now+uint64(p.cfg.ALULatency))
-	case isa.ClassFPU:
-		p.writeDest(in, now+uint64(p.cfg.FPLatency))
-	case isa.ClassLoad:
-		if p.sbAddrs[in.Addr] > 0 {
-			// Store-to-load forwarding: serviced from the store buffer,
-			// no cache access, no miss trigger.
-			p.stats.ForwardedLoads++
-			p.writeDest(in, now+1)
-			break
+	if !in.WrongPath {
+		p.stats.Commits++
+		if p.rec != nil {
+			p.rec.OnCommit(*in, e.enq, now)
 		}
-		res := p.mem.Access(in.Addr, false)
-		p.stats.LoadsByLevel[res.Level]++
-		p.writeDest(in, now+uint64(res.Latency))
-		p.maybeTrigger(in, res, now)
-	case isa.ClassStore:
-		p.sb = append(p.sb, sbEntry{
-			inst:    *in,
-			enq:     now,
-			drainAt: now + uint64(p.cfg.StoreDrainLatency),
-		})
-		p.sbAddrs[in.Addr]++
-	case isa.ClassIO:
-		p.mem.Access(in.Addr, true)
-	case isa.ClassPrefetch:
-		p.mem.Prefetch(in.Addr)
-	case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
-		if in.Mispred && p.wrongMode && p.wrongSrcSeq == in.Seq {
-			p.resolveAt = now + uint64(p.cfg.BranchResolveLatency)
+	}
+
+	done := now + 1 // earliest ROB retire; refined per class below
+	if !in.WrongPath && !in.PredFalse {
+		switch in.Class {
+		case isa.ClassALU:
+			done = now + uint64(p.cfg.ALULatency)
+			p.writeDest(in, done)
+		case isa.ClassFPU:
+			done = now + uint64(p.cfg.FPLatency)
+			p.writeDest(in, done)
+		case isa.ClassLoad:
+			if p.storeAddrs[in.Addr] > 0 {
+				// Store-to-load forwarding: no cache access, no miss
+				// trigger.
+				p.stats.ForwardedLoads++
+				p.writeDest(in, now+1)
+				break
+			}
+			res := p.mem.Access(in.Addr, false)
+			p.stats.LoadsByLevel[res.Level]++
+			done = now + uint64(res.Latency)
+			p.writeDest(in, done)
+			p.trigger(&p.cfg, p.mem, in.Seq, res, now)
+		case isa.ClassStore:
+			// Out of order the LSQ entry was allocated at dispatch;
+			// either way executing opens the store's forwarding window,
+			// which lasts until it drains.
+			if !p.ooo {
+				p.sb = append(p.sb, sbEntry{
+					inst:    *in,
+					enq:     now,
+					drainAt: now + uint64(p.cfg.StoreDrainLatency),
+				})
+			}
+			p.storeAddrs[in.Addr]++
+		case isa.ClassIO:
+			p.mem.Access(in.Addr, true)
+		case isa.ClassPrefetch:
+			p.mem.Prefetch(in.Addr)
+		case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
+			if in.Mispred && p.wrongMode && p.wrongSrcSeq == in.Seq {
+				p.resolveAt = now + uint64(p.cfg.BranchResolveLatency)
+				// The branch retires no earlier than it redirects, so the
+				// resolution flush (which runs first in the step) removes
+				// its wrong-path successors before they reach the ROB head.
+				done = p.resolveAt
+			}
+		case isa.ClassNop, isa.ClassHint:
+			// No effects.
 		}
-	case isa.ClassNop, isa.ClassHint:
-		// No effects.
+	}
+	if p.ooo {
+		p.robComplete(in.Seq, done)
 	}
 }
 
@@ -522,23 +464,12 @@ func (p *Pipeline) writeDest(in *isa.Inst, readyAt uint64) {
 	}
 }
 
-// maybeTrigger schedules exposure-reduction actions for a load serviced
-// beyond the trigger level. The action fires when the miss is *detected* —
-// when the trigger-level cache would have responded — and fetch stalls
-// until the miss returns.
-func (p *Pipeline) maybeTrigger(in *isa.Inst, res cache.AccessResult, now uint64) {
-	if lvl := p.cfg.SquashTrigger.level(); lvl >= 0 && res.MissedLevel(lvl) {
-		p.squashQ = append(p.squashQ, squashEvent{
-			at:         now + uint64(p.mem.Level(lvl).Config().HitLatency),
-			loadSeq:    in.Seq,
-			missReturn: now + uint64(res.Latency),
-		})
-	}
-	if lvl := p.cfg.ThrottleTrigger.level(); lvl >= 0 && res.MissedLevel(lvl) {
-		p.throttleQ = append(p.throttleQ, throttleEvent{
-			at:         now + uint64(p.mem.Level(lvl).Config().HitLatency),
-			missReturn: now + uint64(res.Latency),
-		})
+// releaseStore closes one drained store's forwarding window.
+func (p *Pipeline) releaseStore(addr uint64) {
+	if n := p.storeAddrs[addr]; n <= 1 {
+		delete(p.storeAddrs, addr)
+	} else {
+		p.storeAddrs[addr] = n - 1
 	}
 }
 
@@ -563,11 +494,7 @@ func (p *Pipeline) drainStores(now uint64) {
 			Issue:  now,
 		})
 	}
-	if n := p.sbAddrs[e.inst.Addr]; n <= 1 {
-		delete(p.sbAddrs, e.inst.Addr)
-	} else {
-		p.sbAddrs[e.inst.Addr] = n - 1
-	}
+	p.releaseStore(e.inst.Addr)
 	m := copy(p.sb, p.sb[1:])
 	p.sb = p.sb[:m]
 }
@@ -582,7 +509,7 @@ func (p *Pipeline) deliver(now uint64) {
 			break
 		}
 		if p.ooo {
-			if !p.oooAdmit(&fe.inst) {
+			if !admits(&p.cfg, len(p.rob), len(p.lsq), fe.inst.Class) {
 				break
 			}
 			p.oooDispatch(&fe.inst, now)

@@ -438,7 +438,7 @@ func TestSquashReducesOccupancyModestIPCCost(t *testing.T) {
 }
 
 func TestTraceHelpers(t *testing.T) {
-	tr := &Trace{Cycles: 100, Commits: 150}
+	tr := &Trace{Stats: Stats{Cycles: 100, Commits: 150}}
 	if tr.IPC() != 1.5 {
 		t.Fatalf("IPC = %v", tr.IPC())
 	}

@@ -52,23 +52,33 @@ type OOOSink interface {
 }
 
 // Stats holds the scalar counters of one run — everything a Trace records
-// besides its interval slices. RunBatchStreamArena returns one per lane,
+// besides its interval slices and echoed capacities; Trace embeds it. RunBatchStreamArena returns one per lane,
 // so streaming consumers get IPC, miss rates and event counts without a
 // Trace.
 type Stats struct {
-	Cycles  uint64
+	// Cycles is the number of cycles simulated.
+	Cycles uint64
+	// Commits is the number of correct-path instructions committed
+	// (including no-ops and predicated-false instructions, matching the
+	// paper's instruction counting).
 	Commits uint64
-	MaxSeq  uint64
+	// MaxSeq is the largest instruction sequence number observed.
+	MaxSeq uint64
 
-	Squashes        uint64
-	SquashedEntries uint64
-	Refetches       uint64
+	// Exposure-action accounting.
+	Squashes        uint64 // squash events fired
+	SquashedEntries uint64 // IQ and front-end entries removed by squashes
+	Refetches       uint64 // squashed correct-path instructions refetched
 	ThrottleEvents  uint64
-	WrongFlushes    uint64
-	ForwardedLoads  uint64
+	WrongFlushes    uint64 // entries removed by branch-resolution flushes
+	ForwardedLoads  uint64 // loads serviced by store-to-load forwarding
 
+	// LoadsByLevel counts correct-path loads by servicing level
+	// (cache.LevelL0..LevelMemory).
 	LoadsByLevel [4]uint64
 
+	// FetchStallCycles counts cycles fetch was blocked by squash/throttle
+	// stalls (not by IQ backpressure).
 	FetchStallCycles uint64
 
 	// TAGEReadCycles integrates the out-of-order family's predictor-table
@@ -166,18 +176,7 @@ func (rec *TraceRecorder) OnLSQ(r Residency) {
 // unique sequence numbers make exact.
 func (rec *TraceRecorder) Trace(st Stats) *Trace {
 	tr := &rec.tr
-	tr.Cycles = st.Cycles
-	tr.Commits = st.Commits
-	tr.MaxSeq = st.MaxSeq
-	tr.Squashes = st.Squashes
-	tr.SquashedEntries = st.SquashedEntries
-	tr.Refetches = st.Refetches
-	tr.ThrottleEvents = st.ThrottleEvents
-	tr.WrongFlushes = st.WrongFlushes
-	tr.ForwardedLoads = st.ForwardedLoads
-	tr.LoadsByLevel = st.LoadsByLevel
-	tr.FetchStallCycles = st.FetchStallCycles
-	tr.TAGEReadCycles = st.TAGEReadCycles
+	tr.Stats = st
 	if rec.outOfOrder {
 		log, cycles := tr.CommitLog, tr.CommitCycles
 		order := make([]int, len(log))

@@ -41,12 +41,11 @@ func (r *Residency) Occupancy() uint64 {
 // Trace is the full record of one simulation: everything the AVF analysis,
 // the false-DUE mechanisms, and the performance metrics need.
 type Trace struct {
-	// Cycles is the number of cycles simulated.
-	Cycles uint64
-	// Commits is the number of correct-path instructions committed
-	// (including no-ops and predicated-false instructions, matching the
-	// paper's instruction counting).
-	Commits uint64
+	// Stats holds the run's scalar counters: cycles, commits, exposure
+	// actions, loads by servicing level, forwarded loads, fetch stalls and
+	// the TAGE read exposure.
+	Stats
+
 	// IQSize echoes the configured queue size.
 	IQSize int
 
@@ -62,11 +61,9 @@ type Trace struct {
 	// StoreBuffer lists every store-buffer occupancy: Enq is the store's
 	// issue cycle, Evict its drain-to-cache cycle; every drained entry is
 	// "read" (its value is committed to memory). StoreBufferCap is the
-	// buffer's entry count. ForwardedLoads counts loads serviced by
-	// store-to-load forwarding instead of the cache.
+	// buffer's entry count.
 	StoreBuffer    []Residency
 	StoreBufferCap int
-	ForwardedLoads uint64
 	// ROB and LSQ list the out-of-order family's reorder-buffer and
 	// load/store-queue occupancy intervals (empty for the in-order
 	// family). A ROB entry's read point is its in-order retire; an LSQ
@@ -77,12 +74,9 @@ type Trace struct {
 	ROBCap int
 	LSQ    []Residency
 	LSQCap int
-	// TAGEReadCycles integrates the TAGE predictor's read exposure: for
-	// every table lookup, the entry-cycles since that entry was last
-	// read. TAGETables and TAGETableEntries echo the normalized
-	// geometry; ace.AnalyzeTAGE turns the three into a closed-form
-	// report.
-	TAGEReadCycles   uint64
+	// TAGETables and TAGETableEntries echo the normalized TAGE geometry;
+	// ace.AnalyzeTAGE turns them and Stats.TAGEReadCycles into a
+	// closed-form report.
 	TAGETables       int
 	TAGETableEntries int
 	// CommitLog lists committed instructions in program (issue) order; the
@@ -92,46 +86,4 @@ type Trace struct {
 	// index-parallel to CommitLog; the register-file AVF analysis uses it
 	// to integrate value lifetimes over time.
 	CommitCycles []uint64
-
-	// MaxSeq is the largest instruction sequence number observed.
-	MaxSeq uint64
-
-	// Exposure-action accounting.
-	Squashes        uint64 // squash events fired
-	SquashedEntries uint64 // IQ and front-end entries removed by squashes
-	Refetches       uint64 // squashed correct-path instructions refetched
-	ThrottleEvents  uint64
-	WrongFlushes    uint64 // entries removed by branch-resolution flushes
-
-	// LoadsByLevel counts correct-path loads by servicing level
-	// (cache.LevelL0..LevelMemory).
-	LoadsByLevel [4]uint64
-
-	// FetchStallCycles counts cycles fetch was blocked by squash/throttle
-	// stalls (not by IQ backpressure).
-	FetchStallCycles uint64
-}
-
-// IPC returns committed instructions per cycle.
-func (t *Trace) IPC() float64 {
-	if t.Cycles == 0 {
-		return 0
-	}
-	return float64(t.Commits) / float64(t.Cycles)
-}
-
-// LoadMissRate returns the fraction of loads serviced beyond the given
-// cache level.
-func (t *Trace) LoadMissRate(level int) float64 {
-	var total, beyond uint64
-	for l, n := range t.LoadsByLevel {
-		total += n
-		if l > level {
-			beyond += n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(beyond) / float64(total)
 }

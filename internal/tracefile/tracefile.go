@@ -17,10 +17,13 @@ import (
 	"softerror/internal/pipeline"
 )
 
-// magic identifies a trace file; version gates the gob schema.
+// magic identifies a trace file; version gates the gob schema. Version 2
+// moved the run counters into the embedded pipeline.Stats: gob matches
+// fields by name, so a version-1 body would decode with every counter
+// silently zero.
 const (
 	magic   = "softerror-trace"
-	version = 1
+	version = 2
 )
 
 type header struct {

@@ -102,6 +102,28 @@ func TestRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestRejectsVersion1(t *testing.T) {
+	// A version-1 body carries the counters as top-level Trace fields;
+	// decoded into today's Trace they would all read zero.
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	enc := gob.NewEncoder(zw)
+	if err := enc.Encode(header{Magic: magic, Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := struct {
+		Cycles, Commits uint64
+		IQSize          int
+	}{Cycles: 1000, Commits: 800, IQSize: 64}
+	if err := enc.Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	if tr, err := Read(&buf); err == nil {
+		t.Fatalf("version-1 file accepted (Cycles=%d)", tr.Cycles)
+	}
+}
+
 func TestWriteNil(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, nil); err == nil {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository verify recipe, in tiers:
 #   1. format + tier-1: gofmt, build + full test suite (the gate every
-#      change must pass)
+#      change must pass), plus vet and tests of the separate perfbench
+#      module, which the root go build/test never compile (~6 s on 2 vCPU)
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
 #      numbers may not drift silently (~25 s on 2 vCPU)
@@ -41,12 +42,13 @@
 #   BENCH_GATE_PCT=N   widen tier 8's regression gate to N percent
 set -eux
 
-fmtdirs="$(gofmt -l cmd internal examples scripts *.go)"
+fmtdirs="$(gofmt -l cmd internal examples scripts perfbench *.go)"
 [ -z "$fmtdirs" ] || { echo "gofmt needed: $fmtdirs" >&2; exit 1; }
 
 go build ./...
 go vet ./...
 go test ./...
+(cd perfbench && go vet ./... && go test ./...)
 # artefact tier: regenerate results/ with the commands EXPERIMENTS.md lists
 art=$(mktemp -d)
 go build -o "$art/" ./cmd/repro ./cmd/sweep
