@@ -13,12 +13,16 @@ import (
 // BatchGroup owns the per-stream work every lane shares — chiefly the
 // deadness classification of the commit log, which is Seq-value-independent
 // and so identical across lanes that committed the same number of body
-// instructions. A BatchCollector is one lane's pipeline.BatchSink: it keys
-// every deferred charge by body index instead of sequence number, which
-// both skips instruction reconstruction on the hot path and turns Finish's
-// lookups into direct indexing. All charges are commutative uint64 sums
-// through the same Report.addRead/addNeverRead/SBReport.add helpers as the
-// trace analyses (Analyze and friends), so the reports are exactly equal to
+// instructions. An out-of-order lane that stops with commit holes (younger
+// bodies committed, older ones still in flight) analyses in place instead:
+// the same deadness kernel runs over the shared body prefix, masked by the
+// lane's commit bitmap, in scratch the collector keeps across Reset. A
+// BatchCollector is one lane's pipeline.BatchSink: it keys every deferred
+// charge by body index instead of sequence number, which both skips
+// instruction reconstruction on the hot path and turns Finish's lookups
+// into direct indexing. All charges are commutative uint64 sums through
+// the same Report.addRead/addNeverRead/SBReport.add helpers as the trace
+// analyses (Analyze and friends), so the reports are exactly equal to
 // analysing a recorded trace of the run — the stream-batch and
 // batched-independent seraudit checks pin that.
 
@@ -150,6 +154,32 @@ type commitRec struct {
 	seq, wait, linger uint64
 }
 
+// readBuckets sums read charges per (category, dest, control) bucket.
+// addRead is linear in wait and linger (every charge is wait*k or linger*k
+// for a constant k determined by the category and flags), so folding each
+// bucket through addRead once is exactly charging every read on its own.
+type readBuckets [NumCategories * 4]struct{ wait, linger uint64 }
+
+func (b *readBuckets) add(cat Category, in *isa.Inst, wait, linger uint64) {
+	key := int(cat) * 4
+	if in.Dest != isa.RegNone {
+		key += 2
+	}
+	if in.Class.IsControl() {
+		key++
+	}
+	b[key].wait += wait
+	b[key].linger += linger
+}
+
+func (b *readBuckets) fold(r *Report) {
+	for key, a := range b {
+		if a.wait != 0 || a.linger != 0 {
+			r.addRead(a.wait, a.linger, Category(key/4), key&2 != 0, key&1 != 0)
+		}
+	}
+}
+
 // BatchCollector folds one lane's compact events into ACE reports. Charges
 // with a static category are integrated on arrival; correct-path reads,
 // whose category needs the complete commit log, are settled in Finish.
@@ -169,14 +199,25 @@ type BatchCollector struct {
 	rob Report
 	lsq LSQReport
 
-	// Wrong-path IQ residencies aggregate during the run (addRead is
-	// linear, so summed buckets settle exactly); index is dest<<1 | control.
-	wrongIQ [4]struct{ wait, linger uint64 }
+	// iqReads buckets the IQ read charges: wrong-path residencies during
+	// the run, committed ones in Finish.
+	iqReads readBuckets
+
+	// scratch is the deadness kernel's working storage for holed lanes,
+	// kept across Reset. Dense lanes never touch it (their analysis is the
+	// group memo), so collectors that only ever see dense lanes, as every
+	// in-order one does, hold no scratch.
+	scratch deadScratch
 
 	fePending  []batchPendingRead
 	sbPending  []batchPendingOcc
 	robPending []batchPendingRead
 	lsqPending []batchPendingOcc
+}
+
+// committed reports whether body index i has committed.
+func (c *BatchCollector) committed(i int) bool {
+	return i < c.n && committedAt(c.bits, i)
 }
 
 // NewBatchCollector builds one lane's collector over the batch's shared
@@ -191,10 +232,11 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 }
 
 // Reset re-arms a finished collector for a new lane, reusing the commit
-// record and bitmap storage — the collector's two big allocations — so a
-// pooled collector's steady state allocates nothing. Safe after Finish:
-// the returned Reports are detached copies and the deadness views own
-// their seqs, so resetting never mutates previously returned results.
+// record and bitmap storage and the deadness kernel's scratch — the
+// collector's big allocations — so a pooled collector's steady state
+// allocates nothing per event. Safe after Finish: the returned Reports are
+// detached copies and the deadness views own their seqs and categories, so
+// resetting never mutates previously returned results.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	if group == nil {
 		return fmt.Errorf("ace: nil batch group")
@@ -224,7 +266,7 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
 	c.rob, c.lsq = Report{}, LSQReport{}
-	c.wrongIQ = [4]struct{ wait, linger uint64 }{}
+	c.iqReads = readBuckets{}
 	c.fePending = c.fePending[:0]
 	c.sbPending = c.sbPending[:0]
 	c.robPending = c.robPending[:0]
@@ -271,16 +313,7 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	wait := issue - enq
 	linger := evict - issue
 	if ref.Wrong() {
-		t := c.group.src.Wrong(int(seq) - ref.Body())
-		key := 0
-		if t.Dest != isa.RegNone {
-			key += 2
-		}
-		if t.Class.IsControl() {
-			key++
-		}
-		c.wrongIQ[key].wait += wait
-		c.wrongIQ[key].linger += linger
+		c.iqReads.add(CatWrongPath, c.group.src.Wrong(int(seq)-ref.Body()), wait, linger)
 		return
 	}
 	// Correct path: the commit event always precedes the eviction (evict
@@ -365,22 +398,23 @@ func (c *BatchCollector) BatchLSQ(ref pipeline.BatchRef, seq, enq, evict uint64,
 	c.lsqPending = append(c.lsqPending, batchPendingOcc{body: ref.Body(), occ: occ})
 }
 
-// Finish settles every deferred charge against the group's shared deadness
-// and returns the lane's reports. cycles is the lane's Stats.Cycles. The
+// Finish settles every deferred charge against the lane's deadness and
+// returns the lane's reports. cycles is the lane's Stats.Cycles. The
 // collector must not receive further events.
 func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	// The committed set is usually the dense body prefix [0, c.n), which
 	// shares the group's memoised deadness. An out-of-order lane, though,
 	// can stop mid dataflow window with younger bodies committed while
-	// older ones are still in flight; the analysis must then run over
-	// exactly the committed sub-log — a recorded trace's commit log — with
-	// the holes excluded, so the lane pays for a private AnalyzeDeadness.
+	// older ones are still in flight; the analysis must then see exactly
+	// the committed bodies — a recorded trace's commit log — so the kernel
+	// runs in place over the body prefix, masked by the commit bitmap.
+	// Either way cats is indexed by body position, and a body that never
+	// committed is a clear bit.
 	m := c.n
+	log := c.group.commitLog(m)
 	var (
-		dead   *Deadness
-		cats   []Category
-		log    []isa.Inst
-		bodies []int // ascending committed body indices; nil when dense
+		dead *Deadness
+		cats []Category
 	)
 	// Every body commits at most once, so c.commits == m proves the
 	// committed set is exactly the dense prefix [0, m).
@@ -391,71 +425,40 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		}
 		dead = c.group.viewFor(m, seqs)
 		cats = dead.cats
-		log = c.group.commitLog(m)
 	} else {
-		prefix := c.group.commitLog(m)
-		bodies = make([]int, 0, c.commits)
-		seqs := make([]uint64, 0, c.commits)
-		log = make([]isa.Inst, 0, c.commits)
+		dead = c.scratch.analyze(log, c.bits)
+		// Relabel to lane coordinates in place, as viewFor does.
+		j := 0
 		for i := 0; i < m; i++ {
-			if c.bits[i>>6]>>(uint(i)&63)&1 == 1 {
-				bodies = append(bodies, i)
-				seqs = append(seqs, c.recs[i].seq)
-				log = append(log, prefix[i])
+			if c.committed(i) {
+				dead.seqs[j] = c.recs[i].seq
+				j++
 			}
 		}
-		dead = AnalyzeDeadness(log)
-		dead.seqs = seqs // relabel to lane coordinates, as viewFor does
-		cats = dead.cats
+		cats = c.scratch.cat
 	}
-	// subIdx maps a body index to its position in log/cats, or -1 when the
-	// body never committed — the batched equivalent of an OfSeq miss.
-	subIdx := func(body int) int {
-		if bodies == nil {
-			if body < m {
-				return body
-			}
-			return -1
+	// catOf is a pending charge's category; a body outside the committed
+	// set is still in flight, so conservatively live — the batched
+	// equivalent of an OfSeq miss. inst is the body's content.
+	catOf := func(body int) Category {
+		if c.committed(body) {
+			return cats[body]
 		}
-		if j, ok := slices.BinarySearch(bodies, body); ok {
-			return j
+		return CatACE
+	}
+	inst := func(body int) *isa.Inst {
+		if body < m {
+			return &log[body]
 		}
-		return -1
+		return c.group.src.Body(body)
 	}
 
-	// addRead is linear in wait and linger (every charge is wait*k or
-	// linger*k for a constant k determined by the category and flags), so
-	// the per-commit charges aggregate exactly: sum per (category, dest,
-	// control) bucket, then fold each bucket through addRead once.
-	var agg [NumCategories * 4]struct{ wait, linger uint64 }
 	for i := range log {
-		in := &log[i]
-		r := &c.recs[i]
-		if bodies != nil {
-			r = &c.recs[bodies[i]]
+		if c.committed(i) {
+			c.iqReads.add(cats[i], &log[i], c.recs[i].wait, c.recs[i].linger)
 		}
-		key := int(cats[i]) * 4
-		if in.Dest != isa.RegNone {
-			key += 2
-		}
-		if in.Class.IsControl() {
-			key++
-		}
-		agg[key].wait += r.wait
-		agg[key].linger += r.linger
 	}
-	for key, a := range agg {
-		if a.wait == 0 && a.linger == 0 {
-			continue
-		}
-		c.iq.addRead(a.wait, a.linger, Category(key/4), key&2 != 0, key&1 != 0)
-	}
-	for key, a := range c.wrongIQ {
-		if a.wait == 0 && a.linger == 0 {
-			continue
-		}
-		c.iq.addRead(a.wait, a.linger, CatWrongPath, key&2 != 0, key&1 != 0)
-	}
+	c.iqReads.fold(&c.iq)
 	// The returned Reports are value copies detached from the collector's
 	// own fields (Report and SBReport are flat apart from the Dead pointer,
 	// whose view is built fresh above), so a later Reset-and-reuse of this
@@ -469,18 +472,12 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	out := &Reports{IQ: &iq}
 
 	if c.cfg.FrontEnd {
+		var reads readBuckets
 		for i := range c.fePending {
 			p := &c.fePending[i]
-			var in *isa.Inst
-			cat := CatACE // in flight at run end: conservatively live
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-				in = &log[j]
-			} else {
-				in = c.group.src.Body(p.body)
-			}
-			c.fe.addRead(p.wait, 0, cat, in.Dest != isa.RegNone, in.Class.IsControl())
+			reads.add(catOf(p.body), inst(p.body), p.wait, 0)
 		}
+		reads.fold(&c.fe)
 		c.fe.Cycles = cycles
 		c.fe.Entries = c.cfg.FrontEndCap
 		c.fe.BitsPer = isa.EntryPayloadBits
@@ -492,11 +489,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	if c.cfg.StoreBuffer {
 		for i := range c.sbPending {
 			p := &c.sbPending[i]
-			cat := CatACE
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-			}
-			c.sb.add(p.occ, cat)
+			c.sb.add(p.occ, catOf(p.body))
 		}
 		c.sb.Cycles = cycles
 		c.sb.Entries = c.cfg.StoreBufferCap
@@ -505,28 +498,15 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.StoreBuffer = &sb
 	}
 	if c.cfg.RegFile {
-		issues := c.issues[:len(log)]
-		if bodies != nil {
-			issues = make([]uint64, len(bodies))
-			for i, b := range bodies {
-				issues[i] = c.issues[b]
-			}
-		}
-		out.RegFile = analyzeRegFileLog(log, issues, cats, cycles)
+		out.RegFile = analyzeRegFileLog(log, c.issues, cats, c.bits, cycles)
 	}
 	if c.cfg.ROBSize > 0 {
+		var reads readBuckets
 		for i := range c.robPending {
 			p := &c.robPending[i]
-			var in *isa.Inst
-			cat := CatACE // not in the log: conservatively live
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-				in = &log[j]
-			} else {
-				in = c.group.src.Body(p.body)
-			}
-			c.rob.addRead(p.wait, 0, cat, in.Dest != isa.RegNone, in.Class.IsControl())
+			reads.add(catOf(p.body), inst(p.body), p.wait, 0)
 		}
+		reads.fold(&c.rob)
 		c.rob.Cycles = cycles
 		c.rob.Entries = c.cfg.ROBSize
 		c.rob.BitsPer = isa.EntryPayloadBits
@@ -538,11 +518,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	if c.cfg.LSQSize > 0 {
 		for i := range c.lsqPending {
 			p := &c.lsqPending[i]
-			cat := CatACE
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-			}
-			c.lsq.add(p.occ, cat)
+			c.lsq.add(p.occ, catOf(p.body))
 		}
 		c.lsq.Cycles = cycles
 		c.lsq.Entries = c.cfg.LSQSize

@@ -36,12 +36,35 @@ type Deadness struct {
 // detection; deeper nesting is clamped (a safe, conservative choice).
 const maxTrackedDepth = 64
 
-// perDef records def-use facts for one register definition (one committed
-// instruction with a destination).
-type perDef struct {
-	overwrite int32 // log index of the overwriting def; -1 if none by end
-	retDead   bool  // a return below the def's depth happened before overwrite
-	consumers []int32
+// Per-instruction facts the reverse pass folds from consumers into their
+// producers, plus the definition's own return-dead bit from the forward
+// pass.
+const (
+	flagRead    uint8 = 1 << iota // some later instruction consumed the value
+	flagLive                      // a live (not dead) instruction consumed it
+	flagMem                       // a memory-tracked dead instruction consumed it
+	flagRetDead                   // a return below the def's depth preceded its overwrite
+)
+
+// posRank locates one pending store: its log position and its rank among
+// the analysed (unmasked) instructions.
+type posRank struct{ pos, rank int32 }
+
+// deadScratch is the deadness kernel's working storage, every array indexed
+// by log position. A zero value is ready to use; keeping one across
+// analyses (as a BatchCollector does) reuses its arrays.
+type deadScratch struct {
+	// dist is the rank distance to the overwriting definition or store;
+	// 0 means never overwritten by the end of the log.
+	dist []int32
+	// prod holds an instruction's producers — the live definitions of its
+	// guard, Src1 and Src2 and, for a load, the store it reads — or -1.
+	prod [][4]int32
+	flag []uint8
+	// cat is the classification by log position; positions outside the
+	// mask hold stale values.
+	cat     []Category
+	storeAt map[uint64]posRank // pending store per address
 }
 
 // AnalyzeDeadness discovers dynamically dead instructions in a committed
@@ -62,52 +85,79 @@ type perDef struct {
 // Reads by neutral instructions (no-ops, prefetches, hints) and by
 // predicated-false instructions do not make a value live: those readers
 // cannot affect the program's outcome.
+//
+// The classification is two array passes with no per-definition lists.
+// The forward pass records, for each instruction, the distance to its
+// overwrite, its return-dead bit and up to four producer positions (guard,
+// Src1, Src2, and the store a load reads). Every consumer follows its
+// producers in the log, so the reverse pass meets an instruction only after
+// all its readers: it classifies the instruction from the reader facts
+// gathered in its flag byte (any reader, a live reader, a memory-tracked
+// dead reader), then ORs its own facts into its producers.
 func AnalyzeDeadness(log []isa.Inst) *Deadness {
-	d := &Deadness{}
-	if len(log) == 0 {
-		return d
+	var s deadScratch
+	return s.analyze(log, nil)
+}
+
+// committedAt reports whether position i is set in a commit bitmap; a nil
+// bitmap admits every position.
+func committedAt(mask []uint64, i int) bool {
+	return mask == nil || mask[i>>6]>>(uint(i)&63)&1 == 1
+}
+
+// analyze is the deadness kernel. A non-nil mask (one bit per log
+// position) restricts the analysis to the set positions: the result equals
+// AnalyzeDeadness over the compacted sub-log of those positions, with FDD
+// distances counted in rank (compacted) coordinates, while s.cat stays
+// indexed by log position. This lets an out-of-order lane with commit holes
+// analyse its committed bodies in place, without copying them out.
+func (s *deadScratch) analyze(log []isa.Inst, mask []uint64) *Deadness {
+	n := len(log)
+	if cap(s.dist) < n {
+		s.dist = make([]int32, n)
+		s.prod = make([][4]int32, n)
+		s.flag = make([]uint8, n)
+		s.cat = make([]Category, n)
 	}
-	d.seqs = make([]uint64, 0, len(log))
-	d.cats = make([]Category, 0, len(log))
-
-	defs := make([]perDef, len(log))
-	cats := make([]Category, len(log))
-
-	// regDef[r] is the log index of the live definition of register r, or
-	// -1. Memory tracking is per 8-byte-aligned address.
-	var regDef [isa.NumRegs]int32
-	for i := range regDef {
-		regDef[i] = -1
+	s.dist, s.prod, s.flag, s.cat = s.dist[:n], s.prod[:n], s.flag[:n], s.cat[:n]
+	if s.storeAt == nil {
+		s.storeAt = make(map[uint64]posRank)
 	}
-	// Memory def-use, per 8-byte-aligned address: each store's consumers
-	// are the loads reading its address before the next store; the next
-	// store is its overwriter. The consumer/overwrite slots of defs are
-	// reused (stores have no register destination).
-	storeAt := make(map[uint64]int32) // addr -> pending store log index
+	clear(s.storeAt)
 
-	// lastBelow[d] is the most recent log index at which the call depth
-	// was strictly below d; used to detect return-dead overwrites.
+	// regPos/regRank locate the live definition of each register (-1 if
+	// none). lastBelow[d] is the most recent position at which the call
+	// depth was strictly below d; used to detect return-dead overwrites.
+	var regPos, regRank [isa.NumRegs]int32
+	for i := range regPos {
+		regPos[i] = -1
+	}
 	var lastBelow [maxTrackedDepth + 2]int32
 	for i := range lastBelow {
 		lastBelow[i] = -1
 	}
-	prevDepth := int(log[0].CallDepth)
-
-	use := func(r isa.Reg, consumer int32) {
+	prevDepth := -1
+	rank := int32(0)
+	def := func(r isa.Reg) int32 {
 		if r == isa.RegNone {
-			return
+			return -1
 		}
-		if di := regDef[r]; di >= 0 {
-			defs[di].consumers = append(defs[di].consumers, consumer)
-		}
+		return regPos[r]
 	}
-
 	for i := range log {
+		if !committedAt(mask, i) {
+			continue
+		}
 		in := &log[i]
 		idx := int32(i)
+		s.dist[i], s.flag[i] = 0, 0
 
-		// Maintain return timestamps.
+		// Maintain return timestamps. The first instruction seeds the
+		// previous depth unclamped.
 		depth := int(in.CallDepth)
+		if prevDepth < 0 {
+			prevDepth = depth
+		}
 		if depth > maxTrackedDepth {
 			depth = maxTrackedDepth
 		}
@@ -120,68 +170,99 @@ func AnalyzeDeadness(log []isa.Inst) *Deadness {
 
 		// Uses. Predicated-false instructions read only their guard;
 		// neutral instructions read nothing that matters.
+		p := [4]int32{-1, -1, -1, -1}
 		if !in.Class.Neutral() {
-			use(in.PredGuard, idx)
+			p[0] = def(in.PredGuard)
 			if !in.PredFalse {
-				use(in.Src1, idx)
-				use(in.Src2, idx)
+				p[1] = def(in.Src1)
+				p[2] = def(in.Src2)
 			}
 		}
 
-		// Memory effects.
+		// Memory effects, per address: a load reads the pending store,
+		// the next store overwrites it.
 		switch {
 		case in.Class == isa.ClassLoad && !in.PredFalse:
-			if si, ok := storeAt[in.Addr]; ok {
-				defs[si].consumers = append(defs[si].consumers, idx)
+			if st, ok := s.storeAt[in.Addr]; ok {
+				p[3] = st.pos
 			}
 		case in.Class == isa.ClassStore && !in.PredFalse:
-			if prev, ok := storeAt[in.Addr]; ok {
-				defs[prev].overwrite = idx
+			if prev, ok := s.storeAt[in.Addr]; ok {
+				s.dist[prev.pos] = rank - prev.rank
 			}
-			storeAt[in.Addr] = idx
-			defs[i].overwrite = -1
+			s.storeAt[in.Addr] = posRank{idx, rank}
 		}
+		s.prod[i] = p
 
 		// Defs: close the previous definition of Dest.
 		if in.HasDest() {
 			r := in.Dest
-			if prev := regDef[r]; prev >= 0 {
-				defs[prev].overwrite = idx
+			if prev := regPos[r]; prev >= 0 {
+				s.dist[prev] = rank - regRank[r]
 				defDepth := int(log[prev].CallDepth)
 				if defDepth > maxTrackedDepth {
 					defDepth = maxTrackedDepth
 				}
-				defs[prev].retDead = lastBelow[defDepth] > prev
+				if lastBelow[defDepth] > prev {
+					s.flag[prev] |= flagRetDead
+				}
 			}
-			regDef[r] = idx
-			defs[i].overwrite = -1
+			regPos[r], regRank[r] = idx, rank
+		}
+		rank++
+	}
+
+	d := &Deadness{}
+	if rank == 0 {
+		return d
+	}
+	// Reverse pass: classify, then hand this instruction's facts to its
+	// producers.
+	for i := n - 1; i >= 0; i-- {
+		if !committedAt(mask, i) {
+			continue
+		}
+		c := classify(&log[i], s.dist[i], s.flag[i])
+		s.cat[i] = c
+		d.Counts[c]++
+		f := flagRead | flagLive
+		if c.Dead() {
+			f = flagRead
+			if c == CatFDDMem || c == CatTDDMem {
+				f |= flagMem
+			}
+		}
+		for _, pi := range s.prod[i] {
+			if pi >= 0 {
+				s.flag[pi] |= f
+			}
 		}
 	}
 
-	// Reverse pass: consumers are later in the log, so their categories
-	// are known when the producer is classified.
-	for i := len(log) - 1; i >= 0; i-- {
-		in := &log[i]
-		cats[i] = classifyOne(in, i, defs, cats)
-	}
-
+	d.seqs = make([]uint64, 0, rank)
+	d.cats = make([]Category, 0, rank)
+	d.FDDRegDist = distList(d.Counts[CatFDDReg])
+	d.FDDRetDist = distList(d.Counts[CatFDDRet])
+	d.FDDMemDist = distList(d.Counts[CatFDDMem])
 	sorted := true
 	for i := range log {
+		if !committedAt(mask, i) {
+			continue
+		}
 		in := &log[i]
-		c := cats[i]
-		if i > 0 && in.Seq < d.seqs[len(d.seqs)-1] {
+		c := s.cat[i]
+		if len(d.seqs) > 0 && in.Seq < d.seqs[len(d.seqs)-1] {
 			sorted = false
 		}
 		d.seqs = append(d.seqs, in.Seq)
 		d.cats = append(d.cats, c)
-		d.Counts[c]++
 		switch c {
 		case CatFDDReg:
-			d.FDDRegDist = append(d.FDDRegDist, int(defs[i].overwrite)-i)
+			d.FDDRegDist = append(d.FDDRegDist, int(s.dist[i]))
 		case CatFDDRet:
-			d.FDDRetDist = append(d.FDDRetDist, int(defs[i].overwrite)-i)
+			d.FDDRetDist = append(d.FDDRetDist, int(s.dist[i]))
 		case CatFDDMem:
-			d.FDDMemDist = append(d.FDDMemDist, int(defs[i].overwrite)-i)
+			d.FDDMemDist = append(d.FDDMemDist, int(s.dist[i]))
 		}
 	}
 	if !sorted {
@@ -203,9 +284,18 @@ func AnalyzeDeadness(log []isa.Inst) *Deadness {
 	return d
 }
 
-// classifyOne assigns the category for one committed instruction given the
-// (already classified) categories of every later instruction.
-func classifyOne(in *isa.Inst, i int, defs []perDef, cats []Category) Category {
+// distList pre-sizes one FDD distance population; an empty population
+// stays nil.
+func distList(n uint64) []int {
+	if n == 0 {
+		return nil
+	}
+	return make([]int, 0, n)
+}
+
+// classify assigns one instruction's category from its overwrite distance
+// and the facts its readers (all later in the log) left in its flag byte.
+func classify(in *isa.Inst, dist int32, f uint8) Category {
 	switch {
 	case in.WrongPath:
 		return CatWrongPath
@@ -214,41 +304,27 @@ func classifyOne(in *isa.Inst, i int, defs []perDef, cats []Category) Category {
 	case in.Class.Neutral():
 		return CatNeutral
 	case in.Class == isa.ClassStore:
-		def := &defs[i]
-		if def.overwrite < 0 {
+		switch {
+		case dist == 0:
 			return CatACE // never overwritten: conservatively live
-		}
-		if len(def.consumers) == 0 {
+		case f&flagRead == 0:
 			return CatFDDMem // overwritten before any load
-		}
-		for _, ci := range def.consumers {
-			if !cats[ci].Dead() {
-				return CatACE // a live load consumed the value
-			}
+		case f&flagLive != 0:
+			return CatACE // a live load consumed the value
 		}
 		return CatTDDMem // read only by dead loads
 	case in.HasDest():
-		def := &defs[i]
-		if def.overwrite < 0 {
+		switch {
+		case dist == 0:
 			return CatACE // live-out: conservatively live
-		}
-		if len(def.consumers) == 0 {
-			if def.retDead {
+		case f&flagRead == 0:
+			if f&flagRetDead != 0 {
 				return CatFDDRet
 			}
 			return CatFDDReg
-		}
-		memTracked := false
-		for _, ci := range def.consumers {
-			cc := cats[ci]
-			if !cc.Dead() {
-				return CatACE // at least one live reader
-			}
-			if cc == CatFDDMem || cc == CatTDDMem {
-				memTracked = true
-			}
-		}
-		if memTracked {
+		case f&flagLive != 0:
+			return CatACE // at least one live reader
+		case f&flagMem != 0:
 			return CatTDDMem
 		}
 		return CatTDDReg

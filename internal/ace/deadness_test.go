@@ -1,6 +1,9 @@
 package ace
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"softerror/internal/isa"
@@ -398,4 +401,334 @@ func TestCategoryStrings(t *testing.T) {
 	if TrackMemory.String() != "pi-memory" {
 		t.Errorf("TrackMemory = %q", TrackMemory.String())
 	}
+}
+
+// defUse records def-use facts for one register definition (one committed
+// instruction with a destination).
+type defUse struct {
+	overwrite int32 // log index of the overwriting def; -1 if none by end
+	retDead   bool  // a return below the def's depth happened before overwrite
+	consumers []int32
+}
+
+// deadnessDefUse is the consumer-list formulation of AnalyzeDeadness, kept
+// as its test oracle: every definition collects the log indices of its
+// readers, and the reverse pass classifies a definition by scanning them.
+// It allocates per definition, which is why the kernel replaced it, but it
+// states the §4.1 rules most directly.
+func deadnessDefUse(log []isa.Inst) *Deadness {
+	d := &Deadness{}
+	if len(log) == 0 {
+		return d
+	}
+	d.seqs = make([]uint64, 0, len(log))
+	d.cats = make([]Category, 0, len(log))
+
+	defs := make([]defUse, len(log))
+	cats := make([]Category, len(log))
+
+	// regDef[r] is the log index of the live definition of register r, or
+	// -1. Memory tracking is per 8-byte-aligned address.
+	var regDef [isa.NumRegs]int32
+	for i := range regDef {
+		regDef[i] = -1
+	}
+	// Memory def-use, per 8-byte-aligned address: each store's consumers
+	// are the loads reading its address before the next store; the next
+	// store is its overwriter. The consumer/overwrite slots of defs are
+	// reused (stores have no register destination).
+	storeAt := make(map[uint64]int32) // addr -> pending store log index
+
+	// lastBelow[d] is the most recent log index at which the call depth
+	// was strictly below d; used to detect return-dead overwrites.
+	var lastBelow [maxTrackedDepth + 2]int32
+	for i := range lastBelow {
+		lastBelow[i] = -1
+	}
+	prevDepth := int(log[0].CallDepth)
+
+	use := func(r isa.Reg, consumer int32) {
+		if r == isa.RegNone {
+			return
+		}
+		if di := regDef[r]; di >= 0 {
+			defs[di].consumers = append(defs[di].consumers, consumer)
+		}
+	}
+
+	for i := range log {
+		in := &log[i]
+		idx := int32(i)
+
+		// Maintain return timestamps.
+		depth := int(in.CallDepth)
+		if depth > maxTrackedDepth {
+			depth = maxTrackedDepth
+		}
+		if depth < prevDepth {
+			for dd := depth + 1; dd <= prevDepth && dd < len(lastBelow); dd++ {
+				lastBelow[dd] = idx
+			}
+		}
+		prevDepth = depth
+
+		// Uses. Predicated-false instructions read only their guard;
+		// neutral instructions read nothing that matters.
+		if !in.Class.Neutral() {
+			use(in.PredGuard, idx)
+			if !in.PredFalse {
+				use(in.Src1, idx)
+				use(in.Src2, idx)
+			}
+		}
+
+		// Memory effects.
+		switch {
+		case in.Class == isa.ClassLoad && !in.PredFalse:
+			if si, ok := storeAt[in.Addr]; ok {
+				defs[si].consumers = append(defs[si].consumers, idx)
+			}
+		case in.Class == isa.ClassStore && !in.PredFalse:
+			if prev, ok := storeAt[in.Addr]; ok {
+				defs[prev].overwrite = idx
+			}
+			storeAt[in.Addr] = idx
+			defs[i].overwrite = -1
+		}
+
+		// Defs: close the previous definition of Dest.
+		if in.HasDest() {
+			r := in.Dest
+			if prev := regDef[r]; prev >= 0 {
+				defs[prev].overwrite = idx
+				defDepth := int(log[prev].CallDepth)
+				if defDepth > maxTrackedDepth {
+					defDepth = maxTrackedDepth
+				}
+				defs[prev].retDead = lastBelow[defDepth] > prev
+			}
+			regDef[r] = idx
+			defs[i].overwrite = -1
+		}
+	}
+
+	// Reverse pass: consumers are later in the log, so their categories
+	// are known when the producer is classified.
+	for i := len(log) - 1; i >= 0; i-- {
+		in := &log[i]
+		cats[i] = classifyDefUse(in, i, defs, cats)
+	}
+
+	sorted := true
+	for i := range log {
+		in := &log[i]
+		c := cats[i]
+		if i > 0 && in.Seq < d.seqs[len(d.seqs)-1] {
+			sorted = false
+		}
+		d.seqs = append(d.seqs, in.Seq)
+		d.cats = append(d.cats, c)
+		d.Counts[c]++
+		switch c {
+		case CatFDDReg:
+			d.FDDRegDist = append(d.FDDRegDist, int(defs[i].overwrite)-i)
+		case CatFDDRet:
+			d.FDDRetDist = append(d.FDDRetDist, int(defs[i].overwrite)-i)
+		case CatFDDMem:
+			d.FDDMemDist = append(d.FDDMemDist, int(defs[i].overwrite)-i)
+		}
+	}
+	if !sorted {
+		// A program-order commit log has ascending sequence numbers, so
+		// this is a defensive path for hand-built logs only.
+		order := make([]int, len(d.seqs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return d.seqs[order[a]] < d.seqs[order[b]] })
+		seqs := make([]uint64, len(d.seqs))
+		cs := make([]Category, len(d.cats))
+		for i, j := range order {
+			seqs[i] = d.seqs[j]
+			cs[i] = d.cats[j]
+		}
+		d.seqs, d.cats = seqs, cs
+	}
+	return d
+}
+
+// classifyDefUse assigns the category for one committed instruction given the
+// (already classified) categories of every later instruction.
+func classifyDefUse(in *isa.Inst, i int, defs []defUse, cats []Category) Category {
+	switch {
+	case in.WrongPath:
+		return CatWrongPath
+	case in.PredFalse:
+		return CatPredFalse
+	case in.Class.Neutral():
+		return CatNeutral
+	case in.Class == isa.ClassStore:
+		def := &defs[i]
+		if def.overwrite < 0 {
+			return CatACE // never overwritten: conservatively live
+		}
+		if len(def.consumers) == 0 {
+			return CatFDDMem // overwritten before any load
+		}
+		for _, ci := range def.consumers {
+			if !cats[ci].Dead() {
+				return CatACE // a live load consumed the value
+			}
+		}
+		return CatTDDMem // read only by dead loads
+	case in.HasDest():
+		def := &defs[i]
+		if def.overwrite < 0 {
+			return CatACE // live-out: conservatively live
+		}
+		if len(def.consumers) == 0 {
+			if def.retDead {
+				return CatFDDRet
+			}
+			return CatFDDReg
+		}
+		memTracked := false
+		for _, ci := range def.consumers {
+			cc := cats[ci]
+			if !cc.Dead() {
+				return CatACE // at least one live reader
+			}
+			if cc == CatFDDMem || cc == CatTDDMem {
+				memTracked = true
+			}
+		}
+		if memTracked {
+			return CatTDDMem
+		}
+		return CatTDDReg
+	default:
+		// Branches, calls, returns, I/O, destination-less instructions.
+		return CatACE
+	}
+}
+
+// decodeDeadnessLog turns fuzz bytes into a commit log and a commit bitmap
+// over it, five bytes per instruction. The decoding keeps every operand in
+// a handful of registers and addresses so that definitions, reads and
+// overwrites collide often, and it reaches every corner the kernel must
+// agree with the oracle on: loads and stores to shared addresses,
+// predicated-false, neutral and wrong-path instructions, Src == Dest,
+// destinations on any class, call depths past maxTrackedDepth, and
+// out-of-order sequence numbers (the defensive sort).
+func decodeDeadnessLog(data []byte) ([]isa.Inst, []uint64) {
+	regs := [...]isa.Reg{isa.RegNone, isa.IntReg(1), isa.IntReg(2), isa.IntReg(3),
+		isa.FPReg(1), isa.FPReg(2), isa.PredReg(1), isa.PredReg(2)}
+	n := len(data) / 5
+	log := make([]isa.Inst, n)
+	mask := make([]uint64, (n+63)/64)
+	depth := 62
+	for i := range log {
+		b := data[5*i : 5*i+5]
+		in := &log[i]
+		in.Seq = uint64(i)
+		if b[0]&0x80 != 0 && i > 0 {
+			in.Seq, log[i-1].Seq = log[i-1].Seq, in.Seq
+		}
+		in.Class = isa.Class(b[0] % 11) // any of the 11 classes
+		in.PredFalse = b[1]&0x07 == 0
+		in.WrongPath = b[1]&0x38 == 0
+		in.PredGuard = regs[b[1]>>6]
+		in.Dest = regs[b[2]&7]
+		in.Src1 = regs[b[2]>>3&7]
+		in.Src2 = regs[b[3]&7]
+		if b[3]&0x08 != 0 {
+			in.Src1 = in.Dest
+		}
+		in.Addr = 8 * uint64(b[3]>>4&3)
+		switch b[4] & 0x0f {
+		case 0, 1, 2:
+			depth--
+		case 3, 4, 5:
+			depth++
+		case 6:
+			depth = 60 + int(b[4]>>4)*13
+		}
+		depth = max(0, min(depth, 255))
+		in.CallDepth = uint8(depth)
+		if b[4]&0x30 != 0x30 {
+			mask[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	return log, mask
+}
+
+// checkKernelMatchesDefUse compares the kernel with the oracle twice: over
+// the whole log, and under the commit bitmap against the oracle on the
+// compacted sub-log.
+func checkKernelMatchesDefUse(t *testing.T, s *deadScratch, log []isa.Inst, mask []uint64) {
+	t.Helper()
+	if got, want := s.analyze(log, nil), deadnessDefUse(log); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kernel differs from the def-use oracle on a %d-instruction log:\n got %+v\nwant %+v", len(log), got, want)
+	}
+	var sub []isa.Inst
+	for i := range log {
+		if committedAt(mask, i) {
+			sub = append(sub, log[i])
+		}
+	}
+	got, want := s.analyze(log, mask), deadnessDefUse(sub)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("masked kernel differs from the oracle on the %d-of-%d sub-log:\n got %+v\nwant %+v", len(sub), len(log), got, want)
+	}
+	// The position-indexed categories agree with the compacted ones.
+	if sort.SliceIsSorted(sub, func(a, b int) bool { return sub[a].Seq < sub[b].Seq }) {
+		j := 0
+		for i := range log {
+			if committedAt(mask, i) {
+				if s.cat[i] != want.cats[j] {
+					t.Fatalf("position %d: category %v, want %v", i, s.cat[i], want.cats[j])
+				}
+				j++
+			}
+		}
+	}
+}
+
+// TestDeadnessMatchesDefUse is the randomised differential between the
+// two-pass kernel and the consumer-list oracle, with one scratch reused
+// across every log so stale state would show.
+func TestDeadnessMatchesDefUse(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var s deadScratch
+	for iter := 0; iter < 3000; iter++ {
+		data := make([]byte, 5*r.Intn(200))
+		r.Read(data)
+		log, mask := decodeDeadnessLog(data)
+		switch iter % 4 {
+		case 1:
+			clear(mask) // nothing committed
+		case 2:
+			for i := range mask {
+				mask[i] = ^uint64(0) // dense
+			}
+		}
+		checkKernelMatchesDefUse(t, &s, log, mask)
+	}
+}
+
+// FuzzDeadnessMatchesDefUse lets the fuzzer drive the same differential.
+func FuzzDeadnessMatchesDefUse(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x07\x09\x10\x00\x03\x07\x01\x00\x01\x00\x07\x09\x00\x03"))
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 5*64)
+		r.Read(data)
+		f.Add(data)
+	}
+	var s deadScratch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, mask := decodeDeadnessLog(data)
+		checkKernelMatchesDefUse(t, &s, log, mask)
+	})
 }

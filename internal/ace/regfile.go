@@ -77,7 +77,7 @@ func AnalyzeRegFile(tr *pipeline.Trace, dead *Deadness) *RegFileReport {
 	for i := range tr.CommitLog {
 		cats[i] = dead.Of(&tr.CommitLog[i])
 	}
-	return analyzeRegFileLog(tr.CommitLog, tr.CommitCycles, cats, tr.Cycles)
+	return analyzeRegFileLog(tr.CommitLog, tr.CommitCycles, cats, nil, tr.Cycles)
 }
 
 // analyzeRegFileLog is AnalyzeRegFile over a bare program-order commit log
@@ -85,8 +85,10 @@ func AnalyzeRegFile(tr *pipeline.Trace, dead *Deadness) *RegFileReport {
 // BatchCollector shares, since the register-file analysis is inherently a
 // program-order pass over commits, not residencies. Categories come in by
 // index because a lane's log is the shared body prefix, whose Seq values
-// are not the lane's.
-func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cats []Category, cycles uint64) *RegFileReport {
+// are not the lane's. A non-nil mask (one bit per log index) restricts the
+// pass to the committed positions of a lane that stopped with commit
+// holes; nil takes the whole log.
+func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cats []Category, mask []uint64, cycles uint64) *RegFileReport {
 	rep := &RegFileReport{
 		Cycles:  cycles,
 		TotalBC: cycles * regFileCapacityBits,
@@ -124,6 +126,9 @@ func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cats []Category, c
 	}
 
 	for i := range log {
+		if !committedAt(mask, i) {
+			continue
+		}
 		in := &log[i]
 		cycle := commitCycles[i]
 		cat := cats[i]

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -61,21 +62,34 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestFirstErrorCancels pins fail-fast: index 5's error cancels the pool
+// and no index is claimed after it. Every later index blocks until that
+// cancellation reaches it, so the outcome cannot depend on how fast the
+// other workers would otherwise drain no-op indices.
 func TestFirstErrorCancels(t *testing.T) {
+	const workers = 4
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := ForEach(context.Background(), 10_000, 4, func(ctx context.Context, i int) error {
+	err := ForEach(context.Background(), 10_000, workers, func(ctx context.Context, i int) error {
 		ran.Add(1)
-		if i == 5 {
+		switch {
+		case i == 5:
 			return boom
+		case i > 5:
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Errorf("index %d: the failure never cancelled the pool", i)
+			}
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if n := ran.Load(); n == 10_000 {
-		t.Fatalf("error did not stop the pool: all %d indices ran", n)
+	// Indices 0..5, plus at most one blocked index per other worker.
+	if n := ran.Load(); n > 6+workers-1 {
+		t.Fatalf("error did not stop the pool: %d indices ran", n)
 	}
 }
 

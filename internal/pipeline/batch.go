@@ -236,6 +236,7 @@ type biqEntry struct {
 	issue   uint64
 	evictAt uint64
 	seq     uint64
+	ticket  uint64    // dispatch ticket of the ROB twin; out of order only
 	in      *isa.Inst // correct-path content; nil for wrong-path entries
 	ref     BatchRef
 	issued  bool
@@ -379,6 +380,7 @@ type batchLane struct {
 
 	// Out-of-order family state (see batchooo.go); empty when !ooo.
 	ooo     bool
+	tickets uint64 // ROB dispatches so far; the latest entry's ticket
 	rob     ring[brobEntry]
 	lsq     ring[blsqEntry]
 	tage    tageState
@@ -943,7 +945,7 @@ func (ln *batchLane) execute(e *biqEntry, now uint64) {
 		}
 	}
 	if ln.ooo {
-		ln.robComplete(e.seq, done)
+		ln.robComplete(e.ticket, done)
 	}
 }
 
@@ -996,14 +998,15 @@ func (ln *batchLane) deliver(now uint64) {
 		if fe.readyAt > now || ln.iq.n >= ln.cfg.IQSize {
 			break
 		}
+		var ticket uint64
 		if ln.ooo {
 			in := ln.feContent(fe)
 			if !admits(&ln.cfg, ln.rob.n, ln.lsq.n, in.Class) {
 				break
 			}
-			ln.oooDispatch(in, fe, now)
+			ticket = ln.oooDispatch(in, fe, now)
 		}
-		ln.iq.push(biqEntry{ref: fe.ref, seq: fe.seq, in: fe.in, enq: now})
+		ln.iq.push(biqEntry{ref: fe.ref, seq: fe.seq, ticket: ticket, in: fe.in, enq: now})
 		ln.recordFrontEnd(fe, now, true)
 		n++
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // batchConfigs is a spread of lane shapes covering the axes the sweep
-// varies: IQ size, squash policy, store-buffer depth, issue discipline.
+// varies: IQ size, squash policy, store-buffer depth, issue discipline,
+// out-of-order structure sizes.
 func batchConfigs() []Config {
 	base := DefaultConfig()
 	narrow := base
@@ -22,7 +23,15 @@ func batchConfigs() []Config {
 	deepSB.StoreBufferSize = 4
 	ooo := base
 	ooo.OutOfOrder = true
-	return []Config{base, narrow, squash, deepSB, ooo}
+	// A cramped out-of-order shape under both miss actions: squashes and
+	// branch flushes compact the ROB while dispatch tickets are
+	// outstanding, so robComplete's twin search runs over compacted rings.
+	oooTight := ooo
+	oooTight.ROBSize = 16
+	oooTight.LSQSize = 4
+	oooTight.SquashTrigger = TriggerL0Miss
+	oooTight.ThrottleTrigger = TriggerL1Miss
+	return []Config{base, narrow, squash, deepSB, ooo, oooTight}
 }
 
 // soloTrace runs one config through the single-step reference
@@ -44,6 +53,10 @@ func TestBatchSingleLaneMatchesRunStream(t *testing.T) {
 	p := workload.Default()
 	for _, cfg := range batchConfigs() {
 		want := soloTrace(t, p, cfg, commits)
+		if cfg.OutOfOrder && cfg.SquashTrigger != TriggerNone && (want.Squashes == 0 || want.WrongFlushes == 0) {
+			t.Fatalf("cfg %+v no longer compacts the ROB: squashes=%d wrong flushes=%d",
+				cfg, want.Squashes, want.WrongFlushes)
+		}
 
 		sh, err := workload.NewShared(p)
 		if err != nil {

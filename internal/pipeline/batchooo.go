@@ -1,6 +1,10 @@
 package pipeline
 
-import "softerror/internal/isa"
+import (
+	"fmt"
+
+	"softerror/internal/isa"
+)
 
 // This file is the lane mirror of ooo.go: the out-of-order family's
 // structures in compact (ref, seq) form, phase-identical to the reference
@@ -14,6 +18,7 @@ type brobEntry struct {
 	enq        uint64
 	completeAt uint64 // 0 until issued; earliest cycle the entry may retire
 	seq        uint64
+	ticket     uint64 // the lane's dispatch count at dispatch; its IQ twin carries it
 	ref        BatchRef
 	mem        bool // has an LSQ twin to settle at retire
 }
@@ -63,10 +68,13 @@ func (ln *batchLane) lanePC(in *isa.Inst, fe *bfeEntry) uint64 {
 	return in.PC + 4*d
 }
 
-// oooDispatch mirrors Pipeline.oooDispatch.
-func (ln *batchLane) oooDispatch(in *isa.Inst, fe *bfeEntry, now uint64) {
+// oooDispatch mirrors Pipeline.oooDispatch, stamping the ROB entry with a
+// fresh dispatch ticket, which it returns for the IQ twin to carry. A
+// refetched instruction dispatches again and so gets a new ticket.
+func (ln *batchLane) oooDispatch(in *isa.Inst, fe *bfeEntry, now uint64) uint64 {
 	mem := in.Class == isa.ClassLoad || in.Class == isa.ClassStore
-	ln.rob.push(brobEntry{enq: now, seq: fe.seq, ref: fe.ref, mem: mem})
+	ln.tickets++
+	ln.rob.push(brobEntry{enq: now, seq: fe.seq, ticket: ln.tickets, ref: fe.ref, mem: mem})
 	if mem {
 		ln.lsq.push(blsqEntry{
 			addr: in.Addr, enq: now, seq: fe.seq, ref: fe.ref,
@@ -77,16 +85,38 @@ func (ln *batchLane) oooDispatch(in *isa.Inst, fe *bfeEntry, now uint64) {
 		ln.stats.TAGEReadCycles += ln.tage.touch(ln.lanePC(in, fe), now)
 		ln.tage.note(in.Taken)
 	}
+	return ln.tickets
 }
 
-// robComplete mirrors Pipeline.robComplete.
-func (ln *batchLane) robComplete(seq, done uint64) {
-	for i := 0; i < ln.rob.n; i++ {
-		if e := ln.rob.at(i); e.completeAt == 0 && e.seq == seq {
+// robComplete mirrors Pipeline.robComplete, finding the issuing entry's ROB
+// twin by its dispatch ticket instead of a seq scan. The ring holds entries
+// in dispatch order and every removal (retire, flush, squash) keeps that
+// order, so tickets ascend from the head and a binary search finds the
+// twin. Tickets are consecutive, so the twin sits at most ticket-head
+// slots in, and exactly there unless a flush or squash removed entries in
+// between: that slot is probed first and bounds the search. An issued
+// entry always has a twin: the IQ and ROB drop unissued entries together.
+func (ln *batchLane) robComplete(ticket, done uint64) {
+	lo, hi := 0, ln.rob.n
+	if g := ticket - ln.rob.at(0).ticket; g < uint64(hi) {
+		if e := ln.rob.at(int(g)); e.ticket == ticket {
 			e.completeAt = done
 			return
 		}
+		hi = int(g)
 	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ln.rob.at(mid).ticket < ticket {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == ln.rob.n || ln.rob.at(lo).ticket != ticket {
+		panic(fmt.Sprintf("pipeline: batch lane: issued entry (ticket %d) has no ROB twin", ticket))
+	}
+	ln.rob.at(lo).completeAt = done
 }
 
 // retire mirrors Pipeline.retire.
