@@ -16,15 +16,16 @@ import (
 // instructions. An out-of-order lane that stops with commit holes (younger
 // bodies committed, older ones still in flight) analyses in place instead:
 // the same deadness kernel runs over the shared body prefix, masked by the
-// lane's commit bitmap, in scratch the collector keeps across Reset. A
+// lane's commit bitmap, in the group's one kernel scratch. A
 // BatchCollector is one lane's pipeline.BatchSink: it keys every deferred
 // charge by body index instead of sequence number, which both skips
 // instruction reconstruction on the hot path and turns Finish's lookups
-// into direct indexing. All charges are commutative uint64 sums through
-// the same Report.addRead/addNeverRead/SBReport.add helpers as the trace
-// analyses (Analyze and friends), so the reports are exactly equal to
-// analysing a recorded trace of the run — the stream-batch and
-// batched-independent seraudit checks pin that.
+// into direct indexing; reorder-buffer reads, which only committed bodies
+// make, sum straight into per-body storage. All charges are commutative
+// uint64 sums through the same Report.addRead/addNeverRead/SBReport.add
+// helpers as the trace analyses (Analyze and friends), so the reports are
+// exactly equal to analysing a recorded trace of the run — the
+// stream-batch and batched-independent seraudit checks pin that.
 
 // CollectorConfig parameterises a BatchCollector: the geometry of the
 // structures under analysis plus which optional analyses to run. Geometry
@@ -86,10 +87,17 @@ type bodyPrefixer interface {
 }
 
 // BatchGroup shares one decoded stream's analyses across the lanes of a
-// batch. Not safe for concurrent use: one group serves one batch.
+// batch. Not safe for concurrent use: one group serves one batch, whose
+// collectors Finish one after another.
 type BatchGroup struct {
 	src  pipeline.BatchSource
 	dead map[int]*Deadness
+	// scratch is the deadness kernel's working storage, shared by the
+	// dense memo and every holed lane's in-place analysis. Each analysis
+	// is done with it before the next starts: a memoised Deadness owns its
+	// slices, and a holed Finish reads the scratch's categories only until
+	// it returns.
+	scratch deadScratch
 }
 
 // NewBatchGroup wraps the batch's shared stream.
@@ -120,7 +128,7 @@ func (g *BatchGroup) deadness(m int) *Deadness {
 	if d, ok := g.dead[m]; ok {
 		return d
 	}
-	d := AnalyzeDeadness(g.commitLog(m))
+	d := g.scratch.analyze(g.commitLog(m), nil)
 	g.dead[m] = d
 	return d
 }
@@ -190,6 +198,7 @@ type BatchCollector struct {
 	recs    []commitRec // indexed by body position; zero value = no commit yet
 	bits    []uint64    // committed-body bitmap, parallel to recs
 	issues  []uint64    // issue cycle per body position; RegFile only
+	robOcc  []uint64    // ROB read occupancy per body position; OoO only
 	n       int         // one past the highest committed body index
 	commits int         // total commits; == n iff [0, n) is hole-free
 
@@ -203,15 +212,8 @@ type BatchCollector struct {
 	// the run, committed ones in Finish.
 	iqReads readBuckets
 
-	// scratch is the deadness kernel's working storage for holed lanes,
-	// kept across Reset. Dense lanes never touch it (their analysis is the
-	// group memo), so collectors that only ever see dense lanes, as every
-	// in-order one does, hold no scratch.
-	scratch deadScratch
-
 	fePending  []batchPendingRead
 	sbPending  []batchPendingOcc
-	robPending []batchPendingRead
 	lsqPending []batchPendingOcc
 }
 
@@ -232,11 +234,11 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 }
 
 // Reset re-arms a finished collector for a new lane, reusing the commit
-// record and bitmap storage and the deadness kernel's scratch — the
-// collector's big allocations — so a pooled collector's steady state
-// allocates nothing per event. Safe after Finish: the returned Reports are
-// detached copies and the deadness views own their seqs and categories, so
-// resetting never mutates previously returned results.
+// record, bitmap and per-body ROB storage — the collector's big
+// allocations — so a pooled collector's steady state allocates nothing per
+// event. Safe after Finish: the returned Reports are detached copies and
+// the deadness views own their seqs and categories, so resetting never
+// mutates previously returned results.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	if group == nil {
 		return fmt.Errorf("ace: nil batch group")
@@ -263,13 +265,18 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	if cfg.RegFile {
 		c.issues = slices.Grow(c.issues, want)[:want]
 	}
+	// ROB reads accumulate, so the reused array is cleared.
+	c.robOcc = c.robOcc[:0]
+	if cfg.ROBSize > 0 {
+		c.robOcc = slices.Grow(c.robOcc, want)[:want]
+		clear(c.robOcc)
+	}
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
 	c.rob, c.lsq = Report{}, LSQReport{}
 	c.iqReads = readBuckets{}
 	c.fePending = c.fePending[:0]
 	c.sbPending = c.sbPending[:0]
-	c.robPending = c.robPending[:0]
 	c.lsqPending = c.lsqPending[:0]
 	return nil
 }
@@ -286,6 +293,9 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 		c.bits = append(c.bits, make([]uint64, (len(c.recs)+63)/64-len(c.bits))...)
 		if c.cfg.RegFile {
 			c.issues = append(c.issues, make([]uint64, len(c.recs)-len(c.issues))...)
+		}
+		if c.cfg.ROBSize > 0 {
+			c.robOcc = append(c.robOcc, make([]uint64, len(c.recs)-len(c.robOcc))...)
 		}
 	}
 	c.recs[body].seq = seq
@@ -364,8 +374,11 @@ func (c *BatchCollector) BatchStoreBuffer(ref pipeline.BatchRef, seq, enq, evict
 }
 
 // BatchROB implements pipeline.BatchOOOSink: one closed reorder-buffer
-// interval. Read (retired) entries are always correct-path and committed,
-// so their category resolves from the shared log in Finish.
+// interval. A read (retired) entry is always a committed body, and its
+// commit (at execute) precedes its retire, so the body's slot exists; the
+// occupancy sums into it and Finish charges the body's total once, under
+// the body's category. addRead is linear in wait, so one charge of the
+// sum equals charging each read on its own.
 func (c *BatchCollector) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64, read bool) {
 	if c.cfg.ROBSize == 0 {
 		return
@@ -378,7 +391,7 @@ func (c *BatchCollector) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64,
 		c.rob.addNeverRead(occ)
 		return
 	}
-	c.robPending = append(c.robPending, batchPendingRead{body: ref.Body(), wait: occ})
+	c.robOcc[ref.Body()] += occ
 }
 
 // BatchLSQ implements pipeline.BatchOOOSink: one closed load/store-queue
@@ -400,16 +413,19 @@ func (c *BatchCollector) BatchLSQ(ref pipeline.BatchRef, seq, enq, evict uint64,
 
 // Finish settles every deferred charge against the lane's deadness and
 // returns the lane's reports. cycles is the lane's Stats.Cycles. The
-// collector must not receive further events.
+// collector must not receive further events. The collectors of one group
+// Finish one at a time: they share the group's kernel scratch.
 func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	// The committed set is usually the dense body prefix [0, c.n), which
 	// shares the group's memoised deadness. An out-of-order lane, though,
 	// can stop mid dataflow window with younger bodies committed while
 	// older ones are still in flight; the analysis must then see exactly
 	// the committed bodies — a recorded trace's commit log — so the kernel
-	// runs in place over the body prefix, masked by the commit bitmap.
-	// Either way cats is indexed by body position, and a body that never
-	// committed is a clear bit.
+	// runs in place over the body prefix, masked by the commit bitmap, in
+	// the group's scratch. Either way cats is indexed by body position, and
+	// a body that never committed is a clear bit. IQ and ROB reads are
+	// settled per committed body in one walk; front-end, store-buffer and
+	// LSQ charges come from their pending lists.
 	m := c.n
 	log := c.group.commitLog(m)
 	var (
@@ -426,7 +442,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		dead = c.group.viewFor(m, seqs)
 		cats = dead.cats
 	} else {
-		dead = c.scratch.analyze(log, c.bits)
+		dead = c.group.scratch.analyze(log, c.bits)
 		// Relabel to lane coordinates in place, as viewFor does.
 		j := 0
 		for i := 0; i < m; i++ {
@@ -435,7 +451,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 				j++
 			}
 		}
-		cats = c.scratch.cat
+		cats = c.group.scratch.cat
 	}
 	// catOf is a pending charge's category; a body outside the committed
 	// set is still in flight, so conservatively live — the batched
@@ -453,9 +469,13 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		return c.group.src.Body(body)
 	}
 
+	var robReads readBuckets
 	for i := range log {
 		if c.committed(i) {
 			c.iqReads.add(cats[i], &log[i], c.recs[i].wait, c.recs[i].linger)
+			if c.cfg.ROBSize > 0 {
+				robReads.add(cats[i], &log[i], c.robOcc[i], 0)
+			}
 		}
 	}
 	c.iqReads.fold(&c.iq)
@@ -501,12 +521,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.RegFile = analyzeRegFileLog(log, c.issues, cats, c.bits, cycles)
 	}
 	if c.cfg.ROBSize > 0 {
-		var reads readBuckets
-		for i := range c.robPending {
-			p := &c.robPending[i]
-			reads.add(catOf(p.body), inst(p.body), p.wait, 0)
-		}
-		reads.fold(&c.rob)
+		robReads.fold(&c.rob)
 		c.rob.Cycles = cycles
 		c.rob.Entries = c.cfg.ROBSize
 		c.rob.BitsPer = isa.EntryPayloadBits

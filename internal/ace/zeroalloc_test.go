@@ -6,6 +6,7 @@
 package ace
 
 import (
+	"runtime"
 	"testing"
 
 	"softerror/internal/isa"
@@ -26,40 +27,72 @@ func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
 // further cycles — Reset included — allocate nothing. Every event record
 // lands in storage retained across Reset, so a sweep reusing pooled
 // collectors pays the collector's allocations once per pool slot, not once
-// per grid cell.
+// per grid cell. The out-of-order leg also pins where reorder-buffer reads
+// live: summed into per-body storage, so a warm collector stays at zero
+// allocations when each body is read from the ROB more often than during
+// warm-up.
 func TestBatchCollectorEventPathZeroAlloc(t *testing.T) {
 	const commits = 2000
-	src := &sliceSource{body: make([]isa.Inst, commits+16)}
-	for i := range src.body {
-		src.body[i] = isa.Inst{Seq: uint64(i), Dest: isa.Reg(1 + i%8), Class: isa.ClassALU}
-	}
-	group := NewBatchGroup(src)
-	cfg := StructureConfig(pipeline.DefaultConfig(), commits)
-	cfg.FrontEnd = true
-	cfg.StoreBuffer = true
-
-	coll, err := NewBatchCollector(cfg, group)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func() {
-		if err := coll.Reset(cfg, group); err != nil {
-			t.Fatal(err)
+	for _, ooo := range []bool{false, true} {
+		name := "inorder"
+		if ooo {
+			name = "ooo"
 		}
-		for n := 0; n < commits; n++ {
-			ref := pipeline.BatchRef(n) // correct-path ref for body cursor n
-			seq := uint64(n)
-			enq := 2 * seq
-			coll.BatchCommit(ref, seq, enq, enq+1)
-			coll.BatchResidency(ref, seq, enq, enq+1, enq+3, true, false)
-			coll.BatchFrontEnd(ref, seq, enq, enq+1, true)
-			coll.BatchStoreBuffer(ref, seq, enq, enq+4)
-		}
-	}
-	feed() // warm the record arrays and pending lists to their high-water marks
+		t.Run(name, func(t *testing.T) {
+			src := &sliceSource{body: make([]isa.Inst, commits+16)}
+			for i := range src.body {
+				src.body[i] = isa.Inst{Seq: uint64(i), Dest: isa.Reg(1 + i%8), Class: isa.ClassALU}
+			}
+			group := NewBatchGroup(src)
+			pcfg := pipeline.DefaultConfig()
+			pcfg.OutOfOrder = ooo
+			cfg := StructureConfig(pcfg, commits)
+			cfg.FrontEnd = true
+			cfg.StoreBuffer = !ooo
 
-	if avg := testing.AllocsPerRun(10, feed); avg != 0 {
-		t.Fatalf("warm collector event cycle allocates %.1f times per run, want 0", avg)
+			coll, err := NewBatchCollector(cfg, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := func(robReads int) {
+				if err := coll.Reset(cfg, group); err != nil {
+					t.Fatal(err)
+				}
+				for n := 0; n < commits; n++ {
+					ref := pipeline.BatchRef(n) // correct-path ref for body cursor n
+					seq := uint64(n)
+					enq := 2 * seq
+					coll.BatchCommit(ref, seq, enq, enq+1)
+					coll.BatchResidency(ref, seq, enq, enq+1, enq+3, true, false)
+					coll.BatchFrontEnd(ref, seq, enq, enq+1, true)
+					if ooo {
+						for r := 0; r < robReads; r++ {
+							coll.BatchROB(ref, seq, enq, enq+5, true)
+						}
+					} else {
+						coll.BatchStoreBuffer(ref, seq, enq, enq+4)
+					}
+				}
+			}
+			feed(1) // warm the record arrays and pending lists to their high-water marks
+
+			if avg := testing.AllocsPerRun(10, func() { feed(1) }); avg != 0 {
+				t.Fatalf("warm collector event cycle allocates %.1f times per run, want 0", avg)
+			}
+			if !ooo {
+				return
+			}
+			// AllocsPerRun warms up first; count the first run at four ROB
+			// reads per body directly.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			feed(4)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("four ROB reads per body allocate %d times on a collector warmed at one, want 0", n)
+			}
+		})
 	}
 }
 

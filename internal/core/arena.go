@@ -15,20 +15,27 @@ import (
 // arrays (~26%), the workload's decode memos (~20%) and the deadness
 // analyses (~4%). An Arena keeps all four alive between waves — pooled
 // warm hierarchies re-stamped via cache.CloneInto, collectors re-armed via
-// ace.BatchCollector.Reset, decoded workload.Shared streams (with their
-// ace.BatchGroup deadness memos) cached by Params — plus the pipeline's
-// lane/slab arena. Reuse is invisible in the results: every reused object
-// is either re-stamped bit-identically, fully reset, or a deterministic
-// memo whose content depends only on the workload parameters. The
-// arena-reuse seraudit check pins fresh-arena ≡ reused-arena byte
-// identity; batched-independent and the -j/fleet identities pin the rest.
+// ace.BatchCollector.Reset, the last decoded workload.Shared stream (with
+// its ace.BatchGroup deadness memos and kernel scratch) — plus the
+// pipeline's lane/slab arena. Reuse is invisible in the results: every
+// reused object is either re-stamped bit-identically, fully reset, or a
+// deterministic memo whose content depends only on the workload
+// parameters. The arena-reuse seraudit check pins fresh-arena ≡
+// reused-arena byte identity; batched-independent and the -j/fleet
+// identities pin the rest.
+//
+// An arena keeps one decoded stream, not a most-recently-used list. What
+// one entry buys is memory: with one deadness scratch per batch group it
+// lets two out-of-order batches run side by side in the memory one took.
+// sweep-ooo with both workers busy peaks at 138–150 MB RSS on 2 vCPU, as it
+// did at 146–151 MB running one batch at a time over a list of four. What
+// it costs was measured on the same host: serve-mixed wall time rose 3.6%
+// over 12 alternating pairs, and a build that kept the list of four won
+// back 1–2 points of that, so a daemon's mixed traffic does revisit
+// streams. A fleet lease that splits a benchmark also decodes it once per
+// lease. Hit and miss counts per workload were not taken.
 
 const (
-	// arenaStreamCap bounds the decoded-workload cache per arena. A sweep
-	// leader walks one benchmark per batch, so a tiny MRU list already
-	// serves checkpoint resumes and repeated grid chunks while keeping a
-	// long-lived daemon's arena memory proportional to a handful of memos.
-	arenaStreamCap = 4
 	// arenaMemCap and arenaCollCap bound the pooled warm hierarchies and
 	// collectors; both match the widest batch (sweep groups cap at 8
 	// lanes, benchmarks' spec columns at 16).
@@ -42,8 +49,8 @@ const (
 
 // streamEntry is one decoded workload kept alive across batch waves: the
 // shared stream memo plus its analysis group, whose deadness memos are
-// thereby shared across every batch group of a grid that runs this
-// workload — not just within one group.
+// thereby shared by consecutive batches over this workload (a sweep bench
+// too wide for one batch runs as several).
 type streamEntry struct {
 	params workload.Params
 	sh     *workload.Shared
@@ -54,39 +61,32 @@ type streamEntry struct {
 // value is ready to use. An Arena is not safe for concurrent use: check
 // one out per goroutine (ArenaPool) or own one per worker.
 type Arena struct {
-	pipe    pipeline.BatchArena
-	streams []*streamEntry // MRU-ordered decoded workloads
-	mems    []*cache.Hierarchy
-	colls   []*ace.BatchCollector
+	pipe  pipeline.BatchArena
+	last  *streamEntry // the most recently decoded workload
+	mems  []*cache.Hierarchy
+	colls []*ace.BatchCollector
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
 // stream returns the decoded shared stream and analysis group for w,
-// reusing the cached entry when this arena has evaluated w before. The
-// memo content is deterministic in w (generation is seeded by the
-// workload parameters), so a reused entry is byte-for-byte the stream a
-// fresh decode would produce — just already materialised.
+// reusing the kept entry when this arena's last stream was w's and
+// replacing it otherwise; a workload that yields no shared stream
+// (PC-indexed or invalid) leaves the kept entry in place. The memo content is deterministic in w
+// (generation is seeded by the workload parameters), so a reused entry is
+// byte-for-byte the stream a fresh decode would produce — just already
+// materialised.
 func (a *Arena) stream(w workload.Params) (*workload.Shared, *ace.BatchGroup, error) {
-	for i, e := range a.streams {
-		if e.params == w {
-			copy(a.streams[1:i+1], a.streams[:i])
-			a.streams[0] = e
-			return e.sh, e.group, nil
-		}
+	if e := a.last; e != nil && e.params == w {
+		return e.sh, e.group, nil
 	}
 	sh, err := workload.NewShared(w)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
-	if len(a.streams) < arenaStreamCap {
-		a.streams = append(a.streams, nil)
-	}
-	copy(a.streams[1:], a.streams)
-	a.streams[0] = e
-	return sh, e.group, nil
+	a.last = &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
+	return sh, a.last.group, nil
 }
 
 // warmHierarchy returns a warmed default hierarchy, re-stamping a pooled

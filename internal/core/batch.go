@@ -61,7 +61,7 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 // PC-indexed branch predictor makes the stream depend on each lane's fetch
 // order (workload.ErrUnshareable), so each such lane fetches from its own
 // generator through a pipeline.PrivateSource, analysed by its own
-// ace.BatchGroup; neither is cached in the arena's stream list.
+// ace.BatchGroup; neither is kept in the arena.
 func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()

@@ -142,3 +142,38 @@ func TestRunBatchPCIndexedLanesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaKeepsOneStream pins the arena's stream retention: after batches
+// over three benchmarks the arena holds exactly one decoded stream, the
+// last one; a batch over that benchmark reuses it, and a batch over an
+// earlier one replaces it.
+func TestArenaKeepsOneStream(t *testing.T) {
+	const commits = 3000
+	ooo := pipeline.DefaultConfig()
+	ooo.OutOfOrder = true
+	specs := []BatchSpec{{Pipeline: pipeline.DefaultConfig()}, {Pipeline: ooo}}
+	a := NewArena()
+	run := func(name string) *streamEntry {
+		t.Helper()
+		b, ok := spec.ByName(name)
+		if !ok {
+			t.Fatalf("%s not in roster", name)
+		}
+		if _, err := RunBatchArena(context.Background(), a, b.Params, commits, specs); err != nil {
+			t.Fatal(err)
+		}
+		if a.last == nil || a.last.params != b.Params {
+			t.Fatalf("after a %s batch the arena keeps %+v, want %s's stream", name, a.last, name)
+		}
+		return a.last
+	}
+	run("mcf")
+	run("gzip-graphic")
+	kept := run("ammp")
+	if run("ammp") != kept {
+		t.Error("a second ammp batch decoded its stream again instead of reusing the kept one")
+	}
+	if run("mcf") == kept {
+		t.Error("an mcf batch reused ammp's stream")
+	}
+}

@@ -48,7 +48,7 @@ func checkArenaReuse(seed uint64, opt Options) error {
 	// Leg 1: Results on one persistently dirtied arena versus a fresh arena
 	// per batch. Three rounds of distinct workloads overflow nothing but do
 	// exercise collector Reset, hierarchy CloneInto re-stamping and the
-	// stream memo's MRU handling.
+	// replacement of the arena's kept stream.
 	dirty := core.NewArena()
 	rounds := make([]round, 0, 3)
 	for r := 0; r < 3; r++ {
@@ -67,9 +67,9 @@ func checkArenaReuse(seed uint64, opt Options) error {
 		}
 		rounds = append(rounds, round{params: params, specs: specs, want: want})
 	}
-	// Revisit round 0 on the dirty arena: its stream memo was pushed down
-	// the MRU list by the later rounds, and the Results retained above must
-	// have survived every intervening reuse untouched.
+	// Revisit round 0 on the dirty arena: its stream was replaced by the
+	// later rounds' (an arena keeps one), and the Results retained above
+	// must have survived every intervening reuse untouched.
 	first := rounds[0]
 	again, err := core.RunBatchArena(ctx, dirty, first.params, opt.Commits, first.specs)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,9 +15,10 @@ import (
 type Policy uint8
 
 const (
-	// FailFast cancels the whole campaign on the first task failure — the
-	// right posture for correctness gates, where any failed cell invalidates
-	// the artefact.
+	// FailFast stops the campaign on the first task failure — the right
+	// posture for correctness gates, where any failed cell invalidates the
+	// artefact. Tasks dispatched after the failed one are cancelled; tasks
+	// dispatched before it finish (see Run).
 	FailFast Policy = iota
 	// Collect isolates failures: the campaign finishes every other index and
 	// Run returns an Errors list describing the poisoned cells. Long
@@ -102,6 +102,13 @@ type Options struct {
 	// from shared mutable state) so that a retried cell is byte-identical to
 	// a first-try cell.
 	Retries int
+	// Order is the dispatch order: workers claim Order[0], Order[1], ...
+	// instead of ascending indices. nil means ascending. It must be a
+	// permutation of [0, n). Order changes only which task starts when
+	// (and so which running tasks a FailFast failure cancels): fn, the
+	// chaos hook, TaskError.Index and Errors all see the task index
+	// itself, never its dispatch slot.
+	Order []int
 }
 
 // defaultGrace bounds the post-cancellation wait for a hung attempt.
@@ -112,12 +119,20 @@ const defaultGrace = time.Second
 // panic becomes a TaskError carrying the index and stack instead of a
 // process crash.
 //
-// Under FailFast the first task to exhaust its attempts cancels the rest and
-// its TaskError is returned. Under Collect every index is attempted and the
-// failures come back as an Errors value (nil error if all succeeded).
-// External cancellation always wins: Run returns ctx's error and records no
-// blame against in-flight tasks.
+// Under FailFast the first task to exhaust its attempts stops dispatch and
+// cancels every running task dispatched after it; tasks dispatched before
+// it run on. So a fail-fast run still finishes every task that a one-worker
+// run in the same dispatch order would have finished before the failure,
+// whatever the worker count. The failure at the earliest dispatch slot is
+// returned. Under Collect every index is attempted and the failures come
+// back as an Errors value (nil error if all succeeded). External
+// cancellation always wins: Run returns ctx's error and records no blame
+// against in-flight tasks. A malformed Options.Order is rejected before any
+// task runs.
 func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) error) error {
+	if err := checkOrder(opts.Order, n); err != nil {
+		return err
+	}
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -125,38 +140,67 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	if workers > n {
 		workers = n
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	var (
-		next     atomic.Int64
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		next     int                             // next dispatch slot
+		cancels  = make([]context.CancelFunc, n) // by dispatch slot, while running
 		failures Errors
 		first    *TaskError
+		firstAt  = n // dispatch slot of first
 	)
-	record := func(te *TaskError) {
+	// claim hands out the next dispatch slot and a context of the slot's
+	// own, unless dispatch is over.
+	claim := func() (int, context.Context, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if opts.Policy == FailFast {
-			if first == nil {
-				first = te
-				cancel()
-			}
+		if next >= n || first != nil || ctx.Err() != nil {
+			return 0, nil, false
+		}
+		slot := next
+		next++
+		tctx, cancel := context.WithCancel(ctx)
+		cancels[slot] = cancel
+		return slot, tctx, true
+	}
+	release := func(slot int) {
+		mu.Lock()
+		defer mu.Unlock()
+		cancels[slot]()
+		cancels[slot] = nil
+	}
+	record := func(slot int, te *TaskError) {
+		mu.Lock()
+		defer mu.Unlock()
+		if opts.Policy != FailFast {
+			failures = append(failures, te)
 			return
 		}
-		failures = append(failures, te)
+		if slot < firstAt {
+			first, firstAt = te, slot
+			for _, cancel := range cancels[slot+1 : next] {
+				if cancel != nil {
+					cancel()
+				}
+			}
+		}
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				slot, tctx, ok := claim()
+				if !ok {
 					return
 				}
-				runIndex(ctx, i, opts, fn, record)
+				i := slot
+				if opts.Order != nil {
+					i = opts.Order[slot]
+				}
+				runIndex(tctx, i, opts, fn, func(te *TaskError) { record(slot, te) })
+				release(slot)
 			}
 		}()
 	}
@@ -174,6 +218,27 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	if len(failures) > 0 {
 		sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 		return failures
+	}
+	return nil
+}
+
+// checkOrder rejects a dispatch order that is not a permutation of [0, n).
+func checkOrder(order []int, n int) error {
+	if order == nil {
+		return nil
+	}
+	if len(order) != n {
+		return fmt.Errorf("par: dispatch order has %d entries for %d tasks", len(order), n)
+	}
+	seen := make([]bool, n)
+	for slot, i := range order {
+		if i < 0 || i >= n {
+			return fmt.Errorf("par: dispatch order slot %d names task %d outside [0, %d)", slot, i, n)
+		}
+		if seen[i] {
+			return fmt.Errorf("par: dispatch order names task %d twice", i)
+		}
+		seen[i] = true
 	}
 	return nil
 }

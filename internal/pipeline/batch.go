@@ -624,7 +624,7 @@ func (ln *batchLane) step() {
 		ln.drainStores(now)
 	}
 	ln.resolveBranch(now)
-	ln.applySquashes(now)
+	ln.missQueue.applySquashes(now, ln.doSquash)
 	ln.stats.ThrottleEvents += ln.applyThrottles(now)
 	if ln.ooo {
 		ln.retire(now)
@@ -769,18 +769,6 @@ func (ln *batchLane) resolveBranch(now uint64) {
 	}
 }
 
-func (ln *batchLane) applySquashes(now uint64) {
-	rest := ln.squashQ[:0]
-	for _, ev := range ln.squashQ {
-		if ev.at > now {
-			rest = append(rest, ev)
-			continue
-		}
-		ln.doSquash(now, ev)
-	}
-	ln.squashQ = rest
-}
-
 func (ln *batchLane) doSquash(now uint64, ev squashEvent) {
 	ln.stats.Squashes++
 	kept := 0
@@ -824,7 +812,7 @@ func (ln *batchLane) doSquash(now uint64, ev squashEvent) {
 		ln.refetch = ln.refetch[:m]
 		ln.refetchHead = 0
 	}
-	sortStreamRefs(ln.refetch)
+	sortRefetch(ln.refetch, func(r *streamRef) uint64 { return r.seq })
 	ln.squashRestart(now, ev.missReturn, ln.cfg.RefetchOverlap)
 }
 
@@ -836,14 +824,6 @@ func (ln *batchLane) squashVictim(ref BatchRef, seq uint64) {
 	ln.stats.Refetches++
 	if ln.wrongMode && seq == ln.wrongSrcSeq {
 		ln.wrongMode = false
-	}
-}
-
-func sortStreamRefs(q []streamRef) {
-	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && q[j-1].seq > q[j].seq; j-- {
-			q[j-1], q[j] = q[j], q[j-1]
-		}
 	}
 }
 
@@ -905,20 +885,20 @@ func (ln *batchLane) execute(e *biqEntry, now uint64) {
 		switch in.Class {
 		case isa.ClassALU:
 			done = now + uint64(ln.cfg.ALULatency)
-			ln.writeDest(in, done)
+			writeDest(&ln.regReady, in, done)
 		case isa.ClassFPU:
 			done = now + uint64(ln.cfg.FPLatency)
-			ln.writeDest(in, done)
+			writeDest(&ln.regReady, in, done)
 		case isa.ClassLoad:
 			if ln.forwards(in.Addr) {
 				ln.stats.ForwardedLoads++
-				ln.writeDest(in, now+1)
+				writeDest(&ln.regReady, in, now+1)
 				break
 			}
 			res := ln.mem.Access(in.Addr, false)
 			ln.stats.LoadsByLevel[res.Level]++
 			done = now + uint64(res.Latency)
-			ln.writeDest(in, done)
+			writeDest(&ln.regReady, in, done)
 			ln.trigger(&ln.cfg, ln.mem, e.seq, res, now)
 		case isa.ClassStore:
 			if ln.ooo {
@@ -968,12 +948,6 @@ func (ln *batchLane) forwards(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-func (ln *batchLane) writeDest(in *isa.Inst, readyAt uint64) {
-	if in.Dest != isa.RegNone {
-		ln.regReady[in.Dest] = readyAt
-	}
 }
 
 func (ln *batchLane) drainStores(now uint64) {

@@ -185,7 +185,7 @@ func (p *Pipeline) step() {
 		p.drainStores(now)
 	}
 	p.resolveBranch(now)
-	p.applySquashes(now)
+	p.missQueue.applySquashes(now, p.doSquash)
 	p.stats.ThrottleEvents += p.applyThrottles(now)
 	if p.ooo {
 		p.retire(now)
@@ -250,19 +250,6 @@ func (p *Pipeline) resolveBranch(now uint64) {
 	}
 }
 
-// applySquashes fires pending squash events whose detection cycle arrived.
-func (p *Pipeline) applySquashes(now uint64) {
-	rest := p.squashQ[:0]
-	for _, ev := range p.squashQ {
-		if ev.at > now {
-			rest = append(rest, ev)
-			continue
-		}
-		p.doSquash(now, ev)
-	}
-	p.squashQ = rest
-}
-
 // doSquash removes every unissued IQ entry younger than the triggering
 // load, flushes the front end the same way, queues correct-path victims for
 // refetch, and stalls fetch until the miss returns.
@@ -303,7 +290,7 @@ func (p *Pipeline) doSquash(now uint64, ev squashEvent) {
 		p.refetch = p.refetch[:m]
 		p.refetchHead = 0
 	}
-	sortRefetch(p.refetch)
+	sortRefetch(p.refetch, func(in *isa.Inst) uint64 { return in.Seq })
 	p.squashRestart(now, ev.missReturn, p.cfg.RefetchOverlap)
 }
 
@@ -325,17 +312,6 @@ func (p *Pipeline) squashVictim(in isa.Inst) {
 // refetchLen is the number of squash victims still awaiting refetch.
 func (p *Pipeline) refetchLen() int {
 	return len(p.refetch) - p.refetchHead
-}
-
-// sortRefetch restores fetch order (by Seq) after a squash interleaves
-// victims with earlier, not-yet-refetched ones.
-func sortRefetch(q []isa.Inst) {
-	// Insertion sort: the queue is short and nearly sorted.
-	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && q[j-1].Seq > q[j].Seq; j-- {
-			q[j-1], q[j] = q[j], q[j-1]
-		}
-	}
 }
 
 // evict retires issued entries from the queue head once their replay window
@@ -408,22 +384,22 @@ func (p *Pipeline) execute(e *iqEntry, now uint64) {
 		switch in.Class {
 		case isa.ClassALU:
 			done = now + uint64(p.cfg.ALULatency)
-			p.writeDest(in, done)
+			writeDest(&p.regReady, in, done)
 		case isa.ClassFPU:
 			done = now + uint64(p.cfg.FPLatency)
-			p.writeDest(in, done)
+			writeDest(&p.regReady, in, done)
 		case isa.ClassLoad:
 			if p.storeAddrs[in.Addr] > 0 {
 				// Store-to-load forwarding: no cache access, no miss
 				// trigger.
 				p.stats.ForwardedLoads++
-				p.writeDest(in, now+1)
+				writeDest(&p.regReady, in, now+1)
 				break
 			}
 			res := p.mem.Access(in.Addr, false)
 			p.stats.LoadsByLevel[res.Level]++
 			done = now + uint64(res.Latency)
-			p.writeDest(in, done)
+			writeDest(&p.regReady, in, done)
 			p.trigger(&p.cfg, p.mem, in.Seq, res, now)
 		case isa.ClassStore:
 			// Out of order the LSQ entry was allocated at dispatch;
@@ -455,12 +431,6 @@ func (p *Pipeline) execute(e *iqEntry, now uint64) {
 	}
 	if p.ooo {
 		p.robComplete(in.Seq, done)
-	}
-}
-
-func (p *Pipeline) writeDest(in *isa.Inst, readyAt uint64) {
-	if in.Dest != isa.RegNone {
-		p.regReady[in.Dest] = readyAt
 	}
 }
 

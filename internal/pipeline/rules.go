@@ -6,8 +6,9 @@ import (
 )
 
 // This file holds the core model's pure timing rules, once: when an
-// instruction may issue, when dispatch has room, and what a triggering
-// load miss schedules. Both engines — the reference interpreter
+// instruction may issue, when its result is ready, when dispatch has room,
+// what a triggering load miss schedules, when scheduled squashes fire and
+// in what order their victims refetch. Both engines — the reference interpreter
 // (pipeline.go, ooo.go) and the lane engine (batch.go, batchooo.go) — call
 // these rules. What stays per engine is what the differential checks
 // actually compare: queue mechanics, event-horizon skipping, wrong-path
@@ -40,6 +41,27 @@ func readyAt(regReady *[isa.NumRegs]uint64, in *isa.Inst, storeBlocked bool) uin
 		t = regReady[in.Src2]
 	}
 	return t
+}
+
+// writeDest marks in's destination register ready at cycle readyAt; an
+// instruction without a destination writes nothing.
+func writeDest(regReady *[isa.NumRegs]uint64, in *isa.Inst, readyAt uint64) {
+	if in.Dest != isa.RegNone {
+		regReady[in.Dest] = readyAt
+	}
+}
+
+// sortRefetch restores fetch order (ascending seq) in a refetch queue
+// after a squash appends its victims behind earlier, not-yet-refetched
+// ones. Each engine queues its own entry type; seq reads an entry's
+// sequence number.
+func sortRefetch[T any](q []T, seq func(*T) uint64) {
+	// Insertion sort: the queue is short and nearly sorted.
+	for i := 1; i < len(q); i++ {
+		for j := i; j > 0 && seq(&q[j-1]) > seq(&q[j]); j-- {
+			q[j-1], q[j] = q[j], q[j-1]
+		}
+	}
 }
 
 // admits reports whether out-of-order dispatch has room for one more
@@ -92,6 +114,23 @@ func (q *missQueue) trigger(cfg *Config, mem *cache.Hierarchy, loadSeq uint64, r
 			missReturn: missReturn,
 		})
 	}
+}
+
+// applySquashes fires the squash events due at now through squash, in
+// queue order, and keeps the later ones queued.
+func (q *missQueue) applySquashes(now uint64, squash func(now uint64, ev squashEvent)) {
+	if len(q.squashQ) == 0 {
+		return
+	}
+	rest := q.squashQ[:0]
+	for _, ev := range q.squashQ {
+		if ev.at > now {
+			rest = append(rest, ev)
+			continue
+		}
+		squash(now, ev)
+	}
+	q.squashQ = rest
 }
 
 // applyThrottles fires the throttle events due at now, stalling fetch

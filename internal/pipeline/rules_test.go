@@ -105,6 +105,56 @@ func TestRules(t *testing.T) {
 		}
 	})
 
+	t.Run("writeDest", func(t *testing.T) {
+		var regs [isa.NumRegs]uint64
+		regs[isa.IntReg(4)] = 3
+		in := blankInst(isa.ClassALU)
+		in.Dest = isa.IntReg(4)
+		writeDest(&regs, &in, 12)
+		if regs[isa.IntReg(4)] != 12 {
+			t.Errorf("dest ready at %d, want 12", regs[isa.IntReg(4)])
+		}
+		before := regs
+		none := blankInst(isa.ClassStore)
+		writeDest(&regs, &none, 99)
+		if regs != before {
+			t.Error("a destination-less instruction wrote a register")
+		}
+	})
+
+	t.Run("sortRefetch", func(t *testing.T) {
+		// Earlier victims still queued, then a squash's victims appended
+		// behind them, one older than the queue head.
+		q := []streamRef{{seq: 4}, {seq: 7}, {seq: 9}, {seq: 2}, {seq: 8}}
+		sortRefetch(q, func(r *streamRef) uint64 { return r.seq })
+		var got []uint64
+		for _, r := range q {
+			got = append(got, r.seq)
+		}
+		if want := []uint64{2, 4, 7, 8, 9}; !reflect.DeepEqual(got, want) {
+			t.Errorf("refetch order %v, want %v", got, want)
+		}
+	})
+
+	t.Run("applySquashes", func(t *testing.T) {
+		q := missQueue{squashQ: []squashEvent{
+			{at: 5, loadSeq: 1}, {at: 9, loadSeq: 2}, {at: 7, loadSeq: 3}, {at: 8, loadSeq: 4},
+		}}
+		var fired []uint64
+		q.applySquashes(7, func(now uint64, ev squashEvent) {
+			if now != 7 {
+				t.Errorf("squash fired with now = %d, want 7", now)
+			}
+			fired = append(fired, ev.loadSeq)
+		})
+		if want := []uint64{1, 3}; !reflect.DeepEqual(fired, want) {
+			t.Fatalf("fired loads %v, want the due ones in queue order %v", fired, want)
+		}
+		if want := []squashEvent{{at: 9, loadSeq: 2}, {at: 8, loadSeq: 4}}; !reflect.DeepEqual(q.squashQ, want) {
+			t.Fatalf("pending %+v, want %+v", q.squashQ, want)
+		}
+	})
+
 	t.Run("applyThrottles", func(t *testing.T) {
 		q := missQueue{throttleQ: []throttleEvent{
 			{at: 5, missReturn: 40}, {at: 9, missReturn: 90}, {at: 7, missReturn: 30},

@@ -142,8 +142,9 @@ func (g *Grid) rowFrom(i int, res *core.Result) Row {
 
 // maxBatchLanes bounds how many cells one batched simulation drives. Cells
 // sharing a benchmark are spread round-robin over ceil(block/maxBatchLanes)
-// groups, so consecutive cell indices — which the worker pool dispatches in
-// order — lead different groups instead of queueing behind one.
+// groups of near-equal size. The pool dispatches every group's leader
+// before any other member (leadersFirst), so workers start different
+// batches instead of queueing behind one.
 const maxBatchLanes = 8
 
 // groupRun is the shared state of one batch group: the cells of one
@@ -174,7 +175,8 @@ func (g *Grid) buildGroups() map[int]*groupRun {
 // buildGroupsFor assigns each of the given cells to a batch group. Cells of
 // one benchmark are spread round-robin over ceil(count/maxBatchLanes)
 // groups, exactly as buildGroups spreads the full grid — a lease holding a
-// subset of a bench's cells still batches them over one decode.
+// subset of a bench's cells still batches them over one decode. Grouping
+// fixes only which cells share a pass; the dispatch order is leadersFirst's.
 func (g *Grid) buildGroupsFor(indices []int) map[int]*groupRun {
 	blk := len(g.Policies) * len(g.IQSizes) * len(g.OutOfOrder)
 	byBench := make(map[int][]int)
@@ -195,6 +197,31 @@ func (g *Grid) buildGroupsFor(indices []int) map[int]*groupRun {
 		}
 	}
 	return index
+}
+
+// leadersFirst is the dispatch order over n tasks: the tasks already done
+// (restored from a checkpoint, so they cost nothing), then the first
+// pending task of each batch group in ascending task order, then every
+// other pending task in ascending order. groupOf maps a task to its group.
+// Dispatching a member before its group's leader has finished only parks
+// that worker in cellRow, so putting the leaders first is what lets the
+// batches run side by side.
+func leadersFirst(n int, groupOf func(k int) *groupRun, done func(k int) bool) []int {
+	order := make([]int, 0, n)
+	var leaders, rest []int
+	led := make(map[*groupRun]bool)
+	for k := 0; k < n; k++ {
+		switch gr := groupOf(k); {
+		case done(k):
+			order = append(order, k)
+		case !led[gr]:
+			led[gr] = true
+			leaders = append(leaders, k)
+		default:
+			rest = append(rest, k)
+		}
+	}
+	return append(append(order, leaders...), rest...)
 }
 
 // cellRow produces cell i's row through the group's shared batch. It loops
@@ -417,13 +444,14 @@ func (g *Grid) RunContext(ctx context.Context, ck *checkpoint.File[Row], progres
 	if progress != nil && done > 0 {
 		progress(done, total)
 	}
+	groups := g.buildGroups()
 	opts := par.Options{
 		Workers: g.Workers,
 		Policy:  g.OnError,
 		Timeout: g.TaskTimeout,
 		Retries: g.Retries,
+		Order:   leadersFirst(total, func(i int) *groupRun { return groups[i] }, ck.Done),
 	}
-	groups := g.buildGroups()
 	err := par.Run(ctx, total, opts,
 		func(ctx context.Context, i int) error {
 			if ck.Done(i) {
@@ -490,6 +518,8 @@ func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.Fil
 		Policy:  g.OnError,
 		Timeout: g.TaskTimeout,
 		Retries: g.Retries,
+		Order: leadersFirst(len(indices), func(k int) *groupRun { return groups[indices[k]] },
+			func(k int) bool { return ck.Done(indices[k]) }),
 	}
 	err := par.Run(ctx, len(indices), opts,
 		func(ctx context.Context, k int) error {

@@ -5,7 +5,9 @@
 #      module, which the root go build/test never compile (~6 s on 2 vCPU)
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
-#      numbers may not drift silently (~25 s on 2 vCPU)
+#      numbers may not drift silently — plus the sweep grid again at -j 1,
+#      so the parallel dispatch order cannot leak into its bytes (~30 s on
+#      2 vCPU)
 #   3. race tier: the packages that run simulations concurrently, under the
 #      race detector (parallel engine, suite memo, sweep grid, fault
 #      fan-out, and the server's concurrent-load test)
@@ -60,6 +62,10 @@ cmp "$art/repro_ooo.txt" results/repro_ooo.txt
 "$art/sweep" -benches mcf,gzip-graphic,ammp -policies baseline,squash-l1 \
 	-iqsizes 16,32,64,128 > "$art/sweep_iqsize.csv"
 cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
+# the same grid on one worker: dispatch order must not reach the bytes
+"$art/sweep" -j 1 -benches mcf,gzip-graphic,ammp -policies baseline,squash-l1 \
+	-iqsizes 16,32,64,128 > "$art/sweep_iqsize_j1.csv"
+cmp "$art/sweep_iqsize_j1.csv" results/sweep_iqsize.csv
 rm -rf "$art"
 go test -race ./internal/par ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
 go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity' \
