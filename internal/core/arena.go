@@ -34,6 +34,20 @@ import (
 // back 1–2 points of that, so a daemon's mixed traffic does revisit
 // streams. A fleet lease that splits a benchmark also decodes it once per
 // lease. Hit and miss counts per workload were not taken.
+//
+// Replacing the kept stream recycles its memos: the new workload.Shared
+// takes over the old one's body and wrong-path arrays (Shared.Recycle), so
+// a warm arena decodes another workload without allocating and zeroing the
+// ~6 MB those memos take at 100k commits (TestArenaRecyclesStreamMemos).
+// A memo pointer therefore lives until its stream is recycled, and nothing
+// may hold one past its batch (RunBatchArena states who holds what).
+// Private streams of PC-indexed workloads are per lane and not recycled.
+// Recycled arrays keep their capacity, so an arena holds memos sized for
+// the largest run it has served, where it used to hold its last run's.
+// Together with the generator writing into its memo slots and the π replay
+// shedding its maps, median peak RSS on 2 vCPU fell from 267 to 227 MB
+// for repro-all (10 alternating pairs) and from 148 to 134 MB for
+// sweep-ooo (6 pairs); serve-mixed stayed at 169 MB.
 
 const (
 	// arenaMemCap and arenaCollCap bound the pooled warm hierarchies and
@@ -71,22 +85,34 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // stream returns the decoded shared stream and analysis group for w,
-// reusing the kept entry when this arena's last stream was w's and
-// replacing it otherwise; a workload that yields no shared stream
-// (PC-indexed or invalid) leaves the kept entry in place. The memo content is deterministic in w
-// (generation is seeded by the workload parameters), so a reused entry is
-// byte-for-byte the stream a fresh decode would produce — just already
-// materialised.
-func (a *Arena) stream(w workload.Params) (*workload.Shared, *ace.BatchGroup, error) {
-	if e := a.last; e != nil && e.params == w {
-		return e.sh, e.group, nil
+// reserved for a run of about commits body instructions. It reuses the
+// kept entry when this arena's last stream was w's and replaces it
+// otherwise, handing the old stream's memo arrays to the new one
+// (workload.Shared.Recycle); a workload that yields no shared stream
+// (PC-indexed or invalid) leaves the kept entry in place. The memo content
+// is deterministic in w (generation is seeded by the workload parameters),
+// so a reused entry is byte-for-byte the stream a fresh decode would
+// produce — just already materialised.
+func (a *Arena) stream(w workload.Params, commits uint64) (*workload.Shared, *ace.BatchGroup, error) {
+	e := a.last
+	if e == nil || e.params != w {
+		sh, err := workload.NewShared(w)
+		if err != nil {
+			return nil, nil, err
+		}
+		if e != nil {
+			sh.Recycle(e.sh)
+		}
+		e = &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
+		a.last = e
 	}
-	sh, err := workload.NewShared(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.last = &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
-	return sh, a.last.group, nil
+	// Pre-size the memos: every lane walks ~commits body instructions
+	// (plus a small overshoot), and wrong-path draws run a fraction of
+	// that. One up-front reservation replaces the log2(commits)
+	// append-doublings the memos would otherwise pay; on a reused or
+	// recycled stream the capacity is already there and this is a no-op.
+	e.sh.Reserve(int(commits)+1024, int(commits)/4+256)
+	return e.sh, e.group, nil
 }
 
 // warmHierarchy returns a warmed default hierarchy, re-stamping a pooled

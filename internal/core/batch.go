@@ -41,6 +41,13 @@ func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, spe
 // the caller's arena. Arena reuse is invisible in the results: a reused
 // arena returns byte-identical Results to a fresh one (the arena-reuse
 // seraudit check pins this). The arena serves one run at a time.
+//
+// A decoded stream's memo pointers live only until the arena recycles the
+// stream's arrays into the next workload's, so none may outlive the batch:
+// Results, reports and traces hold copies, plain sinks receive copies, the
+// batch group with its deadness memos goes with the stream it analysed, and
+// pipeline lanes shed their body snapshots before RunBatchStreamArena
+// returns.
 func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -69,7 +76,7 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	if commits == 0 {
 		commits = DefaultCommits
 	}
-	sh, group, err := a.stream(w)
+	sh, group, err := a.stream(w, commits)
 	if errors.Is(err, workload.ErrUnshareable) {
 		out := make([]*Result, len(lanes))
 		for i := range lanes {
@@ -89,12 +96,6 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size the shared memos: every lane walks ~commits body
-	// instructions (plus a small overshoot), and wrong-path draws run a
-	// fraction of that. One up-front reservation replaces the log2(commits)
-	// append-doublings the memos would otherwise pay; on a reused stream
-	// the memos are already materialised and this is a no-op.
-	sh.Reserve(int(commits)+1024, int(commits)/4+256)
 	return runGroup(ctx, a, w.Name, commits, sh, group, lanes)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"softerror/internal/ace"
@@ -175,5 +176,43 @@ func TestArenaKeepsOneStream(t *testing.T) {
 	}
 	if run("mcf") == kept {
 		t.Error("an mcf batch reused ammp's stream")
+	}
+}
+
+// TestArenaRecyclesStreamMemos pins memo recycling: once warm, an arena
+// that alternates between two benchmarks decodes each new stream into the
+// arrays of the stream it replaces. Decoding 100k commits into fresh memos
+// allocates about 6 MB; a recycled decode allocates only the generator.
+func TestArenaRecyclesStreamMemos(t *testing.T) {
+	const commits = 100_000
+	var benches [2]workload.Params
+	for i, name := range []string{"mcf", "ammp"} {
+		b, ok := spec.ByName(name)
+		if !ok {
+			t.Fatalf("%s not in roster", name)
+		}
+		benches[i] = b.Params
+	}
+	a := NewArena()
+	decode := func(w workload.Params) {
+		sh, _, err := a.stream(w, commits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.BodyPrefix(commits + 512)
+		sh.Wrong(commits / 8)
+	}
+	for _, w := range benches { // warm-up: the first two decodes allocate
+		decode(w)
+	}
+	const switches = 6
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < switches; i++ {
+		decode(benches[i%2])
+	}
+	runtime.ReadMemStats(&after)
+	if perSwitch := (after.TotalAlloc - before.TotalAlloc) / switches; perSwitch >= 1<<20 {
+		t.Errorf("a stream switch on a warm arena allocates %d bytes, want < 1 MB", perSwitch)
 	}
 }

@@ -225,9 +225,11 @@ func (inj *Injector) RunContext(ctx context.Context, cfg Config) (*Result, error
 
 // RunRange executes strikes [lo, hi) of a campaign. Because every strike
 // owns an index-derived RNG stream and the tracking engine holds no
-// cross-strike state, tallies of any partition of [0, cfg.Strikes) merge to
-// exactly the full campaign's tallies — the property that makes chunked
-// checkpoints resumable without drift.
+// cross-strike state (a strike's π sets, a register bitset and a short
+// address list, are locals of its dataflow replay), tallies of any
+// partition of [0, cfg.Strikes) merge to exactly the full campaign's
+// tallies — the property that makes chunked checkpoints resumable without
+// drift.
 func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Result, error) {
 	if lo < 0 || hi < lo || hi > cfg.Strikes {
 		return nil, fmt.Errorf("fault: strike range [%d, %d) outside [0, %d)", lo, hi, cfg.Strikes)

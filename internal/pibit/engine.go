@@ -147,27 +147,25 @@ func (e *Engine) processPET(log []isa.Inst, faultIdx int) Verdict {
 
 // processDataflow implements the register-file, store-buffer and memory π
 // levels (§4.3.3, designs 2–4) by replaying architectural dataflow from the
-// fault forward.
+// fault forward. The π state is local to the call, so strikes share
+// nothing.
 func (e *Engine) processDataflow(log []isa.Inst, faultIdx int) Verdict {
 	in := &log[faultIdx]
+	var pi piState
 
 	// Destination-less π instructions cannot defer: a store commits
 	// possibly-incorrect data (signal at store commit for designs 2–3),
 	// and control flow cannot be tracked through memory at all.
 	if !in.HasDest() {
-		switch {
-		case in.Class == isa.ClassStore && e.Level >= ace.TrackMemory:
-			// Design 4: the store's π transfers to the memory block.
-			return e.trackMemoryFromStore(log, faultIdx)
-		default:
+		if in.Class != isa.ClassStore || e.Level < ace.TrackMemory {
 			return VerdictSignalled
 		}
-	}
-
-	regPi := map[isa.Reg]bool{in.Dest: true}
-	var memPi map[uint64]bool
-	if e.Level >= ace.TrackMemory {
-		memPi = make(map[uint64]bool)
+		// Design 4: the store's π transfers to the memory block; a later
+		// load picks it up into its destination and tracking continues,
+		// an overwriting store clears it.
+		pi.mem.add(in.Addr)
+	} else {
+		pi.regs.add(in.Dest)
 	}
 
 	end := faultIdx + 1 + e.Window
@@ -175,75 +173,110 @@ func (e *Engine) processDataflow(log []isa.Inst, faultIdx int) Verdict {
 		end = len(log)
 	}
 	for i := faultIdx + 1; i < end; i++ {
-		cur := &log[i]
-		v, done := e.stepDataflow(cur, regPi, memPi)
-		if done {
+		if v, done := e.stepDataflow(&log[i], &pi); done {
 			return v
 		}
-		if len(regPi) == 0 && len(memPi) == 0 {
+		if pi.regs.n == 0 && len(pi.mem) == 0 {
 			return VerdictSuppressed // all π state overwritten unread
 		}
 	}
 	return VerdictLatent
 }
 
-// trackMemoryFromStore handles a π store under design 4: the block is
-// poisoned; a later load picks the π up into its destination and tracking
-// continues; an overwriting store clears it.
-func (e *Engine) trackMemoryFromStore(log []isa.Inst, faultIdx int) Verdict {
-	st := &log[faultIdx]
-	regPi := map[isa.Reg]bool{}
-	memPi := map[uint64]bool{st.Addr: true}
-	end := faultIdx + 1 + e.Window
-	if end > len(log) {
-		end = len(log)
+// piState is the π state of one strike's dataflow replay: the poisoned
+// registers and, under design 4, the poisoned memory blocks.
+type piState struct {
+	regs regSet
+	mem  addrSet
+}
+
+// regSet is a set of architectural registers: one bit each, plus a
+// population count so emptiness is one comparison. Registers are valid
+// (isa.Reg's contract for committed instructions); has also accepts
+// RegNone, which is never a member.
+type regSet struct {
+	bits [isa.NumRegs / 64]uint64
+	n    int
+}
+
+func (s *regSet) has(r isa.Reg) bool {
+	return uint(r) < isa.NumRegs && s.bits[uint(r)/64]&(1<<(uint(r)%64)) != 0
+}
+
+func (s *regSet) add(r isa.Reg) {
+	w, b := &s.bits[uint(r)/64], uint64(1)<<(uint(r)%64)
+	if *w&b == 0 {
+		*w |= b
+		s.n++
 	}
-	for i := faultIdx + 1; i < end; i++ {
-		v, done := e.stepDataflow(&log[i], regPi, memPi)
-		if done {
-			return v
-		}
-		if len(regPi) == 0 && len(memPi) == 0 {
-			return VerdictSuppressed
+}
+
+func (s *regSet) remove(r isa.Reg) {
+	w, b := &s.bits[uint(r)/64], uint64(1)<<(uint(r)%64)
+	if *w&b != 0 {
+		*w &^= b
+		s.n--
+	}
+}
+
+// addrSet is a set of memory block addresses, scanned linearly. It stays
+// short: a block enters only when a π value is stored to it, and a clean
+// store to the block removes it.
+type addrSet []uint64
+
+func (s addrSet) has(a uint64) bool {
+	for _, x := range s {
+		if x == a {
+			return true
 		}
 	}
-	return VerdictLatent
+	return false
+}
+
+func (s *addrSet) add(a uint64) {
+	if !s.has(a) {
+		*s = append(*s, a)
+	}
+}
+
+func (s *addrSet) remove(a uint64) {
+	for i, x := range *s {
+		if x == a {
+			last := len(*s) - 1
+			(*s)[i] = (*s)[last]
+			*s = (*s)[:last]
+			return
+		}
+	}
 }
 
 // stepDataflow advances the π dataflow by one committed instruction.
 // It returns done=true with the final verdict when the machinery commits
 // to a decision.
-func (e *Engine) stepDataflow(cur *isa.Inst, regPi map[isa.Reg]bool, memPi map[uint64]bool) (Verdict, bool) {
+func (e *Engine) stepDataflow(cur *isa.Inst, pi *piState) (Verdict, bool) {
 	if cur.Class.Neutral() {
 		return 0, false // neutral readers consume nothing
 	}
+	memory := e.Level >= ace.TrackMemory
 
 	// A poisoned qualifying predicate makes the execute/nullify decision
 	// itself suspect. For an instruction that nullified (pred-false), the
 	// register it would have written cannot be tracked — signal. For one
 	// that executed, its result is simply possibly incorrect: poison the
 	// destination and keep tracking, like any other poisoned read.
-	guardPi := cur.PredGuard != isa.RegNone && regPi[cur.PredGuard]
+	guardPi := pi.regs.has(cur.PredGuard)
 	if guardPi && cur.PredFalse {
 		return VerdictSignalled, true
 	}
 
 	// Does this instruction read a poisoned register?
 	readPi := guardPi
-	if !cur.PredFalse {
-		if cur.Src1 != isa.RegNone && regPi[cur.Src1] {
-			readPi = true
-		}
-		if cur.Src2 != isa.RegNone && regPi[cur.Src2] {
-			readPi = true
-		}
+	if !cur.PredFalse && (pi.regs.has(cur.Src1) || pi.regs.has(cur.Src2)) {
+		readPi = true
 	}
 
 	// Loads may pick π up from a poisoned memory block (design 4).
-	loadPi := false
-	if memPi != nil && cur.Class == isa.ClassLoad && !cur.PredFalse && memPi[cur.Addr] {
-		loadPi = true
-	}
+	loadPi := memory && cur.Class == isa.ClassLoad && !cur.PredFalse && pi.mem.has(cur.Addr)
 
 	switch {
 	case e.Level == ace.TrackRegFile:
@@ -258,23 +291,22 @@ func (e *Engine) stepDataflow(cur *isa.Inst, regPi map[isa.Reg]bool, memPi map[u
 		case cur.Class.IsControl() || cur.Class == isa.ClassIO:
 			return VerdictSignalled, true
 		case cur.Class == isa.ClassStore:
-			if e.Level >= ace.TrackMemory {
-				memPi[cur.Addr] = true
-			} else {
+			if !memory {
 				return VerdictSignalled, true
 			}
+			pi.mem.add(cur.Addr)
 		case cur.HasDest():
-			regPi[cur.Dest] = true
+			pi.regs.add(cur.Dest)
 		}
 	}
 
 	// Overwrites clear poisoned state: a clean result supersedes it.
 	if !readPi && !loadPi {
 		if cur.HasDest() {
-			delete(regPi, cur.Dest)
+			pi.regs.remove(cur.Dest)
 		}
-		if memPi != nil && cur.Class == isa.ClassStore && !cur.PredFalse {
-			delete(memPi, cur.Addr)
+		if memory && cur.Class == isa.ClassStore && !cur.PredFalse {
+			pi.mem.remove(cur.Addr)
 		}
 	}
 	return 0, false

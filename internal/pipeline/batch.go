@@ -32,7 +32,10 @@ import (
 // owns that last relabel. workload.Shared is the decoded-once stream every
 // lane of a batch shares; PrivateSource is one lane's own stream for
 // workloads whose content depends on the fetch order. Returned pointers
-// are valid until the next call extends the memo.
+// are valid until the next call extends the memo, and a workload.Shared's
+// only until its stream is recycled into the next one, so nothing that
+// outlives the batch may hold them: lanes shed their snapshots when the
+// run returns, and sinks receive copies.
 type BatchSource interface {
 	Body(n int) *isa.Inst
 	Wrong(j int) *isa.Inst

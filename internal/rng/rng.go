@@ -13,6 +13,8 @@
 // small or correlated user seeds still produce well-separated states.
 package rng
 
+import "math/bits"
+
 // splitMix64 advances a SplitMix64 state and returns the next mixed value.
 // It is used only for seed expansion.
 func splitMix64(state *uint64) uint64 {
@@ -54,18 +56,29 @@ func (s *Stream) Derive(label string) *Stream {
 	return New(s.state^h, s.inc^(h>>1))
 }
 
-// Uint32 returns the next 32 random bits.
-func (s *Stream) Uint32() uint32 {
-	old := s.state
-	s.state = old*6364136223846793005 + s.inc
+// pcg advances a PCG32 state by one step and returns the new state and the
+// 32-bit output of the old one. Kernels that draw in a loop run it on a
+// state held in locals and store it back once.
+func pcg(old, inc uint64) (uint64, uint32) {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
 	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return old*6364136223846793005 + inc, bits.RotateLeft32(xorshifted, -int(rot))
 }
 
-// Uint64 returns the next 64 random bits.
+// Uint32 returns the next 32 random bits.
+func (s *Stream) Uint32() uint32 {
+	var out uint32
+	s.state, out = pcg(s.state, s.inc)
+	return out
+}
+
+// Uint64 returns the next 64 random bits: two Uint32 draws, high word
+// first.
 func (s *Stream) Uint64() uint64 {
-	return uint64(s.Uint32())<<32 | uint64(s.Uint32())
+	state, hi := pcg(s.state, s.inc)
+	state, lo := pcg(state, s.inc)
+	s.state = state
+	return uint64(hi)<<32 | uint64(lo)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -111,7 +124,25 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p (clamped to [0, 1]).
+// threshold53 returns ceil(p·2^53) for p in (0, 1), and 0 for NaN. A
+// draw's top 53 bits x satisfy Float64() < p exactly when x < threshold53(p):
+// Float64 is x/2^53, scaling both sides by 2^53 is exact, and x is an
+// integer.
+func threshold53(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	scaled := p * (1 << 53)
+	t := uint64(scaled)
+	if float64(t) < scaled {
+		t++
+	}
+	return t
+}
+
+// Bool returns true with probability p (clamped to [0, 1]): it returns
+// Float64() < p, compared with both sides scaled by 2^53 (exact), and
+// draws one Uint64 unless p is outside (0, 1).
 func (s *Stream) Bool(p float64) bool {
 	if p <= 0 {
 		return false
@@ -119,23 +150,37 @@ func (s *Stream) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.Float64() < p
+	return float64(s.Uint64()>>11) < p*(1<<53)
 }
 
 // Geometric returns a sample from a geometric distribution with success
 // probability p: the number of failures before the first success, so the
 // mean is (1-p)/p. Useful for synthesising run lengths. p must be in (0,1].
+// It draws exactly what a loop of Bool(p) trials draws, on a state held in
+// locals.
 func (s *Stream) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric requires p in (0,1]")
 	}
+	if p == 1 {
+		return 0 // Bool(1) succeeds without a draw
+	}
+	thr := threshold53(p)
+	state, inc := s.state, s.inc
 	n := 0
-	for !s.Bool(p) {
+	for {
+		var hi, lo uint32
+		state, hi = pcg(state, inc)
+		state, lo = pcg(state, inc)
+		if (uint64(hi)<<32|uint64(lo))>>11 < thr {
+			break
+		}
 		n++
 		if n >= 1<<20 { // statistically unreachable guard
 			break
 		}
 	}
+	s.state = state
 	return n
 }
 
@@ -177,4 +222,41 @@ func (s *Stream) Pick(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
+}
+
+// Picker is Pick for a fixed weight table: the running sums Pick builds on
+// every call are built once. Picker.Pick(s) returns what s.Pick(weights)
+// returns and leaves s in the same state.
+type Picker struct {
+	cum   []float64 // running sum after each positive weight
+	idx   []int     // index of each positive weight
+	total float64
+	last  int // len(weights) - 1, Pick's fall-through result
+}
+
+// NewPicker precomputes Pick's running sums over weights, which it copies.
+func NewPicker(weights []float64) Picker {
+	p := Picker{last: len(weights) - 1}
+	for i, w := range weights {
+		if w > 0 {
+			p.total += w
+			p.cum = append(p.cum, p.total)
+			p.idx = append(p.idx, i)
+		}
+	}
+	return p
+}
+
+// Pick draws an index from the picker's weights.
+func (p *Picker) Pick(s *Stream) int {
+	if p.total <= 0 {
+		return 0
+	}
+	target := s.Float64() * p.total
+	for k, c := range p.cum {
+		if target < c {
+			return p.idx[k]
+		}
+	}
+	return p.last
 }

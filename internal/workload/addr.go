@@ -44,7 +44,7 @@ const (
 // common in FP codes) and uniform picks.
 type addrStream struct {
 	s       *rng.Stream
-	weights []float64
+	regions rng.Picker // hot, warm, big, huge
 
 	stridePtr  uint64
 	deadPtr    uint64
@@ -65,7 +65,7 @@ func newAddrStream(p *Params, s *rng.Stream) addrStream {
 	}
 	return addrStream{
 		s:          s,
-		weights:    []float64{p.L0Frac, p.L1Frac, p.L2Frac, p.MemFrac},
+		regions:    rng.NewPicker([]float64{p.L0Frac, p.L1Frac, p.L2Frac, p.MemFrac}),
 		stridePtr:  bigBase,
 		deadPtr:    deadBase,
 		strideBias: strideBias,
@@ -80,7 +80,7 @@ func (a *addrStream) data() uint64 {
 	// Bursty region selection: once off the hot region, stay there with
 	// probability persist, clustering the resulting cache misses.
 	if a.region == 0 || !a.s.Bool(a.persist) {
-		a.region = a.s.Pick(a.weights)
+		a.region = a.regions.Pick(a.s)
 	}
 	switch a.region {
 	case 0:

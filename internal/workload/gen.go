@@ -68,6 +68,12 @@ type Generator struct {
 	addr addrStream
 	bp   bpred.Model
 
+	// bodyMix picks emitBody's instruction kind. The success probabilities
+	// of the geometric draws and of a block-ending call depend only on the
+	// parameters, so they are computed once.
+	bodyMix                               rng.Picker
+	blockP, calleeP, bubbleP, depP, callP float64
+
 	seq uint64
 	pc  uint64
 
@@ -146,20 +152,30 @@ func newRecentRing(capacity int) recentRing {
 
 func (r *recentRing) push(reg isa.Reg) {
 	r.buf[r.head] = reg
-	r.head = (r.head + 1) % len(r.buf)
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
 	if r.size < len(r.buf) {
 		r.size++
 	}
 }
 
 // pick returns a recently written register, geometrically biased toward the
-// most recent with mean look-back meanDist. Returns RegNone if empty.
-func (r *recentRing) pick(s *rng.Stream, meanDist int) isa.Reg {
+// most recent: the look-back is a Geometric(p) draw, wrapped to the ring's
+// size. Returns RegNone if empty.
+func (r *recentRing) pick(s *rng.Stream, p float64) isa.Reg {
 	if r.size == 0 {
 		return isa.RegNone
 	}
-	back := s.Geometric(1.0/float64(meanDist)) % r.size
-	idx := (r.head - 1 - back + 2*len(r.buf)) % len(r.buf)
+	back := s.Geometric(p)
+	if back >= r.size { // rare: look-backs are short next to the ring
+		back %= r.size
+	}
+	idx := r.head - 1 - back
+	if idx < 0 {
+		idx += len(r.buf)
+	}
 	return r.buf[idx]
 }
 
@@ -189,6 +205,24 @@ func New(p Params) (*Generator, error) {
 		pc: 0x4000_0000,
 	}
 	g.addr = newAddrStream(&p, g.addrs)
+	g.bodyMix = rng.NewPicker([]float64{
+		p.LoadFrac,          // 0 load
+		p.StoreFrac,         // 1 store
+		p.FPFrac,            // 2 fp
+		p.NopFrac,           // 3 nop
+		p.PrefetchFrac,      // 4 prefetch
+		p.HintFrac,          // 5 hint
+		p.FDDRegFrac,        // 6 fdd-reg
+		p.TDDRegFrac,        // 7 tdd-reg chain
+		p.FDDMemFrac,        // 8 dead store (+tdd-mem producer)
+		p.IOFrac,            // 9 uncached I/O write
+		remainderWeight(&p), // 10 live alu
+	})
+	g.blockP = 1.0 / float64(p.MeanBlockLen)
+	g.calleeP = 1.0 / float64(p.MeanCalleeLen)
+	g.bubbleP = 1.0 / float64(p.FetchBubbleMean)
+	g.depP = 1.0 / float64(p.DepDistance)
+	g.callP = callProb(&p)
 	switch p.BranchPredictor {
 	case "gshare":
 		g.bp = bpred.NewGshare(14, 10)
@@ -219,8 +253,7 @@ func MustNew(p Params) *Generator {
 func (g *Generator) Stats() Stats { return g.stats }
 
 func (g *Generator) blockLen() int {
-	n := 1 + g.branch.Geometric(1.0/float64(g.p.MeanBlockLen))
-	return n
+	return 1 + g.branch.Geometric(g.blockP)
 }
 
 func (g *Generator) nextSeq() uint64 {
@@ -238,14 +271,21 @@ func (g *Generator) nextPC() uint64 {
 // Next returns the next correct-path instruction. The stream is infinite.
 func (g *Generator) Next() isa.Inst {
 	var in isa.Inst
-	switch {
-	case len(g.pending) > 0:
-		in = g.pending[0]
+	g.nextInto(&in)
+	return in
+}
+
+// nextInto generates the next correct-path instruction into *in,
+// overwriting every field: Shared hands it memo slots that may hold a
+// recycled stream's instructions.
+func (g *Generator) nextInto(in *isa.Inst) {
+	if len(g.pending) > 0 {
+		*in = g.pending[0]
 		g.pending = g.pending[1:]
 		in.Seq = g.nextSeq()
 		in.PC = g.nextPC()
-	default:
-		in = g.synthesise()
+	} else {
+		g.synthesise(in)
 	}
 	in.CallDepth = uint8(g.depth)
 	if g.pendingBubble > 0 {
@@ -264,17 +304,17 @@ func (g *Generator) Next() isa.Inst {
 			g.stats.PredFalse++
 		}
 	}
-	return in
 }
 
-// synthesise draws one new instruction (or schedules an idiom and returns
-// its first instruction).
-func (g *Generator) synthesise() isa.Inst {
+// synthesise draws one new instruction into *in (or schedules an idiom and
+// writes its first instruction).
+func (g *Generator) synthesise(in *isa.Inst) {
 	// Procedure bookkeeping: retire the innermost frame when exhausted.
 	if g.depth > 0 {
 		top := len(g.calleeLen) - 1
 		if g.calleeLen[top] <= 0 {
-			return g.emitReturn()
+			g.emitReturn(in)
+			return
 		}
 		g.calleeLen[top]--
 	}
@@ -282,72 +322,60 @@ func (g *Generator) synthesise() isa.Inst {
 	// End of basic block: emit a control-flow instruction.
 	if g.blockLeft <= 0 {
 		g.blockLeft = g.blockLen()
-		if g.depth < maxCallDepth && g.mix.Bool(g.callProb()) {
-			return g.emitCall()
+		if g.depth < maxCallDepth && g.mix.Bool(g.callP) {
+			g.emitCall(in)
+		} else {
+			g.emitBranch(in)
 		}
-		return g.emitBranch()
+		return
 	}
 	g.blockLeft--
 
-	return g.emitBody()
+	g.emitBody(in)
 }
 
 // callProb converts CallFrac (per-instruction) into a per-block-end
 // probability so the dynamic call fraction lands near CallFrac.
-func (g *Generator) callProb() float64 {
-	perBlock := g.p.CallFrac * float64(g.p.MeanBlockLen+1)
+func callProb(p *Params) float64 {
+	perBlock := p.CallFrac * float64(p.MeanBlockLen+1)
 	if perBlock > 1 {
 		return 1
 	}
 	return perBlock
 }
 
-func (g *Generator) emitBody() isa.Inst {
-	p := &g.p
-	weights := []float64{
-		p.LoadFrac,         // 0 load
-		p.StoreFrac,        // 1 store
-		p.FPFrac,           // 2 fp
-		p.NopFrac,          // 3 nop
-		p.PrefetchFrac,     // 4 prefetch
-		p.HintFrac,         // 5 hint
-		p.FDDRegFrac,       // 6 fdd-reg
-		p.TDDRegFrac,       // 7 tdd-reg chain
-		p.FDDMemFrac,       // 8 dead store (+tdd-mem producer)
-		p.IOFrac,           // 9 uncached I/O write
-		remainderWeight(p), // 10 live alu
-	}
-	switch g.mix.Pick(weights) {
+func (g *Generator) emitBody(in *isa.Inst) {
+	switch g.bodyMix.Pick(g.mix) {
 	case 0:
-		return g.emitLoad()
+		g.emitLoad(in)
 	case 1:
-		return g.emitStore()
+		g.emitStore(in)
 	case 2:
-		return g.emitFP()
+		g.emitFP(in)
 	case 3:
-		return g.plain(isa.ClassNop)
+		g.plain(in, isa.ClassNop)
 	case 4:
-		return g.emitPrefetch()
+		g.emitPrefetch(in)
 	case 5:
-		return g.plain(isa.ClassHint)
+		g.plain(in, isa.ClassHint)
 	case 6:
-		return g.emitFDDReg()
+		g.emitFDDReg(in)
 	case 7:
-		return g.emitTDDChain()
+		g.emitTDDChain(in)
 	case 8:
-		return g.emitDeadStore()
+		g.emitDeadStore(in)
 	case 9:
-		return g.emitIO()
+		g.emitIO(in)
 	default:
-		return g.emitALU()
+		g.emitALU(in)
 	}
 }
 
 // emitIO writes a live value to an uncached device address: the program's
 // observable output, and the signalling endpoint for fully-deferred π
 // tracking.
-func (g *Generator) emitIO() isa.Inst {
-	return isa.Inst{
+func (g *Generator) emitIO(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassIO,
 		Dest: isa.RegNone, Src1: g.srcReg(), Src2: isa.RegNone,
 		PredGuard: isa.RegNone, Addr: ioBase + uint64(g.mix.Intn(ioSize))&^7,
@@ -366,8 +394,8 @@ func remainderWeight(p *Params) float64 {
 }
 
 // plain emits a bare instruction of class c with no operands.
-func (g *Generator) plain(c isa.Class) isa.Inst {
-	return isa.Inst{
+func (g *Generator) plain(in *isa.Inst, c isa.Class) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: c,
 		Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
 		PredGuard: isa.RegNone,
@@ -411,14 +439,14 @@ func (g *Generator) srcReg() isa.Reg {
 			return f.readable[g.mix.Intn(len(f.readable))]
 		}
 	}
-	if r := g.recentInt.pick(g.mix, g.p.DepDistance); r != isa.RegNone {
+	if r := g.recentInt.pick(g.mix, g.depP); r != isa.RegNone {
 		return r
 	}
 	return isa.IntReg(globalLo)
 }
 
 func (g *Generator) srcFP() isa.Reg {
-	if r := g.recentFP.pick(g.mix, g.p.DepDistance); r != isa.RegNone {
+	if r := g.recentFP.pick(g.mix, g.depP); r != isa.RegNone {
 		return r
 	}
 	return isa.FPReg(fpGlobalLo)
@@ -430,7 +458,7 @@ func (g *Generator) guard(in *isa.Inst) {
 	if !g.pred.Bool(g.p.PredicatedFrac) {
 		return
 	}
-	pg := g.recentPred.pick(g.pred, 2)
+	pg := g.recentPred.pick(g.pred, 0.5) // mean look-back 2
 	if pg == isa.RegNone {
 		return
 	}
@@ -438,8 +466,8 @@ func (g *Generator) guard(in *isa.Inst) {
 	in.PredFalse = g.pred.Bool(g.p.PredFalseProb)
 }
 
-func (g *Generator) emitALU() isa.Inst {
-	in := isa.Inst{
+func (g *Generator) emitALU(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassALU,
 		Src1: g.srcReg(), Src2: g.srcReg(), PredGuard: isa.RegNone,
 	}
@@ -451,28 +479,22 @@ func (g *Generator) emitALU() isa.Inst {
 	} else {
 		in.Dest = g.destReg()
 	}
-	g.guard(&in)
-	if in.PredFalse && in.Dest.IsPred() {
-		// A false-guarded compare writes nothing; drop it from the
-		// predicate pool implicitly (it was pushed only on allocation).
-	}
-	return in
+	g.guard(in)
 }
 
-func (g *Generator) emitFP() isa.Inst {
-	in := isa.Inst{
+func (g *Generator) emitFP(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassFPU,
 		Src1: g.srcFP(), Src2: g.srcFP(), PredGuard: isa.RegNone,
 	}
 	r := isa.FPReg(g.fpWrite.take())
 	in.Dest = r
 	g.recentFP.push(r)
-	g.guard(&in)
-	return in
+	g.guard(in)
 }
 
-func (g *Generator) emitLoad() isa.Inst {
-	in := isa.Inst{
+func (g *Generator) emitLoad(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassLoad,
 		Src1: g.srcReg(), Src2: isa.RegNone, PredGuard: isa.RegNone,
 		Addr: g.addr.data(), MemSize: 8,
@@ -489,22 +511,20 @@ func (g *Generator) emitLoad() isa.Inst {
 	} else {
 		in.Dest = g.destReg()
 	}
-	g.guard(&in)
-	return in
+	g.guard(in)
 }
 
-func (g *Generator) emitStore() isa.Inst {
-	in := isa.Inst{
+func (g *Generator) emitStore(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassStore,
 		Dest: isa.RegNone, Src1: g.srcReg(), Src2: g.srcReg(),
 		PredGuard: isa.RegNone, Addr: g.addr.data(), MemSize: 8,
 	}
-	g.guard(&in)
-	return in
+	g.guard(in)
 }
 
-func (g *Generator) emitPrefetch() isa.Inst {
-	return isa.Inst{
+func (g *Generator) emitPrefetch(in *isa.Inst) {
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassPrefetch,
 		Dest: isa.RegNone, Src1: g.srcReg(), Src2: isa.RegNone,
 		PredGuard: isa.RegNone, Addr: g.addr.data(), MemSize: 64,
@@ -513,9 +533,9 @@ func (g *Generator) emitPrefetch() isa.Inst {
 
 // emitFDDReg writes a scratch register that no instruction ever reads; it
 // becomes first-level dynamically dead when the scratch slot is recycled.
-func (g *Generator) emitFDDReg() isa.Inst {
+func (g *Generator) emitFDDReg(in *isa.Inst) {
 	g.stats.IntentFDDReg++
-	return isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassALU,
 		Dest: g.scratchReg(),
 		Src1: g.srcReg(), Src2: g.srcReg(), PredGuard: isa.RegNone,
@@ -537,9 +557,9 @@ func (g *Generator) scratchReg() isa.Reg {
 // emitTDDChain produces a value in the TDD pool and schedules a consumer
 // that is itself first-level dead, making the producer transitively dead.
 // Occasionally the chain is two deep.
-func (g *Generator) emitTDDChain() isa.Inst {
+func (g *Generator) emitTDDChain(in *isa.Inst) {
 	tddReg := isa.IntReg(g.tddWrite.take())
-	producer := isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassALU,
 		Dest: tddReg, Src1: g.srcReg(), Src2: g.srcReg(),
 		PredGuard: isa.RegNone,
@@ -565,15 +585,14 @@ func (g *Generator) emitTDDChain() isa.Inst {
 		)
 		g.stats.IntentFDDReg++
 	}
-	return producer
 }
 
 // emitDeadStore stores to a write-only address ring: the value is
 // overwritten before any load, making the store FDD-via-memory and its
 // value producer TDD-via-memory.
-func (g *Generator) emitDeadStore() isa.Inst {
+func (g *Generator) emitDeadStore(in *isa.Inst) {
 	valueReg := isa.IntReg(g.tddWrite.take())
-	producer := isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassALU,
 		Dest: valueReg, Src1: g.srcReg(), Src2: isa.RegNone,
 		PredGuard: isa.RegNone,
@@ -585,7 +604,6 @@ func (g *Generator) emitDeadStore() isa.Inst {
 		Src1: valueReg, Src2: isa.RegNone, PredGuard: isa.RegNone,
 		Addr: g.addr.deadStore(), MemSize: 8,
 	})
-	return producer
 }
 
 // rollBubble schedules a front-end delivery gap ahead of the next block
@@ -594,23 +612,23 @@ func (g *Generator) rollBubble() {
 	if g.p.FetchBubbleProb <= 0 || !g.branch.Bool(g.p.FetchBubbleProb) {
 		return
 	}
-	n := 1 + g.branch.Geometric(1.0/float64(g.p.FetchBubbleMean))
+	n := 1 + g.branch.Geometric(g.bubbleP)
 	if n > 255 {
 		n = 255
 	}
 	g.pendingBubble = uint8(n)
 }
 
-func (g *Generator) emitBranch() isa.Inst {
+func (g *Generator) emitBranch(in *isa.Inst) {
 	g.rollBubble()
 	taken := g.branch.Bool(g.p.TakenProb)
-	in := isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassBranch,
 		Dest: isa.RegNone, Src2: isa.RegNone,
 		PredGuard: isa.RegNone, Taken: taken,
 	}
 	// Branches consume a predicate when one is live, else an int reg.
-	if p := g.recentPred.pick(g.branch, 2); p != isa.RegNone {
+	if p := g.recentPred.pick(g.branch, 0.5); p != isa.RegNone {
 		in.Src1 = p
 	} else {
 		in.Src1 = g.srcReg()
@@ -619,13 +637,12 @@ func (g *Generator) emitBranch() isa.Inst {
 	if taken {
 		g.pc += uint64(4 * (1 + g.branch.Intn(64)))
 	}
-	return in
 }
 
-func (g *Generator) emitCall() isa.Inst {
+func (g *Generator) emitCall(in *isa.Inst) {
 	g.rollBubble()
 	g.stats.Calls++
-	in := isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassCall,
 		Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
 		PredGuard: isa.RegNone, Taken: true,
@@ -633,15 +650,14 @@ func (g *Generator) emitCall() isa.Inst {
 	in.Mispred = g.branch.Bool(g.p.MispredictRate * 0.3)
 	g.depth++
 	g.frames = append(g.frames, frame{band: (g.depth - 1) % stackedBands})
-	bodyLen := 1 + g.branch.Geometric(1.0/float64(g.p.MeanCalleeLen))
+	bodyLen := 1 + g.branch.Geometric(g.calleeP)
 	g.calleeLen = append(g.calleeLen, bodyLen)
-	return in
 }
 
-func (g *Generator) emitReturn() isa.Inst {
+func (g *Generator) emitReturn(in *isa.Inst) {
 	g.rollBubble()
 	g.stats.Returns++
-	in := isa.Inst{
+	*in = isa.Inst{
 		Seq: g.nextSeq(), PC: g.nextPC(), Class: isa.ClassReturn,
 		Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
 		PredGuard: isa.RegNone, Taken: true,
@@ -650,7 +666,6 @@ func (g *Generator) emitReturn() isa.Inst {
 	g.depth--
 	g.frames = g.frames[:len(g.frames)-1]
 	g.calleeLen = g.calleeLen[:len(g.calleeLen)-1]
-	return in
 }
 
 // NextWrong returns a wrong-path instruction: plausible in shape but with
@@ -659,24 +674,30 @@ func (g *Generator) emitReturn() isa.Inst {
 // same. Wrong-path instructions never commit.
 func (g *Generator) NextWrong() isa.Inst {
 	g.stats.WrongPath++
-	in := wrongInst(g.wrong)
+	var in isa.Inst
+	wrongInto(g.wrong, &in)
 	in.Seq = g.nextSeq()
 	in.PC = g.nextPC()
 	in.CallDepth = uint8(g.depth)
 	return in
 }
 
-// wrongInst synthesises the content of one wrong-path instruction from the
-// wrong-path stream alone; Seq, PC and CallDepth are the caller's to
-// assign. Keeping the draw a pure function of the stream is what lets the
-// batch evaluator memoise the wrong-path sequence once and replay prefixes
-// of it into any number of machine configurations.
-func wrongInst(s *rng.Stream) isa.Inst {
-	in := isa.Inst{
+// wrongMix picks a wrong-path instruction's kind: ALU, load, FP, nop or
+// branch.
+var wrongMix = rng.NewPicker([]float64{0.5, 0.15, 0.1, 0.2, 0.05})
+
+// wrongInto synthesises the content of one wrong-path instruction from the
+// wrong-path stream alone into *in, overwriting every field; Seq, PC and
+// CallDepth are the caller's to assign. Keeping the draw a pure function
+// of the stream is what lets the batch evaluator memoise the wrong-path
+// sequence once and replay prefixes of it into any number of machine
+// configurations.
+func wrongInto(s *rng.Stream, in *isa.Inst) {
+	*in = isa.Inst{
 		Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
 		PredGuard: isa.RegNone, WrongPath: true,
 	}
-	switch s.Pick([]float64{0.5, 0.15, 0.1, 0.2, 0.05}) {
+	switch wrongMix.Pick(s) {
 	case 0:
 		in.Class = isa.ClassALU
 		in.Dest = isa.IntReg(globalLo + s.Intn(globalHi-globalLo+1))
@@ -698,5 +719,4 @@ func wrongInst(s *rng.Stream) isa.Inst {
 		in.Class = isa.ClassBranch
 		in.Src1 = isa.IntReg(globalLo + s.Intn(globalHi-globalLo+1))
 	}
-	return in
 }

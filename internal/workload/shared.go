@@ -40,6 +40,12 @@ var ErrUnshareable = errors.New(
 //
 // A Shared is not safe for concurrent use: each batch builds (or borrows)
 // its own.
+//
+// Body and Wrong generate straight into the memo slot they return. A
+// pointer or slice into the memos stays valid until a later call extends
+// that memo, or until the stream is recycled: Recycle hands the arrays to
+// the next stream, which overwrites them. No one may hold a memo pointer
+// past the batch that obtained it.
 type Shared struct {
 	gen      *Generator
 	wrongSrc *rng.Stream
@@ -68,10 +74,23 @@ func NewShared(p Params) (*Shared, error) {
 // stream (Seq n, pure correct-path PC), extending the memo as needed. The
 // returned pointer is valid until the next Body call extends the memo.
 func (s *Shared) Body(n int) *isa.Inst {
-	for len(s.body) <= n {
-		s.body = append(s.body, s.gen.Next())
+	if i := len(s.body); n >= i {
+		s.body = extend(s.body, n+1)
+		for ; i <= n; i++ {
+			s.gen.nextInto(&s.body[i])
+		}
 	}
 	return &s.body[n]
+}
+
+// extend returns memo lengthened to n slots for the generator to fill.
+// Slots within capacity may hold a recycled stream's instructions; the
+// generator overwrites every field.
+func extend(memo []isa.Inst, n int) []isa.Inst {
+	if n <= cap(memo) {
+		return memo[:n]
+	}
+	return append(memo, make([]isa.Inst, n-len(memo))...)
 }
 
 // BodyPrefix returns the first m correct-path instructions as a slice —
@@ -104,12 +123,33 @@ func (s *Shared) Reserve(body, wrong int) {
 	}
 }
 
+// Recycle hands old's memo arrays to s, so that decoding s reuses their
+// memory instead of allocating and zeroing its own. s must not have
+// generated anything yet; it panics otherwise. old must not be used
+// afterwards: its memos are gone, and any pointer into them now aliases
+// s's instructions.
+func (s *Shared) Recycle(old *Shared) {
+	if len(s.body) > 0 || len(s.wrong) > 0 {
+		panic("workload: Recycle into a Shared that has already generated")
+	}
+	if cap(old.body) > cap(s.body) {
+		s.body = old.body[:0]
+	}
+	if cap(old.wrong) > cap(s.wrong) {
+		s.wrong = old.wrong[:0]
+	}
+	old.gen, old.wrongSrc, old.body, old.wrong = nil, nil, nil, nil
+}
+
 // Wrong returns the content of the j-th wrong-path instruction draw: Seq,
 // PC and CallDepth are zero, for the replaying configuration to assign.
 // The returned pointer is valid until the next Wrong call extends the memo.
 func (s *Shared) Wrong(j int) *isa.Inst {
-	for len(s.wrong) <= j {
-		s.wrong = append(s.wrong, wrongInst(s.wrongSrc))
+	if i := len(s.wrong); j >= i {
+		s.wrong = extend(s.wrong, j+1)
+		for ; i <= j; i++ {
+			wrongInto(s.wrongSrc, &s.wrong[i])
+		}
 	}
 	return &s.wrong[j]
 }

@@ -87,3 +87,49 @@ func TestSharedBodyIsPureCorrectPath(t *testing.T) {
 		t.Fatal("body PCs never advanced")
 	}
 }
+
+// TestSharedRecycle pins memo recycling: a stream decoded into a recycled
+// stream's arrays equals a fresh decode (every slot is overwritten, the
+// old content never shows through), and recycling into a stream that has
+// already generated anything panics.
+func TestSharedRecycle(t *testing.T) {
+	a, b := Default(), Default()
+	b.Seed = 99
+	b.LoadFrac, b.FPFrac = 0.3, 0.1
+	old, err := NewShared(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.BodyPrefix(5000)
+	old.Wrong(1000)
+	fresh, _ := NewShared(b)
+	reused, _ := NewShared(b)
+	reused.Recycle(old)
+	for n := 0; n < 6000; n++ {
+		if *reused.Body(n) != *fresh.Body(n) {
+			t.Fatalf("recycled body %d = %+v, fresh %+v", n, *reused.Body(n), *fresh.Body(n))
+		}
+	}
+	for j := 0; j < 1200; j++ {
+		if *reused.Wrong(j) != *fresh.Wrong(j) {
+			t.Fatalf("recycled wrong draw %d = %+v, fresh %+v", j, *reused.Wrong(j), *fresh.Wrong(j))
+		}
+	}
+
+	for name, use := range map[string]func(*Shared){
+		"body":  func(s *Shared) { s.Body(0) },
+		"wrong": func(s *Shared) { s.Wrong(0) },
+	} {
+		func() {
+			s, _ := NewShared(b)
+			use(s)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Recycle after a %s draw did not panic", name)
+				}
+			}()
+			donor, _ := NewShared(a)
+			s.Recycle(donor)
+		}()
+	}
+}

@@ -345,13 +345,13 @@ func TestDeadIntentFractions(t *testing.T) {
 func TestRecentRing(t *testing.T) {
 	r := newRecentRing(4)
 	s := MustNew(Default()).mix
-	if got := r.pick(s, 2); got != isa.RegNone {
+	if got := r.pick(s, 0.5); got != isa.RegNone {
 		t.Fatalf("empty ring pick = %v, want RegNone", got)
 	}
 	r.push(isa.IntReg(1))
 	r.push(isa.IntReg(2))
 	for i := 0; i < 100; i++ {
-		got := r.pick(s, 2)
+		got := r.pick(s, 0.5)
 		if got != isa.IntReg(1) && got != isa.IntReg(2) {
 			t.Fatalf("pick returned %v not in ring", got)
 		}
@@ -361,7 +361,7 @@ func TestRecentRing(t *testing.T) {
 		r.push(isa.IntReg(i))
 	}
 	for i := 0; i < 100; i++ {
-		got := r.pick(s, 2)
+		got := r.pick(s, 0.5)
 		if int(got) < 7 || int(got) > 10 {
 			t.Fatalf("pick returned evicted register %v", got)
 		}

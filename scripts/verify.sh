@@ -20,9 +20,9 @@
 #      properties, and static-bounds: analytic AVF bounds dominating
 #      simulated AVF per structure and bit class) over a small seed sweep;
 #      plus a short go-native fuzz pass over each harness, the lane engine
-#      against the single-step reference interpreter and the deadness
-#      kernel against its def-use oracle included (skip with
-#      SERA_SKIP_FUZZ=1 when iterating)
+#      against the single-step reference interpreter, the deadness
+#      kernel against its def-use oracle and the π-bit replay against its
+#      map oracle included (skip with SERA_SKIP_FUZZ=1 when iterating)
 #   6. smoke tier: the real seratd binary booted on an ephemeral port,
 #      health-checked, served a cached eval and SIGINT-drained
 #   7. fleet tier: the coordinator/worker suite under the race detector,
@@ -84,6 +84,7 @@ if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzStaticBound -fuzztime 10s ./internal/static
 	go test -run NONE -fuzz FuzzLaneMatchesReference -fuzztime 10s ./internal/pipeline
 	go test -run NONE -fuzz FuzzDeadnessMatchesDefUse -fuzztime 10s ./internal/ace
+	go test -run NONE -fuzz FuzzDataflowMatchesMapOracle -fuzztime 10s ./internal/pibit
 fi
 sh scripts/smoke_seratd.sh
 if [ -z "${SERA_SKIP_FLEET:-}" ]; then
