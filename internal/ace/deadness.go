@@ -20,6 +20,10 @@ type Deadness struct {
 	// half the memory and a branch-free binary-search lookup.
 	seqs []uint64
 	cats []Category
+	// logCats is the same classification in log order (among the analysed
+	// instructions). It aliases cats unless the log's sequence numbers do
+	// not ascend.
+	logCats []Category
 
 	// Counts tallies committed instructions per category.
 	Counts [NumCategories]uint64
@@ -265,6 +269,7 @@ func (s *deadScratch) analyze(log []isa.Inst, mask []uint64) *Deadness {
 			d.FDDMemDist = append(d.FDDMemDist, int(s.dist[i]))
 		}
 	}
+	d.logCats = d.cats
 	if !sorted {
 		// A program-order commit log has ascending sequence numbers, so
 		// this is a defensive path for hand-built logs only.
@@ -356,12 +361,24 @@ func (d *Deadness) OfSeq(seq uint64) Category {
 	return CatACE
 }
 
+// OfPos returns the category of the i-th analysed instruction in log
+// order — log position i for an unmasked analysis — whatever the order of
+// the log's sequence numbers. Positions past the analysed log are
+// conservatively CatACE. Callers that walk the log they analysed read
+// categories here without Of's sequence-number search.
+func (d *Deadness) OfPos(i int) Category {
+	if uint(i) < uint(len(d.logCats)) {
+		return d.logCats[i]
+	}
+	return CatACE
+}
+
 // Compact releases the per-instruction classification, keeping only the
-// aggregate counts and FDD distance populations. After Compact, Of and
-// OfSeq answer conservatively (CatACE) for committed instructions. Use it
-// when memoising many analyses whose per-instruction detail is no longer
+// aggregate counts and FDD distance populations. After Compact, Of, OfSeq
+// and OfPos answer conservatively (CatACE) for committed instructions. Use
+// it when memoising many analyses whose per-instruction detail is no longer
 // needed.
-func (d *Deadness) Compact() { d.seqs, d.cats = nil, nil }
+func (d *Deadness) Compact() { d.seqs, d.cats, d.logCats = nil, nil, nil }
 
 // Committed returns the number of classified committed instructions.
 func (d *Deadness) Committed() uint64 {

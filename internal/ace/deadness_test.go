@@ -538,6 +538,7 @@ func deadnessDefUse(log []isa.Inst) *Deadness {
 			d.FDDMemDist = append(d.FDDMemDist, int(defs[i].overwrite)-i)
 		}
 	}
+	d.logCats = cats
 	if !sorted {
 		// A program-order commit log has ascending sequence numbers, so
 		// this is a defensive path for hand-built logs only.
@@ -731,4 +732,64 @@ func FuzzDeadnessMatchesDefUse(f *testing.F) {
 		log, mask := decodeDeadnessLog(data)
 		checkKernelMatchesDefUse(t, &s, log, mask)
 	})
+}
+
+// checkOfPos asserts that OfPos reads, by log position, the category OfSeq
+// finds by sequence number, and that positions past the log are live.
+func checkOfPos(t *testing.T, log []isa.Inst) {
+	t.Helper()
+	d := AnalyzeDeadness(log)
+	for i := range log {
+		if got, want := d.OfPos(i), d.OfSeq(log[i].Seq); got != want {
+			t.Fatalf("%d-instruction log, position %d (seq %d): OfPos %v, OfSeq %v",
+				len(log), i, log[i].Seq, got, want)
+		}
+	}
+	for _, i := range []int{-1, len(log), len(log) + 7} {
+		if got := d.OfPos(i); got != CatACE {
+			t.Fatalf("OfPos(%d) past a %d-instruction log = %v, want ACE", i, len(log), got)
+		}
+	}
+}
+
+// TestOfPosMatchesOfSeq pins the position accessor against the
+// sequence-number lookup on program-order logs and on a hand-built log
+// whose sequence numbers are shuffled, which takes the defensive re-sort.
+func TestOfPosMatchesOfSeq(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 500; iter++ {
+		data := make([]byte, 5*r.Intn(200))
+		r.Read(data)
+		log, _ := decodeDeadnessLog(data)
+		for i := range log {
+			log[i].Seq = uint64(i) // program order
+		}
+		checkOfPos(t, log)
+	}
+
+	var b logBuilder
+	r1, r2 := isa.IntReg(1), isa.IntReg(2)
+	b.alu(r1, r2, isa.RegNone) // FDD: overwritten unread
+	b.alu(r1, r2, isa.RegNone) // live: the store reads it
+	b.store(r1, 0x40)          // dead store: overwritten below
+	b.call()
+	b.alu(r2, r1, isa.RegNone) // return-dead local
+	b.ret()
+	b.alu(r2, r1, isa.RegNone)
+	b.nop()
+	b.store(r2, 0x40)
+	b.load(r1, 0x40)
+	b.alu(r2, r1, r1)
+	log := b.log
+	perm := r.Perm(len(log))
+	for i := range log {
+		log[i].Seq = 100 + uint64(perm[i])
+	}
+	if sort.SliceIsSorted(log, func(a, b int) bool { return log[a].Seq < log[b].Seq }) {
+		t.Fatal("shuffled log is still in sequence order")
+	}
+	checkOfPos(t, log)
+	if want := AnalyzeDeadness(log); want.OfPos(0) != CatFDDReg || want.OfPos(2) != CatFDDMem {
+		t.Fatalf("shuffled log categories %v, %v; want FDD-reg, FDD-mem", want.OfPos(0), want.OfPos(2))
+	}
 }

@@ -17,6 +17,7 @@ type metrics struct {
 	requests        *expvar.Int // every HTTP request, any route or status
 	rejected        *expvar.Int // 429s and 503s from admission control / drain
 	rejectedCost    *expvar.Int // 422s from the static-cost admission budget
+	sweepsPriced    *expvar.Int // sweep grids the static cost model priced
 	cacheHits       *expvar.Int // evals served from the result cache
 	cacheMisses     *expvar.Int // evals that had to simulate
 	evalsInFlight   *expvar.Int // evals currently computing
@@ -43,6 +44,7 @@ func newMetrics(start time.Time, cache *Cache) *metrics {
 	m.requests = counter("requests")
 	m.rejected = counter("rejected")
 	m.rejectedCost = counter("sweeps_rejected_cost")
+	m.sweepsPriced = counter("sweeps_priced")
 	m.cacheHits = counter("cache_hits")
 	m.cacheMisses = counter("cache_misses")
 	m.evalsInFlight = counter("evals_in_flight")

@@ -399,7 +399,8 @@ func (s *Server) buildGrid(req SweepRequest) (*sweep.Grid, error) {
 }
 
 // handleSweep accepts a grid campaign: dedup against live jobs by grid
-// fingerprint, admission-check the queue, register the job and launch it.
+// fingerprint, price the grid, admission-check the queue, register the job
+// and launch it.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.metrics.rejected.Add(1)
@@ -419,37 +420,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := g.Fingerprint()
+	echo := func(prev *Job) {
+		writeJSON(w, http.StatusAccepted, SweepAccepted{
+			ID: prev.ID, Total: prev.Total, Deduplicated: true,
+		})
+	}
+
+	// Dedup wins: an identical already-admitted job is echoed without
+	// pricing.
+	s.mu.Lock()
+	prev := s.liveTwin(fp)
+	s.mu.Unlock()
+	if prev != nil {
+		echo(prev)
+		return
+	}
 
 	// Price the grid analytically before admission, so the cost budget can
 	// reject over-budget work outright (the ROADMAP's admission pre-filter)
 	// and the 202 can report the estimate alongside an explicit priced
-	// flag. Dedup still wins: an identical already-admitted job is echoed
-	// without re-pricing.
-	var estMcycles float64
-	priced := false
-	if est, ok := g.EstimateCells(); ok {
-		var sum uint64
-		for _, c := range est {
-			sum += c
-		}
-		estMcycles = float64(sum) / 1e6
-		priced = true
-	}
+	// flag. The per-cell estimates go with the job, which orders its cells
+	// by them instead of pricing the grid again.
+	est, estMcycles, priced := s.price(g)
 
 	s.mu.Lock()
-	if prev, ok := s.byFP[fp]; ok {
-		// Deterministic grids mean an identical submission would produce
-		// identical rows; hand back the existing job unless it failed (a
-		// failed or interrupted job may deserve a retry, which — thanks to
-		// checkpointing — resumes from the completed cells).
-		st := prev.State()
-		if st != JobFailed && st != JobInterrupted {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, SweepAccepted{
-				ID: prev.ID, Total: prev.Total, Deduplicated: true,
-			})
-			return
-		}
+	// A concurrent twin may have been admitted while this one was priced.
+	if prev := s.liveTwin(fp); prev != nil {
+		s.mu.Unlock()
+		echo(prev)
+		return
 	}
 	if s.cfg.MaxEstMcycles > 0 && priced && estMcycles > s.cfg.MaxEstMcycles {
 		s.mu.Unlock()
@@ -481,27 +480,62 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.metrics.jobsQueued.Add(1)
-	go s.runJob(j, g)
+	go s.runJob(j, g, est)
 	writeJSON(w, http.StatusAccepted, SweepAccepted{
 		ID: id, Total: j.Total, Priced: priced, EstimatedMcycles: estMcycles,
 	})
 }
 
+// price runs the static cost model over every cell of g, counting each
+// grid it prices in sweeps_priced. It returns the per-cell estimated cycle
+// counts and their total in Mcycles; ok is false (est nil) when the grid
+// cannot be priced.
+func (s *Server) price(g *sweep.Grid) (est []uint64, mcycles float64, ok bool) {
+	est, ok = g.EstimateCells()
+	if !ok {
+		return nil, 0, false
+	}
+	s.metrics.sweepsPriced.Add(1)
+	var sum uint64
+	for _, c := range est {
+		sum += c
+	}
+	return est, float64(sum) / 1e6, true
+}
+
+// liveTwin returns the job already admitted for the grid fingerprint fp,
+// or nil when there is none or it failed. Deterministic grids mean an
+// identical submission would produce identical rows, so the existing job is
+// handed back; a failed or interrupted job may deserve a retry, which —
+// thanks to checkpointing — resumes from the completed cells. The caller
+// holds s.mu.
+func (s *Server) liveTwin(fp string) *Job {
+	prev, ok := s.byFP[fp]
+	if !ok {
+		return nil
+	}
+	if st := prev.State(); st == JobFailed || st == JobInterrupted {
+		return nil
+	}
+	return prev
+}
+
 // runGrid executes a sweep grid: through the fleet coordinator when this
 // server runs in coordinator mode, locally otherwise. Both paths honour the
 // checkpoint and render byte-identical rows — the fleet's contract.
-func (s *Server) runGrid(ctx context.Context, g *sweep.Grid, ck *checkpoint.File[sweep.Row], progress func(done, total int)) ([]sweep.Row, error) {
+func (s *Server) runGrid(ctx context.Context, g *sweep.Grid, est []uint64, ck *checkpoint.File[sweep.Row], progress func(done, total int)) ([]sweep.Row, error) {
 	if s.cfg.Fleet != nil {
 		return s.cfg.Fleet.Run(ctx, g, ck, progress)
 	}
-	// Local execution runs cells cheapest-first by the static cost model:
-	// quick cells surface early progress and stragglers drain last. Rows
-	// are scattered back to cell order, so the served bytes are identical
-	// to an unordered run's.
-	order, ok := g.OrderCheapest()
-	if !ok {
+	// Local execution runs cells cheapest-first by the per-cell estimates
+	// handleSweep priced the grid at: quick cells surface early progress and
+	// stragglers drain last. Rows are scattered back to cell order, so the
+	// served bytes are identical to an unordered run's. An unpriceable grid
+	// (nil est) runs in cell order.
+	if est == nil {
 		return g.RunContext(ctx, ck, progress)
 	}
+	order := sweep.OrderByEstimate(est)
 	out, err := g.RunIndices(ctx, order, ck, progress)
 	rows := make([]sweep.Row, g.Size())
 	for k, i := range order {
@@ -528,7 +562,7 @@ func (s *Server) runGrid(ctx context.Context, g *sweep.Grid, ck *checkpoint.File
 
 // runJob drives one accepted sweep job to a terminal state. It owns the
 // job's wg token; every exit path records a terminal event first.
-func (s *Server) runJob(j *Job, g *sweep.Grid) {
+func (s *Server) runJob(j *Job, g *sweep.Grid, est []uint64) {
 	defer s.wg.Done()
 
 	// Wait for a worker slot; drain (or shutdown) while queued interrupts
@@ -560,7 +594,7 @@ func (s *Server) runJob(j *Job, g *sweep.Grid) {
 		}
 	}
 
-	rows, err := s.runGrid(s.jobsCtx, g, ck, func(done, total int) { j.progress(done) })
+	rows, err := s.runGrid(s.jobsCtx, g, est, ck, func(done, total int) { j.progress(done) })
 	switch {
 	case err == nil:
 		if ck != nil {

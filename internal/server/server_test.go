@@ -319,7 +319,8 @@ func directGrid(t *testing.T, commits uint64) *sweep.Grid {
 }
 
 // TestSweepDedup: the identical grid resubmitted while its job is live
-// returns the existing job instead of burning a second campaign.
+// returns the existing job instead of burning a second campaign, and is
+// echoed without pricing the grid again.
 func TestSweepDedup(t *testing.T) {
 	s := newTestServer(t, Config{})
 	a := submitSweep(t, s, sweepBody(testCommits))
@@ -328,6 +329,34 @@ func TestSweepDedup(t *testing.T) {
 		t.Fatalf("resubmission got %+v, want dedup onto %s", b, a.ID)
 	}
 	waitTerminal(t, s, a.ID)
+	if got := s.metrics.sweepsPriced.Value(); got != 1 {
+		t.Fatalf("sweeps_priced = %d after a deduplicated resubmission, want 1", got)
+	}
+}
+
+// TestSweepPricedOnce: an admitted job is priced exactly once over its
+// lifetime — at admission, not again when it runs — and its 202 carries
+// the grid's static price.
+func TestSweepPricedOnce(t *testing.T) {
+	s := newTestServer(t, Config{})
+	acc := submitSweep(t, s, sweepBody(testCommits))
+	if st := waitTerminal(t, s, acc.ID); st.State != JobDone {
+		t.Fatalf("job ended %s, want done", st.State)
+	}
+	if got := s.metrics.sweepsPriced.Value(); got != 1 {
+		t.Fatalf("sweeps_priced = %d over one job's lifetime, want 1", got)
+	}
+	est, ok := directGrid(t, testCommits).EstimateCells()
+	if !ok {
+		t.Fatal("grid not priceable")
+	}
+	var sum uint64
+	for _, c := range est {
+		sum += c
+	}
+	if !acc.Priced || acc.EstimatedMcycles != float64(sum)/1e6 {
+		t.Fatalf("202 %+v, want priced at %v Mcycles", acc, float64(sum)/1e6)
+	}
 }
 
 // TestSweepCostAdmission: the static price is an admission pre-filter —

@@ -46,7 +46,8 @@ func decodeFuzzBody(data []byte) []isa.Inst {
 
 // FuzzStaticBound drives malformed programs and degenerate configs through
 // Load/Query. Whatever the input, the analyzer must not panic, every bound
-// must be a fraction in [0, 1], and querying twice must be bit-identical.
+// must be a fraction in [0, 1], querying twice must be bit-identical, and
+// Estimate must price exactly Query's EstCycles.
 func FuzzStaticBound(f *testing.F) {
 	f.Add([]byte{}, uint64(0), 0, 0, 0, 0, 0, 0, 0, false)
 	f.Add([]byte{3, 0, 1, 2, 0, 0}, uint64(1), 6, 6, 64, 8, 3, 16, 6, false)
@@ -64,10 +65,14 @@ func FuzzStaticBound(f *testing.F) {
 			StoreBufferSize: sb, StoreDrainLatency: sdl,
 			OutOfOrder: ooo,
 		}
+		est := a.Estimate(cfg)
 		b1 := a.Query(cfg)
 		b2 := a.Query(cfg)
 		if !reflect.DeepEqual(b1, b2) {
 			t.Fatalf("Query not deterministic:\n%+v\n%+v", b1, b2)
+		}
+		if est != b1.EstCycles {
+			t.Fatalf("Estimate %d, Query EstCycles %d (cfg=%+v)", est, b1.EstCycles, cfg)
 		}
 		frac := func(name string, v float64) {
 			if v < 0 || v > 1 || v != v {

@@ -37,8 +37,10 @@
 // per-instruction worst case derived from the instruction content alone
 // (a store may always turn out dead; a destination-less branch never can).
 //
-// Query is allocation-free once a (program, cut) pair has been analyzed,
-// so a loaded Analyzer prices configurations at memory speed.
+// Query is allocation-free once a (program, cut) pair has been analyzed.
+// Pricing needs none of that: Estimate computes Query's EstCycles from the
+// counters Load keeps, so a loaded Analyzer prices configurations without
+// ever running the deadness pass.
 package static
 
 import (
@@ -103,7 +105,8 @@ type Bounds struct {
 // Analyzer computes bounds for one loaded program across many
 // configurations. Load allocates; Query is allocation-free once the
 // deadness view for the config's cut has been built (the first Query per
-// distinct out-of-order cut builds one). Not safe for concurrent use.
+// distinct out-of-order cut builds one); Estimate builds no view and never
+// allocates. Not safe for concurrent use.
 type Analyzer struct {
 	body    []isa.Inst
 	commits int
@@ -161,6 +164,11 @@ func Analyze(p workload.Params, commits uint64, cfg pipeline.Config) (Bounds, er
 // target when available (Analyze arranges this); shorter bodies stay
 // sound — Query pads the unknown positions at the worst-case weight.
 // The analyzer aliases body; do not mutate it while querying.
+//
+// The analyzer reasons about body positions: a deadness view reads each
+// position's category by its index in the analysed prefix
+// (ace.Deadness.OfPos), never by sequence number. Decoded bodies carry
+// Seq equal to their position, so the two lookups agree on them.
 func (a *Analyzer) Load(body []isa.Inst, commits uint64) {
 	n := int(commits)
 	if commits > 1<<40 || n < 0 {
@@ -171,7 +179,10 @@ func (a *Analyzer) Load(body []isa.Inst, commits uint64) {
 	a.views = make(map[int]*cutView)
 
 	k := len(body)
-	a.uMaxPre = make([]uint64, k+1)
+	if cap(a.uMaxPre) < k+1 {
+		a.uMaxPre = make([]uint64, k+1)
+	}
+	a.uMaxPre = a.uMaxPre[:k+1]
 	a.memPos = a.memPos[:0]
 	a.memUPre = append(a.memUPre[:0], 0)
 	a.controls = 0
@@ -434,11 +445,26 @@ func (a *Analyzer) Query(cfg pipeline.Config) Bounds {
 		b.TAGE.DUE = b.TAGE.FalseDUE
 	}
 
-	// Pricing heuristic: front-end bubbles plus rough stall charges.
-	b.EstCycles = b.MinCycles + a.bubbles +
+	b.EstCycles = a.Estimate(cfg)
+	return b
+}
+
+// Estimate returns Query(cfg).EstCycles from the counters Load keeps —
+// front-end bubbles plus rough per-event stall charges over the MinCycles
+// floor — without building a deadness view. It is the price a sweep pays
+// per cell: a decode and a Load per benchmark, then arithmetic.
+func (a *Analyzer) Estimate(cfg pipeline.Config) uint64 {
+	if a.commits == 0 {
+		return 0
+	}
+	fed := clampDim(cfg.FrontEndDepth + 2)
+	brl := clampDim(cfg.BranchResolveLatency)
+	sbSize := clampDim(cfg.StoreBufferSize)
+	sdl := clampDim(cfg.StoreDrainLatency)
+	minCycles := ceilDiv(uint64(a.commits), uint64(min(clampDim(cfg.IssueWidth), clampDim(cfg.FetchWidth))))
+	return minCycles + a.bubbles +
 		2*a.loads + a.mispreds*uint64(brl+fed) +
 		a.stores*uint64(sdl)/uint64(sbSize)
-	return b
 }
 
 // view returns (building on first use) the deadness-dependent weights for
@@ -469,7 +495,7 @@ func (a *Analyzer) view(cut int) *cutView {
 		var cat ace.Category
 		known := i < cut
 		if known {
-			cat = dead.Of(in)
+			cat = dead.OfPos(i)
 			wIQ = aceBitsOf(cat, hasDest)
 			wFE = wIQ
 		} else {
@@ -509,7 +535,7 @@ func (a *Analyzer) view(cut int) *cutView {
 		var w uint64
 		switch {
 		case in.WrongPath, in.PredFalse:
-		case int(pos) < cut && dead.Of(in).Dead():
+		case int(pos) < cut && dead.OfPos(int(pos)).Dead():
 			w = ace.LSQAddrBits
 		default:
 			w = ace.LSQEntryBits

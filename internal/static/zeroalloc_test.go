@@ -39,3 +39,25 @@ func TestWarmQueryAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestEstimateAllocFree pins pricing's per-cell cost: Estimate is counter
+// arithmetic on a loaded analyzer, cold or warm.
+func TestEstimateAllocFree(t *testing.T) {
+	sh, err := workload.NewShared(workload.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer()
+	a.Load(sh.BodyPrefix(2000+BodySlack), 2000)
+
+	base := pipeline.DefaultConfig()
+	ooo := base
+	ooo.OutOfOrder = true
+	var sink uint64
+	if avg := testing.AllocsPerRun(10, func() {
+		sink += a.Estimate(base) + a.Estimate(ooo)
+	}); avg > 0 {
+		t.Fatalf("Estimate allocates %.1f times, want 0", avg)
+	}
+	_ = sink
+}

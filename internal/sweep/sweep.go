@@ -302,8 +302,11 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 }
 
 // EstimateCells prices every cell analytically: one decode of each
-// benchmark's stream through the static analyzer, then one warm bound
-// query per cell — no simulation. The returned slice is indexed like the
+// benchmark's stream, loaded into the static analyzer, then one
+// static.Analyzer.Estimate per cell — counter arithmetic, no deadness view
+// and no simulation. Each benchmark decodes into the previous one's memo
+// arrays (workload.Shared.Recycle), so pricing a grid holds one body memo
+// however many benchmarks it spans. The returned slice is indexed like the
 // rows (benchmark-major cell order) and holds each cell's estimated
 // simulated cycle count (static.Bounds.EstCycles). ok is false when the
 // static analyzer cannot bound some benchmark (PC-indexed branch
@@ -323,37 +326,37 @@ func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	est = make([]uint64, g.Size())
 	blk := len(g.Policies) * len(g.IQSizes) * len(g.OutOfOrder)
 	a := static.NewAnalyzer()
+	var prev *workload.Shared
 	for bi, b := range g.Benches {
 		sh, err := workload.NewShared(b.Params)
 		if err != nil {
 			return nil, false
 		}
+		if prev != nil {
+			sh.Recycle(prev)
+		}
+		prev = sh
 		a.Load(sh.BodyPrefix(int(commits)+static.BodySlack), commits)
 		for o := 0; o < blk; o++ {
 			i := bi*blk + o
 			_, cfg := g.cellConfig(i)
-			est[i] = a.Query(cfg).EstCycles
+			est[i] = a.Estimate(cfg)
 		}
 	}
 	return est, true
 }
 
-// OrderCheapest returns every cell index ordered by ascending static cost
-// estimate (ties in cell order, so the order is deterministic). Running
-// cheap cells first shortens time-to-first-result and drains stragglers
-// last; it never changes bytes — rows are scattered back to cell order.
-// ok is false when the grid cannot be priced.
-func (g *Grid) OrderCheapest() (order []int, ok bool) {
-	est, ok := g.EstimateCells()
-	if !ok {
-		return nil, false
-	}
-	order = make([]int, len(est))
+// OrderByEstimate returns every cell index ordered by ascending estimate
+// (ties in cell order, so the order is deterministic). Running cheap cells
+// first shortens time-to-first-result and drains stragglers last; it never
+// changes bytes when rows are scattered back to cell order.
+func OrderByEstimate(est []uint64) []int {
+	order := make([]int, len(est))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] < est[order[b]] })
-	return order, true
+	return order
 }
 
 // Fingerprint identifies the grid's full parameterisation (every axis that
