@@ -33,7 +33,10 @@ import (
 // over 12 alternating pairs, and a build that kept the list of four won
 // back 1–2 points of that, so a daemon's mixed traffic does revisit
 // streams. A fleet lease that splits a benchmark also decodes it once per
-// lease. Hit and miss counts per workload were not taken.
+// lease. StreamsDecoded and StreamHits count, process-wide, the runs that
+// missed and found their arena's kept stream. A driver that runs one
+// workload's batches back to back on one arena decodes it once:
+// Suite.PrewarmAll does so for the whole evaluation.
 //
 // Replacing the kept stream recycles its memos: the new workload.Shared
 // takes over the old one's body and wrong-path arrays (Shared.Recycle), so
@@ -95,11 +98,14 @@ func NewArena() *Arena { return &Arena{} }
 // produce — just already materialised.
 func (a *Arena) stream(w workload.Params, commits uint64) (*workload.Shared, *ace.BatchGroup, error) {
 	e := a.last
-	if e == nil || e.params != w {
+	if e != nil && e.params == w {
+		streamHits.Add(1)
+	} else {
 		sh, err := workload.NewShared(w)
 		if err != nil {
 			return nil, nil, err
 		}
+		streamDecodes.Add(1)
 		if e != nil {
 			sh.Recycle(e.sh)
 		}

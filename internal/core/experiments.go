@@ -19,33 +19,43 @@ import (
 
 // Suite evaluates a benchmark roster under multiple policies, memoising
 // each (benchmark, policy) simulation so that the experiment drivers —
-// which reuse baseline and squash runs heavily — pay for each run once.
+// which reuse baseline and squash runs heavily — pay for each run once. It
+// also memoises, per benchmark, the rows of the two studies that run their
+// own simulations: the register-file study's RegFileRow and the protection
+// study's AVF inputs. It keeps those rows rather than their Results: a
+// Result with uncompacted deadness is about 1 MB, and a long-lived service
+// retains its suites.
 //
 // A Suite is safe for concurrent use: the memo is mutex-guarded and
 // single-flighted, so any number of drivers racing on the same cell execute
 // exactly one simulation. Prewarm fans all cells of an artefact out over the
-// worker pool; the aggregation loops in the drivers then read memoised
-// results in roster order, which keeps every artefact byte-identical at any
-// worker count.
+// worker pool, and PrewarmAll fills every cell of the whole evaluation in
+// one walk over the roster; the aggregation loops in the drivers then read
+// memoised results in roster order, which keeps every artefact
+// byte-identical at any worker count.
 type Suite struct {
 	Benches []spec.Benchmark
 	// Commits is the per-run commit budget.
 	Commits uint64
-	// Workers bounds Prewarm's parallelism; <= 0 means the par package
-	// default (GOMAXPROCS, or the -j flag of the calling command).
+	// Workers bounds the suite's parallelism over the roster; <= 0 means
+	// the par package default (GOMAXPROCS, or the -j flag of the calling
+	// command).
 	Workers int
 	// Ctx, when non-nil, threads cancellation into every simulation the
 	// suite runs: SIGINT-aware drivers set it so an interrupt aborts within
 	// one simulation. Nil means context.Background().
 	Ctx context.Context
 	// OutOfOrder selects the out-of-order core family (ROB, LSQ, TAGE)
-	// for every simulation the suite runs. Set it before the first
-	// Result/Prewarm call: the memo does not key on it.
+	// for the policy simulations. Set it before the first Result/Prewarm
+	// call: the memo does not key on it. The register-file and protection
+	// studies always run the in-order core.
 	OutOfOrder bool
 
-	mu      sync.Mutex
-	results map[suiteKey]*suiteCell
-	sims    atomic.Uint64
+	mu         sync.Mutex
+	results    map[suiteKey]*flight[*Result]
+	regfile    map[string]*flight[RegFileRow]
+	protection map[string]*flight[protectionInputs]
+	sims       atomic.Uint64
 }
 
 // ctx resolves the suite's cancellation context.
@@ -64,13 +74,47 @@ type suiteKey struct {
 	pol  Policy
 }
 
-// suiteCell single-flights one simulation: the first caller to claim the
-// cell runs it and closes done; every other caller blocks on done and reads
+// flight single-flights one memo cell: the first caller to claim the cell
+// computes it and settles it; every other caller blocks in wait and reads
 // the shared outcome.
-type suiteCell struct {
+type flight[V any] struct {
 	done chan struct{}
-	res  *Result
+	val  V
 	err  error
+}
+
+func (f *flight[V]) settle(v V, err error) {
+	f.val, f.err = v, err
+	close(f.done)
+}
+
+func (f *flight[V]) wait() (V, error) {
+	<-f.done
+	return f.val, f.err
+}
+
+// claim returns key's cell in m, creating it when absent; own reports that
+// the caller created it and so must settle it. The caller holds the
+// suite's mutex.
+func claim[K comparable, V any](m map[K]*flight[V], key K) (f *flight[V], own bool) {
+	if f, ok := m[key]; ok {
+		return f, false
+	}
+	f = &flight[V]{done: make(chan struct{})}
+	m[key] = f
+	return f, true
+}
+
+// memoised returns key's value in m, computing it with fn when no other
+// caller has claimed the cell.
+func memoised[K comparable, V any](s *Suite, m map[K]*flight[V], key K, fn func() (V, error)) (V, error) {
+	s.mu.Lock()
+	f, own := claim(m, key)
+	s.mu.Unlock()
+	if own {
+		f.settle(fn())
+	}
+	return f.wait()
 }
 
 // NewSuite builds a Suite over the given roster (nil means spec.All()).
@@ -82,9 +126,11 @@ func NewSuite(benches []spec.Benchmark, commits uint64) *Suite {
 		commits = DefaultCommits
 	}
 	return &Suite{
-		Benches: benches,
-		Commits: commits,
-		results: make(map[suiteKey]*suiteCell),
+		Benches:    benches,
+		Commits:    commits,
+		results:    make(map[suiteKey]*flight[*Result]),
+		regfile:    make(map[string]*flight[RegFileRow]),
+		protection: make(map[string]*flight[protectionInputs]),
 	}
 }
 
@@ -92,21 +138,9 @@ func NewSuite(benches []spec.Benchmark, commits uint64) *Suite {
 // simulating it on first request. Concurrent calls for the same cell block
 // until the one executing simulation finishes.
 func (s *Suite) Result(b spec.Benchmark, pol Policy) (*Result, error) {
-	key := suiteKey{name: b.Name, pol: pol}
-	s.mu.Lock()
-	cell, ok := s.results[key]
-	if ok {
-		s.mu.Unlock()
-		<-cell.done
-		return cell.res, cell.err
-	}
-	cell = &suiteCell{done: make(chan struct{})}
-	s.results[key] = cell
-	s.mu.Unlock()
-
-	cell.res, cell.err = s.simulate(b, pol)
-	close(cell.done)
-	return cell.res, cell.err
+	return memoised(s, s.results, suiteKey{name: b.Name, pol: pol}, func() (*Result, error) {
+		return s.simulate(b, pol)
+	})
 }
 
 // simulate runs one cell uncached.
@@ -125,9 +159,10 @@ func (s *Suite) simulate(b spec.Benchmark, pol Policy) (*Result, error) {
 	return r, nil
 }
 
-// Simulations reports how many simulations the suite has actually executed
-// (memo misses). With single-flighting this never exceeds the number of
-// distinct (benchmark, policy) cells requested.
+// Simulations reports how many policy simulations the suite has actually
+// executed (Result memo misses). With single-flighting this never exceeds
+// the number of distinct (benchmark, policy) cells requested. The
+// register-file and protection studies' runs are not counted.
 func (s *Suite) Simulations() uint64 { return s.sims.Load() }
 
 // AllPolicies returns every exposure policy, in declaration order.
@@ -139,9 +174,22 @@ func AllPolicies() []Policy {
 	return pols
 }
 
+// eachBench runs fn once per roster benchmark over the worker pool, each
+// call on an arena checked out for it alone. Simulations run under the
+// suite's context, not the pool's: a memo cell settled by a sibling's
+// failure would hold that cancellation for good.
+func (s *Suite) eachBench(fn func(a *Arena, i int) error) error {
+	return par.ForEach(s.ctx(), len(s.Benches), s.Workers,
+		func(_ context.Context, i int) error {
+			a := defaultArenas.Get()
+			defer defaultArenas.Put(a)
+			return fn(a, i)
+		})
+}
+
 // Prewarm simulates every (benchmark, policy) cell of the cross product,
 // one batched evaluation per benchmark: all requested policies share one
-// decode of the benchmark's instruction stream (core.RunBatchContext), and
+// decode of the benchmark's instruction stream (core.RunBatchArena), and
 // the benchmarks fan out over the worker pool. Subsequent driver loops
 // then run entirely from the memo. Passing no policies prewarms all of
 // them. Cells already simulated cost nothing; concurrent Prewarms dedupe
@@ -151,40 +199,67 @@ func (s *Suite) Prewarm(policies ...Policy) error {
 	if len(policies) == 0 {
 		policies = AllPolicies()
 	}
-	return par.ForEach(s.ctx(), len(s.Benches), s.Workers,
-		func(_ context.Context, i int) error {
-			return s.prewarmBench(s.Benches[i], policies)
-		})
+	return s.eachBench(func(a *Arena, i int) error {
+		return s.prewarmBench(a, s.Benches[i], policies)
+	})
 }
 
-// prewarmBench fills one benchmark's memo cells: it claims every cell no
-// other caller holds, runs the claimed set as one batch, then waits on (and
-// propagates errors from) the remaining cells.
-func (s *Suite) prewarmBench(b spec.Benchmark, policies []Policy) error {
+// table1Policies are Table 1's design points, which the out-of-order
+// structure table shares; throttlePolicies are the two the throttling
+// ablation adds to them.
+var (
+	table1Policies   = []Policy{PolicyBaseline, PolicySquashL1, PolicySquashL0}
+	throttlePolicies = []Policy{PolicyThrottleL1, PolicyThrottleL0}
+)
+
+// PrewarmAll fills every memo cell the full evaluation reads, walking the
+// roster once. Each benchmark runs on one arena, in this order: Table 1's
+// batch in the suite's core family, the ablation's throttle batch, the
+// register-file lane and the protection study's in-order batch. Run back
+// to back, the four share the arena's one decoded stream and its deadness
+// memos, where four walks over the roster would decode every benchmark
+// four times. The batches keep the shapes the drivers run alone: merged
+// into one, they cost the same CPU at a higher peak memory.
+func (s *Suite) PrewarmAll() error {
+	return s.eachBench(func(a *Arena, i int) error {
+		b := s.Benches[i]
+		if err := s.prewarmBench(a, b, table1Policies); err != nil {
+			return err
+		}
+		if err := s.prewarmBench(a, b, throttlePolicies); err != nil {
+			return err
+		}
+		if _, err := s.regFileRow(a, b); err != nil {
+			return err
+		}
+		_, err := s.protectionInputs(a, b)
+		return err
+	})
+}
+
+// prewarmBench fills one benchmark's memo cells on arena a: it claims every
+// cell no other caller holds, runs the claimed set as one batch, then waits
+// on (and propagates errors from) the remaining cells.
+func (s *Suite) prewarmBench(a *Arena, b spec.Benchmark, policies []Policy) error {
 	var claimed []Policy
-	var cells []*suiteCell
+	var cells []*flight[*Result]
 	s.mu.Lock()
 	for _, pol := range policies {
-		key := suiteKey{name: b.Name, pol: pol}
-		if _, ok := s.results[key]; ok {
-			continue
+		if f, own := claim(s.results, suiteKey{name: b.Name, pol: pol}); own {
+			claimed = append(claimed, pol)
+			cells = append(cells, f)
 		}
-		cell := &suiteCell{done: make(chan struct{})}
-		s.results[key] = cell
-		claimed = append(claimed, pol)
-		cells = append(cells, cell)
 	}
 	s.mu.Unlock()
 
 	if len(claimed) > 0 {
-		results, err := s.simulateBatch(b, claimed)
-		for i, cell := range cells {
+		results, err := s.simulateBatch(a, b, claimed)
+		for i, f := range cells {
 			if err != nil {
-				cell.err = err
+				f.settle(nil, err)
 			} else {
-				cell.res = results[i]
+				f.settle(results[i], nil)
 			}
-			close(cell.done)
 		}
 	}
 	var first error
@@ -197,17 +272,10 @@ func (s *Suite) prewarmBench(b spec.Benchmark, policies []Policy) error {
 }
 
 // simulateBatch runs one benchmark's policy set through the batched
-// evaluation path; each result is byte-identical to what simulate would
-// have produced.
-func (s *Suite) simulateBatch(b spec.Benchmark, pols []Policy) ([]*Result, error) {
-	specs := make([]BatchSpec, len(pols))
-	for i, pol := range pols {
-		cfg := pipeline.DefaultConfig()
-		cfg.OutOfOrder = s.OutOfOrder
-		pol.Apply(&cfg)
-		specs[i] = BatchSpec{Pipeline: cfg}
-	}
-	results, err := RunBatchContext(s.ctx(), b.Params, s.Commits, specs)
+// evaluation path on arena a; each result is byte-identical to what
+// simulate would have produced.
+func (s *Suite) simulateBatch(a *Arena, b spec.Benchmark, pols []Policy) ([]*Result, error) {
+	results, err := RunBatchArena(s.ctx(), a, b.Params, s.Commits, policySpecs(pols, s.OutOfOrder))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s batched prewarm: %w", b.Name, err)
 	}
@@ -216,6 +284,19 @@ func (s *Suite) simulateBatch(b spec.Benchmark, pols []Policy) ([]*Result, error
 		r.Report.Dead.Compact()
 	}
 	return results, nil
+}
+
+// policySpecs returns one default-configuration lane per policy, in the
+// given core family.
+func policySpecs(pols []Policy, ooo bool) []BatchSpec {
+	specs := make([]BatchSpec, len(pols))
+	for i, pol := range pols {
+		cfg := pipeline.DefaultConfig()
+		cfg.OutOfOrder = ooo
+		pol.Apply(&cfg)
+		specs[i] = BatchSpec{Pipeline: cfg}
+	}
+	return specs
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +317,7 @@ type Table1Row struct {
 // Table1 reproduces Table 1: means across the roster for the baseline and
 // both squash triggers.
 func (s *Suite) Table1() ([]Table1Row, error) {
-	pols := []Policy{PolicyBaseline, PolicySquashL1, PolicySquashL0}
+	pols := table1Policies
 	if err := s.Prewarm(pols...); err != nil {
 		return nil, err
 	}
@@ -294,7 +375,7 @@ func (s *Suite) Structures() ([]StructuresRow, error) {
 	if !s.OutOfOrder {
 		return nil, fmt.Errorf("core: Structures needs an out-of-order suite (set Suite.OutOfOrder)")
 	}
-	pols := []Policy{PolicyBaseline, PolicySquashL1, PolicySquashL0}
+	pols := table1Policies
 	if err := s.Prewarm(pols...); err != nil {
 		return nil, err
 	}
@@ -705,27 +786,40 @@ type RegFileRow struct {
 }
 
 // RegFile measures the architectural register files' AVF decomposition
-// across the roster's baseline runs. Runs are not memoised with the suite
-// (the register analysis needs commit cycles and uncompacted deadness);
-// they fan out over the worker pool, one per benchmark.
+// across the roster's baseline runs. Each benchmark's row is memoised with
+// the suite; a miss runs one in-order baseline lane with the register
+// analysis (it needs commit cycles and uncompacted deadness, so it cannot
+// read the policy memo), and misses fan out over the worker pool.
 func (s *Suite) RegFile() ([]RegFileRow, error) {
-	return par.Map(s.ctx(), len(s.Benches), s.Workers,
-		func(ctx context.Context, i int) (RegFileRow, error) {
-			b := s.Benches[i]
-			r, err := RunContext(ctx, Config{Workload: b.Params, Commits: s.Commits, RegFile: true})
-			if err != nil {
-				return RegFileRow{}, fmt.Errorf("core: regfile %s: %w", b.Name, err)
-			}
-			rf := r.RegFile
-			return RegFileRow{
-				Bench:       b.Name,
-				FP:          b.FP,
-				SDCAVF:      rf.SDCAVF(),
-				FalseDUEAVF: rf.FalseDUEAVF(),
-				ExACE:       rf.ExACEFraction(),
-				Untouched:   rf.UntouchedFraction(),
-			}, nil
-		})
+	rows := make([]RegFileRow, len(s.Benches))
+	err := s.eachBench(func(a *Arena, i int) (err error) {
+		rows[i], err = s.regFileRow(a, s.Benches[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// regFileRow returns b's memoised register-file row, running its lane on
+// arena a on a miss.
+func (s *Suite) regFileRow(a *Arena, b spec.Benchmark) (RegFileRow, error) {
+	return memoised(s, s.regfile, b.Name, func() (RegFileRow, error) {
+		res, err := runLanes(s.ctx(), a, b.Params, s.Commits, []Config{{RegFile: true}})
+		if err != nil {
+			return RegFileRow{}, fmt.Errorf("core: regfile %s: %w", b.Name, err)
+		}
+		rf := res[0].RegFile
+		return RegFileRow{
+			Bench:       b.Name,
+			FP:          b.FP,
+			SDCAVF:      rf.SDCAVF(),
+			FalseDUEAVF: rf.FalseDUEAVF(),
+			ExACE:       rf.ExACEFraction(),
+			Untouched:   rf.UntouchedFraction(),
+		}, nil
+	})
 }
 
 // GeoMean returns the geometric mean of strictly positive values; zero or

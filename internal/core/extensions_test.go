@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestRunSimPointsBasics(t *testing.T) {
 	b, _ := spec.ByName("gzip-graphic")
-	sum, err := RunSimPoints(b, PolicyBaseline, 3, 10_000)
+	sum, err := RunSimPoints(context.Background(), b, PolicyBaseline, 3, 10_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestRunSimPointsFirstMatchesSingleRun(t *testing.T) {
 	// The first SimPoint is the benchmark's headline configuration: a
 	// single-point summary must equal a direct run.
 	b, _ := spec.ByName("ammp")
-	sum, err := RunSimPoints(b, PolicyBaseline, 1, 10_000)
+	sum, err := RunSimPoints(context.Background(), b, PolicyBaseline, 1, 10_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRunSimPointsFirstMatchesSingleRun(t *testing.T) {
 
 func TestRunSimPointsRejectsZero(t *testing.T) {
 	b, _ := spec.ByName("mcf")
-	if _, err := RunSimPoints(b, PolicyBaseline, 0, 1000); err == nil {
+	if _, err := RunSimPoints(context.Background(), b, PolicyBaseline, 0, 1000, 0); err == nil {
 		t.Fatal("zero SimPoints accepted")
 	}
 }
@@ -81,7 +82,7 @@ func TestProtectionComparison(t *testing.T) {
 		b, _ := spec.ByName(name)
 		benches = append(benches, b)
 	}
-	rows, err := ProtectionComparison(benches, 10_000, 0.001)
+	rows, err := NewSuite(benches, 10_000).Protection(0.001)
 	if err != nil {
 		t.Fatal(err)
 	}

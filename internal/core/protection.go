@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"softerror/internal/ace"
 	"softerror/internal/isa"
 	"softerror/internal/serate"
@@ -17,39 +19,52 @@ type ProtectionRow struct {
 	DUEFIT serate.FIT
 }
 
-// ProtectionComparison composes the IQ's absolute error rates under the
-// design options the paper discusses: leave it unprotected, add parity
+// protectionPolicies are the two design points the protection study
+// measures; [0] and [1] index protectionInputs in this order.
+var protectionPolicies = []Policy{PolicyBaseline, PolicySquashL1}
+
+// protectionInputs are one benchmark's IQ AVFs the protection study
+// composes, under the baseline ([0]) and squash-L1 ([1]): the SDC AVF, the
+// false DUE AVF, and the false DUE left by π-bit tracking to the store
+// buffer and through memory (512-entry PET).
+type protectionInputs struct {
+	sdc, falseDUE, store, mem [2]float64
+}
+
+// Protection composes the IQ's absolute error rates under the design
+// options the paper discusses: leave it unprotected, add parity
 // (conservative), add parity plus the π-bit stack at the store-buffer or
 // memory level, add squashing on top, or correct with ECC. rawFITPerBit is
 // the technology's raw soft-error rate per bit.
-func ProtectionComparison(benches []spec.Benchmark, commits uint64, rawFITPerBit float64) ([]ProtectionRow, error) {
-	if benches == nil {
-		benches = spec.All()
-	}
-	s := NewSuite(benches, commits)
-	if err := s.Prewarm(PolicyBaseline, PolicySquashL1); err != nil {
+//
+// The study always measures the in-order core, whatever the suite's
+// OutOfOrder, so it runs its own baseline and squash-L1 batch per
+// benchmark rather than reading the policy memo. Each benchmark's inputs
+// are memoised with the suite, and misses fan out over the worker pool.
+func (s *Suite) Protection(rawFITPerBit float64) ([]ProtectionRow, error) {
+	ins := make([]protectionInputs, len(s.Benches))
+	err := s.eachBench(func(a *Arena, i int) (err error) {
+		ins[i], err = s.protectionInputs(a, s.Benches[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Mean AVFs across the roster, baseline and squash-L1.
-	var baseSDC, baseFalse [2]float64 // [0]=baseline, [1]=squash-L1
-	var baseStore, baseMem [2]float64
-	for i, pol := range []Policy{PolicyBaseline, PolicySquashL1} {
-		for _, b := range s.Benches {
-			r, err := s.Result(b, pol)
-			if err != nil {
-				return nil, err
-			}
-			baseSDC[i] += r.Report.SDCAVF()
-			baseFalse[i] += r.Report.FalseDUEAVF()
-			baseStore[i] += r.Report.FalseDUERemaining(ace.TrackStoreBuffer, 512)
-			baseMem[i] += r.Report.FalseDUERemaining(ace.TrackMemory, 512)
+	// Mean AVFs across the roster, summed in roster order.
+	var mean protectionInputs
+	for k := range protectionPolicies {
+		for _, in := range ins {
+			mean.sdc[k] += in.sdc[k]
+			mean.falseDUE[k] += in.falseDUE[k]
+			mean.store[k] += in.store[k]
+			mean.mem[k] += in.mem[k]
 		}
-		n := float64(len(s.Benches))
-		baseSDC[i] /= n
-		baseFalse[i] /= n
-		baseStore[i] /= n
-		baseMem[i] /= n
+		n := float64(len(ins))
+		mean.sdc[k] /= n
+		mean.falseDUE[k] /= n
+		mean.store[k] /= n
+		mean.mem[k] /= n
 	}
 
 	bits := float64(64) * float64(isa.EntryPayloadBits)
@@ -61,12 +76,31 @@ func ProtectionComparison(benches []spec.Benchmark, commits uint64, rawFITPerBit
 		return ProtectionRow{Scheme: scheme, SDCFIT: sdc, DUEFIT: due}
 	}
 	return []ProtectionRow{
-		row("unprotected", baseSDC[0], 0),
-		row("unprotected + squash-L1", baseSDC[1], 0),
-		row("parity (conservative)", 0, baseSDC[0]+baseFalse[0]),
-		row("parity + pi to store buffer", 0, baseSDC[0]+baseStore[0]),
-		row("parity + pi through memory", 0, baseSDC[0]+baseMem[0]),
-		row("parity + pi + squash-L1", 0, baseSDC[1]+baseStore[1]),
+		row("unprotected", mean.sdc[0], 0),
+		row("unprotected + squash-L1", mean.sdc[1], 0),
+		row("parity (conservative)", 0, mean.sdc[0]+mean.falseDUE[0]),
+		row("parity + pi to store buffer", 0, mean.sdc[0]+mean.store[0]),
+		row("parity + pi through memory", 0, mean.sdc[0]+mean.mem[0]),
+		row("parity + pi + squash-L1", 0, mean.sdc[1]+mean.store[1]),
 		row("ecc (corrects single-bit)", 0, 0),
 	}, nil
+}
+
+// protectionInputs returns b's memoised protection inputs, running its
+// in-order batch on arena a on a miss.
+func (s *Suite) protectionInputs(a *Arena, b spec.Benchmark) (protectionInputs, error) {
+	return memoised(s, s.protection, b.Name, func() (protectionInputs, error) {
+		var in protectionInputs
+		res, err := RunBatchArena(s.ctx(), a, b.Params, s.Commits, policySpecs(protectionPolicies, false))
+		if err != nil {
+			return in, fmt.Errorf("core: protection %s: %w", b.Name, err)
+		}
+		for k, r := range res {
+			in.sdc[k] = r.Report.SDCAVF()
+			in.falseDUE[k] = r.Report.FalseDUEAVF()
+			in.store[k] = r.Report.FalseDUERemaining(ace.TrackStoreBuffer, 512)
+			in.mem[k] = r.Report.FalseDUERemaining(ace.TrackMemory, 512)
+		}
+		return in, nil
+	})
 }

@@ -24,11 +24,12 @@ type SimPointSummary struct {
 	MeanDUEAVF, StdDUEAVF float64
 }
 
-// RunSimPoints simulates n SimPoint slices of one benchmark under a policy.
-// Each slice reuses the benchmark's profile with a derived seed, standing
-// in for a different region of the program's execution, and runs for
-// commits instructions.
-func RunSimPoints(b spec.Benchmark, pol Policy, n int, commits uint64) (SimPointSummary, error) {
+// RunSimPoints simulates n SimPoint slices of one benchmark under a policy,
+// fanned out over at most workers goroutines (<= 0 means the par default)
+// and cancelled with ctx. Each slice reuses the benchmark's profile with a
+// derived seed, standing in for a different region of the program's
+// execution, and runs for commits instructions.
+func RunSimPoints(ctx context.Context, b spec.Benchmark, pol Policy, n int, commits uint64, workers int) (SimPointSummary, error) {
 	if n < 1 {
 		return SimPointSummary{}, fmt.Errorf("core: need at least one SimPoint, got %d", n)
 	}
@@ -40,13 +41,13 @@ func RunSimPoints(b spec.Benchmark, pol Policy, n int, commits uint64) (SimPoint
 	// aggregate in slice order so the summary stays bit-identical at any
 	// worker count.
 	type slice struct{ ipc, sdc, due float64 }
-	slices, err := par.Map(context.Background(), n, 0,
-		func(_ context.Context, k int) (slice, error) {
+	slices, err := par.Map(ctx, n, workers,
+		func(ctx context.Context, k int) (slice, error) {
 			params := b.Params
 			// Golden-ratio seed stepping keeps slices decorrelated while the
 			// first SimPoint reproduces the headline numbers exactly.
 			params.Seed = b.Params.Seed + uint64(k)*0x9e3779b97f4a7c15
-			r, err := Run(Config{Workload: params, Pipeline: pcfg, Commits: commits})
+			r, err := RunContext(ctx, Config{Workload: params, Pipeline: pcfg, Commits: commits})
 			if err != nil {
 				return slice{}, fmt.Errorf("core: %s simpoint %d: %w", b.Name, k, err)
 			}
@@ -65,6 +66,21 @@ func RunSimPoints(b spec.Benchmark, pol Policy, n int, commits uint64) (SimPoint
 	sum.MeanSDCAVF, sum.StdSDCAVF = meanStd(sdc)
 	sum.MeanDUEAVF, sum.StdDUEAVF = meanStd(due)
 	return sum, nil
+}
+
+// SimPoints runs n SimPoint slices of every roster benchmark under a
+// policy, in roster order, with the suite's context and worker bound. Runs
+// are not memoised.
+func (s *Suite) SimPoints(pol Policy, n int) ([]SimPointSummary, error) {
+	sums := make([]SimPointSummary, 0, len(s.Benches))
+	for _, b := range s.Benches {
+		sum, err := RunSimPoints(s.ctx(), b, pol, n, s.Commits, s.Workers)
+		if err != nil {
+			return nil, err
+		}
+		sums = append(sums, sum)
+	}
+	return sums, nil
 }
 
 func meanStd(xs []float64) (mean, std float64) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -84,5 +85,78 @@ func TestAllPolicies(t *testing.T) {
 		if p != Policy(i) {
 			t.Fatalf("AllPolicies[%d] = %v", i, p)
 		}
+	}
+}
+
+// TestPrewarmAllSingleFlight races the roster walk against the drivers of
+// the studies it memoises: every cell, the register-file and protection
+// rows included, is simulated once, so the race costs exactly the cycles
+// of one walk and yields the walk's rows.
+func TestPrewarmAllSingleFlight(t *testing.T) {
+	var benches []spec.Benchmark
+	for _, name := range []string{"mcf", "ammp"} {
+		b, ok := spec.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from roster", name)
+		}
+		benches = append(benches, b)
+	}
+	walk := NewSuite(benches, 5_000)
+	c0 := CyclesSimulated()
+	if err := walk.PrewarmAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := CyclesSimulated() - c0
+
+	s := NewSuite(benches, 5_000)
+	s.Workers = 2
+	c0 = CyclesSimulated()
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			switch i % 3 {
+			case 0:
+				err = s.PrewarmAll()
+			case 1:
+				_, err = s.RegFile()
+			case 2:
+				_, err = s.Protection(0.001)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := CyclesSimulated() - c0; got != want {
+		t.Errorf("racing drivers simulated %d cycles, one walk %d", got, want)
+	}
+	if n, want := s.Simulations(), uint64(5*len(benches)); n != want {
+		t.Errorf("racing drivers ran %d policy simulations, want %d", n, want)
+	}
+	for _, suite := range []*Suite{walk, s} {
+		c0 = CyclesSimulated()
+		if _, err := suite.RegFile(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := suite.Protection(0.001); err != nil {
+			t.Fatal(err)
+		}
+		if got := CyclesSimulated() - c0; got != 0 {
+			t.Errorf("studies after the walk simulated %d cycles, want 0", got)
+		}
+	}
+	gotRF, _ := s.RegFile()
+	wantRF, _ := walk.RegFile()
+	if !reflect.DeepEqual(gotRF, wantRF) {
+		t.Errorf("register-file rows differ:\n%+v\nwant\n%+v", gotRF, wantRF)
+	}
+	gotP, _ := s.Protection(0.001)
+	wantP, _ := walk.Protection(0.001)
+	if !reflect.DeepEqual(gotP, wantP) {
+		t.Errorf("protection rows differ:\n%+v\nwant\n%+v", gotP, wantP)
 	}
 }

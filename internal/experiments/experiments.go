@@ -28,11 +28,14 @@ import (
 // (for the campaign experiments) plus the numeric knobs, mirroring
 // cmd/repro's flag defaults.
 type Params struct {
-	// Suite memoises the roster simulations shared by Table 1, Figures
-	// 2-4, the breakdown, the ablation and the register-file study.
+	// Suite runs every roster experiment but Table 2 and outcomes, with
+	// its context and worker bound. It memoises the simulations shared by
+	// Table 1, Figures 2-4, the breakdown and the ablation, and the
+	// per-benchmark rows of the register-file and protection studies; the
+	// SimPoint slices are not memoised.
 	Suite *core.Suite
-	// Benches is the roster for the experiments that bypass the suite
-	// (Table 2, outcomes, protection, simpoints).
+	// Benches is the roster of the experiments the suite does not run
+	// (Table 2, outcomes); it must be the suite's roster.
 	Benches []spec.Benchmark
 	// Commits is the per-run commit budget.
 	Commits uint64
@@ -102,11 +105,11 @@ func Build(ctx context.Context, name string, p Params) (*report.Table, error) {
 	case "ablation":
 		return Ablation(p.Suite)
 	case "protection":
-		return Protection(p.Benches, p.Commits, p.RawFIT)
+		return Protection(p.Suite, p.RawFIT)
 	case "regfile":
 		return RegFile(p.Suite)
 	case "simpoints":
-		return SimPoints(p.Benches, p.Commits, p.SimPoints)
+		return SimPoints(p.Suite, p.SimPoints)
 	case "structures":
 		return Structures(p.Suite)
 	default:
@@ -127,11 +130,16 @@ func Emit(w io.Writer, t *report.Table, csv bool) error {
 
 // Run builds and emits the named experiment — or, for "all", the AllOrder
 // sequence — producing exactly the bytes cmd/repro prints for the same
-// parameters.
+// parameters. "all" first fills the suite in one walk over the roster
+// (core.Suite.PrewarmAll), so that every benchmark is decoded once for all
+// of its simulations; each artefact then builds from the memo.
 func Run(ctx context.Context, w io.Writer, name string, p Params, csv bool) error {
 	names := []string{name}
 	if name == "all" {
 		names = AllOrder
+		if err := p.Suite.PrewarmAll(); err != nil {
+			return err
+		}
 	}
 	for _, n := range names {
 		t, err := Build(ctx, n, p)
@@ -321,8 +329,8 @@ func Ablation(s *core.Suite) (*report.Table, error) {
 }
 
 // Protection reports the absolute SDC/DUE rates across protection schemes.
-func Protection(benches []spec.Benchmark, commits uint64, rawFIT float64) (*report.Table, error) {
-	rows, err := core.ProtectionComparison(benches, commits, rawFIT)
+func Protection(s *core.Suite, rawFIT float64) (*report.Table, error) {
+	rows, err := s.Protection(rawFIT)
 	if err != nil {
 		return nil, err
 	}
@@ -355,15 +363,15 @@ func RegFile(s *core.Suite) (*report.Table, error) {
 }
 
 // SimPoints reports AVF sensitivity to the SimPoint slice chosen (§5).
-func SimPoints(benches []spec.Benchmark, commits uint64, n int) (*report.Table, error) {
+func SimPoints(s *core.Suite, n int) (*report.Table, error) {
+	sums, err := s.SimPoints(core.PolicyBaseline, n)
+	if err != nil {
+		return nil, err
+	}
 	t := report.New(fmt.Sprintf("SimPoint sensitivity (%d slices per benchmark, baseline)", n),
 		"benchmark", "IPC", "+/-", "SDC AVF", "+/-", "DUE AVF", "+/-")
-	for _, b := range benches {
-		sum, err := core.RunSimPoints(b, core.PolicyBaseline, n, commits)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(b.Name,
+	for _, sum := range sums {
+		t.AddRow(sum.Bench,
 			report.F2(sum.MeanIPC), report.F2(sum.StdIPC),
 			report.Pct(sum.MeanSDCAVF), report.Pct(sum.StdSDCAVF),
 			report.Pct(sum.MeanDUEAVF), report.Pct(sum.StdDUEAVF))

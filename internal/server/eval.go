@@ -203,8 +203,8 @@ type flight struct {
 // suitePool keeps warm core.Suite memos across requests — the reason a
 // long-lived service beats the one-shot CLI: the roster simulations behind
 // Table 1, Figures 2-4, the breakdown, the ablation and the register-file
-// study are computed once per (roster, commits) and reused by every later
-// request. LRU-bounded so pathological request streams cannot hoard memory.
+// and protection studies are computed once per (roster, commits) and
+// reused by every later request. LRU-bounded so pathological request streams cannot hoard memory.
 type suitePool struct {
 	ctx     context.Context
 	workers int

@@ -32,8 +32,8 @@ type metrics struct {
 }
 
 // newMetrics wires the counter set plus derived gauges: simulated cycle
-// totals from the process-wide core counter and a cumulative Mcycles/s
-// throughput gauge since start.
+// totals and stream decodes and hits from the process-wide core counters,
+// and a cumulative Mcycles/s throughput gauge since start.
 func newMetrics(start time.Time, cache *Cache) *metrics {
 	m := &metrics{vars: new(expvar.Map).Init()}
 	counter := func(name string) *expvar.Int {
@@ -61,6 +61,8 @@ func newMetrics(start time.Time, cache *Cache) *metrics {
 	m.vars.Set("mcycles_simulated", expvar.Func(func() any {
 		return float64(core.CyclesSimulated()) / 1e6
 	}))
+	m.vars.Set("streams_decoded", expvar.Func(func() any { return core.StreamsDecoded() }))
+	m.vars.Set("stream_hits", expvar.Func(func() any { return core.StreamHits() }))
 	m.vars.Set("mcycles_per_sec", expvar.Func(func() any {
 		secs := time.Since(start).Seconds()
 		if secs <= 0 {

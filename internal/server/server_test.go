@@ -572,6 +572,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"evals_in_flight", "jobs_in_flight", "jobs_queued",
 		"jobs_done", "jobs_failed", "jobs_interrupted",
 		"cache_entries", "cache_bytes", "mcycles_simulated", "mcycles_per_sec",
+		"streams_decoded", "stream_hits",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)
@@ -579,6 +580,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m["mcycles_simulated"].(float64) <= 0 {
 		t.Error("mcycles_simulated did not advance after an eval")
+	}
+	// The counters are process-wide: an arena may already keep the eval's
+	// stream, so the eval counts as a decode or as a hit.
+	if m["streams_decoded"].(float64)+m["stream_hits"].(float64) <= 0 {
+		t.Error("neither streams_decoded nor stream_hits advanced after an eval")
 	}
 }
 

@@ -48,6 +48,8 @@ head -n 1 "$workdir/csv" | grep -q '^bench,'
 # One static bound, and the sweep was priced exactly once.
 fetch '/v1/bound?bench=mcf&policy=squash-l1&commits=8000' | grep -q '"est_cycles"'
 fetch /metrics | grep -q '"sweeps_priced": 1[,}]'
+# The fresh daemon's first eval decoded its streams.
+fetch /metrics | grep -q '"streams_decoded": [1-9]'
 
 # SIGINT must drain and exit 0.
 kill -INT "$pid"

@@ -5,9 +5,9 @@
 #      module, which the root go build/test never compile (~6 s on 2 vCPU)
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
-#      numbers may not drift silently — plus the sweep grid again at -j 1,
-#      so the parallel dispatch order cannot leak into its bytes (~30 s on
-#      2 vCPU)
+#      numbers may not drift silently — plus `repro all` and the sweep grid
+#      again at -j 1, so the parallel dispatch order cannot leak into their
+#      bytes (~35 s on 2 vCPU)
 #   3. race tier: the packages that run simulations concurrently, under the
 #      race detector (parallel engine, suite memo, sweep grid, fault
 #      fan-out, and the server's concurrent-load test)
@@ -57,6 +57,9 @@ art=$(mktemp -d)
 go build -o "$art/" ./cmd/repro ./cmd/sweep
 "$art/repro" all > "$art/repro_all.txt"
 cmp "$art/repro_all.txt" results/repro_all.txt
+# the roster walk on one worker: its dispatch order must not reach the bytes
+"$art/repro" -j 1 all > "$art/repro_all_j1.txt"
+cmp "$art/repro_all_j1.txt" results/repro_all.txt
 { "$art/repro" -core ooo table1 && "$art/repro" -core ooo structures; } > "$art/repro_ooo.txt"
 cmp "$art/repro_ooo.txt" results/repro_ooo.txt
 "$art/sweep" -benches mcf,gzip-graphic,ammp -policies baseline,squash-l1 \
