@@ -12,8 +12,10 @@
 package fault
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"softerror/internal/ace"
@@ -115,16 +117,20 @@ func (r *Result) FalseDUEFraction() float64 { return r.Frac(OutcomeFalseDUE) }
 
 // Injector samples strikes against the residency record of one structure
 // (the instruction queue by default; the front-end fetch buffer via
-// NewFrontEndInjector).
+// NewFrontEndInjector). It is read-only once built, so campaign workers
+// share it.
 type Injector struct {
 	residencies []pipeline.Residency
-	log         []isa.Inst
-	dead        *ace.Deadness
+	// pos is each residency's commit-log position, or -1 when the
+	// instruction never reached the log (wrong path, or issued after the
+	// recorded log ended).
+	pos  []int32
+	ix   *pibit.Index
+	dead *ace.Deadness
 
 	cum      []uint64 // cumulative occupied bit-cycles per residency
 	totalOcc uint64
 	capacity uint64
-	bySeq    map[uint64]int // commit-log index by sequence number
 }
 
 // NewInjector prepares fault injection over a trace's instruction-queue
@@ -153,25 +159,42 @@ func NewROBInjector(tr *pipeline.Trace, dead *ace.Deadness) *Injector {
 }
 
 // NewStructureInjector prepares fault injection over arbitrary residency
-// intervals of a structure with the given entry count.
+// intervals of a structure with the given entry count. The log is the
+// committed stream in program order (ascending Seq) and dead its deadness
+// analysis, so that dead.OfPos(i) classifies log[i].
 func NewStructureInjector(res []pipeline.Residency, cycles uint64, entries int, log []isa.Inst, dead *ace.Deadness) *Injector {
 	inj := &Injector{
 		residencies: res,
-		log:         log,
+		pos:         make([]int32, len(res)),
+		ix:          pibit.NewIndex(log),
 		dead:        dead,
 		capacity:    cycles * uint64(entries) * uint64(isa.EntryPayloadBits),
-		bySeq:       make(map[uint64]int, len(log)),
+		cum:         make([]uint64, len(res)),
 	}
-	inj.cum = make([]uint64, len(res))
 	var acc uint64
+	next := 0 // log position after the last one resolved
 	for i := range res {
 		acc += res[i].Occupancy() * uint64(isa.EntryPayloadBits)
 		inj.cum[i] = acc
+		inj.pos[i] = -1
+		in := &res[i].Inst
+		if in.WrongPath {
+			continue
+		}
+		// Residencies arrive in near program order, so the position after
+		// the last one resolved is the usual answer.
+		p, ok := next, next < len(log) && log[next].Seq == in.Seq
+		if !ok {
+			p, ok = slices.BinarySearchFunc(log, in.Seq, func(c isa.Inst, seq uint64) int {
+				return cmp.Compare(c.Seq, seq)
+			})
+		}
+		if ok {
+			inj.pos[i] = int32(p)
+			next = p + 1
+		}
 	}
 	inj.totalOcc = acc
-	for i := range log {
-		inj.bySeq[log[i].Seq] = i
-	}
 	return inj
 }
 
@@ -185,8 +208,8 @@ const strikeSeqBase = uint64(0xfa17) << 32
 // any partition of the index space (chunked checkpoints, parallel fan-out,
 // watchdog retries, single-strike replays) tallies exactly what a serial
 // sweep of [0, Strikes) would.
-func strikeStream(seed uint64, i int) *rng.Stream {
-	return rng.New(seed, strikeSeqBase+uint64(i))
+func strikeStream(seed uint64, i int) rng.Stream {
+	return rng.Make(seed, strikeSeqBase+uint64(i))
 }
 
 // Merge folds o's tallies into r. Campaign chunks merged in any order
@@ -246,7 +269,8 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 		if i&1023 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		o := inj.strike(strikeStream(cfg.Seed, i), cfg, engine)
+		s := strikeStream(cfg.Seed, i)
+		o := inj.strike(&s, cfg, engine)
 		res.Counts[o]++
 		res.Strikes++
 	}
@@ -258,7 +282,8 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 // state — which is what lets a retried or replayed cell be byte-identical
 // to its first-try counterpart.
 func (inj *Injector) StrikeOutcome(cfg Config, i int) Outcome {
-	return inj.strike(strikeStream(cfg.Seed, i), cfg, cfg.engine())
+	s := strikeStream(cfg.Seed, i)
+	return inj.strike(&s, cfg, cfg.engine())
 }
 
 // RunMany executes one campaign per configuration, fanning them out over
@@ -294,7 +319,14 @@ func (inj *Injector) strike(s *rng.Stream, cfg Config, engine *pibit.Engine) Out
 		return OutcomeNeverRead
 	}
 
-	cat := inj.dead.Of(&r.Inst)
+	ci := int(inj.pos[idx])
+	cat := ace.CatACE // issued after the recorded log ended
+	switch {
+	case r.Inst.WrongPath:
+		cat = ace.CatWrongPath
+	case ci >= 0:
+		cat = inj.dead.OfPos(ci)
+	}
 	truth := ace.BitACE(cat, field, r.Inst.Dest != isa.RegNone)
 
 	switch cfg.Protection {
@@ -316,15 +348,14 @@ func (inj *Injector) strike(s *rng.Stream, cfg Config, engine *pibit.Engine) Out
 		}
 		return OutcomeFalseDUE
 	}
-	ci, ok := inj.bySeq[r.Inst.Seq]
-	if !ok {
+	if ci < 0 {
 		// Issued after the recorded log ended; be conservative.
 		if truth {
 			return OutcomeTrueDUE
 		}
 		return OutcomeFalseDUE
 	}
-	switch engine.Process(inj.log, ci, field) {
+	switch engine.Process(inj.ix, ci, field) {
 	case pibit.VerdictSignalled:
 		if truth {
 			return OutcomeTrueDUE

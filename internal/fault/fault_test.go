@@ -198,10 +198,11 @@ func TestMemoryLevelCoversAllFalseErrors(t *testing.T) {
 	// the engine must never signal (suppressed or still-latent are fine).
 	tr, dead, _ := setup(t)
 	eng := &pibit.Engine{Level: ace.TrackMemory, PETEntries: 512, Window: pibit.DefaultWindow}
+	ix := pibit.NewIndex(tr.CommitLog)
 	checked := 0
 	for i := range tr.CommitLog {
 		in := &tr.CommitLog[i]
-		cat := dead.Of(in)
+		cat := dead.OfPos(i)
 		if cat == ace.CatACE {
 			continue
 		}
@@ -209,7 +210,7 @@ func TestMemoryLevelCoversAllFalseErrors(t *testing.T) {
 			if ace.BitACE(cat, f, in.Dest != isa.RegNone) {
 				continue // truth-ACE bits may legitimately signal
 			}
-			if v := eng.Process(tr.CommitLog, i, f); v == pibit.VerdictSignalled {
+			if v := eng.Process(ix, i, f); v == pibit.VerdictSignalled {
 				t.Fatalf("false error signalled at full tracking: cat=%v field=%v inst=%v", cat, f, in)
 			}
 			checked++

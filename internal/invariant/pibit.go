@@ -31,6 +31,7 @@ func checkPiBitSafety(seed uint64, opt Options) error {
 		return fmt.Errorf("empty commit log")
 	}
 	dead := ace.AnalyzeDeadness(tr.CommitLog)
+	ix := pibit.NewIndex(tr.CommitLog)
 
 	levels := []ace.TrackLevel{
 		ace.TrackNever, ace.TrackCommit, ace.TrackAntiPi, ace.TrackPET,
@@ -42,7 +43,8 @@ func checkPiBitSafety(seed uint64, opt Options) error {
 		i := s.Intn(len(tr.CommitLog))
 		in := &tr.CommitLog[i]
 		field := isa.Field(s.Intn(isa.NumFields))
-		if !ace.BitACE(dead.Of(in), field, in.HasDest()) {
+		cat := dead.OfPos(i)
+		if !ace.BitACE(cat, field, in.HasDest()) {
 			continue // un-ACE ground truth: any verdict is acceptable
 		}
 		checked++
@@ -51,9 +53,9 @@ func checkPiBitSafety(seed uint64, opt Options) error {
 			PETEntries: 1 << (0 + s.Intn(11)), // 1..1024: tiny PETs must fail safe
 			Window:     1 + s.Intn(2*int(opt.Commits)),
 		}
-		if v := eng.Process(tr.CommitLog, i, field); v == pibit.VerdictSuppressed {
+		if v := eng.Process(ix, i, field); v == pibit.VerdictSuppressed {
 			return fmt.Errorf("outcome-changing error suppressed: idx=%d seq=%d field=%v cat=%v level=%v pet=%d window=%d",
-				i, in.Seq, field, dead.Of(in), eng.Level, eng.PETEntries, eng.Window)
+				i, in.Seq, field, cat, eng.Level, eng.PETEntries, eng.Window)
 		}
 	}
 	if checked == 0 {

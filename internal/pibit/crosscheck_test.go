@@ -23,17 +23,17 @@ func TestPETStructureMatchesAnalyticCoverage(t *testing.T) {
 	p := pipeline.MustNew(pipeline.DefaultConfig(), gen, mem)
 	tr := p.Run(25000, true)
 	dead := ace.AnalyzeDeadness(tr.CommitLog)
+	ix := NewIndex(tr.CommitLog)
 
 	for _, entries := range []int{64, 256, 512, 2048} {
 		eng := &Engine{Level: ace.TrackPET, PETEntries: entries, Window: DefaultWindow}
 		var total, suppressed int
 		for i := range tr.CommitLog {
-			in := &tr.CommitLog[i]
-			if dead.Of(in) != ace.CatFDDReg {
+			if dead.OfPos(i) != ace.CatFDDReg {
 				continue
 			}
 			total++
-			if eng.Process(tr.CommitLog, i, 0) == VerdictSuppressed {
+			if eng.Process(ix, i, 0) == VerdictSuppressed {
 				suppressed++
 			}
 		}
@@ -63,20 +63,20 @@ func TestEngineAgreesWithTrackAssignments(t *testing.T) {
 	p := pipeline.MustNew(pipeline.DefaultConfig(), gen, mem)
 	tr := p.Run(25000, true)
 	dead := ace.AnalyzeDeadness(tr.CommitLog)
+	ix := NewIndex(tr.CommitLog)
 
 	checkCat := func(cat ace.Category) {
 		lvl := cat.Track()
 		eng := &Engine{Level: lvl, PETEntries: 512, Window: DefaultWindow}
 		var signalled, total int
 		for i := range tr.CommitLog {
-			in := &tr.CommitLog[i]
-			if dead.Of(in) != cat {
+			if dead.OfPos(i) != cat {
 				continue
 			}
 			total++
 			// A non-dest field strike: un-ACE ground truth for every
 			// dead/neutral/squashable category.
-			if eng.Process(tr.CommitLog, i, 5 /* imm field */) == VerdictSignalled {
+			if eng.Process(ix, i, 5 /* imm field */) == VerdictSignalled {
 				signalled++
 			}
 		}

@@ -62,9 +62,11 @@ func NewEngine(level ace.TrackLevel) *Engine {
 }
 
 // Process decides the fate of a fault detected (by parity, at issue) on
-// log[faultIdx], where struckField identifies the corrupted bit-field.
-// The log must be the committed instruction stream in program order.
-func (e *Engine) Process(log []isa.Inst, faultIdx int, struckField isa.Field) Verdict {
+// the commit log position faultIdx of ix, where struckField identifies the
+// corrupted bit-field. Build ix once per log with NewIndex; Process only
+// reads it, so strikes on one log may share it across goroutines.
+func (e *Engine) Process(ix *Index, faultIdx int, struckField isa.Field) Verdict {
+	log := ix.log
 	if faultIdx < 0 || faultIdx >= len(log) {
 		panic(fmt.Sprintf("pibit: fault index %d out of log range %d", faultIdx, len(log)))
 	}
@@ -107,50 +109,66 @@ func (e *Engine) Process(log []isa.Inst, faultIdx int, struckField isa.Field) Ve
 		// No post-commit machinery: signal at the commit point.
 		return VerdictSignalled
 	case ace.TrackPET:
-		return e.processPET(log, faultIdx)
+		return e.processPET(ix, faultIdx)
 	default:
-		return e.processDataflow(log, faultIdx)
+		return e.processDataflow(ix, faultIdx)
 	}
 }
 
-// processPET runs the faulty instruction through a PET buffer fed by the
-// subsequent commit stream (§4.3.3, design 1).
-func (e *Engine) processPET(log []isa.Inst, faultIdx int) Verdict {
-	in := &log[faultIdx]
+// windowEnd returns the log position one past the last instruction replayed
+// after a fault on faultIdx.
+func (e *Engine) windowEnd(ix *Index, faultIdx int) int {
+	return min(faultIdx+1+e.Window, len(ix.log))
+}
+
+// processPET decides a fault the way the PET buffer does (§4.3.3, design
+// 1), without simulating the buffer: the faulty entry is evicted once
+// PETEntries younger instructions are logged, and eviction scans exactly
+// those. The first read of the destination means the value may have been
+// consumed (signal); an overwrite with no read before it proves the write
+// first-level dead (suppress); neither within the buffer proves nothing
+// (signal). A window shorter than the buffer drains it early, which scans
+// what was logged by then.
+func (e *Engine) processPET(ix *Index, faultIdx int) Verdict {
+	in := &ix.log[faultIdx]
 	if !in.HasDest() {
 		// The PET buffer can only prove register FDD; stores, branches
 		// and other destination-less instructions signal at commit.
 		return VerdictSignalled
 	}
-	pet := NewPETBuffer(e.PETEntries)
-	pet.Push(*in, true)
-	end := faultIdx + 1 + e.Window
-	if end > len(log) {
-		end = len(log)
+	if e.PETEntries < 1 {
+		panic(fmt.Sprintf("pibit: PET buffer size %d, want >= 1", e.PETEntries))
 	}
-	for i := faultIdx + 1; i < end; i++ {
-		signal, seq, evicted := pet.Push(log[i], false)
-		if evicted && seq == in.Seq {
-			if signal {
-				return VerdictSignalled
+	dest := slotOf(in.Dest)
+	end := min(faultIdx+1+e.PETEntries, e.windowEnd(ix, faultIdx))
+	for i := faultIdx + 1; i < end; {
+		next := min(blockEnd(i), end)
+		if !ix.blocks[i>>blockShift].regs.has(dest) {
+			i = next // no instruction here names dest
+			continue
+		}
+		for ; i < next; i++ {
+			o := &ix.ops[i]
+			if o.guard == dest || o.src1 == dest || o.src2 == dest {
+				return VerdictSignalled // intervening read: possibly consumed
 			}
-			return VerdictSuppressed
+			if o.dest == dest {
+				return VerdictSuppressed // overwritten without read: proven FDD
+			}
 		}
 	}
-	for _, seq := range pet.Drain() {
-		if seq == in.Seq {
-			return VerdictSignalled
-		}
-	}
-	return VerdictSuppressed
+	return VerdictSignalled // no overwriter logged: cannot prove
 }
 
 // processDataflow implements the register-file, store-buffer and memory π
 // levels (§4.3.3, designs 2–4) by replaying architectural dataflow from the
 // fault forward. The π state is local to the call, so strikes share
-// nothing.
-func (e *Engine) processDataflow(log []isa.Inst, faultIdx int) Verdict {
-	in := &log[faultIdx]
+// nothing. The replay walks the index: a block that names no poisoned
+// register and whose address filter misses every poisoned block is
+// skipped whole, since step changes nothing and decides nothing on an
+// instruction that touches no π state.
+func (e *Engine) processDataflow(ix *Index, faultIdx int) Verdict {
+	in := &ix.log[faultIdx]
 	var pi piState
 
 	// Destination-less π instructions cannot defer: a store commits
@@ -165,19 +183,36 @@ func (e *Engine) processDataflow(log []isa.Inst, faultIdx int) Verdict {
 		// an overwriting store clears it.
 		pi.mem.add(in.Addr)
 	} else {
-		pi.regs.add(in.Dest)
+		pi.regs.add(slotOf(in.Dest))
 	}
 
-	end := faultIdx + 1 + e.Window
-	if end > len(log) {
-		end = len(log)
-	}
-	for i := faultIdx + 1; i < end; i++ {
-		if v, done := e.stepDataflow(&log[i], &pi); done {
-			return v
+	memory := e.Level >= ace.TrackMemory
+	end := e.windowEnd(ix, faultIdx)
+	for i := faultIdx + 1; i < end; {
+		next := min(blockEnd(i), end)
+		if !ix.blocks[i>>blockShift].touches(&pi) {
+			i = next
+			continue
 		}
-		if pi.regs.n == 0 && len(pi.mem) == 0 {
-			return VerdictSuppressed // all π state overwritten unread
+		for ; i < next; i++ {
+			o := &ix.ops[i]
+			if o.kind == opNeutral {
+				continue // neutral readers consume nothing
+			}
+			readPi := pi.regs.has(o.guard) || pi.regs.has(o.src1) || pi.regs.has(o.src2)
+			if !readPi && (!memory || o.kind != opLoad && o.kind != opStore) {
+				// Reads no π and moves no memory π: all step would do is
+				// clear a clean overwrite.
+				if !pi.regs.has(o.dest) {
+					continue
+				}
+				pi.regs.remove(o.dest)
+			} else if v, done := e.step(ix, i, &pi); done {
+				return v
+			}
+			if pi.regs.n == 0 && pi.mem.n == 0 {
+				return VerdictSuppressed // all π state overwritten unread
+			}
 		}
 	}
 	return VerdictLatent
@@ -190,73 +225,125 @@ type piState struct {
 	mem  addrSet
 }
 
+// regSlot is a register's bit in a regBits: the register's index, and
+// for RegNone a slot no register uses, so membership needs no range check.
+type regSlot uint16
+
+// noSlot is RegNone's slot; a π register set never holds it.
+const noSlot regSlot = 8*64 - 1
+
+// slotOf returns r's slot.
+func slotOf(r isa.Reg) regSlot {
+	if r.Valid() {
+		return regSlot(r)
+	}
+	return noSlot
+}
+
+// regBits holds one bit per register slot.
+type regBits [8]uint64
+
+func (b *regBits) has(s regSlot) bool { return b[s>>6&7]>>(s&63)&1 != 0 }
+
+func (b *regBits) set(s regSlot) { b[s>>6&7] |= 1 << (s & 63) }
+
 // regSet is a set of architectural registers: one bit each, plus a
-// population count so emptiness is one comparison. Registers are valid
-// (isa.Reg's contract for committed instructions); has also accepts
-// RegNone, which is never a member.
+// population count so emptiness is one comparison.
 type regSet struct {
-	bits [isa.NumRegs / 64]uint64
+	bits regBits
 	n    int
 }
 
-func (s *regSet) has(r isa.Reg) bool {
-	return uint(r) < isa.NumRegs && s.bits[uint(r)/64]&(1<<(uint(r)%64)) != 0
-}
+func (s *regSet) has(r regSlot) bool { return s.bits.has(r) }
 
-func (s *regSet) add(r isa.Reg) {
-	w, b := &s.bits[uint(r)/64], uint64(1)<<(uint(r)%64)
-	if *w&b == 0 {
-		*w |= b
+// add inserts r, which must not be noSlot.
+func (s *regSet) add(r regSlot) {
+	if !s.bits.has(r) {
+		s.bits.set(r)
 		s.n++
 	}
 }
 
-func (s *regSet) remove(r isa.Reg) {
-	w, b := &s.bits[uint(r)/64], uint64(1)<<(uint(r)%64)
-	if *w&b != 0 {
-		*w &^= b
+func (s *regSet) remove(r regSlot) {
+	if s.bits.has(r) {
+		s.bits[r>>6&7] &^= 1 << (r & 63)
 		s.n--
 	}
 }
 
-// addrSet is a set of memory block addresses, scanned linearly. It stays
-// short: a block enters only when a π value is stored to it, and a clean
-// store to the block removes it.
-type addrSet []uint64
+// memInline is how many poisoned memory blocks a replay holds in place
+// before its address set spills to the heap.
+const memInline = 64
 
-func (s addrSet) has(a uint64) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
+// addrSet is a set of memory block addresses, scanned linearly, with the
+// index's hashed filter of its members. It stays short: a block enters
+// only when a π value is stored to it, and a clean store to the block
+// removes it. The first memInline members live in the set itself, so a
+// replay's π state stays on its stack.
+type addrSet struct {
+	inline [memInline]uint64
+	spill  []uint64 // members past the inline capacity
+	n      int
+	filter uint64 // OR of addrBit over the members
 }
 
-func (s *addrSet) add(a uint64) {
-	if !s.has(a) {
-		*s = append(*s, a)
+// slot returns member i's storage.
+func (s *addrSet) slot(i int) *uint64 {
+	if i < memInline {
+		return &s.inline[i]
 	}
+	return &s.spill[i-memInline]
+}
+
+// find returns a's member index, or -1.
+func (s *addrSet) find(a uint64) int {
+	if s.filter&addrBit(a) == 0 {
+		return -1
+	}
+	for i := 0; i < s.n; i++ {
+		if *s.slot(i) == a {
+			return i
+		}
+	}
+	return -1
+}
+
+func (s *addrSet) has(a uint64) bool { return s.find(a) >= 0 }
+
+func (s *addrSet) add(a uint64) {
+	if s.has(a) {
+		return
+	}
+	if s.n < memInline {
+		s.inline[s.n] = a
+	} else {
+		s.spill = append(s.spill, a)
+	}
+	s.n++
+	s.filter |= addrBit(a)
 }
 
 func (s *addrSet) remove(a uint64) {
-	for i, x := range *s {
-		if x == a {
-			last := len(*s) - 1
-			(*s)[i] = (*s)[last]
-			*s = (*s)[:last]
-			return
-		}
+	i := s.find(a)
+	if i < 0 {
+		return
+	}
+	s.n--
+	*s.slot(i) = *s.slot(s.n)
+	if s.n >= memInline {
+		s.spill = s.spill[:s.n-memInline]
+	}
+	s.filter = 0
+	for k := 0; k < s.n; k++ {
+		s.filter |= addrBit(*s.slot(k))
 	}
 }
 
-// stepDataflow advances the π dataflow by one committed instruction.
-// It returns done=true with the final verdict when the machinery commits
-// to a decision.
-func (e *Engine) stepDataflow(cur *isa.Inst, pi *piState) (Verdict, bool) {
-	if cur.Class.Neutral() {
-		return 0, false // neutral readers consume nothing
-	}
+// step advances the π dataflow by the non-neutral instruction at log
+// position i. It returns done=true with the final verdict when the
+// machinery commits to a decision.
+func (e *Engine) step(ix *Index, i int, pi *piState) (Verdict, bool) {
+	o := &ix.ops[i]
 	memory := e.Level >= ace.TrackMemory
 
 	// A poisoned qualifying predicate makes the execute/nullify decision
@@ -264,19 +351,17 @@ func (e *Engine) stepDataflow(cur *isa.Inst, pi *piState) (Verdict, bool) {
 	// register it would have written cannot be tracked — signal. For one
 	// that executed, its result is simply possibly incorrect: poison the
 	// destination and keep tracking, like any other poisoned read.
-	guardPi := pi.regs.has(cur.PredGuard)
-	if guardPi && cur.PredFalse {
+	guardPi := pi.regs.has(o.guard)
+	if guardPi && o.predFalse {
 		return VerdictSignalled, true
 	}
 
-	// Does this instruction read a poisoned register?
-	readPi := guardPi
-	if !cur.PredFalse && (pi.regs.has(cur.Src1) || pi.regs.has(cur.Src2)) {
-		readPi = true
-	}
+	// Does this instruction read a poisoned register? The sources of a
+	// pred-false instruction consume nothing; its op names none.
+	readPi := guardPi || pi.regs.has(o.src1) || pi.regs.has(o.src2)
 
 	// Loads may pick π up from a poisoned memory block (design 4).
-	loadPi := memory && cur.Class == isa.ClassLoad && !cur.PredFalse && pi.mem.has(cur.Addr)
+	loadPi := memory && o.kind == opLoad && pi.mem.has(ix.log[i].Addr)
 
 	switch {
 	case e.Level == ace.TrackRegFile:
@@ -287,26 +372,26 @@ func (e *Engine) stepDataflow(cur *isa.Inst, pi *piState) (Verdict, bool) {
 	case readPi || loadPi:
 		// Designs 3–4: π propagates along dataflow. Control flow and I/O
 		// cannot be deferred; stores defer only under design 4.
-		switch {
-		case cur.Class.IsControl() || cur.Class == isa.ClassIO:
+		switch o.kind {
+		case opSignal:
 			return VerdictSignalled, true
-		case cur.Class == isa.ClassStore:
+		case opStore:
 			if !memory {
 				return VerdictSignalled, true
 			}
-			pi.mem.add(cur.Addr)
-		case cur.HasDest():
-			pi.regs.add(cur.Dest)
+			pi.mem.add(ix.log[i].Addr)
+		default:
+			if o.dest != noSlot {
+				pi.regs.add(o.dest)
+			}
 		}
 	}
 
 	// Overwrites clear poisoned state: a clean result supersedes it.
 	if !readPi && !loadPi {
-		if cur.HasDest() {
-			pi.regs.remove(cur.Dest)
-		}
-		if memory && cur.Class == isa.ClassStore && !cur.PredFalse {
-			pi.mem.remove(cur.Addr)
+		pi.regs.remove(o.dest)
+		if memory && o.kind == opStore {
+			pi.mem.remove(ix.log[i].Addr)
 		}
 	}
 	return 0, false

@@ -35,13 +35,13 @@ func ExamplePETBuffer() {
 func ExampleEngine_Process() {
 	nop := isa.Inst{Seq: 0, Class: isa.ClassNop, Dest: isa.RegNone,
 		Src1: isa.RegNone, Src2: isa.RegNone, PredGuard: isa.RegNone}
-	log := []isa.Inst{nop}
+	ix := pibit.NewIndex([]isa.Inst{nop})
 
 	parity := pibit.NewEngine(ace.TrackNever)
 	antiPi := pibit.NewEngine(ace.TrackAntiPi)
-	fmt.Println("plain parity:", parity.Process(log, 0, isa.FieldImm))
-	fmt.Println("with anti-pi:", antiPi.Process(log, 0, isa.FieldImm))
-	fmt.Println("opcode strike:", antiPi.Process(log, 0, isa.FieldOpcode))
+	fmt.Println("plain parity:", parity.Process(ix, 0, isa.FieldImm))
+	fmt.Println("with anti-pi:", antiPi.Process(ix, 0, isa.FieldImm))
+	fmt.Println("opcode strike:", antiPi.Process(ix, 0, isa.FieldOpcode))
 	// Output:
 	// plain parity: signalled
 	// with anti-pi: suppressed

@@ -100,7 +100,7 @@ func TestVerdictByStruckField(t *testing.T) {
 		e := NewEngine(c.level)
 		log := []isa.Inst{c.in, overwrite}
 		for f := isa.Field(0); f < isa.NumFields; f++ {
-			if got, want := e.Process(log, 0, f), c.want(f); got != want {
+			if got, want := e.Process(NewIndex(log), 0, f), c.want(f); got != want {
 				t.Errorf("%s: struck field %v: verdict %v, want %v", c.name, f, got, want)
 			}
 		}

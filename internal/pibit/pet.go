@@ -5,11 +5,13 @@
 // and the π-bit extensions to the register file, store buffer, caches and
 // memory (§4 of the paper).
 //
-// The mechanisms are implemented as real data structures driven by the
-// committed instruction stream, so a fault-injection campaign exercises the
-// same decisions the hardware would make: set π instead of raising a
-// machine check, propagate it along dataflow, and signal only when a
-// possibly-incorrect value could reach architectural output.
+// The mechanisms are driven by the committed instruction stream, so a
+// fault-injection campaign exercises the same decisions the hardware would
+// make: set π instead of raising a machine check, propagate it along
+// dataflow, and signal only when a possibly-incorrect value could reach
+// architectural output. The engine decides PET-level faults with the scan
+// the buffer performs at eviction; PETBuffer is the structure itself, and
+// the tests pin the two against each other.
 package pibit
 
 import (

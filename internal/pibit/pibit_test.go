@@ -144,7 +144,7 @@ func TestPETIgnoresNeutralAndPredFalseReads(t *testing.T) {
 // engineVerdict runs an engine at the given level over the builder's log.
 func engineVerdict(level ace.TrackLevel, log []isa.Inst, faultIdx int, field isa.Field) Verdict {
 	e := NewEngine(level)
-	return e.Process(log, faultIdx, field)
+	return e.Process(NewIndex(log), faultIdx, field)
 }
 
 func TestEnginePlainParitySignalsEverything(t *testing.T) {
@@ -202,12 +202,12 @@ func TestEnginePETWindowLimit(t *testing.T) {
 	}
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite beyond 512
 	e := NewEngine(ace.TrackPET)                     // 512 entries
-	if v := e.Process(b.log, f, isa.FieldImm); v != VerdictSignalled {
+	if v := e.Process(NewIndex(b.log), f, isa.FieldImm); v != VerdictSignalled {
 		t.Fatalf("overwrite outside PET window: verdict = %v, want signalled", v)
 	}
 	// A 1024-entry PET covers it.
 	e.PETEntries = 1024
-	if v := e.Process(b.log, f, isa.FieldImm); v != VerdictSuppressed {
+	if v := e.Process(NewIndex(b.log), f, isa.FieldImm); v != VerdictSuppressed {
 		t.Fatal("1024-entry PET should prove the FDD")
 	}
 }
@@ -338,7 +338,7 @@ func TestEngineProcessPanicsOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range fault index did not panic")
 		}
 	}()
-	NewEngine(ace.TrackCommit).Process(nil, 0, isa.FieldImm)
+	NewEngine(ace.TrackCommit).Process(NewIndex(nil), 0, isa.FieldImm)
 }
 
 func TestVerdictString(t *testing.T) {

@@ -26,7 +26,7 @@ func splitMix64(state *uint64) uint64 {
 }
 
 // Stream is a deterministic PCG32 pseudo-random stream. The zero value is
-// not useful; construct Streams with New or Derive.
+// not useful; construct Streams with New, Make or Derive.
 type Stream struct {
 	state uint64
 	inc   uint64 // must be odd
@@ -35,8 +35,15 @@ type Stream struct {
 // New returns a Stream seeded from seed and sequence. Distinct sequence
 // values yield statistically independent streams even for equal seeds.
 func New(seed, sequence uint64) *Stream {
+	s := Make(seed, sequence)
+	return &s
+}
+
+// Make is New returning the Stream by value, for hot loops that keep a
+// short-lived stream on the stack.
+func Make(seed, sequence uint64) Stream {
 	mix := seed
-	s := &Stream{
+	s := Stream{
 		inc: (splitMix64(&mix)^sequence)<<1 | 1,
 	}
 	s.state = splitMix64(&mix)
