@@ -138,25 +138,18 @@ func NewSuite(benches []spec.Benchmark, commits uint64) *Suite {
 // simulating it on first request. Concurrent calls for the same cell block
 // until the one executing simulation finishes.
 func (s *Suite) Result(b spec.Benchmark, pol Policy) (*Result, error) {
-	return memoised(s, s.results, suiteKey{name: b.Name, pol: pol}, func() (*Result, error) {
-		return s.simulate(b, pol)
-	})
-}
-
-// simulate runs one cell uncached.
-func (s *Suite) simulate(b spec.Benchmark, pol Policy) (*Result, error) {
-	s.sims.Add(1)
-	pcfg := pipeline.DefaultConfig()
-	pcfg.OutOfOrder = s.OutOfOrder
-	pol.Apply(&pcfg)
-	r, err := RunContext(s.ctx(), Config{Workload: b.Params, Pipeline: pcfg, Commits: s.Commits})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", b.Name, pol, err)
+	s.mu.Lock()
+	f, ok := s.results[suiteKey{name: b.Name, pol: pol}]
+	s.mu.Unlock()
+	if ok {
+		return f.wait()
 	}
-	// Release the per-instruction classification map: the drivers only
-	// need the aggregate report and distance populations.
-	r.Report.Dead.Compact()
-	return r, nil
+	// A cold cell runs as a one-policy batch on a pooled arena. The batch
+	// settles the cell, failed or not, so the lookup then finds it.
+	a := defaultArenas.Get()
+	s.prewarmBench(a, b, []Policy{pol})
+	defaultArenas.Put(a)
+	return s.Result(b, pol)
 }
 
 // Simulations reports how many policy simulations the suite has actually
@@ -272,12 +265,13 @@ func (s *Suite) prewarmBench(a *Arena, b spec.Benchmark, policies []Policy) erro
 }
 
 // simulateBatch runs one benchmark's policy set through the batched
-// evaluation path on arena a; each result is byte-identical to what
-// simulate would have produced.
+// evaluation path on arena a, releasing each result's per-instruction
+// classification map: the drivers only need the aggregate report and
+// distance populations.
 func (s *Suite) simulateBatch(a *Arena, b spec.Benchmark, pols []Policy) ([]*Result, error) {
 	results, err := RunBatchArena(s.ctx(), a, b.Params, s.Commits, policySpecs(pols, s.OutOfOrder))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s batched prewarm: %w", b.Name, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", b.Name, pols, err)
 	}
 	s.sims.Add(uint64(len(pols)))
 	for _, r := range results {

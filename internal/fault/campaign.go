@@ -85,11 +85,12 @@ func (c *Campaign) Fingerprint() string {
 	return checkpoint.Fingerprint(parts...)
 }
 
-// Run executes every cell on the worker pool and returns one merged Result
-// per configuration, in configuration order. Cells already present in the
-// checkpoint are restored, not re-run. On failure or cancellation the
-// checkpoint (if any) is flushed before returning, so completed cells
-// survive; the error reports why the campaign stopped.
+// Run executes every cell through checkpoint.Run and returns one merged
+// Result per configuration, in configuration order. The runner restores
+// cells already in the checkpoint without re-running them, writes each new
+// cell back, and flushes the checkpoint on every exit, so on failure or
+// cancellation the completed cells survive there; the error reports why the
+// campaign stopped, naming failed cells by their flat index.
 func (c *Campaign) Run(ctx context.Context) ([]*Result, error) {
 	if len(c.Configs) == 0 {
 		return nil, nil
@@ -99,34 +100,19 @@ func (c *Campaign) Run(ctx context.Context) ([]*Result, error) {
 			return nil, fmt.Errorf("fault: config %d: Strikes = %d, want > 0", i, cfg.Strikes)
 		}
 	}
-	cells := c.Cells()
-	ck := c.Checkpoint
-	if ck != nil && ck.Total() != cells {
-		return nil, fmt.Errorf("fault: checkpoint has %d cells, campaign has %d", ck.Total(), cells)
+	cells := make([]int, c.Cells())
+	for i := range cells {
+		cells[i] = i
 	}
-	out := make([]Result, cells)
-	for i := 0; i < cells; i++ {
-		if v, ok := ck.Get(i); ok {
-			out[i] = v
-		}
-	}
-	err := par.Run(ctx, cells, c.Opts, func(ctx context.Context, i int) error {
-		if ck.Done(i) {
-			return nil
-		}
-		ci, lo, hi := c.cell(i)
-		r, err := c.Injector.RunRange(ctx, c.Configs[ci], lo, hi)
-		if err != nil {
-			return err
-		}
-		out[i] = *r
-		return ck.Put(i, *r)
-	})
-	// Flush stragglers past the last autosave even when stopping early: the
-	// whole point of the checkpoint is that interruption loses nothing.
-	if serr := ck.Save(); err == nil {
-		err = serr
-	}
+	out, err := checkpoint.Run(ctx, c.Checkpoint, len(cells), cells, c.Opts, nil,
+		func(ctx context.Context, i int) (Result, error) {
+			ci, lo, hi := c.cell(i)
+			r, err := c.Injector.RunRange(ctx, c.Configs[ci], lo, hi)
+			if err != nil {
+				return Result{}, err
+			}
+			return *r, nil
+		})
 	if err != nil {
 		return nil, err
 	}

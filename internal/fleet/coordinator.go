@@ -484,9 +484,11 @@ func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *
 // in ck are restored, newly completed cells are written back as their
 // leases land, so a coordinator drained mid-grid checkpoint-interrupts
 // cleanly and a resubmitted grid resumes. With zero healthy workers (none
-// registered, or all lost) the grid degrades to local execution. On error
-// the checkpoint is flushed and nil rows are returned: completed cells
-// live in ck, never in a partially-valid slice.
+// registered, or all lost) the pending cells degrade to local execution
+// through g.RunIndices, whose errors name grid cells, so a collect-policy
+// failure blames the same cells a local run would. On error the checkpoint
+// is flushed and nil rows are returned: completed cells live in ck, never
+// in a partially-valid slice.
 func (c *Coordinator) Run(ctx context.Context, g *sweep.Grid, ck *checkpoint.File[sweep.Row], progress func(done, total int)) ([]sweep.Row, error) {
 	total := g.Size()
 	if total < 1 {

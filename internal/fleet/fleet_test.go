@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"softerror/internal/checkpoint"
+	"softerror/internal/par"
 	"softerror/internal/sweep"
 )
 
@@ -221,6 +222,53 @@ func TestCoordinatorLocalFallbackNoWorkers(t *testing.T) {
 	}
 	if snap := co.Snapshot(); snap.LocalFallbacks != 1 {
 		t.Fatalf("LocalFallbacks = %d, want 1", snap.LocalFallbacks)
+	}
+}
+
+// TestCoordinatorLocalFallbackBlamesCells resumes a collect-policy grid
+// on a coordinator with no workers, so the pending cells run locally
+// through RunIndices. The chaos hook poisons a position in that pending
+// list; the error must name the grid cell at that position, since the
+// server turns it into the job's skip set and error text.
+func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
+	sp := smallSpec()
+	sp.Policies = []string{"baseline", "squash-l1"}
+	g := testGrid(t, sp)
+	g.OnError = par.Collect
+	want, err := testGrid(t, sp).Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := checkpoint.New[sweep.Row](filepath.Join(t.TempDir(), "grid.ckpt"), "sweep", g.Fingerprint(), g.Size())
+	for _, i := range []int{0, 2} {
+		if err := ck.Put(i, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := []int{1, 3, 4, 5}
+	const k = 1
+	par.SetChaos(func(_ context.Context, index, _ int) error {
+		if index == k {
+			panic("chaos: poisoned fallback position")
+		}
+		return nil
+	})
+	t.Cleanup(func() { par.SetChaos(nil) })
+
+	co := NewCoordinator(fastConfig())
+	defer co.Close()
+	_, err = co.Run(context.Background(), g, ck, nil)
+	var es par.Errors
+	if !errors.As(err, &es) {
+		t.Fatalf("err = %v (%T), want par.Errors", err, err)
+	}
+	if got := es.Indices(); len(got) != 1 || got[0] != pending[k] {
+		t.Fatalf("blamed %v, want cell %d (pending position %d)", got, pending[k], k)
+	}
+	for _, i := range pending {
+		if row, ok := ck.Get(i); ok != (i != pending[k]) || ok && row != want[i] {
+			t.Errorf("cell %d: checkpointed %v %+v, want only the unpoisoned cells, equal to a local run", i, ok, row)
+		}
 	}
 }
 

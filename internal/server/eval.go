@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"softerror/internal/checkpoint"
@@ -111,7 +112,7 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 		return evalSpec{}, fmt.Errorf("rawfit must be a finite non-negative rate, got %v", e.rawFIT)
 	}
 	var err error
-	if e.benches, err = spec.ParseList(joinNames(r.Benches)); err != nil {
+	if e.benches, err = spec.ParseList(strings.Join(r.Benches, ",")); err != nil {
 		return evalSpec{}, err
 	}
 	e.names = make([]string, len(e.benches))
@@ -137,17 +138,6 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 		e.seed = 1
 	}
 	return e, nil
-}
-
-func joinNames(names []string) string {
-	var buf bytes.Buffer
-	for i, n := range names {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteString(n)
-	}
-	return buf.String()
 }
 
 // fingerprint is the content address: every knob that changes a single

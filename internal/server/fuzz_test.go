@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"softerror/internal/fleet"
 )
 
 // FuzzSweepRequest drives arbitrary JSON through the sweep submission
@@ -41,8 +43,8 @@ func FuzzSweepRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := g.Size(); n < 1 || n > maxSweepCells {
-			t.Fatalf("accepted grid spans %d cells (cap %d)", n, maxSweepCells)
+		if n := g.Size(); n < 1 || n > fleet.MaxGridCells {
+			t.Fatalf("accepted grid spans %d cells (cap %d)", n, fleet.MaxGridCells)
 		}
 		if len(g.Benches) == 0 || len(g.Policies) == 0 || len(g.IQSizes) == 0 || len(g.OutOfOrder) == 0 {
 			t.Fatalf("accepted grid has an empty axis: %+v", g)

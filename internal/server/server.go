@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -332,43 +331,31 @@ type SweepAccepted struct {
 	EstimatedMcycles float64 `json:"estimated_mcycles"`
 }
 
-// maxSweepCells bounds an accepted grid's cell count: the benchmark and
-// policy axes are roster-bounded, but the iqsizes/ooo arrays come straight
+// buildGrid translates the request into a sweep.Grid. The axes decode
+// through fleet.GridSpec.Build, the one names-to-grid decoder, which also
+// caps the grid at fleet.MaxGridCells: the iqsizes/ooo arrays come straight
 // from the request body, and an unbounded product would let one POST queue
-// arbitrarily much simulation.
-const maxSweepCells = 16384
-
-// buildGrid translates the request into a sweep.Grid.
+// arbitrarily much simulation. Empty benches mean the whole roster.
 func (s *Server) buildGrid(req SweepRequest) (*sweep.Grid, error) {
-	benches, err := spec.ParseList(joinNames(req.Benches))
-	if err != nil {
-		return nil, err
-	}
-	if len(req.Policies) == 0 {
-		return nil, fmt.Errorf("at least one policy is required")
-	}
-	policies := make([]core.Policy, len(req.Policies))
-	for i, p := range req.Policies {
-		if policies[i], err = core.ParsePolicy(p); err != nil {
-			return nil, err
-		}
-	}
-	g := &sweep.Grid{
-		Benches:    benches,
-		Policies:   policies,
+	sp := fleet.GridSpec{
+		Benches:    req.Benches,
+		Policies:   req.Policies,
 		IQSizes:    req.IQSizes,
 		OutOfOrder: req.OutOfOrder,
 		Commits:    req.Commits,
-		Workers:    s.cfg.Workers,
-		Retries:    req.Retries,
-		Arenas:     s.arenas,
 	}
-	if len(g.IQSizes) == 0 {
-		g.IQSizes = []int{64}
+	if len(sp.Benches) == 0 {
+		for _, b := range spec.All() {
+			sp.Benches = append(sp.Benches, b.Name)
+		}
 	}
-	if len(g.OutOfOrder) == 0 {
-		g.OutOfOrder = []bool{false}
+	g, err := sp.Build()
+	if err != nil {
+		return nil, err
 	}
+	g.Workers = s.cfg.Workers
+	g.Retries = req.Retries
+	g.Arenas = s.arenas
 	switch req.OnError {
 	case "", "fail-fast":
 		g.OnError = par.FailFast
@@ -384,16 +371,8 @@ func (s *Server) buildGrid(req SweepRequest) (*sweep.Grid, error) {
 		}
 		g.TaskTimeout = d
 	}
-	for _, iq := range g.IQSizes {
-		if iq < 1 {
-			return nil, fmt.Errorf("bad IQ size %d, want >= 1", iq)
-		}
-	}
 	if req.Retries < 0 {
 		return nil, fmt.Errorf("bad retries %d, want >= 0", req.Retries)
-	}
-	if n := g.Size(); n < 1 || n > maxSweepCells {
-		return nil, fmt.Errorf("grid spans %d cells, want 1..%d", n, maxSweepCells)
 	}
 	return g, nil
 }
@@ -530,8 +509,9 @@ func (s *Server) runGrid(ctx context.Context, g *sweep.Grid, est []uint64, ck *c
 	// Local execution runs cells cheapest-first by the per-cell estimates
 	// handleSweep priced the grid at: quick cells surface early progress and
 	// stragglers drain last. Rows are scattered back to cell order, so the
-	// served bytes are identical to an unordered run's. An unpriceable grid
-	// (nil est) runs in cell order.
+	// served bytes are identical to an unordered run's; RunIndices already
+	// blames cells, not positions. An unpriceable grid (nil est) runs in
+	// cell order.
 	if est == nil {
 		return g.RunContext(ctx, ck, progress)
 	}
@@ -542,20 +522,6 @@ func (s *Server) runGrid(ctx context.Context, g *sweep.Grid, est []uint64, ck *c
 		if k < len(out) {
 			rows[i] = out[k]
 		}
-	}
-	// Failure indices refer to positions in the execution order; remap
-	// them to cell indices so blame, skip sets and retries stay aligned
-	// with the grid.
-	var errs par.Errors
-	var te *par.TaskError
-	switch {
-	case errors.As(err, &errs):
-		for _, e := range errs {
-			e.Index = order[e.Index]
-		}
-		sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
-	case errors.As(err, &te):
-		te.Index = order[te.Index]
 	}
 	return rows, err
 }

@@ -195,12 +195,13 @@ func TestGridCollectBlamesMovedCell(t *testing.T) {
 	}
 }
 
-// TestRunIndicesCollectBlamesMovedPosition is the lease form of
-// TestGridCollectBlamesMovedCell: on a shuffled lease, blame names the
-// lease position, exactly as server.runGrid's remap expects, even though
-// leaders-first dispatch moves that position to another slot. Every other
-// position's row equals the full grid's row for its cell.
-func TestRunIndicesCollectBlamesMovedPosition(t *testing.T) {
+// TestRunIndicesCollectBlamesMovedCell is the lease form of
+// TestGridCollectBlamesMovedCell: the chaos hook poisons a lease position,
+// which leaders-first dispatch moves to another slot, and the blame names
+// the cell at that position, so skip sets and job errors line up with the
+// grid. Every other position's row equals the full grid's row for its
+// cell.
+func TestRunIndicesCollectBlamesMovedCell(t *testing.T) {
 	full := smallGrid(t)
 	full.Commits = 3000
 	want, err := full.Run(nil)
@@ -229,8 +230,8 @@ func TestRunIndicesCollectBlamesMovedPosition(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("err = %v (%T), want par.Errors", err, err)
 	}
-	if len(es) != 1 || es[0].Index != poisoned {
-		t.Fatalf("failures = %v, want exactly lease position %d", es.Indices(), poisoned)
+	if len(es) != 1 || es[0].Index != lease[poisoned] {
+		t.Fatalf("failures = %v, want exactly cell %d (lease position %d)", es.Indices(), lease[poisoned], poisoned)
 	}
 	for k, r := range out {
 		if k == poisoned {
@@ -242,6 +243,29 @@ func TestRunIndicesCollectBlamesMovedPosition(t *testing.T) {
 		if r != want[lease[k]] {
 			t.Errorf("position %d (cell %d) = %+v, want %+v", k, lease[k], r, want[lease[k]])
 		}
+	}
+}
+
+// TestRunIndicesRejectsMismatchedCheckpoint pins the size guard on the
+// lease path: a checkpoint sized for another grid must be refused before
+// any cell runs, exactly as RunContext refuses it.
+func TestRunIndicesRejectsMismatchedCheckpoint(t *testing.T) {
+	g := smallGrid(t)
+	g.Commits = 3000
+	ck := checkpoint.New[Row](filepath.Join(t.TempDir(), "grid.ckpt"), "sweep", g.Fingerprint(), g.Size()+1)
+	ran := false
+	par.SetChaos(func(context.Context, int, int) error { ran = true; return nil })
+	t.Cleanup(func() { par.SetChaos(nil) })
+	for name, run := range map[string]func() error{
+		"RunIndices": func() error { _, err := g.RunIndices(context.Background(), []int{0, 1}, ck, nil); return err },
+		"RunContext": func() error { _, err := g.RunContext(context.Background(), ck, nil); return err },
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s accepted a %d-cell checkpoint for a %d-cell grid", name, ck.Total(), g.Size())
+		}
+	}
+	if ran || ck.CountDone() != 0 {
+		t.Fatal("a cell ran against a mismatched checkpoint")
 	}
 }
 

@@ -163,25 +163,19 @@ type groupRun struct {
 	rows map[int]Row   // batched results awaiting their cell's task
 }
 
-// buildGroups assigns every cell to its batch group.
-func (g *Grid) buildGroups() map[int]*groupRun {
-	all := make([]int, g.Size())
-	for i := range all {
-		all[i] = i
-	}
-	return g.buildGroupsFor(all)
-}
-
-// buildGroupsFor assigns each of the given cells to a batch group. Cells of
+// buildGroups assigns each of the given cells to a batch group. Cells of
 // one benchmark are spread round-robin over ceil(count/maxBatchLanes)
-// groups, exactly as buildGroups spreads the full grid — a lease holding a
-// subset of a bench's cells still batches them over one decode. Grouping
-// fixes only which cells share a pass; the dispatch order is leadersFirst's.
-func (g *Grid) buildGroupsFor(indices []int) map[int]*groupRun {
+// groups, so a lease holding a subset of a bench's cells still batches
+// them over one decode. Grouping fixes only which cells share a pass; the
+// dispatch order is leadersFirst's. Cells outside the grid get no group:
+// checkpoint.Run rejects them before any task runs.
+func (g *Grid) buildGroups(indices []int) map[int]*groupRun {
 	blk := len(g.Policies) * len(g.IQSizes) * len(g.OutOfOrder)
 	byBench := make(map[int][]int)
 	for _, i := range indices {
-		byBench[i/blk] = append(byBench[i/blk], i)
+		if i >= 0 && i < g.Size() {
+			byBench[i/blk] = append(byBench[i/blk], i)
+		}
 	}
 	index := make(map[int]*groupRun, len(indices))
 	for bi, cells := range byBench {
@@ -409,95 +403,37 @@ func (g *Grid) Run(progress func(done, total int)) ([]Row, error) {
 }
 
 // RunContext is Run with cancellation, an optional checkpoint, and the
-// grid's resilience knobs (OnError, TaskTimeout, Retries) applied.
+// grid's resilience knobs (OnError, TaskTimeout, Retries) applied. It is
+// RunIndices over every cell in axis order, so its rows are in cell order.
 //
 // Cells sharing a benchmark evaluate in batches of up to maxBatchLanes
 // configurations over one decode of the instruction stream
 // (core.RunBatchContext); batching changes only wall-clock, never bytes —
 // every cell's row is identical to an independent run.
-//
-// Cells recorded in ck are restored, not re-simulated, and newly completed
-// cells are written back, so an interrupted grid resumes where it stopped;
-// determinism by cell index makes the resumed artefact byte-identical to an
-// uninterrupted run. On failure RunContext flushes the checkpoint and
-// returns the partial rows alongside the error — under par.Collect the
-// error is a par.Errors listing exactly the poisoned cells, every other row
-// being valid.
 func (g *Grid) RunContext(ctx context.Context, ck *checkpoint.File[Row], progress func(done, total int)) ([]Row, error) {
-	if err := g.validate(); err != nil {
-		return nil, err
+	cells := make([]int, g.Size())
+	for i := range cells {
+		cells[i] = i
 	}
-	commits := g.Commits
-	if commits == 0 {
-		commits = core.DefaultCommits
-	}
-	total := g.Size()
-	if ck != nil && ck.Total() != total {
-		return nil, fmt.Errorf("sweep: checkpoint has %d cells, grid has %d", ck.Total(), total)
-	}
-	rows := make([]Row, total)
-	done := 0
-	for i := 0; i < total; i++ {
-		if v, ok := ck.Get(i); ok {
-			rows[i] = v
-			done++
-		}
-	}
-	var mu sync.Mutex
-	if progress != nil && done > 0 {
-		progress(done, total)
-	}
-	groups := g.buildGroups()
-	opts := par.Options{
-		Workers: g.Workers,
-		Policy:  g.OnError,
-		Timeout: g.TaskTimeout,
-		Retries: g.Retries,
-		Order:   leadersFirst(total, func(i int) *groupRun { return groups[i] }, ck.Done),
-	}
-	err := par.Run(ctx, total, opts,
-		func(ctx context.Context, i int) error {
-			if ck.Done(i) {
-				return nil
-			}
-			row, err := g.cellRow(ctx, i, groups[i], ck, commits)
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			if err := ck.Put(i, row); err != nil {
-				return err
-			}
-			if progress != nil {
-				// Completion order is scheduling-dependent, but the done
-				// count is advanced under the lock, so callers observe a
-				// monotonic 1..total sequence.
-				mu.Lock()
-				done++
-				progress(done, total)
-				mu.Unlock()
-			}
-			return nil
-		})
-	// Flush cells completed since the last autosave even when stopping
-	// early: interruption must lose nothing that already ran.
-	if serr := ck.Save(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		return rows, err
-	}
-	return rows, nil
+	return g.RunIndices(ctx, cells, ck, progress)
 }
 
 // RunIndices executes exactly the given cells of the grid and returns their
 // rows index-parallel to indices (out[k] is cell indices[k]). It is the
 // lease-execution primitive of fleet mode: a worker handed an arbitrary
 // subset of a grid produces rows identical to the ones a full local run
-// computes for those cells — batching within the subset included. Cells
-// recorded in ck are restored rather than re-simulated and newly completed
-// cells are written back; ck may be nil. progress, when non-nil, is called
-// with a monotonic done count over len(indices).
+// computes for those cells — batching within the subset included.
+//
+// The cells run through checkpoint.Run, which owns the checkpoint protocol
+// (ck may be nil): a checkpoint not sized for the grid is rejected, recorded
+// cells are restored rather than re-simulated, newly completed cells are
+// written back and ck is flushed on every exit, so an interrupted grid
+// resumes where it stopped; determinism by cell index makes the resumed
+// artefact byte-identical to an uninterrupted run. progress, when non-nil,
+// is called with a monotonic done count over len(indices). On failure the
+// partial rows come back alongside the error — under par.Collect a
+// par.Errors naming exactly the poisoned cells (grid cell indices, not
+// positions in indices), every other row being valid.
 func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.File[Row], progress func(done, total int)) ([]Row, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -506,16 +442,7 @@ func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.Fil
 	if commits == 0 {
 		commits = core.DefaultCommits
 	}
-	size := g.Size()
-	for _, i := range indices {
-		if i < 0 || i >= size {
-			return nil, fmt.Errorf("sweep: cell index %d outside grid of %d cells", i, size)
-		}
-	}
-	out := make([]Row, len(indices))
-	done := 0
-	var mu sync.Mutex
-	groups := g.buildGroupsFor(indices)
+	groups := g.buildGroups(indices)
 	opts := par.Options{
 		Workers: g.Workers,
 		Policy:  g.OnError,
@@ -524,36 +451,10 @@ func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.Fil
 		Order: leadersFirst(len(indices), func(k int) *groupRun { return groups[indices[k]] },
 			func(k int) bool { return ck.Done(indices[k]) }),
 	}
-	err := par.Run(ctx, len(indices), opts,
-		func(ctx context.Context, k int) error {
-			i := indices[k]
-			if v, ok := ck.Get(i); ok {
-				out[k] = v
-			} else {
-				row, err := g.cellRow(ctx, i, groups[i], ck, commits)
-				if err != nil {
-					return err
-				}
-				out[k] = row
-				if err := ck.Put(i, row); err != nil {
-					return err
-				}
-			}
-			if progress != nil {
-				mu.Lock()
-				done++
-				progress(done, len(indices))
-				mu.Unlock()
-			}
-			return nil
+	return checkpoint.Run(ctx, ck, g.Size(), indices, opts, progress,
+		func(ctx context.Context, i int) (Row, error) {
+			return g.cellRow(ctx, i, groups[i], ck, commits)
 		})
-	if serr := ck.Save(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
 }
 
 // csvHeader is the long-format column set.

@@ -9,8 +9,9 @@
 #      again at -j 1, so the parallel dispatch order cannot leak into their
 #      bytes (~35 s on 2 vCPU)
 #   3. race tier: the packages that run simulations concurrently, under the
-#      race detector (parallel engine, suite memo, sweep grid, fault
-#      fan-out, and the server's concurrent-load test)
+#      race detector (parallel engine, checkpointed cell runner, suite
+#      memo, sweep grid, fault fan-out, and the server's concurrent-load
+#      test)
 #   4. chaos tier: the resilience tests — injected panics, hangs and crashes
 #      driven through the par chaos hook, checkpoint/resume byte-identity,
 #      server overflow shedding and drain/resume — under the race detector,
@@ -70,7 +71,7 @@ cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
 	-iqsizes 16,32,64,128 > "$art/sweep_iqsize_j1.csv"
 cmp "$art/sweep_iqsize_j1.csv" results/sweep_iqsize.csv
 rm -rf "$art"
-go test -race ./internal/par ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
+go test -race ./internal/par ./internal/checkpoint ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
 go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
 	./internal/server ./cmd/sweep ./cmd/sersim ./cmd/repro
