@@ -31,8 +31,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"os"
 
 	"softerror/internal/checkpoint"
@@ -124,13 +122,7 @@ func run(args []string) error {
 		p.Checkpoint = ck
 	}
 	if err := experiments.Run(ctx, os.Stdout, name, p, *csvOut); err != nil {
-		if p.Checkpoint != nil && errors.Is(err, context.Canceled) {
-			return &cli.PartialError{
-				Done: p.Checkpoint.CountDone(), Total: p.Checkpoint.Total(),
-				Path: p.Checkpoint.Path(), Err: err,
-			}
-		}
-		return err
+		return cli.Partial(err, p.Checkpoint)
 	}
 	return p.Checkpoint.Remove()
 }

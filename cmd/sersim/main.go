@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 
@@ -242,12 +241,7 @@ func faultCampaign(ctx context.Context, res *core.Result, inj *fault.Injector, s
 	}
 	results, err := camp.Run(ctx)
 	if err != nil {
-		if ck := camp.Checkpoint; ck != nil && errors.Is(err, context.Canceled) {
-			return &cli.PartialError{
-				Done: ck.CountDone(), Total: ck.Total(), Path: ck.Path(), Err: err,
-			}
-		}
-		return err
+		return cli.Partial(err, camp.Checkpoint)
 	}
 	t := report.New(fmt.Sprintf("fault-injection outcomes (%d strikes per configuration, seed %d)", strikes, seed),
 		"configuration", "idle", "never-read", "benign", "SDC", "false DUE", "true DUE", "suppressed", "latent")

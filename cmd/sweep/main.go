@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -130,7 +129,7 @@ func run(args []string) error {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr)
 		}
-		return finishPartial(rows, err, ck, g.Size(), *out)
+		return finishPartial(rows, err, ck, *out)
 	}
 
 	if err := writeRows(*out, rows, nil); err != nil {
@@ -145,7 +144,7 @@ func run(args []string) error {
 // per-cell failures go to stderr, and — when a checkpoint holds the completed
 // work — the error is classified as partial so the exit code tells scripts a
 // -resume rerun can finish the job.
-func finishPartial(rows []sweep.Row, err error, ck *checkpoint.File[sweep.Row], total int, out string) error {
+func finishPartial(rows []sweep.Row, err error, ck *checkpoint.File[sweep.Row], out string) error {
 	var tasks par.Errors
 	if errors.As(err, &tasks) {
 		skip := make(map[int]bool, len(tasks))
@@ -156,19 +155,8 @@ func finishPartial(rows []sweep.Row, err error, ck *checkpoint.File[sweep.Row], 
 		if werr := writeRows(out, rows, skip); werr != nil {
 			return werr
 		}
-		if ck != nil {
-			return &cli.PartialError{
-				Done: total - len(tasks), Total: total, Path: ck.Path(), Err: err,
-			}
-		}
-		return err
 	}
-	if ck != nil && errors.Is(err, context.Canceled) {
-		return &cli.PartialError{
-			Done: ck.CountDone(), Total: total, Path: ck.Path(), Err: err,
-		}
-	}
-	return err
+	return cli.Partial(err, ck)
 }
 
 func writeRows(out string, rows []sweep.Row, skip map[int]bool) error {

@@ -12,7 +12,7 @@
 //
 // Commands return errors from their run functions; main defers the mapping
 // to Exit, wrapping usage mistakes in UsageError (via Usagef or Parse) and
-// interrupted-but-checkpointed campaigns in PartialError.
+// interrupted-but-checkpointed campaigns in PartialError (via Partial).
 package cli
 
 import (
@@ -23,6 +23,9 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+
+	"softerror/internal/checkpoint"
+	"softerror/internal/par"
 )
 
 // The documented exit codes.
@@ -72,6 +75,18 @@ func (e *PartialError) Error() string {
 }
 
 func (e *PartialError) Unwrap() error { return e.Err }
+
+// Partial classifies a campaign's error against its checkpoint ck: with a
+// checkpoint, a cancellation or a par.Errors (poisoned cells under a
+// collect policy) becomes a PartialError counting the cells ck holds. Any
+// other error, and every error when ck is nil, comes back unchanged.
+func Partial[T any](err error, ck *checkpoint.File[T]) error {
+	var tasks par.Errors
+	if ck == nil || !errors.Is(err, context.Canceled) && !errors.As(err, &tasks) {
+		return err
+	}
+	return &PartialError{Done: ck.CountDone(), Total: ck.Total(), Path: ck.Path(), Err: err}
+}
 
 // ExitCode maps an error to the documented exit code.
 func ExitCode(err error) int {

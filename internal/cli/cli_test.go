@@ -1,13 +1,18 @@
 package cli
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"softerror/internal/checkpoint"
+	"softerror/internal/par"
 )
 
 func TestExitCodeMapping(t *testing.T) {
@@ -60,6 +65,46 @@ func TestPartialErrorMessage(t *testing.T) {
 	}
 	if !errors.Is(pe, pe.Err) {
 		t.Error("PartialError does not unwrap to its cause")
+	}
+}
+
+// TestPartialClassifies pins the one partial-result classifier: only a
+// campaign with a checkpoint, stopped by cancellation or by poisoned cells
+// under a collect policy, is partial, and it counts the cells on file.
+func TestPartialClassifies(t *testing.T) {
+	ck := checkpoint.New[int](filepath.Join(t.TempDir(), "c.ckpt"), "k", "fp", 5)
+	for _, i := range []int{0, 3} {
+		ck.Put(i, i)
+	}
+	poisoned := par.Errors{{Index: 1, Err: errors.New("boom")}}
+	cases := []struct {
+		name    string
+		err     error
+		ck      *checkpoint.File[int]
+		partial bool
+	}{
+		{"success", nil, ck, false},
+		{"nil file", context.Canceled, nil, false},
+		{"cancelled", fmt.Errorf("run: %w", context.Canceled), ck, true},
+		{"collect", poisoned, ck, true},
+		{"unrelated", errors.New("disk full"), ck, false},
+	}
+	for _, c := range cases {
+		got := Partial(c.err, c.ck)
+		var pe *PartialError
+		if errors.As(got, &pe) != c.partial {
+			t.Errorf("%s: Partial = %v, want partial %v", c.name, got, c.partial)
+			continue
+		}
+		if !c.partial {
+			if got != c.err {
+				t.Errorf("%s: Partial = %v, want the error unchanged", c.name, got)
+			}
+			continue
+		}
+		if pe.Done != 2 || pe.Total != 5 || pe.Path != ck.Path() || pe.Err.Error() != c.err.Error() {
+			t.Errorf("%s: %+v, want 2/5 cells at %s wrapping %v", c.name, pe, ck.Path(), c.err)
+		}
 	}
 }
 

@@ -165,7 +165,8 @@ func (a *Arena) putCollector(c *ace.BatchCollector) {
 // (or a fresh one when none is idle), Put parks it for the next worker.
 // Sharing one pool across a grid — or across a daemon's jobs and fleet
 // leases — is what carries decoded streams and warm buffers from one
-// batch wave to the next. The zero value is ready to use.
+// batch wave to the next. The zero value is ready to use; a nil pool is
+// the process-wide default pool behind RunBatchContext.
 type ArenaPool struct {
 	mu   sync.Mutex
 	free []*Arena
@@ -176,6 +177,9 @@ func NewArenaPool() *ArenaPool { return &ArenaPool{} }
 
 // Get checks an arena out of the pool, allocating one when empty.
 func (p *ArenaPool) Get() *Arena {
+	if p == nil {
+		p = defaultArenas
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -191,6 +195,9 @@ func (p *ArenaPool) Get() *Arena {
 func (p *ArenaPool) Put(a *Arena) {
 	if a == nil {
 		return
+	}
+	if p == nil {
+		p = defaultArenas
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -21,7 +21,6 @@ import (
 	"softerror/internal/ace"
 	"softerror/internal/cache"
 	"softerror/internal/isa"
-	"softerror/internal/par"
 	"softerror/internal/pibit"
 	"softerror/internal/pipeline"
 	"softerror/internal/rng"
@@ -233,17 +232,10 @@ func (cfg Config) engine() *pibit.Engine {
 
 // Run executes a campaign and returns the tallied outcomes.
 func (inj *Injector) Run(cfg Config) (*Result, error) {
-	return inj.RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the strike loop checks
-// ctx periodically, so SIGINT or a watchdog aborts within one campaign, not
-// after it.
-func (inj *Injector) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Strikes <= 0 {
 		return nil, fmt.Errorf("fault: Strikes = %d, want > 0", cfg.Strikes)
 	}
-	return inj.RunRange(ctx, cfg, 0, cfg.Strikes)
+	return inj.RunRange(context.Background(), cfg, 0, cfg.Strikes)
 }
 
 // RunRange executes strikes [lo, hi) of a campaign. Because every strike
@@ -284,16 +276,6 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 func (inj *Injector) StrikeOutcome(cfg Config, i int) Outcome {
 	s := strikeStream(cfg.Seed, i)
 	return inj.strike(&s, cfg, cfg.engine())
-}
-
-// RunMany executes one campaign per configuration, fanning them out over
-// the worker pool (workers <= 0 means the par package default). The injector
-// is read-only during campaigns and every strike owns an index-derived RNG
-// stream — so the result slice is bit-identical to running the
-// configurations one after another.
-func (inj *Injector) RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	c := &Campaign{Injector: inj, Configs: cfgs, Opts: par.Options{Workers: workers}}
-	return c.Run(context.Background())
 }
 
 // strike injects one uniformly sampled fault and classifies it.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -480,111 +481,92 @@ func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *
 }
 
 // Run executes the grid across the fleet and returns one row per cell, in
-// axis order — byte-equivalent to g.RunContext run locally. Cells recorded
-// in ck are restored, newly completed cells are written back as their
-// leases land, so a coordinator drained mid-grid checkpoint-interrupts
-// cleanly and a resubmitted grid resumes. With zero healthy workers (none
-// registered, or all lost) the pending cells degrade to local execution
-// through g.RunIndices, whose errors name grid cells, so a collect-policy
-// failure blames the same cells a local run would. On error the checkpoint
-// is flushed and nil rows are returned: completed cells live in ck, never
-// in a partially-valid slice.
+// axis order — byte-equivalent to g.RunContext run locally. The grid's
+// cells go through one checkpoint.Cells, the protocol checkpoint.Run
+// drives: cells recorded in ck are restored, each lease's rows land as it
+// returns, and ck is saved on every exit, so a coordinator drained mid-grid
+// checkpoint-interrupts cleanly and a resubmitted grid resumes. With zero
+// healthy workers (none registered, or all lost) the pending cells degrade
+// to local execution through g.RunIndices. On error the partial rows come
+// back with it, as from a local run: under a collect policy a par.Errors
+// names the poisoned grid cells and every other row is valid.
 func (c *Coordinator) Run(ctx context.Context, g *sweep.Grid, ck *checkpoint.File[sweep.Row], progress func(done, total int)) ([]sweep.Row, error) {
 	total := g.Size()
 	if total < 1 {
 		return nil, fmt.Errorf("fleet: empty grid")
 	}
-	if ck != nil && ck.Total() != total {
-		return nil, fmt.Errorf("fleet: checkpoint has %d cells, grid has %d", ck.Total(), total)
+	cells := make([]int, total)
+	for i := range cells {
+		cells[i] = i
 	}
-	rows := make([]sweep.Row, total)
+	run, err := checkpoint.Begin(ck, total, cells, progress)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	var pending []int
-	done := 0
-	for i := 0; i < total; i++ {
-		if v, ok := ck.Get(i); ok {
-			rows[i] = v
-			done++
-		} else {
+	for _, i := range cells {
+		if !run.Restored(i) {
 			pending = append(pending, i)
 		}
 	}
-	var mu sync.Mutex
-	if progress != nil && done > 0 {
-		progress(done, total)
+	pending, err = c.waves(ctx, g, run, pending)
+	var local []sweep.Row
+	if err == nil && len(pending) > 0 {
+		// Graceful degradation: no fleet (or a fleet that keeps failing
+		// leases while answering heartbeats) must never strand a grid.
+		c.fallbacks.Add(1)
+		base := total - len(pending)
+		local, err = g.RunIndices(ctx, pending, ck, func(d, _ int) {
+			if progress != nil {
+				progress(base+d, total)
+			}
+		})
+		if err != nil {
+			err = fmt.Errorf("fleet: local fallback: %w", err)
+		}
 	}
-	sp := SpecOf(g)
+	rows, err := run.End(err)
+	for k, row := range local {
+		rows[pending[k]] = row
+	}
+	return rows, err
+}
 
-	stalls := 0
-	for len(pending) > 0 {
+// waves drives lease waves over the healthy workers, landing each lease's
+// rows in run, until no cell is pending or the fleet cannot take the rest:
+// no healthy worker, or two waves in a row that completed nothing. It
+// returns the cells still pending.
+func (c *Coordinator) waves(ctx context.Context, g *sweep.Grid, run *checkpoint.Cells[sweep.Row], pending []int) ([]int, error) {
+	sp := SpecOf(g)
+	for stalls := 0; len(pending) > 0; {
 		if err := ctx.Err(); err != nil {
-			ck.Save()
-			return nil, fmt.Errorf("fleet: %w", err)
+			return pending, fmt.Errorf("fleet: %w", err)
 		}
 		healthy := c.healthyAddrs()
 		if len(healthy) == 0 || stalls >= 2 {
-			// Graceful degradation: no fleet (or a fleet that keeps failing
-			// leases while answering heartbeats) must never strand a grid.
-			c.fallbacks.Add(1)
-			base := done
-			sub, err := g.RunIndices(ctx, pending, ck, func(d, _ int) {
-				if progress != nil {
-					mu.Lock()
-					progress(base+d, total)
-					mu.Unlock()
-				}
-			})
-			if err != nil {
-				ck.Save()
-				return nil, fmt.Errorf("fleet: local fallback: %w", err)
-			}
-			for k, i := range pending {
-				rows[i] = sub[k]
-			}
-			return rows, ck.Save()
+			return pending, nil
 		}
-
-		completed, err := c.dispatch(ctx, g, sp, pending, healthy, func(cells []int, got []sweep.Row) error {
-			mu.Lock()
-			defer mu.Unlock()
-			for k, i := range cells {
-				rows[i] = got[k]
-				if err := ck.Put(i, got[k]); err != nil {
-					return err
-				}
-				done++
-				if progress != nil {
-					progress(done, total)
-				}
-			}
-			return nil
-		})
+		completed, err := c.dispatch(ctx, g, sp, pending, healthy, run.Land)
 		if err != nil {
-			ck.Save()
-			return nil, err
+			return pending, err
 		}
 		if len(completed) == 0 {
 			stalls++
 		} else {
 			stalls = 0
 		}
-		remaining := pending[:0]
-		for _, i := range pending {
-			if !completed[i] {
-				remaining = append(remaining, i)
-			}
-		}
-		pending = remaining
+		pending = slices.DeleteFunc(pending, func(i int) bool { return completed[i] })
 	}
-	return rows, ck.Save()
+	return nil, nil
 }
 
 // dispatch runs one wave: partition pending cells over the healthy workers,
 // then drive per-worker loops that execute their own leases first and steal
 // others when idle. A worker that exhausts a lease's attempt budget is
 // marked unhealthy and sits out the rest of the wave; its leases are stolen
-// or carried into the next wave. apply lands one lease's rows (called
-// serially under the run's lock).
-func (c *Coordinator) dispatch(ctx context.Context, g *sweep.Grid, sp GridSpec, pending []int, healthy []string, apply func(cells []int, rows []sweep.Row) error) (map[int]bool, error) {
+// or carried into the next wave. land records one landed cell's row; the
+// worker loops call it concurrently.
+func (c *Coordinator) dispatch(ctx context.Context, g *sweep.Grid, sp GridSpec, pending []int, healthy []string, land func(cell int, row sweep.Row) error) (map[int]bool, error) {
 	leases := c.partition(g, pending, healthy)
 	q := &leaseQueue{leases: leases}
 	completed := make(map[int]bool, len(pending))
@@ -615,9 +597,11 @@ func (c *Coordinator) dispatch(ctx context.Context, g *sweep.Grid, sp GridSpec, 
 				}
 				rows, err := c.execute(ctx, addr, sp, l)
 				if err == nil {
-					if aerr := apply(l.cells, rows); aerr != nil {
-						fail(aerr)
-						return
+					for k, i := range l.cells {
+						if err := land(i, rows[k]); err != nil {
+							fail(err)
+							return
+						}
 					}
 					cmu.Lock()
 					for _, i := range l.cells {

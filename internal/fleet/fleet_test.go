@@ -272,6 +272,52 @@ func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCollectKeepsValidRows runs a collect-policy grid on a
+// coordinator with no workers while the chaos hook poisons one position.
+// The coordinator must return what a local run returns: every unpoisoned
+// cell's row, and an error blaming the poisoned cell.
+func TestCoordinatorCollectKeepsValidRows(t *testing.T) {
+	sp := smallSpec()
+	sp.Policies = []string{"baseline", "squash-l1"}
+	const poisoned = 3
+	par.SetChaos(func(_ context.Context, index, _ int) error {
+		if index == poisoned {
+			panic("chaos: poisoned cell")
+		}
+		return nil
+	})
+	t.Cleanup(func() { par.SetChaos(nil) })
+	collectGrid := func() *sweep.Grid {
+		g := testGrid(t, sp)
+		g.OnError = par.Collect
+		return g
+	}
+	g := collectGrid()
+	cells := make([]int, g.Size())
+	for i := range cells {
+		cells[i] = i
+	}
+	local, lerr := collectGrid().RunIndices(context.Background(), cells, nil, nil)
+
+	co := NewCoordinator(fastConfig())
+	defer co.Close()
+	rows, err := co.Run(context.Background(), g, nil, nil)
+	for _, e := range []error{lerr, err} {
+		var es par.Errors
+		if !errors.As(e, &es) || len(es.Indices()) != 1 || es.Indices()[0] != poisoned {
+			t.Fatalf("err = %v, want par.Errors blaming cell %d", e, poisoned)
+		}
+	}
+	if len(rows) != g.Size() {
+		t.Fatalf("coordinator returned %d rows, want %d", len(rows), g.Size())
+	}
+	for i := range cells {
+		if i != poisoned && (rows[i] != local[i] || rows[i] == sweep.Row{}) {
+			t.Errorf("cell %d: coordinator row %+v, local row %+v", i, rows[i], local[i])
+		}
+	}
+}
+
 func TestCoordinatorSurvivesDeadWorker(t *testing.T) {
 	// Worker "w0" crashes every lease; "w1" is healthy. Whatever the ring
 	// routes to w0 must be reassigned (or the wave repartitioned) and the
@@ -379,8 +425,15 @@ func TestCoordinatorDrainCheckpointResume(t *testing.T) {
 		if !errors.Is(runErr, context.Canceled) {
 			t.Fatalf("interrupted run failed with %v, want context.Canceled", runErr)
 		}
-		if rows != nil {
-			t.Fatal("interrupted run returned partial rows; completed cells belong in the checkpoint only")
+		// The partial rows come back as from a local run: a landed cell's
+		// row, the zero row elsewhere.
+		if len(rows) != g.Size() {
+			t.Fatalf("interrupted run returned %d rows, want %d", len(rows), g.Size())
+		}
+		for i, row := range rows {
+			if held, ok := ck.Get(i); row != (sweep.Row{}) && (!ok || row != held) {
+				t.Fatalf("interrupted run returned cell %d's row %+v; checkpoint holds %+v, %v", i, row, held, ok)
+			}
 		}
 	}
 

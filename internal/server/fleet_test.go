@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 
 	"softerror/internal/fleet"
+	"softerror/internal/par"
+	"softerror/internal/sweep"
 )
 
 func TestLeaseEndpoint(t *testing.T) {
@@ -158,5 +162,94 @@ func TestCoordinatorJobDegradesToLocal(t *testing.T) {
 	}
 	if snap := co.Snapshot(); snap.LocalFallbacks < 1 {
 		t.Fatalf("LocalFallbacks = %d, want >= 1 (the only worker is unreachable)", snap.LocalFallbacks)
+	}
+}
+
+// TestCoordinatorJobCollectServesLocalCSV runs one collect-policy grid
+// with one chaos-poisoned cell as a local job and as a job on a
+// coordinator with no workers. Both jobs fail, and both must serve the
+// same CSV: every unpoisoned row, byte for byte.
+func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
+	req := SweepRequest{
+		Benches:  []string{"gzip-graphic", "mcf"},
+		Policies: []string{"baseline", "squash-l1"},
+		IQSizes:  []int{16, 32},
+		Commits:  400,
+		OnError:  "continue",
+	}
+	const poisoned = 2
+	t.Cleanup(func() { par.SetChaos(nil) })
+	// csvOf poisons the task at position pos of the job's cell list, runs
+	// the job and returns its CSV body.
+	csvOf := func(s *Server, pos int) []byte {
+		t.Helper()
+		par.SetChaos(func(_ context.Context, index, _ int) error {
+			if index == pos {
+				panic("chaos: poisoned cell")
+			}
+			return nil
+		})
+		acc := submitSweep(t, s, req)
+		if st := waitTerminal(t, s, acc.ID); st.State != JobFailed {
+			t.Fatalf("job ended %q, want failed: %+v", st.State, st)
+		}
+		w := do(s, "GET", "/v1/jobs/"+acc.ID+"/csv", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("csv: status %d, body %s", w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+
+	local := newTestServer(t, Config{})
+	g, err := local.buildGrid(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A local job runs its cells cheapest-first; the coordinator's
+	// fallback runs them in cell order.
+	pos := poisoned
+	if est, ok := g.EstimateCells(); ok {
+		pos = slices.Index(sweep.OrderByEstimate(est), poisoned)
+	}
+	want := csvOf(local, pos)
+
+	co := fleet.NewCoordinator(fleet.Config{})
+	t.Cleanup(co.Close)
+	got := csvOf(newTestServer(t, Config{Fleet: co}), poisoned)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator job CSV differs from the local job's:\n%s\nwant:\n%s", got, want)
+	}
+	if lines := bytes.Count(want, []byte("\n")); lines != g.Size() {
+		t.Fatalf("CSV has %d lines, want a header and %d rows", lines, g.Size()-1)
+	}
+}
+
+// TestJobFailFastChaosServesNoRows fails a fail-fast job on its first cell,
+// locally and on a coordinator with no workers. Cells that never ran have
+// no rows, so neither job may serve a CSV.
+func TestJobFailFastChaosServesNoRows(t *testing.T) {
+	par.SetChaos(func(_ context.Context, index, _ int) error {
+		if index == 0 {
+			panic("chaos: poisoned cell")
+		}
+		return nil
+	})
+	t.Cleanup(func() { par.SetChaos(nil) })
+	co := fleet.NewCoordinator(fleet.Config{})
+	t.Cleanup(co.Close)
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 1, Fleet: co}} {
+		s := newTestServer(t, cfg)
+		acc := submitSweep(t, s, SweepRequest{
+			Benches:  []string{"mcf"},
+			Policies: []string{"baseline", "squash-l1"},
+			IQSizes:  []int{16, 32},
+			Commits:  400,
+		})
+		if st := waitTerminal(t, s, acc.ID); st.State != JobFailed {
+			t.Fatalf("fleet %v: job ended %q, want failed", cfg.Fleet != nil, st.State)
+		}
+		if w := do(s, "GET", "/v1/jobs/"+acc.ID+"/csv", nil); w.Code != http.StatusConflict {
+			t.Errorf("fleet %v: csv status %d, want 409; body %s", cfg.Fleet != nil, w.Code, w.Body)
+		}
 	}
 }

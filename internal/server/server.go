@@ -580,6 +580,8 @@ func (s *Server) runJob(j *Job, g *sweep.Grid, est []uint64) {
 			for _, i := range errs.Indices() {
 				skip[i] = true
 			}
+		} else {
+			rows = nil // cells never computed hold zero rows, not results
 		}
 		s.metrics.jobsFailed.Add(1)
 		j.finish(JobFailed, rows, skip, ckPath, err)

@@ -275,14 +275,9 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 		_, cfg := g.cellConfig(j)
 		specs[k] = core.BatchSpec{Pipeline: cfg}
 	}
-	var res []*core.Result
-	if pool := g.Arenas; pool != nil {
-		a := pool.Get()
-		res, err = core.RunBatchArena(ctx, a, gr.bench.Params, commits, specs)
-		pool.Put(a)
-	} else {
-		res, err = core.RunBatchContext(ctx, gr.bench.Params, commits, specs)
-	}
+	a := g.Arenas.Get()
+	res, err := core.RunBatchArena(ctx, a, gr.bench.Params, commits, specs)
+	g.Arenas.Put(a)
 	if err != nil {
 		return fmt.Errorf("sweep: %s batch (%d cells): %w",
 			gr.bench.Name, len(pending), err)
@@ -408,7 +403,7 @@ func (g *Grid) Run(progress func(done, total int)) ([]Row, error) {
 //
 // Cells sharing a benchmark evaluate in batches of up to maxBatchLanes
 // configurations over one decode of the instruction stream
-// (core.RunBatchContext); batching changes only wall-clock, never bytes —
+// (core.RunBatchArena); batching changes only wall-clock, never bytes —
 // every cell's row is identical to an independent run.
 func (g *Grid) RunContext(ctx context.Context, ck *checkpoint.File[Row], progress func(done, total int)) ([]Row, error) {
 	cells := make([]int, g.Size())

@@ -14,7 +14,9 @@
 #      test)
 #   4. chaos tier: the resilience tests — injected panics, hangs and crashes
 #      driven through the par chaos hook, checkpoint/resume byte-identity,
-#      server overflow shedding and drain/resume — under the race detector,
+#      server overflow shedding and drain/resume, and the fleet
+#      coordinator's checkpoint, resume and local fallback (even under
+#      SERA_SKIP_FLEET=1) — under the race detector,
 #      since failure paths exercise the locking the happy path never touches
 #   5. audit tier: cmd/seraudit -quick under the race detector — every
 #      invariant check (conservation, differential oracles, server
@@ -72,9 +74,9 @@ cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
 cmp "$art/sweep_iqsize_j1.csv" results/sweep_iqsize.csv
 rm -rf "$art"
 go test -race ./internal/par ./internal/checkpoint ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
-go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity' \
+go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity|Fallback' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
-	./internal/server ./cmd/sweep ./cmd/sersim ./cmd/repro
+	./internal/server ./internal/fleet ./cmd/sweep ./cmd/sersim ./cmd/repro
 go run -race ./cmd/seraudit -quick
 if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzParseList -fuzztime 10s ./internal/spec
