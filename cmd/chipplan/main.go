@@ -88,15 +88,12 @@ func measureBudget(name string, commits uint64, rawFIT, sdcTarget, dueTarget flo
 		return nil, cli.Usagef("unknown benchmark %q", name)
 	}
 	res, err := core.Run(core.Config{
-		Workload: b.Params, Commits: commits, KeepTrace: true, RegFile: true,
+		Workload: b.Params, Commits: commits, FrontEnd: true, StoreBuffer: true, RegFile: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	dead := res.Report.Dead
-	fe := ace.AnalyzeFrontEnd(res.Trace, dead)
-	sb := ace.AnalyzeStoreBuffer(res.Trace, dead)
-	rf := res.RegFile
+	fe, sb, rf := res.FrontEndReport, res.StoreBufferReport, res.RegFile
 	return &chip.Budget{
 		RawFITPerBit:   rawFIT,
 		SDCTargetYears: sdcTarget,
@@ -104,9 +101,9 @@ func measureBudget(name string, commits uint64, rawFIT, sdcTarget, dueTarget flo
 		Structures: []chip.Structure{
 			{Name: "instruction-queue", Bits: float64(64 * isa.EntryPayloadBits),
 				SDCAVF: res.Report.SDCAVF(), FalseDUEAVF: res.Report.FalseDUEAVF()},
-			{Name: "front-end-buffer", Bits: float64(res.Trace.FrontEndCap * isa.EntryPayloadBits),
+			{Name: "front-end-buffer", Bits: float64(fe.Entries * isa.EntryPayloadBits),
 				SDCAVF: fe.SDCAVF(), FalseDUEAVF: fe.FalseDUEAVF()},
-			{Name: "store-buffer", Bits: float64(res.Trace.StoreBufferCap * ace.SBEntryBits),
+			{Name: "store-buffer", Bits: float64(sb.Entries * ace.SBEntryBits),
 				SDCAVF: sb.SDCAVF(), FalseDUEAVF: sb.FalseDUEAVF()},
 			{Name: "register-files", Bits: 128*64 + 128*82 + 64,
 				SDCAVF: rf.SDCAVF(), FalseDUEAVF: rf.FalseDUEAVF()},

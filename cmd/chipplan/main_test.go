@@ -1,35 +1,56 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func silence(t *testing.T) {
+// capture runs chipplan with args and returns what it printed.
+func capture(t *testing.T, args ...string) []byte {
 	t.Helper()
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	t.Cleanup(func() {
-		os.Stdout = old
-		devnull.Close()
-	})
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := run(args)
+	os.Stdout = old
+	w.Close()
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return got
 }
 
+// TestMeasureMode pins the -measure surface: a measured gzip-graphic budget
+// and its plan print exactly the checked-in golden output. Regenerate with
+//
+//	go run ./cmd/chipplan -measure gzip-graphic -commits 8000 -rawfit 0.05 > cmd/chipplan/testdata/measure.golden
+//
+// only for a deliberate change of the model.
 func TestMeasureMode(t *testing.T) {
-	silence(t)
-	args := []string{"-measure", "gzip-graphic", "-commits", "8000", "-rawfit", "0.05"}
-	if err := run(args); err != nil {
+	want, err := os.ReadFile(filepath.Join("testdata", "measure.golden"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	got := capture(t, "-measure", "gzip-graphic", "-commits", "8000", "-rawfit", "0.05")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chipplan output drifted from testdata/measure.golden:\n%s", got)
 	}
 }
 
 func TestBudgetFileMode(t *testing.T) {
-	silence(t)
 	path := filepath.Join(t.TempDir(), "budget.json")
 	data := []byte(`{
 		"RawFITPerBit": 0.05,
@@ -43,9 +64,7 @@ func TestBudgetFileMode(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-budget", path}); err != nil {
-		t.Fatal(err)
-	}
+	capture(t, "-budget", path)
 }
 
 func TestErrors(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"softerror"
+	"softerror/internal/pipeline"
+	"softerror/internal/report"
 )
 
 // Example_quickRun simulates a small slice of the default workload and
@@ -68,4 +70,35 @@ func Example_roster() {
 	fmt.Printf("%d benchmarks: %d integer, %d floating-point\n", len(benches), ints, fps)
 	// Output:
 	// 26 benchmarks: 12 integer, 14 floating-point
+}
+
+// Example_refetchOverlap sweeps the refetch-overlap design knob (DESIGN.md
+// decision 3) on mcf under squash-on-L1: how much of the front-end refill
+// hides under the miss shadow decides the IPC cost of squashing.
+func Example_refetchOverlap() {
+	bench, _ := softerror.BenchmarkByName("mcf")
+	t := report.New("Ablation: refetch overlap (mcf, squash-L1)",
+		"overlap (cycles)", "IPC", "SDC AVF", "IPC/SDC")
+	for _, overlap := range []int{0, 2, 4, 6, 8} {
+		cfg := pipeline.DefaultConfig()
+		cfg.SquashTrigger = pipeline.TriggerL1Miss
+		cfg.RefetchOverlap = overlap
+		res, err := softerror.Run(softerror.Config{Workload: bench.Params, Pipeline: cfg, Commits: 60_000})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		sdc := res.Report.SDCAVF()
+		t.AddRow(fmt.Sprint(overlap), report.F2(res.IPC), report.Pct(sdc), report.F2(res.IPC/sdc))
+	}
+	fmt.Print(t.String())
+	// Output:
+	// Ablation: refetch overlap (mcf, squash-L1)
+	// overlap (cycles)   IPC  SDC AVF  IPC/SDC
+	// -----------------------------------------
+	// 0                 1.45    11.1%    13.03
+	// 2                 1.46    11.2%    13.03
+	// 4                 1.48    11.3%    13.03
+	// 6                 1.49    11.5%    13.03
+	// 8                 1.51    11.6%    13.03
 }

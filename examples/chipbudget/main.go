@@ -23,18 +23,16 @@ func main() {
 		log.Fatal("benchmark missing")
 	}
 	res, err := core.Run(core.Config{
-		Workload:  bench.Params,
-		Commits:   80_000,
-		KeepTrace: true,
-		RegFile:   true,
+		Workload:    bench.Params,
+		Commits:     80_000,
+		FrontEnd:    true,
+		StoreBuffer: true,
+		RegFile:     true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dead := res.Report.Dead
-	fe := ace.AnalyzeFrontEnd(res.Trace, dead)
-	sb := ace.AnalyzeStoreBuffer(res.Trace, dead)
-	rf := res.RegFile
+	fe, sb, rf := res.FrontEndReport, res.StoreBufferReport, res.RegFile
 
 	budget := &chip.Budget{
 		// A dense future node (the paper's motivation: error rates grow
@@ -52,13 +50,13 @@ func main() {
 			},
 			{
 				Name:        "front-end-buffer",
-				Bits:        float64(res.Trace.FrontEndCap * isa.EntryPayloadBits),
+				Bits:        float64(fe.Entries * isa.EntryPayloadBits),
 				SDCAVF:      fe.SDCAVF(),
 				FalseDUEAVF: fe.FalseDUEAVF(),
 			},
 			{
 				Name:        "store-buffer",
-				Bits:        float64(res.Trace.StoreBufferCap * ace.SBEntryBits),
+				Bits:        float64(sb.Entries * ace.SBEntryBits),
 				SDCAVF:      sb.SDCAVF(),
 				FalseDUEAVF: sb.FalseDUEAVF(),
 			},

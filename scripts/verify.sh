@@ -34,18 +34,16 @@
 #      smoke: a coordinator plus two worker daemons, one killed -9
 #      mid-sweep, byte-identical output demanded anyway. Skip with
 #      SERA_SKIP_FLEET=1 when iterating on unrelated code
-#   8. bench tier: a short run of the tracked benchmarks (hot loop +
-#      batched sweep), gated against the committed BENCH_<date>.json
-#      snapshot with scripts/benchdiff.sh — fails loudly past a 10%
-#      regression. Skip with SERA_SKIP_BENCH=1 when iterating; widen with
-#      BENCH_GATE_PCT on noisy or different machines (snapshots are
-#      machine-local baselines)
+#   8. bench tier: the paired performance gate, scripts/benchgate — the
+#      benchmark of record (perfbench) run on HEAD and on the working tree
+#      in 10 alternating pairs per workload; a metric fails when at least 8
+#      pairs are worse and its median is worse than HEAD's by more than its
+#      BENCHMARK.json bound (4–9 min on 2 vCPU). To gate a commit rather
+#      than uncommitted changes, run `go run ./scripts/benchgate BASE`
 #
 # Opt-outs, for iterating on unrelated code — never for shipping:
 #   SERA_SKIP_FUZZ=1   skip the go-native fuzz passes (tier 5)
 #   SERA_SKIP_FLEET=1  skip the fleet race/invariant/smoke suite (tier 7)
-#   SERA_SKIP_BENCH=1  skip the benchmark regression gate (tier 8)
-#   BENCH_GATE_PCT=N   widen tier 8's regression gate to N percent
 set -eux
 
 fmtdirs="$(gofmt -l cmd internal examples scripts perfbench *.go)"
@@ -98,13 +96,4 @@ if [ -z "${SERA_SKIP_FLEET:-}" ]; then
 	go run -race ./cmd/seraudit -check fleet-identity -quick
 	sh scripts/smoke_fleet.sh
 fi
-# bench tier: capture the tracked benchmarks and gate against the newest
-# committed BENCH_<date>.json snapshot; a deliberate performance change
-# ships a refreshed snapshot (scripts/benchdiff.sh -snapshot).
-if [ -z "${SERA_SKIP_BENCH:-}" ]; then
-	bench_out=$(mktemp)
-	trap 'rm -f "$bench_out"' EXIT
-	go test -run NONE -bench 'PipelineHotLoop$|BatchedSweep' -benchtime 2x -benchmem . | tee "$bench_out"
-	go test -run NONE -bench StaticBound -benchtime 2x -benchmem ./internal/static | tee -a "$bench_out"
-	scripts/benchdiff.sh -gate "$bench_out"
-fi
+go run ./scripts/benchgate
