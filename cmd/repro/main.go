@@ -49,14 +49,14 @@ func run(args []string) error {
 	d := cli.NewDriver("repro",
 		"repro [flags] <table1|table2|outcomes|fig2|fig3|fig4|breakdown|ablation|protection|regfile|simpoints|structures|all>")
 	fs := d.FS
-	commits := fs.Uint64("commits", core.DefaultCommits, "committed instructions per run")
+	commits := fs.Uint64("commits", experiments.Defaults.Commits, "committed instructions per run")
 	coreFam := fs.String("core", "inorder", "core family for suite-routed experiments: inorder or ooo")
 	benchList := fs.String("benches", "", "comma-separated benchmark subset (default: all 26)")
-	pet := fs.Int("pet", 512, "PET buffer entries for fig2")
-	rawFIT := fs.Float64("rawfit", 0.001, "raw soft-error rate per bit (FIT), for protection")
-	simpoints := fs.Int("simpoints", 4, "slices per benchmark for simpoints")
-	strikes := fs.Int("strikes", 50_000, "fault-injection strikes for outcomes")
-	seed := fs.Uint64("seed", 1, "fault-injection seed")
+	pet := fs.Int("pet", experiments.Defaults.PET, "PET buffer entries for fig2")
+	rawFIT := fs.Float64("rawfit", experiments.Defaults.RawFIT, "raw soft-error rate per bit (FIT), for protection")
+	simpoints := fs.Int("simpoints", experiments.Defaults.SimPoints, "slices per benchmark for simpoints")
+	strikes := fs.Int("strikes", experiments.Defaults.Strikes, "fault-injection strikes for outcomes")
+	seed := fs.Uint64("seed", experiments.Defaults.Seed, "fault-injection seed")
 	csvOut := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	ckPath := fs.String("checkpoint", "", "snapshot the outcomes campaign to this file; removed on success")
 	resume := fs.Bool("resume", false, "resume the outcomes campaign from an existing -checkpoint snapshot")

@@ -9,16 +9,16 @@
 //	curl 'localhost:8080/v1/bound?bench=gzip&iqsize=32&ooo=true'
 //
 // Fleet mode turns several daemons into one sharded sweep engine. A
-// coordinator partitions sweep jobs into cell-range leases and routes them
-// to worker daemons by consistent hashing of the cells' content addresses;
-// workers are plain daemons that joined the fleet:
+// coordinator cuts sweep jobs into leases of consecutive grid cells on one
+// shared queue, and each free worker daemon takes the next; workers are
+// plain daemons that joined the fleet:
 //
 //	seratd -coordinator -addr :8080 -workers 127.0.0.1:8081,127.0.0.1:8082
 //	seratd -addr :8081 -join 127.0.0.1:8080   # or register explicitly
 //
 // Worker failures are absorbed: leases retry with jittered backoff, then
-// move to surviving workers (work stealing); with no healthy worker the
-// coordinator degrades to local execution. The answer bytes are identical
+// go back on the queue for the surviving workers; with no healthy worker
+// the coordinator degrades to local execution. The answer bytes are identical
 // either way.
 //
 // On SIGINT/SIGTERM the daemon drains: new work is rejected, accepted

@@ -27,6 +27,7 @@ import (
 	"softerror/internal/cli"
 	"softerror/internal/config"
 	"softerror/internal/core"
+	"softerror/internal/experiments"
 	"softerror/internal/fault"
 	"softerror/internal/isa"
 	"softerror/internal/par"
@@ -243,17 +244,7 @@ func faultCampaign(ctx context.Context, res *core.Result, inj *fault.Injector, s
 	if err != nil {
 		return cli.Partial(err, camp.Checkpoint)
 	}
-	t := report.New(fmt.Sprintf("fault-injection outcomes (%d strikes per configuration, seed %d)", strikes, seed),
-		"configuration", "idle", "never-read", "benign", "SDC", "false DUE", "true DUE", "suppressed", "latent")
-	for i, r := range results {
-		frac := func(o fault.Outcome) string {
-			return report.Pct(float64(r.Counts[o]) / float64(r.Strikes))
-		}
-		t.AddRow(labels[i], frac(fault.OutcomeIdle), frac(fault.OutcomeNeverRead),
-			frac(fault.OutcomeBenignUnACE), frac(fault.OutcomeSDC),
-			frac(fault.OutcomeFalseDUE), frac(fault.OutcomeTrueDUE),
-			frac(fault.OutcomeSuppressed), frac(fault.OutcomeLatent))
-	}
-	t.Fprint(os.Stdout)
+	title := fmt.Sprintf("fault-injection outcomes (%d strikes per configuration, seed %d)", strikes, seed)
+	experiments.OutcomesTable(title, core.OutcomeRows(labels, results)).Fprint(os.Stdout)
 	return camp.Checkpoint.Remove()
 }

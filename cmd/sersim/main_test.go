@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,30 +84,31 @@ func TestRunWithConfigFile(t *testing.T) {
 //
 // only for a deliberate change of the model.
 func TestGshareConfigGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "gshare.golden"))
+	checkGolden(t, "gshare.golden", "-config", filepath.Join("testdata", "gshare.json"), "-policy", "squash-l1", "-strikes", "300")
+}
+
+// TestDefaultRunGolden pins sersim's full report on the default in-order
+// core, the Figure 1 strike campaign included. Regenerate with
+//
+//	go run ./cmd/sersim -bench mcf -commits 4000 -strikes 2000 > cmd/sersim/testdata/mcf.golden
+//
+// only for a deliberate change of the model or the report.
+func TestDefaultRunGolden(t *testing.T) {
+	checkGolden(t, "mcf.golden", "-bench", "mcf", "-commits", "4000", "-strikes", "2000")
+}
+
+// checkGolden runs sersim with args and demands it print testdata/golden.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, w, err := os.Pipe()
+	got, err := captureStdout(t, func() error { return run(args) })
 	if err != nil {
 		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-	runErr := run([]string{"-config", filepath.Join("testdata", "gshare.json"), "-policy", "squash-l1", "-strikes", "300"})
-	os.Stdout = old
-	w.Close()
-	got := <-out
-	r.Close()
-	if runErr != nil {
-		t.Fatal(runErr)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("sersim output drifted from testdata/gshare.golden:\n%s", got)
+		t.Fatalf("sersim output drifted from testdata/%s:\n%s", golden, got)
 	}
 }

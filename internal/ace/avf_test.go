@@ -237,26 +237,6 @@ func TestAnalyzeSquashReducesSDC(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyzeDeadness(b *testing.B) {
-	gen := workload.MustNew(workload.Default())
-	p := pipeline.MustNew(pipeline.DefaultConfig(), gen, cache.MustNewDefault())
-	tr := p.Run(50000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AnalyzeDeadness(tr.CommitLog)
-	}
-}
-
-func BenchmarkAnalyzeFull(b *testing.B) {
-	gen := workload.MustNew(workload.Default())
-	p := pipeline.MustNew(pipeline.DefaultConfig(), gen, cache.MustNewDefault())
-	tr := p.Run(50000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Analyze(tr)
-	}
-}
-
 func TestYBranchBound(t *testing.T) {
 	// A lone ACE branch residency: the whole ACE share is control.
 	br := isa.Inst{Seq: 0, Class: isa.ClassBranch, Dest: isa.RegNone,

@@ -158,10 +158,3 @@ func TestNames(t *testing.T) {
 		t.Error("statistical name")
 	}
 }
-
-func BenchmarkGshare(b *testing.B) {
-	g := NewGshare(14, 12)
-	for i := 0; i < b.N; i++ {
-		g.Mispredict(uint64(i)<<2, i&5 == 0)
-	}
-}

@@ -394,27 +394,6 @@ func TestLevelName(t *testing.T) {
 	}
 }
 
-func BenchmarkHierarchyAccessHot(b *testing.B) {
-	h := MustNewDefault()
-	s := rng.New(1, 1)
-	for i := 0; i < 10000; i++ {
-		h.Access(uint64(s.Intn(4<<10))&^7, false)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(s.Intn(4<<10))&^7, false)
-	}
-}
-
-func BenchmarkHierarchyAccessCold(b *testing.B) {
-	h := MustNewDefault()
-	s := rng.New(1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(s.Int63n(1<<30))&^7, false)
-	}
-}
-
 func TestNextLinePrefetcher(t *testing.T) {
 	h := MustNewDefault()
 	h.NextLinePrefetch = true

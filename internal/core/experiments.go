@@ -716,11 +716,16 @@ func OutcomesCampaign(ctx context.Context, b spec.Benchmark, commits uint64, str
 	// The campaign results hold only outcome tallies — nothing aliases the
 	// recorded stream once Run returns — so the buffers can recycle.
 	rec.Release()
-	rows := make([]OutcomeRow, len(campaigns))
-	for i, r := range campaigns {
+	return OutcomeRows(labels, campaigns), nil
+}
+
+// OutcomeRows pairs a campaign's results with OutcomeConfigs' labels.
+func OutcomeRows(labels []string, results []*fault.Result) []OutcomeRow {
+	rows := make([]OutcomeRow, len(results))
+	for i, r := range results {
 		rows[i] = OutcomeRow{Label: labels[i], Strikes: r.Strikes, Counts: r.Counts}
 	}
-	return rows, nil
+	return rows
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import (
 
 // Params carries every knob the experiment drivers read. The zero value is
 // not useful; fill Suite (for the roster-memoised experiments) and Benches
-// (for the campaign experiments) plus the numeric knobs, mirroring
-// cmd/repro's flag defaults.
+// (for the campaign experiments) plus the numeric knobs, whose defaults
+// are Defaults.
 type Params struct {
 	// Suite runs every roster experiment but Table 2 and outcomes, with
 	// its context and worker bound. It memoises the simulations shared by
@@ -55,6 +55,17 @@ type Params struct {
 	// with the geometry from core.OutcomesPlan. Only cmd/repro threads
 	// one — the service keeps jobs content-addressed instead.
 	Checkpoint *checkpoint.File[fault.Result]
+}
+
+// Defaults holds the numeric knobs' defaults: cmd/repro's flag defaults,
+// and what seratd fills in for an eval request that leaves a knob zero.
+var Defaults = Params{
+	Commits:   core.DefaultCommits,
+	PET:       512,
+	RawFIT:    0.001,
+	SimPoints: 4,
+	Strikes:   50_000,
+	Seed:      1,
 }
 
 // AllOrder is the emission order of the "all" meta-experiment (simpoints
@@ -211,7 +222,13 @@ func Outcomes(ctx context.Context, p Params) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.New(fmt.Sprintf("Figure 1: fault-outcome taxonomy (%s, %d strikes)", b.Name, p.Strikes),
+	return OutcomesTable(fmt.Sprintf("Figure 1: fault-outcome taxonomy (%s, %d strikes)", b.Name, p.Strikes), rows), nil
+}
+
+// OutcomesTable renders fault-injection tallies in Figure 1's taxonomy,
+// one row per configuration, each outcome as a share of its strikes.
+func OutcomesTable(title string, rows []core.OutcomeRow) *report.Table {
+	t := report.New(title,
 		"configuration", "idle", "never-read", "benign", "SDC", "false DUE", "true DUE", "suppressed", "latent")
 	for _, r := range rows {
 		frac := func(o fault.Outcome) string {
@@ -222,7 +239,7 @@ func Outcomes(ctx context.Context, p Params) (*report.Table, error) {
 			frac(fault.OutcomeFalseDUE), frac(fault.OutcomeTrueDUE),
 			frac(fault.OutcomeSuppressed), frac(fault.OutcomeLatent))
 	}
-	return t, nil
+	return t
 }
 
 // Figure2 reports the false-DUE AVF remaining after cumulative tracking.

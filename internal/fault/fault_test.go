@@ -178,19 +178,6 @@ func TestResultFracEmpty(t *testing.T) {
 	}
 }
 
-func BenchmarkStrikeParityRegFile(b *testing.B) {
-	tr, dead, _ := setup(b)
-	inj := NewInjector(tr, dead)
-	cfg := Config{Protection: cache.ProtParity, Level: ace.TrackRegFile, Strikes: 1, Seed: 7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i)
-		if _, err := inj.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestMemoryLevelCoversAllFalseErrors(t *testing.T) {
 	// The paper's headline claim for §4: with π bits through the memory
 	// system, 100% of false DUE events are covered. Exhaustively check

@@ -18,7 +18,7 @@ import (
 //     per-lease timeout must expire the lease and reassign it;
 //   - FaultError: a clean 500 — the retry/backoff path must heal it;
 //   - FaultSlow: the response is delayed by Delay — stragglers must not
-//     change bytes, only wall-clock (and may trigger work stealing).
+//     change bytes, only wall-clock (free workers take the next leases).
 type FaultKind uint8
 
 const (

@@ -23,7 +23,9 @@ import (
 type Config struct {
 	// LeaseCells bounds the cells per lease (default 4): small enough that
 	// a lost lease re-runs little work, large enough that cells of one
-	// benchmark still batch over a shared decode on the worker.
+	// benchmark still batch over a shared decode on the worker. A lease is
+	// a run of consecutive pending cells, and the grid is benchmark-major,
+	// so a lease spans as few benchmarks as its length allows.
 	LeaseCells int
 	// LeaseTimeout is the per-attempt deadline for one lease delivery
 	// (default 2m). A hung worker holds a lease for at most this long
@@ -42,9 +44,6 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// HeartbeatTimeout bounds one health probe (default 2s).
 	HeartbeatTimeout time.Duration
-	// Client is the HTTP client for leases and probes (default: a plain
-	// client; deadlines come from per-request contexts).
-	Client *http.Client
 	// Seed drives the backoff jitter stream (default 1). Jitter spreads
 	// retry storms in time; it never affects result bytes.
 	Seed uint64
@@ -74,9 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 2 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -90,7 +86,6 @@ type WorkerStatus struct {
 	Healthy  bool   `json:"healthy"`
 	Leases   int64  `json:"leases_done"`
 	Retries  int64  `json:"lease_retries"`
-	Steals   int64  `json:"lease_steals"`
 	Failures int64  `json:"lease_failures"`
 }
 
@@ -99,7 +94,6 @@ type Snapshot struct {
 	Workers          []WorkerStatus `json:"workers"`
 	LeasesDispatched int64          `json:"leases_dispatched"`
 	LeaseRetries     int64          `json:"lease_retries"`
-	LeaseSteals      int64          `json:"lease_steals"`
 	LeaseFailures    int64          `json:"lease_failures"`
 	LocalFallbacks   int64          `json:"local_fallbacks"`
 }
@@ -110,7 +104,6 @@ type worker struct {
 	healthy  bool
 	leases   int64
 	retries  int64
-	steals   int64
 	failures int64
 }
 
@@ -128,7 +121,6 @@ type Coordinator struct {
 
 	dispatched atomic.Int64
 	retriesCt  atomic.Int64
-	steals     atomic.Int64
 	failures   atomic.Int64
 	fallbacks  atomic.Int64
 
@@ -142,7 +134,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		client:  cfg.Client,
+		client:  &http.Client{},
 		workers: make(map[string]*worker),
 		jitter:  rng.New(cfg.Seed, 0x1ea5e),
 		hbStop:  make(chan struct{}),
@@ -186,7 +178,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 	snap := Snapshot{
 		LeasesDispatched: c.dispatched.Load(),
 		LeaseRetries:     c.retriesCt.Load(),
-		LeaseSteals:      c.steals.Load(),
 		LeaseFailures:    c.failures.Load(),
 		LocalFallbacks:   c.fallbacks.Load(),
 	}
@@ -196,7 +187,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 			Healthy:  w.healthy,
 			Leases:   w.leases,
 			Retries:  w.retries,
-			Steals:   w.steals,
 			Failures: w.failures,
 		})
 	}
@@ -297,51 +287,38 @@ func isFatal(err error) bool {
 	return errors.As(err, &f)
 }
 
-// lease is one dispatchable unit: a set of cells of the current grid,
-// preferred by its ring-routed owner but stealable by any idle worker.
+// lease is one dispatchable unit: a run of consecutive pending cells of
+// the current grid, which any worker that has not yet failed it may take.
 type lease struct {
 	id     string
-	owner  string
 	cells  []int
 	ranges []Range
 	tried  map[string]bool
 }
 
-// leaseQueue is the wave's work pool. take prefers a worker's own leases
-// (cache affinity) and falls back to stealing any lease the worker has not
-// yet failed; leases left untaken when every loop exits stay pending for
-// the next wave.
+// leaseQueue is the wave's one shared work pool, in cell order. Every
+// worker loop takes the next lease it has not yet failed, so a straggler
+// holds one lease while the idle workers drain the rest; leases left
+// untaken when every loop exits stay pending for the next wave.
 type leaseQueue struct {
 	mu     sync.Mutex
 	closed bool
 	leases []*lease
 }
 
-func (q *leaseQueue) take(addr string) (*lease, bool) {
+func (q *leaseQueue) take(addr string) *lease {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil, false
+		return nil
 	}
-	pick := -1
 	for k, l := range q.leases {
-		if l.tried[addr] {
-			continue
-		}
-		if l.owner == addr {
-			pick = k
-			break
-		}
-		if pick < 0 {
-			pick = k
+		if !l.tried[addr] {
+			q.leases = slices.Delete(q.leases, k, k+1)
+			return l
 		}
 	}
-	if pick < 0 {
-		return nil, false
-	}
-	l := q.leases[pick]
-	q.leases = append(q.leases[:pick], q.leases[pick+1:]...)
-	return l, l.owner != addr
+	return nil
 }
 
 func (q *leaseQueue) requeue(l *lease) {
@@ -358,37 +335,23 @@ func (q *leaseQueue) close() {
 	q.mu.Unlock()
 }
 
-// partition routes each pending cell to a healthy worker by consistent
-// hashing of the cell's content address, then chunks each worker's cells
-// into leases of at most LeaseCells.
-func (c *Coordinator) partition(g *sweep.Grid, pending []int, healthy []string) []*lease {
-	r := newRing(healthy)
-	byWorker := make(map[string][]int, len(healthy))
-	for _, i := range pending {
-		addr := r.route(g.CellFingerprint(i))
-		byWorker[addr] = append(byWorker[addr], i)
-	}
+// partition chunks the pending cells, in cell order, into leases of at
+// most LeaseCells. A chunk may straddle cells a checkpoint restored;
+// rangesOf encodes it as several ranges.
+func (c *Coordinator) partition(pending []int) []*lease {
 	var leases []*lease
-	for _, addr := range healthy {
-		cells := byWorker[addr]
-		for lo := 0; lo < len(cells); lo += c.cfg.LeaseCells {
-			hi := lo + c.cfg.LeaseCells
-			if hi > len(cells) {
-				hi = len(cells)
-			}
-			chunk := cells[lo:hi]
-			c.mu.Lock()
-			c.leaseSeq++
-			id := fmt.Sprintf("lease-%06d", c.leaseSeq)
-			c.mu.Unlock()
-			leases = append(leases, &lease{
-				id:     id,
-				owner:  addr,
-				cells:  chunk,
-				ranges: rangesOf(chunk),
-				tried:  make(map[string]bool),
-			})
-		}
+	for lo := 0; lo < len(pending); lo += c.cfg.LeaseCells {
+		chunk := pending[lo:min(lo+c.cfg.LeaseCells, len(pending))]
+		c.mu.Lock()
+		c.leaseSeq++
+		id := fmt.Sprintf("lease-%06d", c.leaseSeq)
+		c.mu.Unlock()
+		leases = append(leases, &lease{
+			id:     id,
+			cells:  chunk,
+			ranges: rangesOf(chunk),
+			tried:  make(map[string]bool),
+		})
 	}
 	return leases
 }
@@ -546,7 +509,7 @@ func (c *Coordinator) waves(ctx context.Context, g *sweep.Grid, run *checkpoint.
 		if len(healthy) == 0 || stalls >= 2 {
 			return pending, nil
 		}
-		completed, err := c.dispatch(ctx, g, sp, pending, healthy, run.Land)
+		completed, err := c.dispatch(ctx, sp, pending, healthy, run.Land)
 		if err != nil {
 			return pending, err
 		}
@@ -560,15 +523,14 @@ func (c *Coordinator) waves(ctx context.Context, g *sweep.Grid, run *checkpoint.
 	return nil, nil
 }
 
-// dispatch runs one wave: partition pending cells over the healthy workers,
-// then drive per-worker loops that execute their own leases first and steal
-// others when idle. A worker that exhausts a lease's attempt budget is
-// marked unhealthy and sits out the rest of the wave; its leases are stolen
-// or carried into the next wave. land records one landed cell's row; the
-// worker loops call it concurrently.
-func (c *Coordinator) dispatch(ctx context.Context, g *sweep.Grid, sp GridSpec, pending []int, healthy []string, land func(cell int, row sweep.Row) error) (map[int]bool, error) {
-	leases := c.partition(g, pending, healthy)
-	q := &leaseQueue{leases: leases}
+// dispatch runs one wave: partition the pending cells into a shared queue
+// of leases, then drive one loop per healthy worker that takes the next
+// lease whenever it is free. A worker that exhausts a lease's attempt
+// budget is marked unhealthy and sits out the rest of the wave; its lease
+// goes back on the queue for another worker, or into the next wave. land
+// records one landed cell's row; the worker loops call it concurrently.
+func (c *Coordinator) dispatch(ctx context.Context, sp GridSpec, pending []int, healthy []string, land func(cell int, row sweep.Row) error) (map[int]bool, error) {
+	q := &leaseQueue{leases: c.partition(pending)}
 	completed := make(map[int]bool, len(pending))
 	var cmu sync.Mutex
 	var firstErr error
@@ -587,13 +549,9 @@ func (c *Coordinator) dispatch(ctx context.Context, g *sweep.Grid, sp GridSpec, 
 		go func(addr string) {
 			defer wg.Done()
 			for {
-				l, stolen := q.take(addr)
+				l := q.take(addr)
 				if l == nil {
 					return
-				}
-				if stolen {
-					c.steals.Add(1)
-					c.bump(addr, func(w *worker) { w.steals++ })
 				}
 				rows, err := c.execute(ctx, addr, sp, l)
 				if err == nil {

@@ -1,11 +1,11 @@
 // Package fleet turns seratd from one process into a coordinated fleet: a
-// coordinator partitions a sweep grid into cell-range leases, routes each
-// lease to a worker daemon by consistent hashing of the cells' content
-// addresses (so every worker's fingerprint-keyed cache shards the keyspace
-// instead of duplicating it), and dispatches the leases over the workers'
-// HTTP surface with per-lease timeouts, jittered exponential backoff,
-// heartbeat-driven health, work stealing for stragglers and graceful
-// degradation to local execution when no worker is healthy.
+// coordinator cuts a sweep grid into leases of consecutive cells, puts them
+// on one shared queue from which every free worker daemon takes the next,
+// and delivers them over the workers' HTTP surface with per-lease
+// timeouts, jittered exponential backoff, heartbeat-driven health and
+// graceful degradation to local execution when no worker is healthy. A
+// straggler holds only the lease it is running while the other workers
+// drain the queue.
 //
 // The package's contract is byte-identity: because every sweep cell is
 // deterministic by index and rows are reassembled by cell index, a grid run

@@ -16,6 +16,7 @@ import (
 
 	"softerror/internal/checkpoint"
 	"softerror/internal/par"
+	"softerror/internal/spec"
 	"softerror/internal/sweep"
 )
 
@@ -129,32 +130,63 @@ func TestRangesOfCompression(t *testing.T) {
 	}
 }
 
-func TestRingAffinity(t *testing.T) {
-	keys := make([]string, 200)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("cell-%d", i)
+// TestPartitionContiguous pins the lease layout: the pending cells, in
+// cell order, cut into runs of at most LeaseCells. On a benchmark-major
+// grid that keeps each benchmark's cells in as few leases as possible, and
+// each (lease, benchmark) pair is a separate batch on the worker.
+func TestPartitionContiguous(t *testing.T) {
+	sp := GridSpec{Benches: spec.Names(), Policies: []string{"baseline", "squash-l1", "squash-l0"}}
+	g := testGrid(t, sp)
+	if len(g.Benches) != 26 || g.Size() != 78 {
+		t.Fatalf("roster grid has %d benchmarks, %d cells; want 26, 78", len(g.Benches), g.Size())
 	}
-	full := newRing([]string{"a:1", "b:1", "c:1"})
-	shrunk := newRing([]string{"a:1", "b:1"})
-	moved := 0
-	counts := map[string]int{}
-	for _, k := range keys {
-		was := full.route(k)
-		counts[was]++
-		now := shrunk.route(k)
-		if was != "c:1" && now != was {
-			t.Fatalf("key %q moved %s -> %s though its worker survived", k, was, now)
+	perBench := g.Size() / len(g.Benches)
+	c := &Coordinator{cfg: Config{LeaseCells: 4}.withDefaults()}
+
+	all := make([]int, g.Size())
+	for i := range all {
+		all[i] = i
+	}
+	var gappy []int
+	for _, i := range all {
+		if i%7 != 3 && (i < 20 || i > 30) {
+			gappy = append(gappy, i)
 		}
-		if was == "c:1" {
-			moved++
+	}
+	for _, tc := range []struct {
+		name    string
+		pending []int
+		pairs   int
+	}{
+		{"full grid", all, 39},
+		{"restored gaps", gappy, -1},
+	} {
+		leases := c.partition(tc.pending)
+		var covered []int
+		pairs := 0
+		for _, l := range leases {
+			if n := len(l.cells); n < 1 || n > 4 {
+				t.Fatalf("%s: lease %s has %d cells, want 1..4", tc.name, l.id, n)
+			}
+			start := len(covered)
+			if !reflect.DeepEqual(l.cells, tc.pending[start:start+len(l.cells)]) {
+				t.Fatalf("%s: lease %s holds %v, not the next run of pending cells", tc.name, l.id, l.cells)
+			}
+			if got := (LeaseRequest{Ranges: l.ranges}).Cells(); !reflect.DeepEqual(got, l.cells) {
+				t.Fatalf("%s: lease %s ranges %v encode %v, want %v", tc.name, l.id, l.ranges, got, l.cells)
+			}
+			covered = append(covered, l.cells...)
+			benches := map[int]bool{}
+			for _, i := range l.cells {
+				benches[i/perBench] = true
+			}
+			pairs += len(benches)
 		}
-	}
-	if moved == 0 {
-		t.Fatal("no key ever routed to the removed worker — the ring is not spreading keys")
-	}
-	for w, n := range counts {
-		if n == 0 {
-			t.Fatalf("worker %s owns no keys of %d", w, len(keys))
+		if !reflect.DeepEqual(covered, tc.pending) {
+			t.Fatalf("%s: leases cover %v, want the pending cells %v once each, in order", tc.name, covered, tc.pending)
+		}
+		if tc.pairs >= 0 && pairs != tc.pairs {
+			t.Fatalf("%s: %d (lease, benchmark) pairs, want %d", tc.name, pairs, tc.pairs)
 		}
 	}
 }
@@ -319,9 +351,9 @@ func TestCoordinatorCollectKeepsValidRows(t *testing.T) {
 }
 
 func TestCoordinatorSurvivesDeadWorker(t *testing.T) {
-	// Worker "w0" crashes every lease; "w1" is healthy. Whatever the ring
-	// routes to w0 must be reassigned (or the wave repartitioned) and the
-	// bytes must come out identical to a local run.
+	// Worker "w0" crashes every lease; "w1" is healthy. Whatever lease w0
+	// takes must go back on the queue for w1 (or into the next wave) and
+	// the bytes must come out identical to a local run.
 	co := NewCoordinator(fastConfig())
 	defer co.Close()
 	for i, mode := range []string{"w0", "none"} {

@@ -98,7 +98,7 @@ func fleetCSV(newGrid func() *sweep.Grid, n int, plan *chaosPlan, cfg fleet.Conf
 // checkFleetIdentity pins the fleet's headline contract: one random grid
 // rendered locally, on a one-worker fleet, and on a three-worker fleet
 // whose lease surface crashes, hangs, errors and stalls under an injected
-// chaos plan, produces byte-identical CSV. Scheduling, retries, steals and
+// chaos plan, produces byte-identical CSV. Scheduling, retries, requeues and
 // local fallback may all differ run to run — the bytes may not.
 func checkFleetIdentity(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
@@ -141,15 +141,14 @@ func checkFleetIdentity(seed uint64, opt Options) error {
 	}
 	// The accounting must at least be self-consistent: per-worker tallies
 	// sum to the coordinator's totals.
-	var retries, steals, failures int64
+	var retries, failures int64
 	for _, w := range snap.Workers {
 		retries += w.Retries
-		steals += w.Steals
 		failures += w.Failures
 	}
-	if retries != snap.LeaseRetries || steals != snap.LeaseSteals || failures != snap.LeaseFailures {
-		return fmt.Errorf("fleet metrics disagree: per-worker (%d retries, %d steals, %d failures) vs totals (%d, %d, %d)",
-			retries, steals, failures, snap.LeaseRetries, snap.LeaseSteals, snap.LeaseFailures)
+	if retries != snap.LeaseRetries || failures != snap.LeaseFailures {
+		return fmt.Errorf("fleet metrics disagree: per-worker (%d retries, %d failures) vs totals (%d, %d)",
+			retries, failures, snap.LeaseRetries, snap.LeaseFailures)
 	}
 	return nil
 }

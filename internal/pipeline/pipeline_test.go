@@ -466,22 +466,6 @@ func TestTraceHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelineBaseline(b *testing.B) {
-	gen := workload.MustNew(workload.Default())
-	p := MustNew(DefaultConfig(), gen, cache.MustNewDefault())
-	b.ResetTimer()
-	p.Run(uint64(b.N), false)
-}
-
-func BenchmarkPipelineSquashL1(b *testing.B) {
-	gen := workload.MustNew(workload.Default())
-	cfg := DefaultConfig()
-	cfg.SquashTrigger = TriggerL1Miss
-	p := MustNew(cfg, gen, cache.MustNewDefault())
-	b.ResetTimer()
-	p.Run(uint64(b.N), false)
-}
-
 func TestOutOfOrderIssueRaisesIPC(t *testing.T) {
 	// A stalled load dependence chain interleaved with independent work:
 	// out-of-order issue must beat in-order on the same stream.

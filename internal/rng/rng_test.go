@@ -250,17 +250,3 @@ func TestIntnUnbiasedSmallN(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkUint32(b *testing.B) {
-	s := New(1, 1)
-	for i := 0; i < b.N; i++ {
-		_ = s.Uint32()
-	}
-}
-
-func BenchmarkIntn64(b *testing.B) {
-	s := New(1, 1)
-	for i := 0; i < b.N; i++ {
-		_ = s.Intn(64)
-	}
-}

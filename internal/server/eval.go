@@ -19,7 +19,7 @@ import (
 // EvalRequest is the POST /v1/eval body. It mirrors cmd/repro's flag
 // surface exactly — same names, same defaults — so that the rendered
 // response is byte-identical to the CLI's output for the same invocation.
-// Zero/absent fields take the repro defaults.
+// Zero/absent fields take experiments.Defaults, cmd/repro's flag defaults.
 type EvalRequest struct {
 	// Experiment names one of the repro experiments ("table1", "fig2",
 	// ..., or "all").
@@ -119,23 +119,24 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 	for i, b := range e.benches {
 		e.names[i] = b.Name
 	}
+	def := experiments.Defaults
 	if e.commits == 0 {
-		e.commits = core.DefaultCommits
+		e.commits = def.Commits
 	}
 	if e.pet == 0 {
-		e.pet = 512
+		e.pet = def.PET
 	}
 	if e.rawFIT == 0 {
-		e.rawFIT = 0.001
+		e.rawFIT = def.RawFIT
 	}
 	if e.simPoints == 0 {
-		e.simPoints = 4
+		e.simPoints = def.SimPoints
 	}
 	if e.strikes == 0 {
-		e.strikes = 50_000
+		e.strikes = def.Strikes
 	}
 	if e.seed == 0 {
-		e.seed = 1
+		e.seed = def.Seed
 	}
 	return e, nil
 }

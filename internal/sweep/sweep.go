@@ -371,20 +371,6 @@ func (g *Grid) Fingerprint() string {
 	return checkpoint.Fingerprint(parts...)
 }
 
-// CellFingerprint content-addresses cell i's full parameterisation —
-// benchmark, policy, geometry, commit budget — independent of the grid that
-// contains it. Two grids sharing a cell share its fingerprint, which is
-// what lets a fleet route the cell to the same worker (and that worker's
-// content-addressed cache) no matter which sweep asked for it.
-func (g *Grid) CellFingerprint(i int) string {
-	b, pol, iq, ooo := g.cell(i)
-	commits := g.Commits
-	if commits == 0 {
-		commits = core.DefaultCommits
-	}
-	return checkpoint.Fingerprint("sweep-cell", commits, b.Name, uint8(pol), iq, ooo)
-}
-
 // Run executes the grid on the worker pool and returns one row per cell, in
 // axis order (benchmark-major) regardless of scheduling: each worker writes
 // only its own index of a pre-sized slice. progress, if non-nil, is called

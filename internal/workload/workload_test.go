@@ -381,14 +381,6 @@ func TestRRCounterWraps(t *testing.T) {
 	}
 }
 
-func BenchmarkGeneratorNext(b *testing.B) {
-	g := MustNew(Default())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
-	}
-}
-
 func TestTablePredictorsProduceOrganicRates(t *testing.T) {
 	for _, model := range []string{"gshare", "bimodal"} {
 		p := Default()

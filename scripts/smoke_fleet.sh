@@ -10,7 +10,7 @@
 #   5. SIGINT the coordinator and require a clean drain.
 #
 # Exercises the real binaries, real TCP, a real process death and the
-# retry/steal path that the in-process suites drive only through injected
+# retry/requeue path that the in-process suites drive only through injected
 # chaos.
 set -eu
 

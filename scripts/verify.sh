@@ -2,7 +2,9 @@
 # Repository verify recipe, in tiers:
 #   1. format + tier-1: gofmt, build + full test suite (the gate every
 #      change must pass), plus vet and tests of the separate perfbench
-#      module, which the root go build/test never compile (~6 s on 2 vCPU)
+#      module, which the root go build/test never compile (~6 s on 2 vCPU);
+#      a go-test `func Benchmark` outside perfbench/ fails the tier, since
+#      no tier runs or gates one and perfbench is the benchmark of record
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
 #      numbers may not drift silently — plus `repro all` and the sweep grid
@@ -48,6 +50,7 @@ set -eux
 
 fmtdirs="$(gofmt -l cmd internal examples scripts perfbench *.go)"
 [ -z "$fmtdirs" ] || { echo "gofmt needed: $fmtdirs" >&2; exit 1; }
+if grep -rln --include='*_test.go' --exclude-dir=perfbench '^func Benchmark' .; then echo "go-test benchmarks belong in perfbench/" >&2; exit 1; fi
 
 go build ./...
 go vet ./...
