@@ -45,7 +45,7 @@ func TestOutcomesCrashResume(t *testing.T) {
 
 	ckPath := filepath.Join(t.TempDir(), "outcomes.ckpt")
 	withCk := append(append([]string{}, base...), "-checkpoint", ckPath)
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index >= 3 {
 			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
 		}

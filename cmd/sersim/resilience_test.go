@@ -48,7 +48,7 @@ func TestFaultCampaignCrashResume(t *testing.T) {
 
 	ckPath := filepath.Join(t.TempDir(), "faults.ckpt")
 	withCk := append(base, "-checkpoint", ckPath)
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index >= 3 {
 			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
 		}

@@ -45,8 +45,6 @@ func run(args []string) error {
 	ckPath := fs.String("checkpoint", "", "snapshot completed cells to this file; removed on success")
 	resume := fs.Bool("resume", false, "resume from an existing -checkpoint snapshot")
 	onError := fs.String("onerror", "fail", "failed-cell policy: fail (cancel grid) or continue (finish other cells)")
-	taskTimeout := fs.Duration("tasktimeout", 0, "per-cell watchdog deadline (0 = none)")
-	retries := fs.Int("retries", 0, "deterministic re-attempts for failed or hung cells")
 	prof := cli.NewProfile(fs)
 	if err := d.Parse(args); err != nil {
 		return err
@@ -56,20 +54,11 @@ func run(args []string) error {
 	}
 	defer prof.Stop()
 
-	g := &sweep.Grid{
-		Commits:     *commits,
-		Workers:     d.Jobs(),
-		TaskTimeout: *taskTimeout,
-		Retries:     *retries,
+	policy, err := par.ParsePolicy(*onError)
+	if err != nil {
+		return cli.Usagef("%v", err)
 	}
-	switch *onError {
-	case "fail":
-		g.OnError = par.FailFast
-	case "continue":
-		g.OnError = par.Collect
-	default:
-		return cli.Usagef("bad -onerror %q (want fail or continue)", *onError)
-	}
+	g := &sweep.Grid{Commits: *commits, Workers: d.Jobs(), OnError: policy}
 	if *resume && *ckPath == "" {
 		return cli.Usagef("-resume requires -checkpoint")
 	}

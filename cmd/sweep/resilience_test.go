@@ -33,7 +33,7 @@ func TestSweepCrashResumeByteIdentical(t *testing.T) {
 
 	ckPath := filepath.Join(dir, "grid.ckpt")
 	crashOut := filepath.Join(dir, "crash.csv")
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == 3 {
 			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
 		}
@@ -74,6 +74,8 @@ func TestSweepUsageExitCodes(t *testing.T) {
 		{"-q", "-onerror", "nosuch"},
 		{"-q", "-resume"},
 		{"-q", "-nosuchflag"},
+		{"-q", "-retries", "1"},      // cells run once: a retry would fail the same way
+		{"-q", "-tasktimeout", "1s"}, // the pipeline's cycle-count watchdog stops stuck cells
 	}
 	for _, args := range cases {
 		err := run(args)

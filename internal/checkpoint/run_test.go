@@ -207,7 +207,7 @@ func TestRunCheckpointChaosSeesPositions(t *testing.T) {
 	f := New[int](path, resumeKind, resumeFP, runTotal)
 	f.Put(restoredCells[0], restoredCells[0]*valuePerRun)
 	var seen []int // one worker: the hook runs task after task
-	par.SetChaos(func(_ context.Context, index, _ int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		seen = append(seen, index)
 		return nil
 	})

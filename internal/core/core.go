@@ -232,8 +232,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation threaded through the
-// pipeline's cycle loop, so a SIGINT or watchdog aborts within one
-// simulation rather than one campaign. The run is a one-lane batch on
+// pipeline's cycle loop, so a SIGINT or a fail-fast cancellation aborts
+// within one simulation rather than one campaign. The run is a one-lane batch on
 // RunBatchArena's lane engine, whatever the workload's branch predictor.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	a := defaultArenas.Get()

@@ -24,8 +24,8 @@ type Campaign struct {
 	Configs  []Config
 	// Chunk bounds strikes per cell (default DefaultChunk).
 	Chunk int
-	// Opts configures the worker pool: worker count, failure policy,
-	// watchdog deadline and retry budget.
+	// Opts configures the worker pool: worker count, failure policy and
+	// dispatch order.
 	Opts par.Options
 	// Checkpoint, when non-nil, records completed cells (and restores them
 	// on resume, skipping their execution). Its cell count must equal

@@ -205,7 +205,7 @@ const strikeSeqBase = uint64(0xfa17) << 32
 // from (seed, index) — rather than drawing all strikes from one sequential
 // stream — makes every strike an independently addressable unit of work:
 // any partition of the index space (chunked checkpoints, parallel fan-out,
-// watchdog retries, single-strike replays) tallies exactly what a serial
+// resumed campaigns, single-strike replays) tallies exactly what a serial
 // sweep of [0, Strikes) would.
 func strikeStream(seed uint64, i int) rng.Stream {
 	return rng.Make(seed, strikeSeqBase+uint64(i))
@@ -256,8 +256,8 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 	res := &Result{}
 	for i := lo; i < hi; i++ {
 		// Check for cancellation every 1024 strikes: cheap enough to keep
-		// the loop tight, frequent enough that a SIGINT or watchdog stops a
-		// campaign mid-flight instead of at its end.
+		// the loop tight, frequent enough that a SIGINT or a fail-fast
+		// cancellation stops a campaign mid-flight instead of at its end.
 		if i&1023 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -271,8 +271,8 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 
 // StrikeOutcome classifies strike i of a campaign in isolation. It returns
 // exactly what a full campaign records for index i — strikes share no
-// state — which is what lets a retried or replayed cell be byte-identical
-// to its first-try counterpart.
+// state — which is what lets a resumed or replayed cell be byte-identical
+// to the one an uninterrupted campaign runs.
 func (inj *Injector) StrikeOutcome(cfg Config, i int) Outcome {
 	s := strikeStream(cfg.Seed, i)
 	return inj.strike(&s, cfg, cfg.engine())

@@ -14,8 +14,8 @@ import (
 
 // TestStrikeOutcomeIsolation pins the per-strike RNG stream contract: a
 // single strike index replayed in isolation reproduces exactly its outcome
-// within the full campaign, so any subset of the strike space (a retried
-// cell, a resumed chunk, a debugging session on one strike) is faithful.
+// within the full campaign, so any subset of the strike space (a resumed
+// chunk, a debugging session on one strike) is faithful.
 func TestStrikeOutcomeIsolation(t *testing.T) {
 	tr, dead, _ := setup(t)
 	inj := NewInjector(tr, dead)
@@ -113,7 +113,7 @@ func TestCampaignCrashResumeByteIdentical(t *testing.T) {
 	camp.Checkpoint = ck
 
 	// Crash the process-under-test once it reaches cell 3.
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index >= 3 {
 			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
 		}

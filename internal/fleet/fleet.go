@@ -52,8 +52,8 @@ var (
 
 // GridSpec is the wire form of a sweep grid: the axes by name, exactly
 // enough to rebuild the grid on a worker. It deliberately excludes the
-// coordinator's resilience knobs (OnError, TaskTimeout, Retries) — lease
-// retry and reassignment are the coordinator's job, so workers execute
+// coordinator's failure policy (OnError) — lease retry and reassignment
+// after network failures are the coordinator's job, so workers execute
 // leases fail-fast and report errors upward.
 type GridSpec struct {
 	Benches    []string `json:"benches"`

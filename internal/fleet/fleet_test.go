@@ -279,7 +279,7 @@ func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
 	}
 	pending := []int{1, 3, 4, 5}
 	const k = 1
-	par.SetChaos(func(_ context.Context, index, _ int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == k {
 			panic("chaos: poisoned fallback position")
 		}
@@ -312,7 +312,7 @@ func TestCoordinatorCollectKeepsValidRows(t *testing.T) {
 	sp := smallSpec()
 	sp.Policies = []string{"baseline", "squash-l1"}
 	const poisoned = 3
-	par.SetChaos(func(_ context.Context, index, _ int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == poisoned {
 			panic("chaos: poisoned cell")
 		}

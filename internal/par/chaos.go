@@ -6,18 +6,11 @@ import (
 )
 
 // ChaosFunc is a test-only fault injector. When installed, the engine calls
-// it at the start of every task attempt, inside the panic-isolation and
-// watchdog scope, so a hook can simulate the three classic worker failures:
-//
-//   - panic: simply panic — the engine must convert it to a TaskError;
-//   - hang: block on ctx.Done() (cooperative) or on a private channel
-//     (non-cooperative) — the watchdog must detect it;
-//   - transient error: return an error for attempt 1 only — the retry must
-//     heal it, and determinism tests can prove the retried cell is
-//     byte-identical to a first-try cell.
-//
-// Returning nil lets the real task run.
-type ChaosFunc func(ctx context.Context, index, attempt int) error
+// it at the start of every task, inside the panic-isolation scope, so a
+// hook can simulate a worker failure: panic (the engine must convert it to
+// a TaskError) or return an error (the engine must fail exactly that
+// index). Returning nil lets the real task run.
+type ChaosFunc func(ctx context.Context, index int) error
 
 // chaosBox wraps the hook so atomic.Value can hold a nil function.
 type chaosBox struct{ h ChaosFunc }

@@ -12,10 +12,10 @@
 // decisions (aggregation, CSV emission) happen in index order afterwards.
 //
 // The engine is also the campaign's containment boundary: worker panics are
-// recovered into typed TaskErrors instead of crashing the process, a
-// per-task watchdog detects hung simulations, and failed or hung cells can
-// be deterministically retried or skipped (Collect policy) so that a single
-// poisoned cell costs one cell, not the whole run. See Run and Options.
+// recovered into typed TaskErrors instead of crashing the process, and
+// failed cells can be skipped (Collect policy) so that a single poisoned
+// cell costs one cell, not the whole run. Each index runs once: a
+// deterministic cell fails the same way every time. See Run and Options.
 package par
 
 import (
@@ -56,7 +56,7 @@ func Workers(n int) int {
 // stops unclaimed indices; in-flight calls run to completion. ForEach
 // returns the first failure in claim order as a *TaskError (a recovered
 // worker panic included), or ctx's error if it was cancelled externally.
-// It is Run with fail-fast policy and no watchdog or retries.
+// It is Run with the fail-fast policy.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	return Run(ctx, n, Options{Workers: workers}, fn)
 }

@@ -7,11 +7,9 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Policy selects how the engine reacts to a task that fails after all of its
-// attempts.
+// Policy selects how the engine reacts to a failed task.
 type Policy uint8
 
 const (
@@ -26,17 +24,28 @@ const (
 	Collect
 )
 
-// TaskError describes the failure of one task index after its attempts were
-// exhausted. It is the unit entry of Errors and the FailFast return value.
+// ParsePolicy maps a failed-cell policy name, as cmd/sweep's -onerror flag
+// and the server's sweep requests spell it, to a Policy: "fail",
+// "fail-fast" or "" mean FailFast, "continue" means Collect.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "", "fail", "fail-fast":
+		return FailFast, nil
+	case "continue":
+		return Collect, nil
+	}
+	return 0, fmt.Errorf("unknown onerror policy %q (known: fail, fail-fast, continue)", s)
+}
+
+// TaskError describes the failure of one task index. It is the unit entry
+// of Errors and the FailFast return value.
 type TaskError struct {
 	// Index is the failed task's index in [0, n).
 	Index int
-	// Attempts is how many times the task was tried.
-	Attempts int
-	// Err is the final attempt's failure.
+	// Err is the task's failure.
 	Err error
 	// Stack is the goroutine stack captured at the panic site, when the
-	// final attempt panicked; nil for ordinary errors.
+	// task panicked; nil for ordinary errors.
 	Stack []byte
 }
 
@@ -45,7 +54,7 @@ func (e *TaskError) Error() string {
 	if e.Stack != nil {
 		kind = "panicked"
 	}
-	return fmt.Sprintf("par: task %d %s after %d attempt(s): %v", e.Index, kind, e.Attempts, e.Err)
+	return fmt.Sprintf("par: task %d %s: %v", e.Index, kind, e.Err)
 }
 
 func (e *TaskError) Unwrap() error { return e.Err }
@@ -69,12 +78,7 @@ func (es Errors) Indices() []int {
 	return idx
 }
 
-// ErrHung marks a task attempt stopped by the per-task watchdog: either it
-// returned the deadline error cooperatively, or it ignored cancellation past
-// the grace period and its goroutine was abandoned.
-var ErrHung = errors.New("par: task deadline exceeded")
-
-// panicErr carries a recovered panic value and stack out of a task attempt.
+// panicErr carries a recovered panic value and stack out of a task.
 type panicErr struct {
 	val   any
 	stack []byte
@@ -82,26 +86,12 @@ type panicErr struct {
 
 func (p *panicErr) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 
-// Options configures a resilient Run.
+// Options configures a Run.
 type Options struct {
 	// Workers bounds the pool; <= 0 resolves through the package default.
 	Workers int
 	// Policy is the failure policy (FailFast by default).
 	Policy Policy
-	// Timeout is the per-attempt watchdog deadline; 0 disables it. A firing
-	// watchdog cancels the attempt's context, so tasks that check their
-	// context abort within one simulation.
-	Timeout time.Duration
-	// Grace is how long after cancelling a timed-out attempt the engine
-	// waits for it to unwind before abandoning its goroutine (default 1s).
-	// An abandoned attempt is reported as hung; its index is treated as
-	// failed even if the stray goroutine eventually finishes.
-	Grace time.Duration
-	// Retries is how many extra attempts a failed or hung index gets. Tasks
-	// must be index-deterministic (derive any randomness from the index, not
-	// from shared mutable state) so that a retried cell is byte-identical to
-	// a first-try cell.
-	Retries int
 	// Order is the dispatch order: workers claim Order[0], Order[1], ...
 	// instead of ascending indices. nil means ascending. It must be a
 	// permutation of [0, n). Order changes only which task starts when
@@ -111,24 +101,21 @@ type Options struct {
 	Order []int
 }
 
-// defaultGrace bounds the post-cancellation wait for a hung attempt.
-const defaultGrace = time.Second
-
-// Run executes fn over [0, n) on a bounded worker pool with panic isolation,
-// an optional per-attempt watchdog, and deterministic retries. A recovered
-// panic becomes a TaskError carrying the index and stack instead of a
-// process crash.
+// Run executes fn over [0, n) on a bounded worker pool, once per index,
+// with panic isolation: a recovered panic becomes a TaskError carrying the
+// index and stack instead of a process crash. Tasks are deterministic by
+// index, so a failed task is not re-run; a stuck simulation is stopped by
+// the pipeline's forward-progress watchdog, which panics.
 //
-// Under FailFast the first task to exhaust its attempts stops dispatch and
-// cancels every running task dispatched after it; tasks dispatched before
-// it run on. So a fail-fast run still finishes every task that a one-worker
-// run in the same dispatch order would have finished before the failure,
-// whatever the worker count. The failure at the earliest dispatch slot is
-// returned. Under Collect every index is attempted and the failures come
-// back as an Errors value (nil error if all succeeded). External
-// cancellation always wins: Run returns ctx's error and records no blame
-// against in-flight tasks. A malformed Options.Order is rejected before any
-// task runs.
+// Under FailFast the first task to fail stops dispatch and cancels every
+// running task dispatched after it; tasks dispatched before it run on. So a
+// fail-fast run still finishes every task that a one-worker run in the same
+// dispatch order would have finished before the failure, whatever the
+// worker count. The failure at the earliest dispatch slot is returned.
+// Under Collect every index is run and the failures come back as an Errors
+// value (nil error if all succeeded). External cancellation always wins:
+// Run returns ctx's error and records no blame against in-flight tasks. A
+// malformed Options.Order is rejected before any task runs.
 func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) error) error {
 	if err := checkOrder(opts.Order, n); err != nil {
 		return err
@@ -199,7 +186,7 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 				if opts.Order != nil {
 					i = opts.Order[slot]
 				}
-				runIndex(tctx, i, opts, fn, func(te *TaskError) { record(slot, te) })
+				runIndex(tctx, i, fn, func(te *TaskError) { record(slot, te) })
 				release(slot)
 			}
 		}()
@@ -243,85 +230,35 @@ func checkOrder(order []int, n int) error {
 	return nil
 }
 
-// runIndex drives one index through its attempt budget and records the
-// failure, if any, once the budget is spent.
-func runIndex(ctx context.Context, i int, opts Options, fn func(context.Context, int) error, record func(*TaskError)) {
-	attempts := opts.Retries + 1
-	var last error
-	for a := 1; a <= attempts; a++ {
-		err := runAttempt(ctx, i, a, opts, fn)
-		if err == nil {
-			return
-		}
-		if ctx.Err() != nil {
-			// The campaign itself ended (external cancellation or another
-			// worker's fail-fast); this index carries no blame.
-			return
-		}
-		last = err
+// runIndex runs fn(i) once, with panic recovery and the chaos hook, and
+// records its failure, if any.
+func runIndex(ctx context.Context, i int, fn func(context.Context, int) error, record func(*TaskError)) {
+	err := call(ctx, i, fn)
+	if err == nil || ctx.Err() != nil {
+		// Success, or the campaign itself ended (external cancellation or
+		// another task's fail-fast): this index carries no blame.
+		return
 	}
-	te := &TaskError{Index: i, Attempts: attempts, Err: last}
+	te := &TaskError{Index: i, Err: err}
 	var pe *panicErr
-	if errors.As(last, &pe) {
+	if errors.As(err, &pe) {
 		te.Stack = pe.stack
 	}
 	record(te)
 }
 
-// runAttempt executes one attempt of fn(i) with panic recovery, the chaos
-// hook, and — when a timeout is set — watchdog supervision from a separate
-// goroutine.
-func runAttempt(ctx context.Context, i, attempt int, opts Options, fn func(context.Context, int) error) error {
-	actx := ctx
-	cancel := context.CancelFunc(func() {})
-	if opts.Timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, opts.Timeout)
-	}
-	defer cancel()
-
-	call := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &panicErr{val: r, stack: debug.Stack()}
-			}
-		}()
-		if h := chaos(); h != nil {
-			if err := h(actx, i, attempt); err != nil {
-				return err
-			}
+// call is fn(ctx, i) preceded by the chaos hook, with a panic recovered
+// into a panicErr.
+func call(ctx context.Context, i int, fn func(context.Context, int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicErr{val: r, stack: debug.Stack()}
 		}
-		return fn(actx, i)
-	}
-
-	var err error
-	if opts.Timeout <= 0 {
-		err = call()
-	} else {
-		done := make(chan error, 1)
-		go func() { done <- call() }()
-		select {
-		case err = <-done:
-		case <-actx.Done():
-			// Watchdog fired (or the campaign was cancelled). The attempt's
-			// context is cancelled; give a cooperative task a grace period
-			// to unwind before abandoning its goroutine.
-			grace := opts.Grace
-			if grace <= 0 {
-				grace = defaultGrace
-			}
-			timer := time.NewTimer(grace)
-			select {
-			case err = <-done:
-				timer.Stop()
-			case <-timer.C:
-				return fmt.Errorf("%w: index %d unresponsive %v after cancellation, goroutine abandoned",
-					ErrHung, i, grace)
-			}
+	}()
+	if h := chaos(); h != nil {
+		if err := h(ctx, i); err != nil {
+			return err
 		}
 	}
-	if err != nil && ctx.Err() == nil && actx.Err() == context.DeadlineExceeded {
-		// The attempt's own watchdog, not campaign-level cancellation.
-		err = fmt.Errorf("%w (%v): %v", ErrHung, opts.Timeout, err)
-	}
-	return err
+	return fn(ctx, i)
 }

@@ -54,95 +54,11 @@ func TestFailFastReturnsTaskError(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v (%T), want *TaskError", err, err)
 	}
-	if te.Index != 3 || te.Attempts != 1 {
-		t.Errorf("TaskError = %+v, want index 3, 1 attempt", te)
+	if te.Index != 3 {
+		t.Errorf("TaskError = %+v, want index 3", te)
 	}
 	if te.Stack != nil {
 		t.Error("plain error grew a stack")
-	}
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	var attempts atomic.Int64
-	err := Run(context.Background(), 4, Options{Workers: 2, Retries: 2},
-		func(_ context.Context, i int) error {
-			if i == 2 && attempts.Add(1) == 1 {
-				return fmt.Errorf("transient")
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("retry did not absorb a transient failure: %v", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("index 2 ran %d attempts, want 2", got)
-	}
-}
-
-func TestRetriesExhaustedReportsAttempts(t *testing.T) {
-	err := Run(context.Background(), 1, Options{Retries: 2, Policy: Collect},
-		func(_ context.Context, i int) error { return fmt.Errorf("always") })
-	var es Errors
-	if !errors.As(err, &es) || len(es) != 1 {
-		t.Fatalf("err = %v, want one-entry Errors", err)
-	}
-	if es[0].Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3 (1 + 2 retries)", es[0].Attempts)
-	}
-}
-
-func TestWatchdogCooperativeHang(t *testing.T) {
-	err := Run(context.Background(), 2, Options{Workers: 2, Policy: Collect, Timeout: 20 * time.Millisecond},
-		func(ctx context.Context, i int) error {
-			if i == 1 {
-				<-ctx.Done() // hung simulation that honours cancellation
-				return ctx.Err()
-			}
-			return nil
-		})
-	var es Errors
-	if !errors.As(err, &es) || len(es) != 1 || es[0].Index != 1 {
-		t.Fatalf("err = %v, want Errors{index 1}", err)
-	}
-	if !errors.Is(es[0], ErrHung) {
-		t.Errorf("hung task error %v does not wrap ErrHung", es[0])
-	}
-}
-
-func TestWatchdogAbandonsUnresponsiveTask(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	err := Run(context.Background(), 1,
-		Options{Policy: Collect, Timeout: 10 * time.Millisecond, Grace: 10 * time.Millisecond},
-		func(ctx context.Context, i int) error {
-			<-release // ignores ctx entirely
-			return nil
-		})
-	var es Errors
-	if !errors.As(err, &es) || len(es) != 1 {
-		t.Fatalf("err = %v, want one-entry Errors", err)
-	}
-	if !errors.Is(es[0], ErrHung) || !strings.Contains(es[0].Error(), "abandoned") {
-		t.Errorf("abandoned task error = %v, want ErrHung with abandonment note", es[0])
-	}
-}
-
-func TestRetryAfterHang(t *testing.T) {
-	var attempts atomic.Int64
-	err := Run(context.Background(), 1,
-		Options{Timeout: 20 * time.Millisecond, Retries: 1},
-		func(ctx context.Context, i int) error {
-			if attempts.Add(1) == 1 {
-				<-ctx.Done()
-				return ctx.Err()
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("retry after hang failed: %v", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("ran %d attempts, want 2", got)
 	}
 }
 
@@ -164,27 +80,40 @@ func TestExternalCancelCarriesNoBlame(t *testing.T) {
 	}
 }
 
-func TestChaosHookInjectsAndRetries(t *testing.T) {
-	SetChaos(func(_ context.Context, index, attempt int) error {
-		if attempt == 1 {
-			return fmt.Errorf("chaos: transient fault at %d", index)
+// TestChaosHookFailsItsIndex pins that a chaos-returned error fails exactly
+// its own index under Collect: the task body is skipped for that index, and
+// every other index runs once.
+func TestChaosHookFailsItsIndex(t *testing.T) {
+	injected := errors.New("chaos: injected fault")
+	SetChaos(func(_ context.Context, index int) error {
+		if index == 2 {
+			return injected
 		}
 		return nil
 	})
 	t.Cleanup(func() { SetChaos(nil) })
-	var ran atomic.Int64
-	err := Run(context.Background(), 6, Options{Workers: 3, Retries: 1},
-		func(_ context.Context, i int) error { ran.Add(1); return nil })
-	if err != nil {
-		t.Fatalf("chaos-injected transients not absorbed by one retry: %v", err)
+	var ran [6]atomic.Int32
+	err := Run(context.Background(), len(ran), Options{Workers: 3, Policy: Collect},
+		func(_ context.Context, i int) error { ran[i].Add(1); return nil })
+	var es Errors
+	if !errors.As(err, &es) || len(es) != 1 || es[0].Index != 2 || es[0].Err != injected {
+		t.Fatalf("err = %v, want Errors{index 2: the injected error}", err)
 	}
-	if got := ran.Load(); got != 6 {
-		t.Errorf("%d tasks ran, want 6", got)
+	if es[0].Stack != nil {
+		t.Error("a returned chaos error grew a stack")
+	}
+	for i := range ran {
+		want := int32(1)
+		if i == 2 {
+			want = 0
+		}
+		if got := ran[i].Load(); got != want {
+			t.Errorf("index %d ran %d times, want %d", i, got, want)
+		}
 	}
 }
-
 func TestChaosHookCanPanic(t *testing.T) {
-	SetChaos(func(_ context.Context, index, attempt int) error {
+	SetChaos(func(_ context.Context, index int) error {
 		if index == 0 {
 			panic("chaos panic")
 		}
@@ -231,7 +160,7 @@ func TestOrderCollectBlamesTaskIndex(t *testing.T) {
 		order[slot] = n - 1 - slot
 	}
 	var hooked []int
-	SetChaos(func(_ context.Context, index, attempt int) error {
+	SetChaos(func(_ context.Context, index int) error {
 		hooked = append(hooked, index)
 		if index == 1 {
 			panic("chaos: poisoned task")
@@ -328,5 +257,26 @@ func TestFailFastFinishesEarlierSlots(t *testing.T) {
 	}
 	if ran3.Load() {
 		t.Error("task 3 started after the failure")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Policy
+		ok   bool
+	}{
+		{"", FailFast, true},
+		{"fail", FailFast, true},
+		{"fail-fast", FailFast, true},
+		{"continue", Collect, true},
+		{"collect", 0, false},
+		{"Fail", 0, false},
+		{" continue", 0, false},
+	} {
+		got, err := ParsePolicy(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
 	}
 }

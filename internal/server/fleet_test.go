@@ -183,7 +183,7 @@ func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
 	// the job and returns its CSV body.
 	csvOf := func(s *Server, pos int) []byte {
 		t.Helper()
-		par.SetChaos(func(_ context.Context, index, _ int) error {
+		par.SetChaos(func(_ context.Context, index int) error {
 			if index == pos {
 				panic("chaos: poisoned cell")
 			}
@@ -228,7 +228,7 @@ func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
 // locally and on a coordinator with no workers. Cells that never ran have
 // no rows, so neither job may serve a CSV.
 func TestJobFailFastChaosServesNoRows(t *testing.T) {
-	par.SetChaos(func(_ context.Context, index, _ int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == 0 {
 			panic("chaos: poisoned cell")
 		}

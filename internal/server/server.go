@@ -296,19 +296,17 @@ func (s *Server) serveBody(w http.ResponseWriter, ctype, xcache string, body []b
 	w.Write(body)
 }
 
-// SweepRequest is the POST /v1/sweep body: the grid axes plus resilience
-// knobs, mirroring cmd/sweep's flags.
+// SweepRequest is the POST /v1/sweep body: the grid axes plus the
+// failed-cell policy, mirroring cmd/sweep's flags.
 type SweepRequest struct {
 	Benches    []string `json:"benches,omitempty"`
 	Policies   []string `json:"policies"`
 	IQSizes    []int    `json:"iqsizes,omitempty"`
 	OutOfOrder []bool   `json:"ooo,omitempty"`
 	Commits    uint64   `json:"commits,omitempty"`
-	// OnError: "fail-fast" (default) or "continue".
+	// OnError is the failed-cell policy as par.ParsePolicy spells it:
+	// "fail-fast" (default) or "continue".
 	OnError string `json:"onerror,omitempty"`
-	// TaskTimeout is the per-cell watchdog in Go duration syntax ("30s").
-	TaskTimeout string `json:"tasktimeout,omitempty"`
-	Retries     int    `json:"retries,omitempty"`
 }
 
 // SweepAccepted is the 202 response to a sweep submission.
@@ -354,25 +352,9 @@ func (s *Server) buildGrid(req SweepRequest) (*sweep.Grid, error) {
 		return nil, err
 	}
 	g.Workers = s.cfg.Workers
-	g.Retries = req.Retries
 	g.Arenas = s.arenas
-	switch req.OnError {
-	case "", "fail-fast":
-		g.OnError = par.FailFast
-	case "continue":
-		g.OnError = par.Collect
-	default:
-		return nil, fmt.Errorf("unknown onerror policy %q (known: fail-fast, continue)", req.OnError)
-	}
-	if req.TaskTimeout != "" {
-		d, err := time.ParseDuration(req.TaskTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("bad tasktimeout: %v", err)
-		}
-		g.TaskTimeout = d
-	}
-	if req.Retries < 0 {
-		return nil, fmt.Errorf("bad retries %d, want >= 0", req.Retries)
+	if g.OnError, err = par.ParsePolicy(req.OnError); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

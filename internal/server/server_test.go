@@ -143,25 +143,42 @@ func TestEvalCacheHitByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEvalValidation pins the 400 surface.
+// TestEvalValidation pins the 400 surface of the POST endpoints. The sweep
+// cases name fields SweepRequest does not have (cells run once, so there is
+// no retry count or per-cell deadline): each must be a 400 naming the
+// field, and must register no job.
 func TestEvalValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
-		name string
-		body string
+		name, path, body string
+		want             string // in the error body, when set
 	}{
-		{"bad json", `{`},
-		{"unknown field", `{"experiment":"table1","bogus":1}`},
-		{"unknown experiment", `{"experiment":"nonsense"}`},
-		{"unknown bench", `{"experiment":"table1","benches":["nosuch"]}`},
+		{"bad json", "/v1/eval", `{`, ""},
+		{"unknown field", "/v1/eval", `{"experiment":"table1","bogus":1}`, ""},
+		{"unknown experiment", "/v1/eval", `{"experiment":"nonsense"}`, ""},
+		{"unknown bench", "/v1/eval", `{"experiment":"table1","benches":["nosuch"]}`, ""},
+		{"sweep retries", "/v1/sweep", `{"policies":["baseline"],"retries":1}`, `unknown field \"retries\"`},
+		{"sweep tasktimeout", "/v1/sweep", `{"policies":["baseline"],"tasktimeout":"30s"}`, `unknown field \"tasktimeout\"`},
+		{"sweep both", "/v1/sweep",
+			`{"benches":["mcf"],"policies":["baseline"],"iqsizes":[16],"tasktimeout":"1ns","retries":1073741824}`,
+			`unknown field \"tasktimeout\"`},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest("POST", "/v1/eval", strings.NewReader(tc.body))
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, w.Code)
 		}
+		if !strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: body %s does not name %s", tc.name, w.Body, tc.want)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("%d jobs registered by rejected sweep requests", jobs)
 	}
 }
 
@@ -169,7 +186,7 @@ func TestEvalValidation(t *testing.T) {
 // and checks the next distinct request is shed with 429 instead of queued.
 func TestEvalOverflow429(t *testing.T) {
 	release := make(chan struct{})
-	par.SetChaos(func(ctx context.Context, i, attempt int) error {
+	par.SetChaos(func(ctx context.Context, i int) error {
 		select {
 		case <-release:
 			return nil
@@ -204,7 +221,7 @@ func TestEvalOverflow429(t *testing.T) {
 // checks only one computation ran; the waiter shares its bytes.
 func TestEvalSingleFlight(t *testing.T) {
 	release := make(chan struct{})
-	par.SetChaos(func(ctx context.Context, i, attempt int) error {
+	par.SetChaos(func(ctx context.Context, i int) error {
 		select {
 		case <-release:
 			return nil
@@ -392,7 +409,7 @@ func TestSweepCostAdmission(t *testing.T) {
 // then checks the third distinct grid is rejected with 429.
 func TestSweepQueueOverflow(t *testing.T) {
 	release := make(chan struct{})
-	par.SetChaos(func(ctx context.Context, i, attempt int) error {
+	par.SetChaos(func(ctx context.Context, i int) error {
 		select {
 		case <-release:
 			return nil
@@ -431,7 +448,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	cell0Done := make(chan struct{})
 	var once sync.Once
-	par.SetChaos(func(ctx context.Context, i, attempt int) error {
+	par.SetChaos(func(ctx context.Context, i int) error {
 		if i == 0 {
 			once.Do(func() { close(cell0Done) })
 			return nil // cell 0 completes and lands in the checkpoint

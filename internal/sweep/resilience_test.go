@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"softerror/internal/checkpoint"
+	"softerror/internal/core"
 	"softerror/internal/par"
+	"softerror/internal/spec"
 )
 
 // TestGridCrashResumeByteIdenticalCSV is the acceptance scenario for the
@@ -39,7 +41,7 @@ func TestGridCrashResumeByteIdenticalCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.SetInterval(1)
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index >= g.Size()/2 {
 			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
 		}
@@ -82,7 +84,7 @@ func TestGridCollectLosesOnlyPoisonedCell(t *testing.T) {
 	g.Workers = 2
 	g.OnError = par.Collect
 	const poisoned = 5
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == poisoned {
 			panic("chaos: poisoned cell")
 		}
@@ -123,6 +125,41 @@ func TestGridCollectLosesOnlyPoisonedCell(t *testing.T) {
 	}
 }
 
+// TestGridBatchFailureFailsGroupOnce pins that a failed batch is simulated
+// once: a batch whose workload cannot run fails every member of its group
+// with the one error the leader saw, instead of each waiter re-leading the
+// same deterministic failure.
+func TestGridBatchFailureFailsGroupOnce(t *testing.T) {
+	b, ok := spec.ByName("mcf")
+	if !ok {
+		t.Fatal("mcf not in roster")
+	}
+	b.Params.LoadFrac = 7 // an instruction mix over 1: the batch errors
+	g := &Grid{
+		Benches:    []spec.Benchmark{b},
+		Policies:   []core.Policy{core.PolicyBaseline, core.PolicySquashL1, core.PolicySquashL0, core.PolicyThrottleL0},
+		IQSizes:    []int{64},
+		OutOfOrder: []bool{false},
+		Commits:    3000,
+		Workers:    4,
+		OnError:    par.Collect,
+	}
+	_, err := g.RunContext(context.Background(), nil, nil)
+	var es par.Errors
+	if !errors.As(err, &es) {
+		t.Fatalf("err = %v (%T), want par.Errors", err, err)
+	}
+	if got := fmt.Sprint(es.Indices()); got != "[0 1 2 3]" {
+		t.Fatalf("failed cells = %s, want the whole group [0 1 2 3]", got)
+	}
+	for _, te := range es[1:] {
+		if te.Err != es[0].Err {
+			t.Errorf("cell %d failed with %v, cell %d with %v; want one batch error for the group",
+				te.Index, te.Err, es[0].Index, es[0].Err)
+		}
+	}
+}
+
 // TestGridChaosSeesLeadersFirst pins the dispatch order: every batch
 // group's first cell starts before any second member, so a second worker
 // starts another batch instead of waiting on the first. smallGrid's two
@@ -132,7 +169,7 @@ func TestGridChaosSeesLeadersFirst(t *testing.T) {
 	g.Commits = 3000
 	g.Workers = 1
 	var seen []int // one worker: the hook runs task after task
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		seen = append(seen, index)
 		return nil
 	})
@@ -172,7 +209,7 @@ func TestGridCollectBlamesMovedCell(t *testing.T) {
 	g.Workers = 2
 	g.OnError = par.Collect
 	const poisoned = 4
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == poisoned {
 			panic("chaos: poisoned cell")
 		}
@@ -217,7 +254,7 @@ func TestRunIndicesCollectBlamesMovedCell(t *testing.T) {
 	// is dispatched in slot 1.
 	lease := []int{6, 4, 1, 3, 0, 7, 2, 5}
 	const poisoned = 2
-	par.SetChaos(func(_ context.Context, index, attempt int) error {
+	par.SetChaos(func(_ context.Context, index int) error {
 		if index == poisoned {
 			panic("chaos: poisoned lease position")
 		}
@@ -254,7 +291,7 @@ func TestRunIndicesRejectsMismatchedCheckpoint(t *testing.T) {
 	g.Commits = 3000
 	ck := checkpoint.New[Row](filepath.Join(t.TempDir(), "grid.ckpt"), "sweep", g.Fingerprint(), g.Size()+1)
 	ran := false
-	par.SetChaos(func(context.Context, int, int) error { ran = true; return nil })
+	par.SetChaos(func(context.Context, int) error { ran = true; return nil })
 	t.Cleanup(func() { par.SetChaos(nil) })
 	for name, run := range map[string]func() error{
 		"RunIndices": func() error { _, err := g.RunIndices(context.Background(), []int{0, 1}, ck, nil); return err },

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"softerror/internal/checkpoint"
 	"softerror/internal/core"
@@ -41,16 +40,6 @@ type Grid struct {
 	// the grid on the first failed cell; par.Collect finishes every other
 	// cell and reports the poisoned ones as par.Errors.
 	OnError par.Policy
-	// TaskTimeout is the per-cell watchdog deadline (0 = none): a hung
-	// simulation is cancelled, retried per Retries, and reported hung.
-	// A cell that leads its batch (see maxBatchLanes) simulates up to
-	// maxBatchLanes cells inside one attempt; size the deadline for the
-	// batch, not the single cell.
-	TaskTimeout time.Duration
-	// Retries is the number of deterministic re-attempts for failed or
-	// hung cells; cells are index-deterministic, so a retried cell is
-	// byte-identical to a first-try cell.
-	Retries int
 	// Arenas supplies the reusable per-worker evaluation state (decoded
 	// stream memos, warm hierarchies, collectors, lane slabs): each batch
 	// leader checks one arena out for its whole batch and returns it, so
@@ -151,9 +140,9 @@ const maxBatchLanes = 8
 // benchmark that evaluate together over a single decode of its instruction
 // stream. The first cell task to arrive becomes the leader and simulates
 // every still-pending member in one core.RunBatchArena pass; the others wait
-// on done and collect their rows. Each cell still checkpoints and reports
-// progress from its own task, so failure blame, retries, and resume all
-// keep per-cell granularity.
+// on done and collect their rows, or the batch's failure. Each cell still
+// checkpoints and reports progress from its own task, so failure blame and
+// resume keep per-cell granularity.
 type groupRun struct {
 	bench   spec.Benchmark
 	members []int
@@ -161,6 +150,7 @@ type groupRun struct {
 	mu   sync.Mutex
 	done chan struct{} // non-nil while a leader is simulating
 	rows map[int]Row   // batched results awaiting their cell's task
+	err  error         // the batch's failure, returned to every member
 }
 
 // buildGroups assigns each of the given cells to a batch group. Cells of
@@ -218,16 +208,21 @@ func leadersFirst(n int, groupOf func(k int) *groupRun, done func(k int) bool) [
 	return append(append(order, leaders...), rest...)
 }
 
-// cellRow produces cell i's row through the group's shared batch. It loops
-// until the row exists: a waiter whose leader failed claims leadership
-// itself, so one poisoned member costs the group a re-run, not the
-// campaign a deadlock.
+// cellRow produces cell i's row through the group's shared batch. A batch
+// is simulated once: when it fails, every member returns the same error,
+// since re-running a deterministic batch fails the same way. Only a leader
+// whose own context was cancelled leaves no verdict; a waiter that is still
+// live then claims leadership and runs the batch itself.
 func (g *Grid) cellRow(ctx context.Context, i int, gr *groupRun, ck *checkpoint.File[Row], commits uint64) (Row, error) {
 	for {
 		gr.mu.Lock()
 		if r, ok := gr.rows[i]; ok {
 			gr.mu.Unlock()
 			return r, nil
+		}
+		if gr.err != nil {
+			gr.mu.Unlock()
+			return Row{}, gr.err
 		}
 		if gr.done == nil {
 			done := make(chan struct{})
@@ -250,14 +245,25 @@ func (g *Grid) cellRow(ctx context.Context, i int, gr *groupRun, ck *checkpoint.
 
 // leadBatch simulates every member of gr that is neither checkpointed nor
 // already computed, in one batched pass, and parks the rows for their
-// tasks. The done channel is closed on every exit path — including a
-// panicking simulation — so waiters never hang on a dead leader.
+// tasks, or the failure for all of them unless ctx was cancelled. The done
+// channel is closed on every exit path, so waiters never hang on a dead
+// leader; a panicking simulation is recorded as the group's failure and
+// re-panics, so the leader's par.TaskError keeps the stack.
 func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[Row], commits uint64, done chan struct{}) (err error) {
 	defer func() {
+		r := recover()
 		gr.mu.Lock()
+		if r != nil {
+			gr.err = fmt.Errorf("sweep: %s batch panicked: %v", gr.bench.Name, r)
+		} else if err != nil && ctx.Err() == nil {
+			gr.err = err
+		}
 		gr.done = nil
 		gr.mu.Unlock()
 		close(done)
+		if r != nil {
+			panic(r)
+		}
 	}()
 	gr.mu.Lock()
 	var pending []int
@@ -384,7 +390,7 @@ func (g *Grid) Run(progress func(done, total int)) ([]Row, error) {
 }
 
 // RunContext is Run with cancellation, an optional checkpoint, and the
-// grid's resilience knobs (OnError, TaskTimeout, Retries) applied. It is
+// grid's failure policy (OnError) applied. It is
 // RunIndices over every cell in axis order, so its rows are in cell order.
 //
 // Cells sharing a benchmark evaluate in batches of up to maxBatchLanes
@@ -427,8 +433,6 @@ func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.Fil
 	opts := par.Options{
 		Workers: g.Workers,
 		Policy:  g.OnError,
-		Timeout: g.TaskTimeout,
-		Retries: g.Retries,
 		Order: leadersFirst(len(indices), func(k int) *groupRun { return groups[indices[k]] },
 			func(k int) bool { return ck.Done(indices[k]) }),
 	}

@@ -75,7 +75,7 @@ cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
 cmp "$art/sweep_iqsize_j1.csv" results/sweep_iqsize.csv
 rm -rf "$art"
 go test -race ./internal/par ./internal/checkpoint ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
-go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity|Fallback' \
+go test -race -run 'Chaos|CrashResume|Resilien|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity|Fallback' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
 	./internal/server ./internal/fleet ./cmd/sweep ./cmd/sersim ./cmd/repro
 go run -race ./cmd/seraudit -quick
