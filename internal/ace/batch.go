@@ -105,6 +105,12 @@ func NewBatchGroup(src pipeline.BatchSource) *BatchGroup {
 	return &BatchGroup{src: src, dead: make(map[int]*Deadness)}
 }
 
+// Rebind points the group at src, which must replay the same workload's
+// stream as the one the group was built over: another decode of it, or the
+// same one checked out again. The deadness memos depend only on the
+// stream's content, so they carry over.
+func (g *BatchGroup) Rebind(src pipeline.BatchSource) { g.src = src }
+
 // commitLog returns the first m body instructions as a slice — the shared
 // stand-in for any lane's commit log (deadness and the per-commit fields
 // are Seq-value-independent). The workload.Shared fast path aliases the

@@ -12,7 +12,10 @@
 // memory.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Protection describes a structure's error detection/correction capability.
 type Protection uint8
@@ -60,6 +63,9 @@ func (c *Config) validate() error {
 	if c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineSize)
 	}
+	if c.LineSize < minLineSize {
+		return fmt.Errorf("cache %q: line size %d below %d bytes", c.Name, c.LineSize, minLineSize)
+	}
 	if c.Size%(c.LineSize*c.Assoc) != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by line*assoc", c.Name, c.Size)
 	}
@@ -73,13 +79,31 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// minLineSize keeps the three state flags out of the tag: a line address
+// is a byte address shifted right by at least log2(8) = 3 bits, so its top
+// three bits are always clear.
+const minLineSize = 8
+
+// line is one way of a set in 16 bytes: the line address in the low bits
+// of word with the valid, dirty and π flags above it, plus the LRU stamp.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	pi    bool
-	lru   uint64 // last-touch stamp; larger = more recent
+	word uint64
+	lru  uint64 // last-touch stamp; larger = more recent
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	linePi    = 1 << 61
+	lineFlags = lineValid | lineDirty | linePi
+)
+
+func (ln *line) tag() uint64 { return ln.word &^ lineFlags }
+func (ln *line) dirty() bool { return ln.word&lineDirty != 0 }
+func (ln *line) pi() bool    { return ln.word&linePi != 0 }
+
+// holds reports whether the line is valid and caches tag.
+func (ln *line) holds(tag uint64) bool { return ln.word&^(lineDirty|linePi) == tag|lineValid }
 
 // Stats accumulates per-level access counts.
 type Stats struct {
@@ -110,9 +134,10 @@ type Eviction struct {
 }
 
 // Cache is one set-associative level. It is not safe for concurrent use.
+// Its sets lie end to end in one array, so a clone is a single copy.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	lines      []line // set s is lines[s*Assoc : (s+1)*Assoc]
 	setMask    uint64
 	offsetBits uint
 	clock      uint64
@@ -125,18 +150,13 @@ func NewCache(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	offsetBits := uint(0)
 	for 1<<offsetBits < cfg.LineSize {
 		offsetBits++
 	}
 	return &Cache{
 		cfg:        cfg,
-		sets:       sets,
+		lines:      make([]line, nsets*cfg.Assoc),
 		setMask:    uint64(nsets - 1),
 		offsetBits: offsetBits,
 	}, nil
@@ -149,16 +169,9 @@ func (c *Cache) Config() Config { return c.cfg }
 // counters. Clones evolve independently; a clone of a warmed cache behaves
 // bit-identically to a cache warmed by replaying the same accesses.
 func (c *Cache) Clone() *Cache {
-	nsets := len(c.sets)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*c.cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc]
-		copy(sets[i], c.sets[i])
-	}
 	return &Cache{
 		cfg:        c.cfg,
-		sets:       sets,
+		lines:      slices.Clone(c.lines),
 		setMask:    c.setMask,
 		offsetBits: c.offsetBits,
 		clock:      c.clock,
@@ -172,12 +185,10 @@ func (c *Cache) Clone() *Cache {
 // of different geometry) falls back to a fresh Clone. The returned cache is
 // bit-identical to Clone's result either way.
 func (c *Cache) CloneInto(dst *Cache) *Cache {
-	if dst == nil || dst.cfg != c.cfg || len(dst.sets) != len(c.sets) {
+	if dst == nil || dst.cfg != c.cfg || len(dst.lines) != len(c.lines) {
 		return c.Clone()
 	}
-	for i := range c.sets {
-		copy(dst.sets[i], c.sets[i])
-	}
+	copy(dst.lines, c.lines)
 	dst.setMask = c.setMask
 	dst.offsetBits = c.offsetBits
 	dst.clock = c.clock
@@ -191,19 +202,21 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr truncates addr to its line address in this cache.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.offsetBits << c.offsetBits }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index returns the set addr maps to and its tag (the full line address,
+// for simplicity).
+func (c *Cache) index(addr uint64) (set []line, tag uint64) {
 	la := addr >> c.offsetBits
-	return la & c.setMask, la >> 0 // full line address as tag for simplicity
+	s := int(la&c.setMask) * c.cfg.Assoc
+	return c.lines[s : s+c.cfg.Assoc], la
 }
 
 // Lookup probes without modifying replacement state or counters. It returns
 // the line if present.
 func (c *Cache) Lookup(addr uint64) (found bool, dirty bool, pi bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			return true, ln.dirty, ln.pi
+	for i := range set {
+		if ln := &set[i]; ln.holds(tag) {
+			return true, ln.dirty(), ln.pi()
 		}
 	}
 	return false, false, false
@@ -215,12 +228,11 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	for i := range set {
+		if ln := &set[i]; ln.holds(tag) {
 			ln.lru = c.clock
 			if write {
-				ln.dirty = true
+				ln.word |= lineDirty
 			}
 			c.stats.Hits++
 			return true
@@ -237,40 +249,43 @@ func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
 	c.clock++
 	set, tag := c.index(addr)
 	victim := -1
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag { // already present (double fill): refresh
+	for i := range set {
+		ln := &set[i]
+		if ln.holds(tag) { // already present (double fill): refresh
 			ln.lru = c.clock
 			if write {
-				ln.dirty = true
+				ln.word |= lineDirty
 			}
 			return Eviction{}, false
 		}
-		if !ln.valid {
+		if ln.word&lineValid == 0 {
 			victim = i
 		}
 	}
 	if victim < 0 {
 		oldest := uint64(1<<64 - 1)
-		for i := range c.sets[set] {
-			if c.sets[set][i].lru < oldest {
-				oldest = c.sets[set][i].lru
+		for i := range set {
+			if set[i].lru < oldest {
+				oldest = set[i].lru
 				victim = i
 			}
 		}
-		old := &c.sets[set][victim]
+		old := &set[victim]
 		ev = Eviction{
-			LineAddr: old.tag << c.offsetBits,
-			Dirty:    old.dirty,
-			Pi:       old.pi,
+			LineAddr: old.tag() << c.offsetBits,
+			Dirty:    old.dirty(),
+			Pi:       old.pi(),
 		}
 		evicted = true
 		c.stats.Evictions++
-		if old.dirty {
+		if old.dirty() {
 			c.stats.Writebacks++
 		}
 	}
-	c.sets[set][victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	set[victim] = line{word: tag | lineValid, lru: c.clock}
+	if write {
+		set[victim].word |= lineDirty
+	}
 	return ev, evicted
 }
 
@@ -282,10 +297,13 @@ func (c *Cache) SetPi(addr uint64, v bool) bool {
 		return false
 	}
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.pi = v
+	for i := range set {
+		if ln := &set[i]; ln.holds(tag) {
+			if v {
+				ln.word |= linePi
+			} else {
+				ln.word &^= linePi
+			}
 			return true
 		}
 	}
@@ -299,10 +317,9 @@ func (c *Cache) Pi(addr uint64) (pi, ok bool) {
 		return false, false
 	}
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			return ln.pi, true
+	for i := range set {
+		if ln := &set[i]; ln.holds(tag) {
+			return ln.pi(), true
 		}
 	}
 	return false, false
@@ -311,13 +328,11 @@ func (c *Cache) Pi(addr uint64) (pi, ok bool) {
 // Flush invalidates every line, returning the count that were dirty.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
+	for i := range c.lines {
+		if c.lines[i].word&(lineValid|lineDirty) == lineValid|lineDirty {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"softerror/internal/rng"
 )
@@ -15,6 +16,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "zero"},
 		{Name: "line", Size: 1024, LineSize: 48, Assoc: 2},       // non-pow2 line
+		{Name: "tiny", Size: 1024, LineSize: 4, Assoc: 2},        // no room for the state bits
 		{Name: "div", Size: 1000, LineSize: 64, Assoc: 2},        // not divisible
 		{Name: "sets", Size: 64 * 2 * 3, LineSize: 64, Assoc: 2}, // 3 sets
 		{Name: "lat", Size: 1024, LineSize: 64, Assoc: 2, HitLatency: -1},
@@ -26,6 +28,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewCache(smallCfg()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestLineSize pins the packed line: state flags share the tag word.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Fatalf("cache line is %d bytes, want 16", got)
+	}
+}
+
+// TestHighAddressTags: a line address fills every bit below the flags at
+// the minimum line size, and still round-trips through Fill's eviction
+// without picking up dirty or π state.
+func TestHighAddressTags(t *testing.T) {
+	c, err := NewCache(Config{Name: "t", Size: 64, LineSize: minLineSize, Assoc: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi := uint64(1<<64-1) &^ (minLineSize - 1)
+	c.Fill(hi, false)
+	if found, dirty, pi := c.Lookup(hi); !found || dirty || pi {
+		t.Fatalf("Lookup(%#x) = %v, %v, %v, want resident and clean", hi, found, dirty, pi)
+	}
+	if found, _, _ := c.Lookup(hi &^ (1 << 60)); found {
+		t.Fatal("an address differing in the top tag bit hits")
+	}
+	// Two more lines in hi's set (the last of four) evict it, LRU-first.
+	c.Fill(3*minLineSize, true)
+	ev, evicted := c.Fill(7*minLineSize, false)
+	if !evicted || ev.LineAddr != hi || ev.Dirty || ev.Pi {
+		t.Fatalf("eviction = %+v (%v), want the clean line %#x", ev, evicted, hi)
 	}
 }
 
@@ -190,11 +223,9 @@ func TestResidencyInvariant(t *testing.T) {
 			}
 		}
 		resident := 0
-		for s := range c.sets {
-			for i := range c.sets[s] {
-				if c.sets[s][i].valid {
-					resident++
-				}
+		for i := range c.lines {
+			if c.lines[i].word&lineValid != 0 {
+				resident++
 			}
 		}
 		return resident <= capacityLines

@@ -13,44 +13,29 @@ import (
 // the batched sweep showed the steady state dominated by four rebuild
 // costs per wave: warm hierarchy clones (~40% of bytes), collector record
 // arrays (~26%), the workload's decode memos (~20%) and the deadness
-// analyses (~4%). An Arena keeps all four alive between waves — pooled
-// warm hierarchies re-stamped via cache.CloneInto, collectors re-armed via
-// ace.BatchCollector.Reset, the last decoded workload.Shared stream (with
-// its ace.BatchGroup deadness memos and kernel scratch) — plus the
-// pipeline's lane/slab arena. Reuse is invisible in the results: every
+// analyses (~4%). An Arena keeps three of them alive between waves —
+// pooled warm hierarchies re-stamped via cache.CloneInto, collectors
+// re-armed via ace.BatchCollector.Reset, and the ace.BatchGroup (deadness
+// memos and kernel scratch) of its last workload and commit target — plus
+// the pipeline's lane/slab arena. The decoded streams themselves live in
+// the process-wide workload.Streams store, which every evaluation path
+// shares: a run checks its workload's stream out for the length of the
+// batch and releases it after. Reuse is invisible in the results: every
 // reused object is either re-stamped bit-identically, fully reset, or a
 // deterministic memo whose content depends only on the workload
 // parameters. The arena-reuse seraudit check pins fresh-arena ≡
-// reused-arena byte identity; batched-independent and the -j/fleet
-// identities pin the rest.
+// reused-arena byte identity, and that two concurrent runs of one
+// workload (one on the kept stream, one on a private copy) agree;
+// batched-independent and the -j/fleet identities pin the rest.
 //
-// An arena keeps one decoded stream, not a most-recently-used list. What
-// one entry buys is memory: with one deadness scratch per batch group it
-// lets two out-of-order batches run side by side in the memory one took.
-// sweep-ooo with both workers busy peaks at 138–150 MB RSS on 2 vCPU, as it
-// did at 146–151 MB running one batch at a time over a list of four. What
-// it costs was measured on the same host: serve-mixed wall time rose 3.6%
-// over 12 alternating pairs, and a build that kept the list of four won
-// back 1–2 points of that, so a daemon's mixed traffic does revisit
-// streams. A fleet lease that splits a benchmark also decodes it once per
-// lease. StreamsDecoded and StreamHits count, process-wide, the runs that
-// missed and found their arena's kept stream. A driver that runs one
-// workload's batches back to back on one arena decodes it once:
-// Suite.PrewarmAll does so for the whole evaluation.
-//
-// Replacing the kept stream recycles its memos: the new workload.Shared
-// takes over the old one's body and wrong-path arrays (Shared.Recycle), so
-// a warm arena decodes another workload without allocating and zeroing the
-// ~6 MB those memos take at 100k commits (TestArenaRecyclesStreamMemos).
-// A memo pointer therefore lives until its stream is recycled, and nothing
-// may hold one past its batch (RunBatchArena states who holds what).
-// Private streams of PC-indexed workloads are per lane and not recycled.
-// Recycled arrays keep their capacity, so an arena holds memos sized for
-// the largest run it has served, where it used to hold its last run's.
-// Together with the generator writing into its memo slots and the π replay
-// shedding its maps, median peak RSS on 2 vCPU fell from 267 to 227 MB
-// for repro-all (10 alternating pairs) and from 148 to 134 MB for
-// sweep-ooo (6 pairs); serve-mixed stayed at 169 MB.
+// The group stays with the arena, not with the stream: a stream kept for
+// a daemon's mixed traffic is revisited at other commit targets, whose
+// deadness memos do not carry over, so a group stored with each stream
+// would hold memos nothing reads again. The arena rebinds
+// its group to whichever copy of the stream it checks out
+// (ace.BatchGroup.Rebind), so a driver that runs one workload's batches
+// back to back on one arena — Suite.PrewarmAll does so for the whole
+// evaluation — analyses each commit-log length once.
 
 const (
 	// arenaMemCap and arenaCollCap bound the pooled warm hierarchies and
@@ -64,61 +49,54 @@ const (
 	arenaPoolCap = 32
 )
 
-// streamEntry is one decoded workload kept alive across batch waves: the
-// shared stream memo plus its analysis group, whose deadness memos are
-// thereby shared by consecutive batches over this workload (a sweep bench
-// too wide for one batch runs as several).
-type streamEntry struct {
-	params workload.Params
-	sh     *workload.Shared
-	group  *ace.BatchGroup
-}
-
 // Arena owns one worker goroutine's reusable evaluation state. The zero
 // value is ready to use. An Arena is not safe for concurrent use: check
 // one out per goroutine (ArenaPool) or own one per worker.
 type Arena struct {
 	pipe  pipeline.BatchArena
-	last  *streamEntry // the most recently decoded workload
-	mems  []*cache.Hierarchy
-	colls []*ace.BatchCollector
+	group *ace.BatchGroup // deadness memos of the last shared-stream run
+	// groupParams and groupCommits identify the run the group analysed.
+	groupParams  workload.Params
+	groupCommits uint64
+	mems         []*cache.Hierarchy
+	colls        []*ace.BatchCollector
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// stream returns the decoded shared stream and analysis group for w,
-// reserved for a run of about commits body instructions. It reuses the
-// kept entry when this arena's last stream was w's and replaces it
-// otherwise, handing the old stream's memo arrays to the new one
-// (workload.Shared.Recycle); a workload that yields no shared stream
-// (PC-indexed or invalid) leaves the kept entry in place. The memo content
-// is deterministic in w (generation is seeded by the workload parameters),
-// so a reused entry is byte-for-byte the stream a fresh decode would
-// produce — just already materialised.
-func (a *Arena) stream(w workload.Params, commits uint64) (*workload.Shared, *ace.BatchGroup, error) {
-	e := a.last
-	if e != nil && e.params == w {
-		streamHits.Add(1)
-	} else {
-		sh, err := workload.NewShared(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		streamDecodes.Add(1)
-		if e != nil {
-			sh.Recycle(e.sh)
-		}
-		e = &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
-		a.last = e
+// checkout checks w's shared stream out of the process-wide store,
+// reserved for a run of about commits body instructions, and returns it
+// with the arena's analysis group bound to it. The group carries over
+// from the arena's previous run when that run had the same workload and
+// commit target; otherwise it is replaced. The caller hands the stream
+// back through release when the batch is done with it. A workload that
+// yields no shared stream (PC-indexed or invalid) fails as
+// workload.NewShared does and leaves the group in place.
+func (a *Arena) checkout(w workload.Params, commits uint64) (*workload.Shared, *ace.BatchGroup, error) {
+	// Reserve the memos on a fresh decode: every lane walks ~commits body
+	// instructions (plus a small overshoot), and wrong-path draws run a
+	// fraction of that. One up-front reservation replaces the
+	// log2(commits) append-doublings the memos would otherwise pay.
+	sh, err := workload.Streams().Checkout(w, int(commits)+1024, int(commits)/4+256)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Pre-size the memos: every lane walks ~commits body instructions
-	// (plus a small overshoot), and wrong-path draws run a fraction of
-	// that. One up-front reservation replaces the log2(commits)
-	// append-doublings the memos would otherwise pay; on a reused or
-	// recycled stream the capacity is already there and this is a no-op.
-	e.sh.Reserve(int(commits)+1024, int(commits)/4+256)
-	return e.sh, e.group, nil
+	if a.group != nil && a.groupParams == w && a.groupCommits == commits {
+		a.group.Rebind(sh)
+	} else {
+		a.group = ace.NewBatchGroup(sh)
+		a.groupParams, a.groupCommits = w, commits
+	}
+	return sh, a.group, nil
+}
+
+// release returns a stream from checkout to the store and unbinds the
+// arena's group from it, so that an idle arena pins no memo the store may
+// evict.
+func (a *Arena) release(sh *workload.Shared) {
+	a.group.Rebind(nil)
+	workload.Streams().Release(sh)
 }
 
 // warmHierarchy returns a warmed default hierarchy, re-stamping a pooled
@@ -163,9 +141,10 @@ func (a *Arena) putCollector(c *ace.BatchCollector) {
 
 // ArenaPool hands arenas to worker goroutines: Get returns a warm arena
 // (or a fresh one when none is idle), Put parks it for the next worker.
-// Sharing one pool across a grid — or across a daemon's jobs and fleet
-// leases — is what carries decoded streams and warm buffers from one
-// batch wave to the next. The zero value is ready to use; a nil pool is
+// Sharing one pool across a grid — or across a daemon's jobs, evals and
+// fleet leases — is what carries warm buffers from one batch wave to the
+// next; every pooled arena holds its own, so one pool per process keeps
+// the fewest. The zero value is ready to use; a nil pool is
 // the process-wide default pool behind RunBatchContext.
 type ArenaPool struct {
 	mu   sync.Mutex

@@ -36,18 +36,19 @@ func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, spe
 	return RunBatchArena(ctx, a, w, commits, specs)
 }
 
-// RunBatchArena is RunBatchContext drawing all reusable evaluation state —
-// decoded stream memos, warm hierarchies, collectors, lane state — from
-// the caller's arena. Arena reuse is invisible in the results: a reused
-// arena returns byte-identical Results to a fresh one (the arena-reuse
-// seraudit check pins this). The arena serves one run at a time.
+// RunBatchArena is RunBatchContext drawing its reusable evaluation state —
+// warm hierarchies, collectors, deadness memos, lane state — from the
+// caller's arena, and the decoded stream from the process-wide store
+// (workload.Streams). Reuse is invisible in the results: a reused arena
+// returns byte-identical Results to a fresh one (the arena-reuse seraudit
+// check pins this). The arena serves one run at a time.
 //
-// A decoded stream's memo pointers live only until the arena recycles the
-// stream's arrays into the next workload's, so none may outlive the batch:
-// Results, reports and traces hold copies, plain sinks receive copies, the
-// batch group with its deadness memos goes with the stream it analysed, and
-// pipeline lanes shed their body snapshots before RunBatchStreamArena
-// returns.
+// The stream is checked out for the batch alone: once released, the next
+// user extends its memos and an eviction recycles their arrays into
+// another workload's, so no memo pointer may outlive the batch. Results,
+// reports and traces hold copies, plain sinks receive copies, the deadness
+// memos own their slices, and pipeline lanes shed their body snapshots
+// before RunBatchStreamArena returns.
 func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -68,7 +69,7 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 // PC-indexed branch predictor makes the stream depend on each lane's fetch
 // order (workload.ErrUnshareable), so each such lane fetches from its own
 // generator through a pipeline.PrivateSource, analysed by its own
-// ace.BatchGroup; neither is kept in the arena.
+// ace.BatchGroup; neither is kept.
 func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()
@@ -76,7 +77,7 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	if commits == 0 {
 		commits = DefaultCommits
 	}
-	sh, group, err := a.stream(w, commits)
+	sh, group, err := a.checkout(w, commits)
 	if errors.Is(err, workload.ErrUnshareable) {
 		out := make([]*Result, len(lanes))
 		for i := range lanes {
@@ -96,6 +97,7 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	if err != nil {
 		return nil, err
 	}
+	defer a.release(sh)
 	return runGroup(ctx, a, w.Name, commits, sh, group, lanes)
 }
 

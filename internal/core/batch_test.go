@@ -144,49 +144,69 @@ func TestRunBatchPCIndexedLanesMatchReference(t *testing.T) {
 	}
 }
 
-// TestArenaKeepsOneStream pins the arena's stream retention: after batches
-// over three benchmarks the arena holds exactly one decoded stream, the
-// last one; a batch over that benchmark reuses it, and a batch over an
-// earlier one replaces it.
+// TestArenaKeepsOneStream pins where a run's decoded stream goes: back to
+// the process-wide store, not into the arena. After batches over three
+// benchmarks on one arena, the next checkout of each — on any arena —
+// finds its released stream instead of decoding it again.
 func TestArenaKeepsOneStream(t *testing.T) {
 	const commits = 3000
 	ooo := pipeline.DefaultConfig()
 	ooo.OutOfOrder = true
 	specs := []BatchSpec{{Pipeline: pipeline.DefaultConfig()}, {Pipeline: ooo}}
-	a := NewArena()
-	run := func(name string) *streamEntry {
+	st := workload.Streams()
+	bench := func(name string) workload.Params {
 		t.Helper()
 		b, ok := spec.ByName(name)
 		if !ok {
 			t.Fatalf("%s not in roster", name)
 		}
-		if _, err := RunBatchArena(context.Background(), a, b.Params, commits, specs); err != nil {
+		return b.Params
+	}
+	a := NewArena()
+	names := []string{"mcf", "gzip-graphic", "ammp"}
+	for _, name := range names {
+		if _, err := RunBatchArena(context.Background(), a, bench(name), commits, specs); err != nil {
 			t.Fatal(err)
 		}
-		if a.last == nil || a.last.params != b.Params {
-			t.Fatalf("after a %s batch the arena keeps %+v, want %s's stream", name, a.last, name)
+	}
+	if a.groupParams != bench("ammp") || a.groupCommits != commits {
+		t.Errorf("the arena's deadness group is for %s at %d commits, want ammp's last run",
+			a.groupParams.Name, a.groupCommits)
+	}
+	d0, h0 := st.Decodes(), st.Hits()
+	for _, name := range names {
+		sh, err := st.Checkout(bench(name), commits, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return a.last
+		st.Release(sh)
 	}
-	run("mcf")
-	run("gzip-graphic")
-	kept := run("ammp")
-	if run("ammp") != kept {
-		t.Error("a second ammp batch decoded its stream again instead of reusing the kept one")
+	if _, err := RunBatchArena(context.Background(), NewArena(), bench("mcf"), commits, specs); err != nil {
+		t.Fatal(err)
 	}
-	if run("mcf") == kept {
-		t.Error("an mcf batch reused ammp's stream")
+	if d, h := st.Decodes()-d0, st.Hits()-h0; d != 0 || h != 4 {
+		t.Errorf("checking out three released streams and rerunning one decoded %d and hit %d, want 0 and 4", d, h)
 	}
 }
 
-// TestArenaRecyclesStreamMemos pins memo recycling: once warm, an arena
-// that alternates between two benchmarks decodes each new stream into the
-// arrays of the stream it replaces. Decoding 100k commits into fresh memos
-// allocates about 6 MB; a recycled decode allocates only the generator.
+// TestArenaRecyclesStreamMemos pins memo recycling at the command-line
+// budget: an arena cycling through four benchmarks at 100k commits, one
+// more than the default store keeps, misses every time, and each decode
+// takes over the arrays of the stream it evicts. Decoding 100k commits
+// into fresh memos allocates about 5 MB; a recycled decode allocates only
+// the generator and the arena's new deadness group.
 func TestArenaRecyclesStreamMemos(t *testing.T) {
 	const commits = 100_000
-	var benches [2]workload.Params
-	for i, name := range []string{"mcf", "ammp"} {
+	st := workload.Streams()
+	if st.Budget() != workload.DefaultStreamBytes {
+		t.Fatalf("store budget %d, want the default %d", st.Budget(), workload.DefaultStreamBytes)
+	}
+	// Start empty: a stream an earlier test kept at a smaller commit
+	// target would be a hit that grows, not a recycled decode.
+	st.SetBudget(0)
+	st.SetBudget(workload.DefaultStreamBytes)
+	var benches [4]workload.Params
+	for i, name := range []string{"mcf", "ammp", "gzip-graphic", "twolf"} {
 		b, ok := spec.ByName(name)
 		if !ok {
 			t.Fatalf("%s not in roster", name)
@@ -195,24 +215,91 @@ func TestArenaRecyclesStreamMemos(t *testing.T) {
 	}
 	a := NewArena()
 	decode := func(w workload.Params) {
-		sh, _, err := a.stream(w, commits)
+		sh, _, err := a.checkout(w, commits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sh.BodyPrefix(commits + 512)
 		sh.Wrong(commits / 8)
+		a.release(sh)
 	}
-	for _, w := range benches { // warm-up: the first two decodes allocate
+	for _, w := range benches { // warm-up: the first decodes allocate
 		decode(w)
 	}
-	const switches = 6
+	const switches = 8
+	d0 := st.Decodes()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < switches; i++ {
-		decode(benches[i%2])
+		decode(benches[i%len(benches)])
 	}
 	runtime.ReadMemStats(&after)
+	if d := st.Decodes() - d0; d != switches {
+		t.Fatalf("cycling four benchmarks decoded %d streams in %d switches, want one each", d, switches)
+	}
 	if perSwitch := (after.TotalAlloc - before.TotalAlloc) / switches; perSwitch >= 1<<20 {
-		t.Errorf("a stream switch on a warm arena allocates %d bytes, want < 1 MB", perSwitch)
+		t.Errorf("a stream switch at the default budget allocates %d bytes, want < 1 MB", perSwitch)
+	}
+	if b := st.Bytes(); b > st.Budget() {
+		t.Errorf("the store keeps %d bytes, over its %d-byte budget", b, st.Budget())
+	}
+}
+
+// TestStoreCheckoutMatchesFreshDecode pins that no consumer writes into a
+// kept stream: after batches of both core families with every optional
+// analysis and sink, plus a solo traced run, the stream the store hands
+// out next equals a fresh decode, instruction for instruction, on both the
+// correct path and the wrong path.
+func TestStoreCheckoutMatchesFreshDecode(t *testing.T) {
+	const commits = 4000
+	b, ok := spec.ByName("twolf")
+	if !ok {
+		t.Fatal("twolf not in roster")
+	}
+	w := b.Params
+	ooo := pipeline.DefaultConfig()
+	ooo.OutOfOrder = true
+	squash := pipeline.DefaultConfig()
+	PolicySquashL1.Apply(&squash)
+	specs := []BatchSpec{
+		{Pipeline: pipeline.DefaultConfig(), FrontEnd: true, StoreBuffer: true},
+		{Pipeline: squash, FrontEnd: true},
+		{Pipeline: ooo, StoreBuffer: true},
+	}
+	a := NewArena()
+	for i := 0; i < 3; i++ {
+		if _, err := RunBatchArena(context.Background(), a, w, commits, specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := runLanes(context.Background(), a, w, commits, []Config{{KeepTrace: true, RegFile: true}}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := workload.Streams()
+	h0 := st.Hits()
+	kept, err := st.Checkout(w, commits, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release(kept)
+	if st.Hits() == h0 {
+		t.Fatal("the checkout decoded afresh instead of finding the kept stream")
+	}
+	fresh, err := workload.NewShared(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := commits + 1024
+	got, want := kept.BodyPrefix(n), fresh.BodyPrefix(n)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("kept body %d = %+v, a fresh decode has %+v", i, got[i], want[i])
+		}
+	}
+	for j := 0; j < commits/4; j++ {
+		if g, f := *kept.Wrong(j), *fresh.Wrong(j); g != f {
+			t.Fatalf("kept wrong-path draw %d = %+v, a fresh decode has %+v", j, g, f)
+		}
 	}
 }

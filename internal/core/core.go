@@ -144,21 +144,6 @@ var simCycles atomic.Uint64
 // process so far. Safe for concurrent use.
 func CyclesSimulated() uint64 { return simCycles.Load() }
 
-// streamDecodes and streamHits count, process-wide, the shared streams
-// arenas decode and the runs that found their stream already kept by their
-// arena (Arena.stream).
-var streamDecodes, streamHits atomic.Uint64
-
-// StreamsDecoded returns how many shared instruction streams this process
-// has decoded so far: one per run that missed its arena's kept stream.
-// Lanes of PC-indexed workloads fetch from private generators and are not
-// counted. Safe for concurrent use.
-func StreamsDecoded() uint64 { return streamDecodes.Load() }
-
-// StreamHits returns how many runs so far found their workload's decoded
-// stream already kept by their arena. Safe for concurrent use.
-func StreamHits() uint64 { return streamHits.Load() }
-
 // Result is the distilled outcome of one simulation.
 type Result struct {
 	// Name echoes the workload name.

@@ -8,6 +8,7 @@ import (
 
 	"softerror/internal/core"
 	"softerror/internal/spec"
+	"softerror/internal/workload"
 )
 
 const testCommits = 5_000
@@ -39,13 +40,13 @@ func params(benches []spec.Benchmark, ooo bool, workers int) Params {
 
 // TestRunAllWalksRosterOnce pins the "all" walk: its bytes and simulated
 // cycles equal building each artefact on its own, at any worker count, and
-// it decodes each benchmark once plus once for the outcomes run, where one
-// walk per artefact decoded each four times.
+// it decodes each benchmark once, where one walk per artefact decoded each
+// four times. The walk's three later batches per benchmark and the
+// outcomes run on the first benchmark find their stream in the store.
 //
-// Not parallel: it reads process-wide counters. The two cases use disjoint
-// rosters, and each counts the first walk over its roster, because an
-// arena that kept a stream from an earlier run of the same workload would
-// turn a decode into a hit.
+// Not parallel: it reads process-wide counters. Each case empties the
+// store first, because a stream kept from an earlier run of the same
+// workload would turn a decode into a hit.
 func TestRunAllWalksRosterOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -60,18 +61,21 @@ func TestRunAllWalksRosterOnce(t *testing.T) {
 			benches := roster(t, tc.benches...)
 			n := uint64(len(benches))
 
+			st := workload.Streams()
+			st.SetBudget(0)
+			st.SetBudget(workload.DefaultStreamBytes)
 			p := params(benches, tc.ooo, 1)
-			d0, h0, c0 := core.StreamsDecoded(), core.StreamHits(), core.CyclesSimulated()
+			d0, h0, c0 := st.Decodes(), st.Hits(), core.CyclesSimulated()
 			var all bytes.Buffer
 			if err := Run(ctx, &all, "all", p, false); err != nil {
 				t.Fatal(err)
 			}
 			walked := core.CyclesSimulated() - c0
-			if d := core.StreamsDecoded() - d0; d != n+1 {
-				t.Errorf("all decoded %d streams, want %d (one per benchmark plus outcomes)", d, n+1)
+			if d := st.Decodes() - d0; d != n {
+				t.Errorf("all decoded %d streams, want %d (one per benchmark)", d, n)
 			}
-			if h := core.StreamHits() - h0; h != 3*n {
-				t.Errorf("all found %d kept streams, want %d", h, 3*n)
+			if h := st.Hits() - h0; h != 3*n+1 {
+				t.Errorf("all found %d kept streams, want %d (three per benchmark plus outcomes)", h, 3*n+1)
 			}
 			if sims := p.Suite.Simulations(); sims != 5*n {
 				t.Errorf("all ran %d policy simulations, want %d", sims, 5*n)

@@ -80,7 +80,7 @@ func All() []Check {
 		},
 		{
 			Name: "arena-reuse",
-			Doc:  "evaluation on a dirtied arena or shared arena pool is bit-identical to fresh-state runs, and retained Results survive reuse",
+			Doc:  "evaluation on a dirtied arena or shared arena pool is bit-identical to fresh-state runs, retained Results survive reuse, and two concurrent runs of one workload agree on its kept stream and a private copy",
 			Run:  checkArenaReuse,
 		},
 		{

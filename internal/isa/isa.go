@@ -163,11 +163,14 @@ func (r Reg) String() string {
 //
 // Seq numbers are assigned in fetch order and are unique across a run,
 // including wrong-path instructions (which never commit).
+//
+// The fields are ordered widest first so the record packs into 40 bytes:
+// decoded streams hold one per instruction, so every byte here is about
+// 100k bytes of each 100k-commit stream memo (TestInstSize pins it).
 type Inst struct {
-	Seq uint64 // dynamic sequence number, fetch order
-	PC  uint64 // virtual address of the bundle syllable
-
-	Class Class
+	Seq  uint64 // dynamic sequence number, fetch order
+	PC   uint64 // virtual address of the bundle syllable
+	Addr uint64 // effective address (IsMem classes)
 
 	// Register operands. Dest is RegNone for instructions without a
 	// destination (stores, branches, no-ops...). PredGuard is the
@@ -177,13 +180,14 @@ type Inst struct {
 	Src2      Reg
 	PredGuard Reg
 
+	Class Class
+
 	// Dynamic outcomes.
-	PredFalse bool   // qualifying predicate evaluated false: result discarded
-	WrongPath bool   // fetched past a mispredicted branch; will be squashed
-	Taken     bool   // branch outcome (Class.IsControl only)
-	Mispred   bool   // branch was mispredicted at fetch
-	Addr      uint64 // effective address (IsMem classes)
-	MemSize   uint8  // access size in bytes (IsMem classes)
+	PredFalse bool  // qualifying predicate evaluated false: result discarded
+	WrongPath bool  // fetched past a mispredicted branch; will be squashed
+	Taken     bool  // branch outcome (Class.IsControl only)
+	Mispred   bool  // branch was mispredicted at fetch
+	MemSize   uint8 // access size in bytes (IsMem classes)
 
 	// CallDepth is the procedure-nesting depth at fetch, stamped by the
 	// workload generator. The ACE analyser uses it to classify registers

@@ -4,7 +4,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstSize pins the packed instruction record: the decoded stream
+// memos hold one per instruction, so a field that breaks the packing
+// grows every memo by a fifth.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 40 {
+		t.Fatalf("isa.Inst is %d bytes, want 40", got)
+	}
+}
 
 func TestClassString(t *testing.T) {
 	cases := map[Class]string{

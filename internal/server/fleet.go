@@ -39,7 +39,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.Workers = s.cfg.Workers
-	g.Arenas = s.arenas // leases share the daemon's warm evaluation state
 
 	// Take a sweep worker slot without queueing: a lease that cannot run
 	// now is better retried elsewhere than parked here.

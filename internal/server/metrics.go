@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softerror/internal/core"
+	"softerror/internal/workload"
 )
 
 // metrics are the service's expvar-backed counters. The map is owned by
@@ -32,8 +33,9 @@ type metrics struct {
 }
 
 // newMetrics wires the counter set plus derived gauges: simulated cycle
-// totals and stream decodes and hits from the process-wide core counters,
-// and a cumulative Mcycles/s throughput gauge since start.
+// totals from the process-wide core counter, stream decodes, hits and kept
+// bytes from the process-wide stream store, and a cumulative Mcycles/s
+// throughput gauge since start.
 func newMetrics(start time.Time, cache *Cache) *metrics {
 	m := &metrics{vars: new(expvar.Map).Init()}
 	counter := func(name string) *expvar.Int {
@@ -61,8 +63,10 @@ func newMetrics(start time.Time, cache *Cache) *metrics {
 	m.vars.Set("mcycles_simulated", expvar.Func(func() any {
 		return float64(core.CyclesSimulated()) / 1e6
 	}))
-	m.vars.Set("streams_decoded", expvar.Func(func() any { return core.StreamsDecoded() }))
-	m.vars.Set("stream_hits", expvar.Func(func() any { return core.StreamHits() }))
+	streams := workload.Streams()
+	m.vars.Set("streams_decoded", expvar.Func(func() any { return streams.Decodes() }))
+	m.vars.Set("stream_hits", expvar.Func(func() any { return streams.Hits() }))
+	m.vars.Set("stream_bytes", expvar.Func(func() any { return streams.Bytes() }))
 	m.vars.Set("mcycles_per_sec", expvar.Func(func() any {
 		secs := time.Since(start).Seconds()
 		if secs <= 0 {

@@ -9,15 +9,16 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"softerror/internal/checkpoint"
-	"softerror/internal/core"
 	"softerror/internal/fleet"
 	"softerror/internal/par"
 	"softerror/internal/spec"
 	"softerror/internal/sweep"
+	"softerror/internal/workload"
 )
 
 // Config sizes the service. Zero values take the documented defaults.
@@ -82,11 +83,6 @@ type Server struct {
 	cache   *Cache
 	metrics *metrics
 	suites  *suitePool
-	// arenas is shared by every sweep job and fleet lease the daemon
-	// serves: decoded workload memos and warm evaluation buffers survive
-	// from one job's batches to the next (and across a checkpoint-resumed
-	// job's two legs) instead of being rebuilt per batch wave.
-	arenas *core.ArenaPool
 
 	// lifeCtx lives until Close: suites and eval computations run on it so
 	// an in-flight eval finishes during drain. jobsCtx is cancelled at
@@ -109,14 +105,31 @@ type Server struct {
 	wg    sync.WaitGroup // accepted sweep jobs not yet terminal
 }
 
-// New builds a ready-to-serve Server.
+// streamBytes is the decoded-stream store's budget in a daemon. A daemon
+// revisits every benchmark in each round of mixed traffic (evals, sweep
+// pricing and runs, bounds), so the store should keep the whole roster at
+// the commit targets such traffic uses: 26 streams of about 1.3 MB at 20k
+// commits.
+const streamBytes = 64 << 20
+
+// streamBudget is the store budget for a daemon under the Go runtime's
+// current memory limit: streamBytes, capped at a quarter of the limit
+// when one is set (seratd -memlimit), so kept streams cannot crowd out
+// the work the limit is there to protect.
+func streamBudget() int64 {
+	return min(streamBytes, debug.SetMemoryLimit(-1)/4)
+}
+
+// New builds a ready-to-serve Server. It sizes the process-wide decoded
+// stream store (workload.Streams) for daemon traffic, so call it after
+// setting any runtime memory limit.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	workload.Streams().SetBudget(streamBudget())
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		cache:   NewCache(cfg.CacheBytes),
-		arenas:  core.NewArenaPool(),
 		flights: make(map[string]*flight),
 		jobs:    make(map[string]*Job),
 		byFP:    make(map[string]*Job),
@@ -352,7 +365,6 @@ func (s *Server) buildGrid(req SweepRequest) (*sweep.Grid, error) {
 		return nil, err
 	}
 	g.Workers = s.cfg.Workers
-	g.Arenas = s.arenas
 	if g.OnError, err = par.ParsePolicy(req.OnError); err != nil {
 		return nil, err
 	}

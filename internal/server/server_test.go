@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"softerror/internal/par"
 	"softerror/internal/spec"
 	"softerror/internal/sweep"
+	"softerror/internal/workload"
 )
 
 // testCommits keeps simulations short; it matches the budget the repro and
@@ -572,24 +574,31 @@ func TestUnknownJob404s(t *testing.T) {
 }
 
 // TestMetricsEndpoint: the expvar map renders as JSON and carries the
-// advertised keys.
+// advertised keys, and the stream counters see the store: a second eval of
+// the same benchmarks at another commit target finds their decoded streams
+// kept, where a per-run decode would have decoded them again.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
+	metrics := func() map[string]any {
+		t.Helper()
+		w := do(s, "GET", "/metrics", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("metrics: %d", w.Code)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+			t.Fatalf("metrics is not JSON: %v\n%s", err, w.Body)
+		}
+		return m
+	}
 	do(s, "POST", "/v1/eval", evalBody("table1", false))
-	w := do(s, "GET", "/metrics", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("metrics: %d", w.Code)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v\n%s", err, w.Body)
-	}
+	m := metrics()
 	for _, key := range []string{
 		"requests", "rejected", "cache_hits", "cache_misses",
 		"evals_in_flight", "jobs_in_flight", "jobs_queued",
 		"jobs_done", "jobs_failed", "jobs_interrupted",
 		"cache_entries", "cache_bytes", "mcycles_simulated", "mcycles_per_sec",
-		"streams_decoded", "stream_hits",
+		"streams_decoded", "stream_hits", "stream_bytes",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)
@@ -598,10 +607,40 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m["mcycles_simulated"].(float64) <= 0 {
 		t.Error("mcycles_simulated did not advance after an eval")
 	}
-	// The counters are process-wide: an arena may already keep the eval's
-	// stream, so the eval counts as a decode or as a hit.
-	if m["streams_decoded"].(float64)+m["stream_hits"].(float64) <= 0 {
-		t.Error("neither streams_decoded nor stream_hits advanced after an eval")
+	if m["stream_bytes"].(float64) <= 0 {
+		t.Error("stream_bytes is zero after an eval: the store kept nothing")
+	}
+
+	again := evalBody("table1", false)
+	again.Commits++
+	if w := do(s, "POST", "/v1/eval", again); w.Code != http.StatusOK {
+		t.Fatalf("second eval: %d %s", w.Code, w.Body)
+	}
+	n := metrics()
+	if d := n["streams_decoded"].(float64) - m["streams_decoded"].(float64); d != 0 {
+		t.Errorf("an eval of the same benchmarks at another commit target decoded %v streams, want 0", d)
+	}
+	if h := n["stream_hits"].(float64) - m["stream_hits"].(float64); h < float64(len(again.Benches)) {
+		t.Errorf("an eval of the same benchmarks at another commit target counted %v stream hits, want >= %d", h, len(again.Benches))
+	}
+}
+
+// TestStreamBudget: a daemon raises the decoded-stream store's budget for
+// its traffic, and caps it at a quarter of a runtime memory limit.
+func TestStreamBudget(t *testing.T) {
+	st := workload.Streams()
+	newTestServer(t, Config{})
+	if got := st.Budget(); got != streamBytes {
+		t.Errorf("store budget %d with no memory limit, want %d", got, streamBytes)
+	}
+	old := debug.SetMemoryLimit(100 << 20)
+	t.Cleanup(func() {
+		debug.SetMemoryLimit(old)
+		st.SetBudget(streamBudget())
+	})
+	newTestServer(t, Config{})
+	if got := st.Budget(); got != 25<<20 {
+		t.Errorf("store budget %d under a 100 MiB limit, want a quarter of it", got)
 	}
 }
 

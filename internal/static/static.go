@@ -142,20 +142,24 @@ func NewAnalyzer() *Analyzer {
 	return &Analyzer{views: make(map[int]*cutView)}
 }
 
-// Analyze is the one-shot convenience path: decode the workload through
-// the shared memo, load the commit prefix plus slack, and query the
-// config. It fails only when the workload's stream cannot be decoded
-// position-addressably (PC-indexed branch predictors).
+// Analyze is the one-shot convenience path: check the workload's decoded
+// stream out of the process-wide store (workload.Streams), load the commit
+// prefix plus slack, and query the config. A stream the simulator or an
+// earlier bound already decoded is not decoded again. It fails only when
+// the workload's stream cannot be decoded position-addressably (PC-indexed
+// branch predictors).
 func Analyze(p workload.Params, commits uint64, cfg pipeline.Config) (Bounds, error) {
-	sh, err := workload.NewShared(p)
-	if err != nil {
-		return Bounds{}, fmt.Errorf("static: %w", err)
-	}
 	if commits > 1<<40 {
 		return Bounds{}, fmt.Errorf("static: commit target %d too large to decode", commits)
 	}
+	n := int(commits) + BodySlack
+	sh, err := workload.Streams().Checkout(p, n, 0)
+	if err != nil {
+		return Bounds{}, fmt.Errorf("static: %w", err)
+	}
+	defer workload.Streams().Release(sh)
 	a := NewAnalyzer()
-	a.Load(sh.BodyPrefix(int(commits)+BodySlack), commits)
+	a.Load(sh.BodyPrefix(n), commits)
 	return a.Query(cfg), nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"softerror/internal/isa"
 	"softerror/internal/spec"
 	"softerror/internal/static"
+	"softerror/internal/workload"
 )
 
 func TestOrderByEstimate(t *testing.T) {
@@ -22,8 +23,10 @@ func TestOrderByEstimate(t *testing.T) {
 	}
 }
 
-// TestEstimateCellsRecyclesMemo pins pricing's memory: every benchmark of
-// a grid decodes into the previous one's body memo, so pricing three
+// TestEstimateCellsRecyclesMemo pins pricing's memory: pricing checks each
+// benchmark's stream out of the process-wide store, so a grid wider than
+// the store's budget keeps the store within it, and each decode past the
+// budget reuses the arrays of the stream it evicts — pricing three
 // benchmarks allocates about one memo, not three.
 func TestEstimateCellsRecyclesMemo(t *testing.T) {
 	const commits = 50_000
@@ -43,16 +46,24 @@ func TestEstimateCellsRecyclesMemo(t *testing.T) {
 		}
 		return g
 	}
-	allocated := func(g *Grid) uint64 {
+	memo := int64(commits+static.BodySlack) * int64(unsafe.Sizeof(isa.Inst{}))
+	st := workload.Streams()
+	budget := memo * 3 / 2
+	t.Cleanup(func() { st.SetBudget(workload.DefaultStreamBytes) })
+	allocated := func(g *Grid) int64 {
+		st.SetBudget(0) // start from an empty store
+		st.SetBudget(budget)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, ok := g.EstimateCells(); !ok {
 			t.Fatal("grid not priceable")
 		}
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		if b := st.Bytes(); b > budget {
+			t.Errorf("pricing left %d bytes in the store, over its %d-byte budget", b, budget)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	memo := uint64(commits+static.BodySlack) * uint64(unsafe.Sizeof(isa.Inst{}))
 	one := allocated(grid("mcf"))
 	three := allocated(grid("mcf", "ammp", "gzip-graphic"))
 	if one < memo {

@@ -40,13 +40,14 @@ type Grid struct {
 	// the grid on the first failed cell; par.Collect finishes every other
 	// cell and reports the poisoned ones as par.Errors.
 	OnError par.Policy
-	// Arenas supplies the reusable per-worker evaluation state (decoded
-	// stream memos, warm hierarchies, collectors, lane slabs): each batch
+	// Arenas supplies the reusable per-worker evaluation state (warm
+	// hierarchies, collectors, deadness memos, lane slabs): each batch
 	// leader checks one arena out for its whole batch and returns it, so
-	// state carries across waves, grid chunks and checkpoint resumes.
-	// Long-lived callers (seratd) share one pool across jobs and fleet
-	// leases; nil falls back to the process-wide default pool. Arena reuse
-	// never changes bytes — the arena-reuse seraudit check pins it.
+	// state carries across waves, grid chunks and checkpoint resumes. nil
+	// (what seratd's jobs and fleet leases use) is the process-wide default
+	// pool. Decoded streams come from the process-wide workload.Streams
+	// store either way. Arena reuse never changes bytes — the arena-reuse
+	// seraudit check pins it.
 	Arenas *core.ArenaPool
 }
 
@@ -296,17 +297,17 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 	return nil
 }
 
-// EstimateCells prices every cell analytically: one decode of each
-// benchmark's stream, loaded into the static analyzer, then one
-// static.Analyzer.Estimate per cell — counter arithmetic, no deadness view
-// and no simulation. Each benchmark decodes into the previous one's memo
-// arrays (workload.Shared.Recycle), so pricing a grid holds one body memo
-// however many benchmarks it spans. The returned slice is indexed like the
-// rows (benchmark-major cell order) and holds each cell's estimated
-// simulated cycle count (static.Bounds.EstCycles). ok is false when the
-// static analyzer cannot bound some benchmark (PC-indexed branch
-// predictors) or the grid is invalid; callers then fall back to unpriced
-// behaviour.
+// EstimateCells prices every cell analytically: each benchmark's decoded
+// stream, checked out of the process-wide store (workload.Streams) and
+// loaded into the static analyzer, then one static.Analyzer.Estimate per
+// cell — counter arithmetic, no deadness view and no simulation. A stream
+// an earlier eval, sweep or bound decoded is priced without decoding it
+// again, and the grid's own decodes stay for the run that follows. The
+// returned slice is indexed like the rows (benchmark-major cell order) and
+// holds each cell's estimated simulated cycle count
+// (static.Bounds.EstCycles). ok is false when the static analyzer cannot
+// bound some benchmark (PC-indexed branch predictors) or the grid is
+// invalid; callers then fall back to unpriced behaviour.
 func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if err := g.validate(); err != nil {
 		return nil, false
@@ -318,25 +319,22 @@ func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if commits > 1<<31 {
 		return nil, false // pricing must stay cheap; don't decode absurd bodies
 	}
+	n := int(commits) + static.BodySlack
 	est = make([]uint64, g.Size())
 	blk := len(g.Policies) * len(g.IQSizes) * len(g.OutOfOrder)
 	a := static.NewAnalyzer()
-	var prev *workload.Shared
 	for bi, b := range g.Benches {
-		sh, err := workload.NewShared(b.Params)
+		sh, err := workload.Streams().Checkout(b.Params, n, 0)
 		if err != nil {
 			return nil, false
 		}
-		if prev != nil {
-			sh.Recycle(prev)
-		}
-		prev = sh
-		a.Load(sh.BodyPrefix(int(commits)+static.BodySlack), commits)
+		a.Load(sh.BodyPrefix(n), commits)
 		for o := 0; o < blk; o++ {
 			i := bi*blk + o
 			_, cfg := g.cellConfig(i)
 			est[i] = a.Estimate(cfg)
 		}
+		workload.Streams().Release(sh)
 	}
 	return est, true
 }

@@ -294,9 +294,16 @@ func (g *Generator) nextInto(in *isa.Inst) {
 	}
 	g.stats.Total++
 	g.stats.ByClass[in.Class]++
-	for len(g.loadMature) > 0 && g.loadMature[0].at <= g.stats.Total {
-		g.recentInt.push(g.loadMature[0].reg)
-		g.loadMature = g.loadMature[1:]
+	matured := 0
+	for matured < len(g.loadMature) && g.loadMature[matured].at <= g.stats.Total {
+		g.recentInt.push(g.loadMature[matured].reg)
+		matured++
+	}
+	if matured > 0 {
+		// Shift the few pending loads (at most LoadUseDistance) down
+		// instead of reslicing past them, which walked the queue through
+		// a fresh backing array every few hundred loads.
+		g.loadMature = append(g.loadMature[:0], g.loadMature[matured:]...)
 	}
 	if in.PredGuard != isa.RegNone {
 		g.stats.Predicated++

@@ -38,8 +38,8 @@ var ErrUnshareable = errors.New(
 // stream-sharing seraudit checks pin this equivalence against independent
 // generators.
 //
-// A Shared is not safe for concurrent use: each batch builds (or borrows)
-// its own.
+// A Shared is not safe for concurrent use: each batch checks one out of
+// a Store (or builds its own).
 //
 // Body and Wrong generate straight into the memo slot they return. A
 // pointer or slice into the memos stays valid until a later call extends
@@ -47,6 +47,7 @@ var ErrUnshareable = errors.New(
 // the next stream, which overwrites them. No one may hold a memo pointer
 // past the batch that obtained it.
 type Shared struct {
+	params   Params
 	gen      *Generator
 	wrongSrc *rng.Stream
 	body     []isa.Inst
@@ -65,6 +66,7 @@ func NewShared(p Params) (*Shared, error) {
 		return nil, err
 	}
 	return &Shared{
+		params:   p,
 		gen:      gen,
 		wrongSrc: rng.New(p.Seed, 0x5e7e).Derive("wrong"),
 	}, nil
@@ -139,6 +141,11 @@ func (s *Shared) Recycle(old *Shared) {
 		s.wrong = old.wrong[:0]
 	}
 	old.gen, old.wrongSrc, old.body, old.wrong = nil, nil, nil, nil
+}
+
+// capBytes is the memory the memos hold, in bytes of capacity.
+func (s *Shared) capBytes() int64 {
+	return int64(cap(s.body)+cap(s.wrong)) * instBytes
 }
 
 // Wrong returns the content of the j-th wrong-path instruction draw: Seq,

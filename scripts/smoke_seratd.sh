@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test for the seratd daemon: boot it on an ephemeral port, check
 # /healthz answers ok, serve one cached evaluation, run one priced sweep job
-# to its CSV, answer one bound query, then SIGINT it and require a clean
+# to its CSV, answer two bound queries (the second served from the decoded
+# stream the first left in the store), then SIGINT it and require a clean
 # drain (exit 0). Exercises the real binary and signal path that the
 # in-process httptest suite cannot.
 set -eu
@@ -50,6 +51,13 @@ fetch '/v1/bound?bench=mcf&policy=squash-l1&commits=8000' | grep -q '"est_cycles
 fetch /metrics | grep -q '"sweeps_priced": 1[,}]'
 # The fresh daemon's first eval decoded its streams.
 fetch /metrics | grep -q '"streams_decoded": [1-9]'
+# A bound for the same benchmark at another commit target misses the result
+# cache but finds the decoded stream in the store.
+stream_hits() { fetch /metrics | sed -n 's/.*"stream_hits": \([0-9]*\).*/\1/p'; }
+h0=$(stream_hits)
+fetch '/v1/bound?bench=mcf&policy=squash-l1&commits=9000' | grep -q '"est_cycles"'
+h1=$(stream_hits)
+[ -n "$h0" ] && [ "$h1" -gt "$h0" ] || { echo "stream_hits went from '$h0' to '$h1' on a repeated bound" >&2; exit 1; }
 
 # SIGINT must drain and exit 0.
 kill -INT "$pid"
