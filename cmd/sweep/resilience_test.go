@@ -13,13 +13,14 @@ import (
 )
 
 // TestSweepCrashResumeByteIdentical drives the whole command through a
-// kill-and-resume cycle: the first invocation loses a cell to an injected
-// panic and exits with the partial code, the -resume invocation finishes the
-// grid, and the final CSV is byte-identical to an uninterrupted run.
+// kill-and-resume cycle: the first invocation loses one benchmark's batch
+// to an injected panic and exits with the partial code, the -resume
+// invocation finishes the grid, and the final CSV is byte-identical to an
+// uninterrupted run.
 func TestSweepCrashResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
-		"-q", "-benches", "gzip-graphic", "-policies", "baseline,squash-l1",
+		"-q", "-benches", "gzip-graphic,ammp", "-policies", "baseline,squash-l1",
 		"-iqsizes", "32,64", "-ooo", "false", "-commits", "3000", "-j", "2",
 	}
 	straightOut := filepath.Join(dir, "straight.csv")
@@ -34,8 +35,8 @@ func TestSweepCrashResumeByteIdentical(t *testing.T) {
 	ckPath := filepath.Join(dir, "grid.ckpt")
 	crashOut := filepath.Join(dir, "crash.csv")
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == 3 {
-			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
+		if index == 1 { // ammp's batch; gzip-graphic's lands
+			panic(fmt.Sprintf("chaos: simulated crash in batch %d", index))
 		}
 		return nil
 	})

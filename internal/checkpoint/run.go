@@ -13,9 +13,10 @@ import (
 // n-cell campaign, with f (nil for none) as the campaign's checkpoint.
 // Begin restores what f holds, Land records each computed value, and End
 // saves f and returns the values, index-parallel to cells: position k is
-// cell cells[k]. Every cell runner (Run, the fleet coordinator's lease
-// waves) drives its cells through one Cells, so restore, write-back,
-// progress, save and blame behave the same wherever cells run.
+// cell cells[k]. Every cell runner (Run, a sweep grid's batch tasks, the
+// fleet coordinator's lease waves) drives its cells through one Cells, so
+// restore, write-back, progress, save and blame behave the same wherever
+// cells run.
 type Cells[T any] struct {
 	f        *File[T]
 	cells    []int
@@ -104,8 +105,8 @@ func (r *Cells[T]) End(err error) ([]T, error) {
 // len(cells) on success.
 //
 // Par task indices are positions in cells, restored positions included
-// (they return at once), so opts.Order, the chaos hook and fail-fast
-// cancellation all speak positions. The error does not: on failure Run
+// (they return at once), so the chaos hook and fail-fast cancellation
+// speak positions. The error does not: on failure Run
 // returns the partial values with a par.Errors or *par.TaskError whose
 // indices name cells, the par.Errors sorted by cell.
 func Run[T any](ctx context.Context, f *File[T], n int, cells []int, opts par.Options, progress func(done, total int), fn func(ctx context.Context, cell int) (T, error)) ([]T, error) {

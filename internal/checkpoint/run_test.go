@@ -200,25 +200,30 @@ func TestRunCheckpointRejectsMismatch(t *testing.T) {
 }
 
 // TestRunCheckpointChaosSeesPositions pins what par sees: task indices are
-// positions in cells, restored positions included, so a dispatch order and
-// a chaos hook written against positions keep their meaning.
+// positions in cells, restored positions included, so a chaos hook written
+// against positions keeps its meaning, while the blame it causes names the
+// cell at that position.
 func TestRunCheckpointChaosSeesPositions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	f := New[int](path, resumeKind, resumeFP, runTotal)
 	f.Put(restoredCells[0], restoredCells[0]*valuePerRun)
+	const poisonPos = 2
 	var seen []int // one worker: the hook runs task after task
 	par.SetChaos(func(_ context.Context, index int) error {
 		seen = append(seen, index)
+		if index == poisonPos {
+			return errors.New("chaos: poisoned position")
+		}
 		return nil
 	})
 	t.Cleanup(func() { par.SetChaos(nil) })
-	order := []int{6, 5, 4, 3, 2, 1, 0}
-	_, err := Run(context.Background(), f, runTotal, runCells, par.Options{Workers: 1, Order: order}, nil,
+	_, err := Run(context.Background(), f, runTotal, runCells, par.Options{Workers: 1, Policy: par.Collect}, nil,
 		func(_ context.Context, cell int) (int, error) { return cell, nil })
-	if err != nil {
-		t.Fatal(err)
+	if want := "[0 1 2 3 4 5 6]"; fmt.Sprint(seen) != want {
+		t.Fatalf("chaos saw tasks %v, want every position in ascending order %s", seen, want)
 	}
-	if fmt.Sprint(seen) != fmt.Sprint(order) {
-		t.Fatalf("chaos saw tasks %v, want the positions in dispatch order %v", seen, order)
+	var es par.Errors
+	if !errors.As(err, &es) || fmt.Sprint(es.Indices()) != fmt.Sprint([]int{runCells[poisonPos]}) {
+		t.Fatalf("err = %v, want par.Errors blaming cell %d at position %d", err, runCells[poisonPos], poisonPos)
 	}
 }

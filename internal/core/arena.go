@@ -44,7 +44,7 @@ const (
 	arenaMemCap  = 16
 	arenaCollCap = 16
 	// arenaPoolCap bounds an ArenaPool's free list; checked-out arenas are
-	// unbounded (one per concurrent batch leader), the cap only limits how
+	// unbounded (one per running batch), the cap only limits how
 	// many idle arenas a pool keeps warm.
 	arenaPoolCap = 32
 )

@@ -80,8 +80,9 @@ func SpecOf(g *sweep.Grid) GridSpec {
 	return sp
 }
 
-// Build rebuilds the sweep grid a spec names, validating every axis.
-// Failures wrap ErrBadGrid.
+// Build rebuilds the sweep grid a spec names, validating every axis and
+// capping the commits per cell at sweep.MaxCommits, the most a sweep's
+// pricing will price. Failures wrap ErrBadGrid.
 func (sp GridSpec) Build() (*sweep.Grid, error) {
 	if len(sp.Benches) == 0 {
 		return nil, fmt.Errorf("%w: no benchmarks", ErrBadGrid)
@@ -119,6 +120,9 @@ func (sp GridSpec) Build() (*sweep.Grid, error) {
 	}
 	if n := g.Size(); n < 1 || n > MaxGridCells {
 		return nil, fmt.Errorf("%w: grid spans %d cells, want 1..%d", ErrBadGrid, n, MaxGridCells)
+	}
+	if g.Commits > sweep.MaxCommits {
+		return nil, fmt.Errorf("%w: %d commits per cell, want at most %d", ErrBadGrid, g.Commits, sweep.MaxCommits)
 	}
 	return g, nil
 }

@@ -60,11 +60,16 @@ func TestGridSpecBuildRejects(t *testing.T) {
 		{Benches: []string{"nope"}, Policies: []string{"baseline"}},
 		{Benches: []string{"mcf"}, Policies: []string{"nope"}},
 		{Benches: []string{"mcf"}, Policies: []string{"baseline"}, IQSizes: []int{0}},
+		{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: sweep.MaxCommits + 1},
 	}
 	for _, sp := range cases {
 		if _, err := sp.Build(); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("Build(%+v) = %v, want ErrBadGrid", sp, err)
 		}
+	}
+	capped := GridSpec{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: sweep.MaxCommits}
+	if _, err := capped.Build(); err != nil {
+		t.Errorf("Build(%+v) = %v, want the cap itself accepted", capped, err)
 	}
 }
 
@@ -257,14 +262,23 @@ func TestCoordinatorLocalFallbackNoWorkers(t *testing.T) {
 	}
 }
 
+// twoBenchSpec is smallSpec over two benchmarks with two policies: twelve
+// cells in two batch groups, mcf's cells 0..5 and gzip-graphic's 6..11.
+func twoBenchSpec() GridSpec {
+	sp := smallSpec()
+	sp.Benches = []string{"mcf", "gzip-graphic"}
+	sp.Policies = []string{"baseline", "squash-l1"}
+	return sp
+}
+
 // TestCoordinatorLocalFallbackBlamesCells resumes a collect-policy grid
 // on a coordinator with no workers, so the pending cells run locally
-// through RunIndices. The chaos hook poisons a position in that pending
-// list; the error must name the grid cell at that position, since the
-// server turns it into the job's skip set and error text.
+// through RunIndices. The chaos hook poisons the first batch of that
+// pending list, mcf's pending cells at positions 0..3; the error must name
+// those grid cells, since the server turns it into the job's skip set and
+// error text.
 func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
-	sp := smallSpec()
-	sp.Policies = []string{"baseline", "squash-l1"}
+	sp := twoBenchSpec()
 	g := testGrid(t, sp)
 	g.OnError = par.Collect
 	want, err := testGrid(t, sp).Run(nil)
@@ -272,16 +286,16 @@ func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := checkpoint.New[sweep.Row](filepath.Join(t.TempDir(), "grid.ckpt"), "sweep", g.Fingerprint(), g.Size())
-	for _, i := range []int{0, 2} {
+	for _, i := range []int{0, 2, 6} {
 		if err := ck.Put(i, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pending := []int{1, 3, 4, 5}
-	const k = 1
+	pending := []int{1, 3, 4, 5, 7, 8, 9, 10, 11}
+	poisoned := map[int]bool{1: true, 3: true, 4: true, 5: true}
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == k {
-			panic("chaos: poisoned fallback position")
+		if index == 0 {
+			panic("chaos: poisoned fallback batch")
 		}
 		return nil
 	})
@@ -294,27 +308,26 @@ func TestCoordinatorLocalFallbackBlamesCells(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("err = %v (%T), want par.Errors", err, err)
 	}
-	if got := es.Indices(); len(got) != 1 || got[0] != pending[k] {
-		t.Fatalf("blamed %v, want cell %d (pending position %d)", got, pending[k], k)
+	if got := fmt.Sprint(es.Indices()); got != "[1 3 4 5]" {
+		t.Fatalf("blamed %s, want mcf's pending cells [1 3 4 5]", got)
 	}
 	for _, i := range pending {
-		if row, ok := ck.Get(i); ok != (i != pending[k]) || ok && row != want[i] {
+		if row, ok := ck.Get(i); ok == poisoned[i] || ok && row != want[i] {
 			t.Errorf("cell %d: checkpointed %v %+v, want only the unpoisoned cells, equal to a local run", i, ok, row)
 		}
 	}
 }
 
 // TestCoordinatorCollectKeepsValidRows runs a collect-policy grid on a
-// coordinator with no workers while the chaos hook poisons one position.
-// The coordinator must return what a local run returns: every unpoisoned
-// cell's row, and an error blaming the poisoned cell.
+// coordinator with no workers while the chaos hook poisons one batch,
+// gzip-graphic's. The coordinator must return what a local run returns:
+// every unpoisoned cell's row, and an error blaming the poisoned batch's
+// cells.
 func TestCoordinatorCollectKeepsValidRows(t *testing.T) {
-	sp := smallSpec()
-	sp.Policies = []string{"baseline", "squash-l1"}
-	const poisoned = 3
+	sp := twoBenchSpec()
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == poisoned {
-			panic("chaos: poisoned cell")
+		if index == 1 {
+			panic("chaos: poisoned batch")
 		}
 		return nil
 	})
@@ -336,15 +349,16 @@ func TestCoordinatorCollectKeepsValidRows(t *testing.T) {
 	rows, err := co.Run(context.Background(), g, nil, nil)
 	for _, e := range []error{lerr, err} {
 		var es par.Errors
-		if !errors.As(e, &es) || len(es.Indices()) != 1 || es.Indices()[0] != poisoned {
-			t.Fatalf("err = %v, want par.Errors blaming cell %d", e, poisoned)
+		if !errors.As(e, &es) || fmt.Sprint(es.Indices()) != "[6 7 8 9 10 11]" {
+			t.Fatalf("err = %v, want par.Errors blaming gzip-graphic's cells 6..11", e)
 		}
 	}
 	if len(rows) != g.Size() {
 		t.Fatalf("coordinator returned %d rows, want %d", len(rows), g.Size())
 	}
 	for i := range cells {
-		if i != poisoned && (rows[i] != local[i] || rows[i] == sweep.Row{}) {
+		if poisoned := i >= 6; poisoned && rows[i] != (sweep.Row{}) ||
+			!poisoned && (rows[i] != local[i] || rows[i] == sweep.Row{}) {
 			t.Errorf("cell %d: coordinator row %+v, local row %+v", i, rows[i], local[i])
 		}
 	}

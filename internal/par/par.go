@@ -13,9 +13,10 @@
 //
 // The engine is also the campaign's containment boundary: worker panics are
 // recovered into typed TaskErrors instead of crashing the process, and
-// failed cells can be skipped (Collect policy) so that a single poisoned
-// cell costs one cell, not the whole run. Each index runs once: a
-// deterministic cell fails the same way every time. See Run and Options.
+// failed tasks can be skipped (Collect policy) so that a poisoned task
+// costs its own index — one cell, or one batch of a sweep grid — not the
+// whole run. Each index runs once: a deterministic task fails the same way
+// every time. See Run and Options.
 package par
 
 import (

@@ -92,34 +92,24 @@ type Options struct {
 	Workers int
 	// Policy is the failure policy (FailFast by default).
 	Policy Policy
-	// Order is the dispatch order: workers claim Order[0], Order[1], ...
-	// instead of ascending indices. nil means ascending. It must be a
-	// permutation of [0, n). Order changes only which task starts when
-	// (and so which running tasks a FailFast failure cancels): fn, the
-	// chaos hook, TaskError.Index and Errors all see the task index
-	// itself, never its dispatch slot.
-	Order []int
 }
 
 // Run executes fn over [0, n) on a bounded worker pool, once per index,
 // with panic isolation: a recovered panic becomes a TaskError carrying the
 // index and stack instead of a process crash. Tasks are deterministic by
 // index, so a failed task is not re-run; a stuck simulation is stopped by
-// the pipeline's forward-progress watchdog, which panics.
+// the pipeline's forward-progress watchdog, which panics. Workers claim
+// indices in ascending order.
 //
 // Under FailFast the first task to fail stops dispatch and cancels every
-// running task dispatched after it; tasks dispatched before it run on. So a
-// fail-fast run still finishes every task that a one-worker run in the same
-// dispatch order would have finished before the failure, whatever the
-// worker count. The failure at the earliest dispatch slot is returned.
-// Under Collect every index is run and the failures come back as an Errors
-// value (nil error if all succeeded). External cancellation always wins:
-// Run returns ctx's error and records no blame against in-flight tasks. A
-// malformed Options.Order is rejected before any task runs.
+// running task with a higher index; tasks with a lower index run on. So a
+// fail-fast run still finishes every task that a one-worker run would have
+// finished before the failure, whatever the worker count. The failure at
+// the lowest index is returned. Under Collect every index is run and the
+// failures come back as an Errors value (nil error if all succeeded).
+// External cancellation always wins: Run returns ctx's error and records
+// no blame against in-flight tasks.
 func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) error) error {
-	if err := checkOrder(opts.Order, n); err != nil {
-		return err
-	}
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -131,42 +121,41 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		next     int                             // next dispatch slot
-		cancels  = make([]context.CancelFunc, n) // by dispatch slot, while running
+		next     int                             // next index to dispatch
+		cancels  = make([]context.CancelFunc, n) // by index, while running
 		failures Errors
 		first    *TaskError
-		firstAt  = n // dispatch slot of first
 	)
-	// claim hands out the next dispatch slot and a context of the slot's
-	// own, unless dispatch is over.
+	// claim hands out the next index and a context of the task's own,
+	// unless dispatch is over.
 	claim := func() (int, context.Context, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if next >= n || first != nil || ctx.Err() != nil {
 			return 0, nil, false
 		}
-		slot := next
+		i := next
 		next++
 		tctx, cancel := context.WithCancel(ctx)
-		cancels[slot] = cancel
-		return slot, tctx, true
+		cancels[i] = cancel
+		return i, tctx, true
 	}
-	release := func(slot int) {
+	release := func(i int) {
 		mu.Lock()
 		defer mu.Unlock()
-		cancels[slot]()
-		cancels[slot] = nil
+		cancels[i]()
+		cancels[i] = nil
 	}
-	record := func(slot int, te *TaskError) {
+	record := func(te *TaskError) {
 		mu.Lock()
 		defer mu.Unlock()
 		if opts.Policy != FailFast {
 			failures = append(failures, te)
 			return
 		}
-		if slot < firstAt {
-			first, firstAt = te, slot
-			for _, cancel := range cancels[slot+1 : next] {
+		if first == nil || te.Index < first.Index {
+			first = te
+			for _, cancel := range cancels[te.Index+1 : next] {
 				if cancel != nil {
 					cancel()
 				}
@@ -178,16 +167,12 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 		go func() {
 			defer wg.Done()
 			for {
-				slot, tctx, ok := claim()
+				i, tctx, ok := claim()
 				if !ok {
 					return
 				}
-				i := slot
-				if opts.Order != nil {
-					i = opts.Order[slot]
-				}
-				runIndex(tctx, i, fn, func(te *TaskError) { record(slot, te) })
-				release(slot)
+				runIndex(tctx, i, fn, record)
+				release(i)
 			}
 		}()
 	}
@@ -205,27 +190,6 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	if len(failures) > 0 {
 		sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 		return failures
-	}
-	return nil
-}
-
-// checkOrder rejects a dispatch order that is not a permutation of [0, n).
-func checkOrder(order []int, n int) error {
-	if order == nil {
-		return nil
-	}
-	if len(order) != n {
-		return fmt.Errorf("par: dispatch order has %d entries for %d tasks", len(order), n)
-	}
-	seen := make([]bool, n)
-	for slot, i := range order {
-		if i < 0 || i >= n {
-			return fmt.Errorf("par: dispatch order slot %d names task %d outside [0, %d)", slot, i, n)
-		}
-		if seen[i] {
-			return fmt.Errorf("par: dispatch order names task %d twice", i)
-		}
-		seen[i] = true
 	}
 	return nil
 }

@@ -134,91 +134,15 @@ func TestRunEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestOrderDispatchesInGivenSequence(t *testing.T) {
-	order := []int{3, 0, 4, 1, 2}
-	var seen []int // Workers: 1 runs tasks one after another
-	err := Run(context.Background(), len(order), Options{Workers: 1, Order: order},
-		func(_ context.Context, i int) error {
-			seen = append(seen, i)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(seen) != fmt.Sprint(order) {
-		t.Fatalf("fn saw %v, want the dispatch order %v", seen, order)
-	}
-}
-
-// TestOrderCollectBlamesTaskIndex pins that a dispatch order moves only
-// when a task starts: under a reversed order the chaos hook and the
-// Errors still name task indices, not dispatch slots.
-func TestOrderCollectBlamesTaskIndex(t *testing.T) {
-	const n = 6
-	order := make([]int, n)
-	for slot := range order {
-		order[slot] = n - 1 - slot
-	}
-	var hooked []int
-	SetChaos(func(_ context.Context, index int) error {
-		hooked = append(hooked, index)
-		if index == 1 {
-			panic("chaos: poisoned task")
-		}
-		return nil
-	})
-	t.Cleanup(func() { SetChaos(nil) })
-	err := Run(context.Background(), n, Options{Workers: 1, Policy: Collect, Order: order},
-		func(_ context.Context, i int) error {
-			if i == 4 {
-				return fmt.Errorf("task %d fails", i)
-			}
-			return nil
-		})
-	if fmt.Sprint(hooked) != fmt.Sprint(order) {
-		t.Errorf("chaos hook saw %v, want task indices in dispatch order %v", hooked, order)
-	}
-	var es Errors
-	if !errors.As(err, &es) {
-		t.Fatalf("err = %v (%T), want Errors", err, err)
-	}
-	if got := fmt.Sprint(es.Indices()); got != "[1 4]" {
-		t.Fatalf("failed indices = %s, want [1 4] (task indices, not slots 4 and 1)", got)
-	}
-}
-
-func TestOrderRejectsNonPermutation(t *testing.T) {
-	for name, order := range map[string][]int{
-		"duplicate":    {0, 1, 1, 3},
-		"out-of-range": {0, 1, 2, 4},
-		"negative":     {0, -1, 2, 3},
-		"short":        {0, 1, 2},
-		"long":         {0, 1, 2, 3, 4},
-	} {
-		var ran atomic.Int64
-		err := Run(context.Background(), 4, Options{Workers: 2, Order: order},
-			func(_ context.Context, i int) error { ran.Add(1); return nil })
-		if err == nil {
-			t.Errorf("%s order %v accepted", name, order)
-		}
-		if got := ran.Load(); got != 0 {
-			t.Errorf("%s order %v ran %d tasks before rejection, want 0", name, order, got)
-		}
-	}
-	if err := Run(context.Background(), 0, Options{Order: []int{0}}, nil); err == nil {
-		t.Error("order of 1 entry accepted for 0 tasks")
-	}
-}
-
-// TestFailFastFinishesEarlierSlots pins fail-fast under a dispatch order: a
-// failure cancels only the tasks dispatched after it. Task 2 (slot 0) is
-// still running when task 0 (slot 1) fails; it must finish on a live
-// context while task 1 (slot 2) is cancelled and task 3 never starts.
+// TestFailFastFinishesEarlierSlots pins fail-fast's cancellation boundary:
+// a failure cancels only the tasks with a higher index. Task 0 is still
+// running when task 1 fails; it must finish on a live context while task 2
+// is cancelled and task 3 never starts.
 func TestFailFastFinishesEarlierSlots(t *testing.T) {
 	boom := errors.New("boom")
-	started1 := make(chan struct{})
-	cancelled1 := make(chan struct{})
-	var ran3, finished2 atomic.Bool
+	started2 := make(chan struct{})
+	cancelled2 := make(chan struct{})
+	var ran3, finished0 atomic.Bool
 	wait := func(ch <-chan struct{}, what string) {
 		select {
 		case <-ch:
@@ -226,34 +150,34 @@ func TestFailFastFinishesEarlierSlots(t *testing.T) {
 			t.Errorf("timed out waiting for %s", what)
 		}
 	}
-	err := Run(context.Background(), 4, Options{Workers: 3, Order: []int{2, 0, 1, 3}},
+	err := Run(context.Background(), 4, Options{Workers: 3},
 		func(ctx context.Context, i int) error {
 			switch i {
 			case 0:
-				wait(started1, "task 1 to start")
-				return boom
-			case 1:
-				close(started1)
-				wait(ctx.Done(), "task 0's failure to cancel task 1")
-				close(cancelled1)
-				return ctx.Err()
-			case 2:
-				wait(cancelled1, "task 1's cancellation")
+				wait(cancelled2, "task 2's cancellation")
 				if ctx.Err() != nil {
-					t.Errorf("task 2, dispatched before the failure, was cancelled: %v", ctx.Err())
+					t.Errorf("task 0, below the failed index, was cancelled: %v", ctx.Err())
 				}
-				finished2.Store(true)
+				finished0.Store(true)
+			case 1:
+				wait(started2, "task 2 to start")
+				return boom
+			case 2:
+				close(started2)
+				wait(ctx.Done(), "task 1's failure to cancel task 2")
+				close(cancelled2)
+				return ctx.Err()
 			case 3:
 				ran3.Store(true)
 			}
 			return nil
 		})
 	var te *TaskError
-	if !errors.As(err, &te) || te.Index != 0 || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want task 0's failure", err)
+	if !errors.As(err, &te) || te.Index != 1 || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want task 1's failure", err)
 	}
-	if !finished2.Load() {
-		t.Error("task 2 did not finish")
+	if !finished0.Load() {
+		t.Error("task 0 did not finish")
 	}
 	if ran3.Load() {
 		t.Error("task 3 started after the failure")

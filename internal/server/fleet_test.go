@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
-	"slices"
 	"testing"
 
 	"softerror/internal/fleet"
@@ -166,9 +165,9 @@ func TestCoordinatorJobDegradesToLocal(t *testing.T) {
 }
 
 // TestCoordinatorJobCollectServesLocalCSV runs one collect-policy grid
-// with one chaos-poisoned cell as a local job and as a job on a
-// coordinator with no workers. Both jobs fail, and both must serve the
-// same CSV: every unpoisoned row, byte for byte.
+// with one chaos-poisoned batch, gzip-graphic's, as a local job and as a
+// job on a coordinator with no workers. Both jobs fail, and both must
+// serve the same CSV: every row outside the poisoned batch, byte for byte.
 func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
 	req := SweepRequest{
 		Benches:  []string{"gzip-graphic", "mcf"},
@@ -177,15 +176,15 @@ func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
 		Commits:  400,
 		OnError:  "continue",
 	}
-	const poisoned = 2
+	const blk = 4 // cells per benchmark; gzip-graphic's are 0..3
 	t.Cleanup(func() { par.SetChaos(nil) })
-	// csvOf poisons the task at position pos of the job's cell list, runs
-	// the job and returns its CSV body.
-	csvOf := func(s *Server, pos int) []byte {
+	// csvOf poisons batch task task of the job, runs the job and returns
+	// its CSV body.
+	csvOf := func(s *Server, task int) []byte {
 		t.Helper()
 		par.SetChaos(func(_ context.Context, index int) error {
-			if index == pos {
-				panic("chaos: poisoned cell")
+			if index == task {
+				panic("chaos: poisoned batch")
 			}
 			return nil
 		})
@@ -205,26 +204,30 @@ func TestCoordinatorJobCollectServesLocalCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A local job runs its cells cheapest-first; the coordinator's
-	// fallback runs them in cell order.
-	pos := poisoned
-	if est, ok := g.EstimateCells(); ok {
-		pos = slices.Index(sweep.OrderByEstimate(est), poisoned)
+	// A local job runs its cells cheapest-first, so its first batch is the
+	// one holding the cheapest cell; the coordinator's fallback runs them
+	// in cell order, gzip-graphic's batch first.
+	task := 0
+	if est, ok := g.EstimateCells(); ok && sweep.OrderByEstimate(est)[0] >= blk {
+		task = 1
 	}
-	want := csvOf(local, pos)
+	want := csvOf(local, task)
 
 	co := fleet.NewCoordinator(fleet.Config{})
 	t.Cleanup(co.Close)
-	got := csvOf(newTestServer(t, Config{Fleet: co}), poisoned)
+	got := csvOf(newTestServer(t, Config{Fleet: co}), 0)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("coordinator job CSV differs from the local job's:\n%s\nwant:\n%s", got, want)
 	}
-	if lines := bytes.Count(want, []byte("\n")); lines != g.Size() {
-		t.Fatalf("CSV has %d lines, want a header and %d rows", lines, g.Size()-1)
+	if lines := bytes.Count(want, []byte("\n")); lines != g.Size()-blk+1 {
+		t.Fatalf("CSV has %d lines, want a header and %d rows", lines, g.Size()-blk)
+	}
+	if bytes.Contains(want, []byte("gzip-graphic")) {
+		t.Fatalf("CSV serves a row of the poisoned batch:\n%s", want)
 	}
 }
 
-// TestJobFailFastChaosServesNoRows fails a fail-fast job on its first cell,
+// TestJobFailFastChaosServesNoRows fails a fail-fast job on its one batch,
 // locally and on a coordinator with no workers. Cells that never ran have
 // no rows, so neither job may serve a CSV.
 func TestJobFailFastChaosServesNoRows(t *testing.T) {

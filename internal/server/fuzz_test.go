@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"softerror/internal/fleet"
+	"softerror/internal/sweep"
 )
 
 // FuzzSweepRequest drives arbitrary JSON through the sweep submission
@@ -31,6 +32,7 @@ func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"policies":["baseline"],"retries":-1}`))
 	f.Add([]byte(`{"policies":["baseline"],"unknown":1}`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"policies":["baseline"],"commits":4294967296}`))
 
 	s := New(Config{Workers: 2})
 	f.Cleanup(s.Close)
@@ -55,6 +57,9 @@ func FuzzSweepRequest(f *testing.F) {
 			if iq < 1 {
 				t.Fatalf("accepted non-positive IQ size %d", iq)
 			}
+		}
+		if g.Commits > sweep.MaxCommits {
+			t.Fatalf("accepted %d commits per cell, past the pricing cap %d", g.Commits, sweep.MaxCommits)
 		}
 		fp := g.Fingerprint()
 		g2, err := s.buildGrid(req)

@@ -407,6 +407,20 @@ func TestSweepCostAdmission(t *testing.T) {
 	waitTerminal(t, big, acc.ID)
 }
 
+// TestSweepUnpriceableCommitsRejected pins that a commit count too large
+// to price cannot slip past the admission budget as an unpriced grid: the
+// grid decoder refuses it with 400 before pricing or queueing.
+func TestSweepUnpriceableCommitsRejected(t *testing.T) {
+	s := newTestServer(t, Config{MaxEstMcycles: 1e-6})
+	w := do(s, "POST", "/v1/sweep", sweepBody(1<<32))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("sweep with 2^32 commits: status %d, want 400 (body %s)", w.Code, w.Body)
+	}
+	if got := s.metrics.jobsQueued.Value(); got != 0 {
+		t.Fatalf("rejected sweep queued a job (jobs_queued = %d)", got)
+	}
+}
+
 // TestSweepQueueOverflow fills the single slot and the single queue seat,
 // then checks the third distinct grid is rejected with 429.
 func TestSweepQueueOverflow(t *testing.T) {
@@ -445,25 +459,28 @@ func TestSweepQueueOverflow(t *testing.T) {
 // job is interrupted at drain, its completed cells survive in the
 // checkpoint, no accepted job is dropped (every job ends terminal), and
 // resubmitting the identical grid on a fresh server resumes and finishes
-// with the exact bytes of an uninterrupted run.
+// with the exact bytes of an uninterrupted run. The grid spans two
+// benchmarks, so it runs as two batches: one lands, the other hangs.
 func TestDrainInterruptsAndResumes(t *testing.T) {
 	dir := t.TempDir()
-	cell0Done := make(chan struct{})
+	req := sweepBody(testCommits)
+	req.Benches = []string{"gzip-graphic", "ammp"}
+	batch0Done := make(chan struct{})
 	var once sync.Once
 	par.SetChaos(func(ctx context.Context, i int) error {
 		if i == 0 {
-			once.Do(func() { close(cell0Done) })
-			return nil // cell 0 completes and lands in the checkpoint
+			once.Do(func() { close(batch0Done) })
+			return nil // batch 0 completes and lands in the checkpoint
 		}
-		<-ctx.Done() // cell 1 hangs until drain cancels the job
+		<-ctx.Done() // batch 1 hangs until drain cancels the job
 		return ctx.Err()
 	})
 	t.Cleanup(func() { par.SetChaos(nil) })
 
 	s := newTestServer(t, Config{CheckpointDir: dir})
-	acc := submitSweep(t, s, sweepBody(testCommits))
-	<-cell0Done
-	waitFor(t, "cell 0 checkpointed", func() bool {
+	acc := submitSweep(t, s, req)
+	<-batch0Done
+	waitFor(t, "batch 0 checkpointed", func() bool {
 		return jobStatus(t, s, acc.ID).Done >= 1
 	})
 
@@ -478,6 +495,9 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	}
 	if st.Checkpoint == "" {
 		t.Fatal("interrupted job reports no checkpoint")
+	}
+	if st.Done < 1 || st.Done >= st.Total {
+		t.Fatalf("interrupted job holds %d of %d cells; want a strict, non-empty subset", st.Done, st.Total)
 	}
 	// Drained servers reject new work.
 	if w := do(s, "POST", "/v1/eval", evalBody("table1", false)); w.Code != http.StatusServiceUnavailable {
@@ -495,7 +515,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	// uninterrupted run.
 	par.SetChaos(nil)
 	s2 := newTestServer(t, Config{CheckpointDir: dir})
-	acc2 := submitSweep(t, s2, sweepBody(testCommits))
+	acc2 := submitSweep(t, s2, req)
 	if fin := waitTerminal(t, s2, acc2.ID); fin.State != JobDone {
 		t.Fatalf("resumed job ended %q, want done", fin.State)
 	}
@@ -503,7 +523,11 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("resumed csv: %d %s", w.Code, w.Body)
 	}
-	rows, err := directGrid(t, testCommits).Run(nil)
+	g, err := s2.buildGrid(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := g.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"softerror/internal/checkpoint"
+	"softerror/internal/par"
 )
 
 // rowsCSV renders a finished row set with the shared writer.
@@ -20,11 +21,12 @@ func rowsCSV(t *testing.T, rows []Row) []byte {
 }
 
 // TestGridCancelMidBatchResumesPerCell pins the batched dispatch's crash
-// contract: progress is checkpointed per cell, never per batch. smallGrid's
-// bench blocks (4 cells each) fit one batch group, so the first leg is
-// cancelled while a leader holds parked rows for cells whose tasks have not
-// run; those rows must not leak into the checkpoint, and the resumed leg
-// must re-derive them and render bytes identical to an uninterrupted run.
+// contract: progress is checkpointed per landed cell. smallGrid's bench
+// blocks are one batch group each; the chaos hook holds ammp's batch until
+// the campaign is cancelled, and the first cell gzip-graphic's batch lands
+// cancels it. The checkpoint must hold a strict, non-empty subset, and the
+// resumed leg must re-derive the rest and render bytes identical to an
+// uninterrupted run.
 func TestGridCancelMidBatchResumesPerCell(t *testing.T) {
 	g := smallGrid(t)
 	g.Workers = 2
@@ -42,11 +44,20 @@ func TestGridCancelMidBatchResumesPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.SetInterval(1)
+	par.SetChaos(func(ctx context.Context, index int) error {
+		if index == 1 {
+			<-ctx.Done() // ammp's batch hangs until the cancel
+			return ctx.Err()
+		}
+		return nil
+	})
+	t.Cleanup(func() { par.SetChaos(nil) })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, runErr := interrupted.RunContext(ctx, ck, func(done, total int) {
-		cancel() // first completed cell kills the campaign mid-batch
+		cancel() // first landed cell kills the campaign mid-grid
 	})
+	par.SetChaos(nil)
 	if runErr == nil {
 		t.Fatal("cancelled run reported success")
 	}

@@ -17,7 +17,8 @@ import (
 // TestGridCrashResumeByteIdenticalCSV is the acceptance scenario for the
 // sweep artefact: a grid killed partway through (chaos-injected panic under
 // fail-fast, exactly like a crashing cell), resumed from its checkpoint,
-// must emit a CSV byte-identical to an uninterrupted run.
+// must emit a CSV byte-identical to an uninterrupted run. The crash takes
+// the second bench's batch; the first bench's batch lands.
 func TestGridCrashResumeByteIdenticalCSV(t *testing.T) {
 	newGrid := func() *Grid {
 		g := smallGrid(t)
@@ -42,8 +43,8 @@ func TestGridCrashResumeByteIdenticalCSV(t *testing.T) {
 	}
 	ck.SetInterval(1)
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index >= g.Size()/2 {
-			panic(fmt.Sprintf("chaos: simulated crash in cell %d", index))
+		if index == 1 {
+			panic(fmt.Sprintf("chaos: simulated crash in batch %d", index))
 		}
 		return nil
 	})
@@ -76,17 +77,24 @@ func TestGridCrashResumeByteIdenticalCSV(t *testing.T) {
 }
 
 // TestGridCollectLosesOnlyPoisonedCell proves panic isolation at the grid
-// level: under collect-and-continue a panicking cell costs exactly its own
-// row, every other cell completes, and the error names the cell.
+// level: under collect-and-continue a panicking batch costs exactly its own
+// group's rows, every other cell completes with the uninterrupted grid's
+// row, and the error names the group's cells, each with the panic's stack.
 func TestGridCollectLosesOnlyPoisonedCell(t *testing.T) {
+	full := smallGrid(t)
+	full.Commits = 3000
+	want, err := full.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	g := smallGrid(t)
 	g.Commits = 3000
 	g.Workers = 2
 	g.OnError = par.Collect
-	const poisoned = 5
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == poisoned {
-			panic("chaos: poisoned cell")
+		if index == 1 { // ammp's batch: cells 4..7
+			panic("chaos: poisoned batch")
 		}
 		return nil
 	})
@@ -97,31 +105,35 @@ func TestGridCollectLosesOnlyPoisonedCell(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("err = %v (%T), want par.Errors", err, err)
 	}
-	if len(es) != 1 || es[0].Index != poisoned || es[0].Stack == nil {
-		t.Fatalf("failures = %+v, want exactly index %d with a stack", es, poisoned)
+	if got := fmt.Sprint(es.Indices()); got != "[4 5 6 7]" {
+		t.Fatalf("failed cells = %s, want the poisoned group [4 5 6 7]", got)
+	}
+	skip := map[int]bool{}
+	for _, te := range es {
+		skip[te.Index] = true
+		if te.Stack == nil || te.Err != es[0].Err {
+			t.Errorf("cell %d: %v, want the group's one panic with its stack", te.Index, te)
+		}
 	}
 	if len(rows) != g.Size() {
 		t.Fatalf("partial rows = %d, want full slice of %d", len(rows), g.Size())
 	}
 	for i, r := range rows {
-		if i == poisoned {
-			if r.IPC != 0 {
+		if skip[i] {
+			if r != (Row{}) {
 				t.Errorf("poisoned cell %d has a row: %+v", i, r)
 			}
-			continue
-		}
-		if r.IPC <= 0 {
-			t.Errorf("cell %d lost to someone else's panic: %+v", i, r)
+		} else if r != want[i] {
+			t.Errorf("cell %d = %+v, want the uninterrupted grid's %+v", i, r, want[i])
 		}
 	}
 
 	var out bytes.Buffer
-	skip := map[int]bool{poisoned: true}
 	if err := WriteCSVSkipping(&out, rows, skip); err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Count(out.Bytes(), []byte("\n")); got != g.Size() {
-		t.Errorf("skipping CSV has %d lines, want header + %d rows", got, g.Size()-1)
+	if got := bytes.Count(out.Bytes(), []byte("\n")); got != g.Size()-len(skip)+1 {
+		t.Errorf("skipping CSV has %d lines, want header + %d rows", got, g.Size()-len(skip))
 	}
 }
 
@@ -160,58 +172,91 @@ func TestGridBatchFailureFailsGroupOnce(t *testing.T) {
 	}
 }
 
-// TestGridChaosSeesLeadersFirst pins the dispatch order: every batch
-// group's first cell starts before any second member, so a second worker
-// starts another batch instead of waiting on the first. smallGrid's two
-// bench blocks are one group each, led by cells 0 and 4.
-func TestGridChaosSeesLeadersFirst(t *testing.T) {
-	g := smallGrid(t)
-	g.Commits = 3000
-	g.Workers = 1
-	var seen []int // one worker: the hook runs task after task
-	par.SetChaos(func(_ context.Context, index int) error {
-		seen = append(seen, index)
-		return nil
-	})
-	t.Cleanup(func() { par.SetChaos(nil) })
-	if _, err := g.RunContext(context.Background(), nil, nil); err != nil {
+// TestGridChaosSeesOneTaskPerGroup pins the parallel unit: one par task
+// per batch group with a pending cell, dispatched in order of the group's
+// first pending position, and none for a group restored whole from a
+// checkpoint. smallGrid's two bench blocks are one group each; the hook
+// records which cells had landed when each task started.
+func TestGridChaosSeesOneTaskPerGroup(t *testing.T) {
+	full := smallGrid(t)
+	full.Commits = 3000
+	want, err := full.Run(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(seen), "[0 4 1 2 3 5 6 7]"; got != want {
-		t.Fatalf("cells dispatched as %s, want leaders first %s", got, want)
+	for _, c := range []struct {
+		name     string
+		lease    []int
+		restored []int
+		seen     string // task:cells landed as it started
+	}{
+		// ammp's cells come first in the lease, so its batch is task 0.
+		{"fresh", []int{4, 5, 6, 7, 0, 1, 2, 3}, nil, "[0:[] 1:[4 5 6 7]]"},
+		// gzip-graphic's group is all restored: only ammp's batch runs.
+		{"resumed", []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{0, 1, 2, 3, 4}, "[0:[0 1 2 3 4]]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := smallGrid(t)
+			g.Commits = 3000
+			g.Workers = 1 // the hook runs task after task
+			ck := checkpoint.New[Row](filepath.Join(t.TempDir(), "grid.ckpt"), "sweep", g.Fingerprint(), g.Size())
+			for _, i := range c.restored {
+				if err := ck.Put(i, want[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var seen []string
+			par.SetChaos(func(_ context.Context, index int) error {
+				var landed []int
+				for i := 0; i < g.Size(); i++ {
+					if ck.Done(i) {
+						landed = append(landed, i)
+					}
+				}
+				seen = append(seen, fmt.Sprintf("%d:%v", index, landed))
+				return nil
+			})
+			t.Cleanup(func() { par.SetChaos(nil) })
+			rows, err := g.RunIndices(context.Background(), c.lease, ck, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(seen); got != c.seen {
+				t.Fatalf("tasks started as %s, want %s", got, c.seen)
+			}
+			for k, i := range c.lease {
+				if rows[k] != want[i] {
+					t.Errorf("position %d (cell %d) = %+v, want %+v", k, i, rows[k], want[i])
+				}
+			}
+		})
 	}
 }
 
-// TestLeadersFirstSkipsDoneCells pins the resume order: checkpointed cells
-// go first, and each group is led by its first pending cell, so a resumed
-// grid still starts one batch per worker.
-func TestLeadersFirstSkipsDoneCells(t *testing.T) {
-	a, b := &groupRun{}, &groupRun{}
-	groupOf := func(k int) *groupRun {
-		if k < 4 {
-			return a
-		}
-		return b
-	}
-	done := func(k int) bool { return k == 0 || k == 4 }
-	if got, want := fmt.Sprint(leadersFirst(8, groupOf, done)), "[0 4 1 5 2 3 6 7]"; got != want {
-		t.Fatalf("resume order %s, want %s", got, want)
-	}
-}
-
-// TestGridCollectBlamesMovedCell poisons cell 4, the second bench's
-// leader, which leaders-first dispatch moves from slot 4 to slot 1. The
-// blame, the lost row and the skip set must all name cell 4: the task
-// index stays the cell index whatever slot the cell is dispatched in.
+// TestGridCollectBlamesMovedCell poisons the second batch group of one
+// benchmark whose ten cells are dealt round-robin into two groups, so the
+// group is cells 1, 3, 5, 7 and 9 rather than a contiguous block. The
+// blame, the lost rows and the skip set must all name exactly those cells,
+// and every other row must equal the uninterrupted grid's.
 func TestGridCollectBlamesMovedCell(t *testing.T) {
-	g := smallGrid(t)
-	g.Commits = 3000
+	newGrid := func() *Grid {
+		g := smallGrid(t)
+		g.Benches = g.Benches[:1]
+		g.IQSizes = []int{16, 32, 48, 64, 96}
+		g.Commits = 3000
+		return g
+	}
+	want, err := newGrid().Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := newGrid()
 	g.Workers = 2
 	g.OnError = par.Collect
-	const poisoned = 4
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == poisoned {
-			panic("chaos: poisoned cell")
+		if index == 1 {
+			panic("chaos: poisoned batch")
 		}
 		return nil
 	})
@@ -222,22 +267,22 @@ func TestGridCollectBlamesMovedCell(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("err = %v (%T), want par.Errors", err, err)
 	}
-	if len(es) != 1 || es[0].Index != poisoned || es[0].Stack == nil {
-		t.Fatalf("failures = %+v, want exactly index %d with a stack", es, poisoned)
+	if got := fmt.Sprint(es.Indices()); got != "[1 3 5 7 9]" {
+		t.Fatalf("failed cells = %s, want the second group [1 3 5 7 9]", got)
 	}
 	for i, r := range rows {
-		if (r.IPC != 0) == (i == poisoned) {
-			t.Errorf("cell %d: row %+v; only cell %d may be lost", i, r, poisoned)
+		if poisoned := i%2 == 1; poisoned && r != (Row{}) || !poisoned && r != want[i] {
+			t.Errorf("cell %d: row %+v; only the odd cells may be lost, the rest must equal %+v", i, r, want[i])
 		}
 	}
 }
 
 // TestRunIndicesCollectBlamesMovedCell is the lease form of
-// TestGridCollectBlamesMovedCell: the chaos hook poisons a lease position,
-// which leaders-first dispatch moves to another slot, and the blame names
-// the cell at that position, so skip sets and job errors line up with the
-// grid. Every other position's row equals the full grid's row for its
-// cell.
+// TestGridCollectBlamesMovedCell: the lease lists ammp's cells first, so
+// ammp's batch is task 0 although ammp is the grid's second benchmark.
+// Poisoning task 0 must blame exactly ammp's cells, so skip sets and job
+// errors line up with the grid, and every other position's row equals the
+// full grid's row for its cell.
 func TestRunIndicesCollectBlamesMovedCell(t *testing.T) {
 	full := smallGrid(t)
 	full.Commits = 3000
@@ -250,13 +295,10 @@ func TestRunIndicesCollectBlamesMovedCell(t *testing.T) {
 	g.Commits = 3000
 	g.Workers = 2
 	g.OnError = par.Collect
-	// Positions 0 and 2 lead the two benches' groups, so position 2 (cell 1)
-	// is dispatched in slot 1.
 	lease := []int{6, 4, 1, 3, 0, 7, 2, 5}
-	const poisoned = 2
 	par.SetChaos(func(_ context.Context, index int) error {
-		if index == poisoned {
-			panic("chaos: poisoned lease position")
+		if index == 0 {
+			panic("chaos: poisoned lease batch")
 		}
 		return nil
 	})
@@ -267,12 +309,12 @@ func TestRunIndicesCollectBlamesMovedCell(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("err = %v (%T), want par.Errors", err, err)
 	}
-	if len(es) != 1 || es[0].Index != lease[poisoned] {
-		t.Fatalf("failures = %v, want exactly cell %d (lease position %d)", es.Indices(), lease[poisoned], poisoned)
+	if got := fmt.Sprint(es.Indices()); got != "[4 5 6 7]" {
+		t.Fatalf("failed cells = %s, want ammp's group [4 5 6 7]", got)
 	}
 	for k, r := range out {
-		if k == poisoned {
-			if r.IPC != 0 {
+		if lease[k] >= 4 {
+			if r != (Row{}) {
 				t.Errorf("poisoned position %d has a row: %+v", k, r)
 			}
 			continue

@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 
 	"softerror/internal/checkpoint"
 	"softerror/internal/core"
@@ -37,12 +36,12 @@ type Grid struct {
 	// (GOMAXPROCS, or the -j flag of the calling command).
 	Workers int
 	// OnError selects the failure policy: par.FailFast (default) cancels
-	// the grid on the first failed cell; par.Collect finishes every other
-	// cell and reports the poisoned ones as par.Errors.
+	// the grid on the first failed batch; par.Collect finishes every other
+	// batch and reports the poisoned batches' cells as par.Errors.
 	OnError par.Policy
 	// Arenas supplies the reusable per-worker evaluation state (warm
 	// hierarchies, collectors, deadness memos, lane slabs): each batch
-	// leader checks one arena out for its whole batch and returns it, so
+	// task checks one arena out for its whole batch and returns it, so
 	// state carries across waves, grid chunks and checkpoint resumes. nil
 	// (what seratd's jobs and fleet leases use) is the process-wide default
 	// pool. Decoded streams come from the process-wide workload.Streams
@@ -131,171 +130,88 @@ func (g *Grid) rowFrom(i int, res *core.Result) Row {
 }
 
 // maxBatchLanes bounds how many cells one batched simulation drives. Cells
-// sharing a benchmark are spread round-robin over ceil(block/maxBatchLanes)
-// groups of near-equal size. The pool dispatches every group's leader
-// before any other member (leadersFirst), so workers start different
-// batches instead of queueing behind one.
+// sharing a benchmark are spread round-robin over ceil(count/maxBatchLanes)
+// groups of near-equal size.
 const maxBatchLanes = 8
 
-// groupRun is the shared state of one batch group: the cells of one
-// benchmark that evaluate together over a single decode of its instruction
-// stream. The first cell task to arrive becomes the leader and simulates
-// every still-pending member in one core.RunBatchArena pass; the others wait
-// on done and collect their rows, or the batch's failure. Each cell still
-// checkpoints and reports progress from its own task, so failure blame and
-// resume keep per-cell granularity.
-type groupRun struct {
-	bench   spec.Benchmark
-	members []int
-
-	mu   sync.Mutex
-	done chan struct{} // non-nil while a leader is simulating
-	rows map[int]Row   // batched results awaiting their cell's task
-	err  error         // the batch's failure, returned to every member
-}
-
-// buildGroups assigns each of the given cells to a batch group. Cells of
-// one benchmark are spread round-robin over ceil(count/maxBatchLanes)
-// groups, so a lease holding a subset of a bench's cells still batches
-// them over one decode. Grouping fixes only which cells share a pass; the
-// dispatch order is leadersFirst's. Cells outside the grid get no group:
-// checkpoint.Run rejects them before any task runs.
-func (g *Grid) buildGroups(indices []int) map[int]*groupRun {
+// batchGroups splits the pending positions of indices (those run did not
+// restore) into batch groups, each a list of positions whose cells share a
+// benchmark and so evaluate together over a single decode of its
+// instruction stream. A benchmark's pending cells are spread round-robin
+// over ceil(count/maxBatchLanes) groups, so a lease holding a subset of a
+// bench's cells still batches them over one decode. The groups come back
+// ordered by their first position, which is how the caller's cell order
+// (a cheapest-first order, say) decides which batch starts first. A group
+// whose cells were all restored does not exist.
+func (g *Grid) batchGroups(indices []int, run *checkpoint.Cells[Row]) [][]int {
 	blk := len(g.Policies) * len(g.IQSizes) * len(g.OutOfOrder)
-	byBench := make(map[int][]int)
-	for _, i := range indices {
-		if i >= 0 && i < g.Size() {
-			byBench[i/blk] = append(byBench[i/blk], i)
+	byBench := make([][]int, len(g.Benches))
+	for k, i := range indices {
+		if !run.Restored(k) {
+			byBench[i/blk] = append(byBench[i/blk], k)
 		}
 	}
-	index := make(map[int]*groupRun, len(indices))
-	for bi, cells := range byBench {
-		ng := (len(cells) + maxBatchLanes - 1) / maxBatchLanes
-		benchGroups := make([]*groupRun, ng)
-		for k := range benchGroups {
-			benchGroups[k] = &groupRun{bench: g.Benches[bi], rows: make(map[int]Row)}
+	var groups [][]int
+	for _, ks := range byBench {
+		ng := (len(ks) + maxBatchLanes - 1) / maxBatchLanes
+		bench := make([][]int, ng)
+		for o, k := range ks {
+			bench[o%ng] = append(bench[o%ng], k)
 		}
-		for o, i := range cells {
-			gr := benchGroups[o%ng]
-			gr.members = append(gr.members, i)
-			index[i] = gr
-		}
+		groups = append(groups, bench...)
 	}
-	return index
+	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
+	return groups
 }
 
-// leadersFirst is the dispatch order over n tasks: the tasks already done
-// (restored from a checkpoint, so they cost nothing), then the first
-// pending task of each batch group in ascending task order, then every
-// other pending task in ascending order. groupOf maps a task to its group.
-// Dispatching a member before its group's leader has finished only parks
-// that worker in cellRow, so putting the leaders first is what lets the
-// batches run side by side.
-func leadersFirst(n int, groupOf func(k int) *groupRun, done func(k int) bool) []int {
-	order := make([]int, 0, n)
-	var leaders, rest []int
-	led := make(map[*groupRun]bool)
-	for k := 0; k < n; k++ {
-		switch gr := groupOf(k); {
-		case done(k):
-			order = append(order, k)
-		case !led[gr]:
-			led[gr] = true
-			leaders = append(leaders, k)
-		default:
-			rest = append(rest, k)
-		}
+// runBatch simulates one batch group — positions of indices — in a single
+// core.RunBatchArena pass and lands every member's row in run.
+func (g *Grid) runBatch(ctx context.Context, run *checkpoint.Cells[Row], indices, group []int, commits uint64) error {
+	specs := make([]core.BatchSpec, len(group))
+	for m, k := range group {
+		_, cfg := g.cellConfig(indices[k])
+		specs[m] = core.BatchSpec{Pipeline: cfg}
 	}
-	return append(append(order, leaders...), rest...)
-}
-
-// cellRow produces cell i's row through the group's shared batch. A batch
-// is simulated once: when it fails, every member returns the same error,
-// since re-running a deterministic batch fails the same way. Only a leader
-// whose own context was cancelled leaves no verdict; a waiter that is still
-// live then claims leadership and runs the batch itself.
-func (g *Grid) cellRow(ctx context.Context, i int, gr *groupRun, ck *checkpoint.File[Row], commits uint64) (Row, error) {
-	for {
-		gr.mu.Lock()
-		if r, ok := gr.rows[i]; ok {
-			gr.mu.Unlock()
-			return r, nil
-		}
-		if gr.err != nil {
-			gr.mu.Unlock()
-			return Row{}, gr.err
-		}
-		if gr.done == nil {
-			done := make(chan struct{})
-			gr.done = done
-			gr.mu.Unlock()
-			if err := g.leadBatch(ctx, gr, ck, commits, done); err != nil {
-				return Row{}, err
-			}
-			continue
-		}
-		done := gr.done
-		gr.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return Row{}, ctx.Err()
-		}
-	}
-}
-
-// leadBatch simulates every member of gr that is neither checkpointed nor
-// already computed, in one batched pass, and parks the rows for their
-// tasks, or the failure for all of them unless ctx was cancelled. The done
-// channel is closed on every exit path, so waiters never hang on a dead
-// leader; a panicking simulation is recorded as the group's failure and
-// re-panics, so the leader's par.TaskError keeps the stack.
-func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[Row], commits uint64, done chan struct{}) (err error) {
-	defer func() {
-		r := recover()
-		gr.mu.Lock()
-		if r != nil {
-			gr.err = fmt.Errorf("sweep: %s batch panicked: %v", gr.bench.Name, r)
-		} else if err != nil && ctx.Err() == nil {
-			gr.err = err
-		}
-		gr.done = nil
-		gr.mu.Unlock()
-		close(done)
-		if r != nil {
-			panic(r)
-		}
-	}()
-	gr.mu.Lock()
-	var pending []int
-	for _, j := range gr.members {
-		if _, ok := gr.rows[j]; !ok && !ck.Done(j) {
-			pending = append(pending, j)
-		}
-	}
-	gr.mu.Unlock()
-	if len(pending) == 0 {
-		return nil
-	}
-	specs := make([]core.BatchSpec, len(pending))
-	for k, j := range pending {
-		_, cfg := g.cellConfig(j)
-		specs[k] = core.BatchSpec{Pipeline: cfg}
-	}
+	b, _, _, _ := g.cell(indices[group[0]])
 	a := g.Arenas.Get()
-	res, err := core.RunBatchArena(ctx, a, gr.bench.Params, commits, specs)
+	res, err := core.RunBatchArena(ctx, a, b.Params, commits, specs)
 	g.Arenas.Put(a)
 	if err != nil {
-		return fmt.Errorf("sweep: %s batch (%d cells): %w",
-			gr.bench.Name, len(pending), err)
+		return fmt.Errorf("sweep: %s batch (%d cells): %w", b.Name, len(group), err)
 	}
-	gr.mu.Lock()
-	for k, j := range pending {
-		gr.rows[j] = g.rowFrom(j, res[k])
+	for m, k := range group {
+		if err := run.Land(k, g.rowFrom(indices[k], res[m])); err != nil {
+			return err
+		}
 	}
-	gr.mu.Unlock()
 	return nil
 }
+
+// blameMembers turns a failure of the batch tasks into one over positions:
+// a failed group becomes one TaskError per member, each with the group's
+// error (and stack, for a panic), and a fail-fast failure names the group's
+// first position.
+func blameMembers(err error, groups [][]int) error {
+	switch e := err.(type) {
+	case par.Errors:
+		var out par.Errors
+		for _, te := range e {
+			for _, k := range groups[te.Index] {
+				out = append(out, &par.TaskError{Index: k, Err: te.Err, Stack: te.Stack})
+			}
+		}
+		return out
+	case *par.TaskError:
+		e.Index = groups[e.Index][0]
+	}
+	return err
+}
+
+// MaxCommits is the largest per-cell commit count EstimateCells prices.
+// The grid decoder behind seratd's sweeps and fleet leases
+// (fleet.GridSpec.Build) refuses more, so no grid it admits goes unpriced
+// for its size.
+const MaxCommits = 1 << 31
 
 // EstimateCells prices every cell analytically: each benchmark's decoded
 // stream, checked out of the process-wide store (workload.Streams) and
@@ -306,8 +222,9 @@ func (g *Grid) leadBatch(ctx context.Context, gr *groupRun, ck *checkpoint.File[
 // returned slice is indexed like the rows (benchmark-major cell order) and
 // holds each cell's estimated simulated cycle count
 // (static.Bounds.EstCycles). ok is false when the static analyzer cannot
-// bound some benchmark (PC-indexed branch predictors) or the grid is
-// invalid; callers then fall back to unpriced behaviour.
+// bound some benchmark (PC-indexed branch predictors), the grid is
+// invalid, or Commits exceeds MaxCommits; callers then fall back to
+// unpriced behaviour.
 func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if err := g.validate(); err != nil {
 		return nil, false
@@ -316,7 +233,7 @@ func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if commits == 0 {
 		commits = core.DefaultCommits
 	}
-	if commits > 1<<31 {
+	if commits > MaxCommits {
 		return nil, false // pricing must stay cheap; don't decode absurd bodies
 	}
 	n := int(commits) + static.BodySlack
@@ -409,16 +326,19 @@ func (g *Grid) RunContext(ctx context.Context, ck *checkpoint.File[Row], progres
 // subset of a grid produces rows identical to the ones a full local run
 // computes for those cells — batching within the subset included.
 //
-// The cells run through checkpoint.Run, which owns the checkpoint protocol
-// (ck may be nil): a checkpoint not sized for the grid is rejected, recorded
-// cells are restored rather than re-simulated, newly completed cells are
-// written back and ck is flushed on every exit, so an interrupted grid
-// resumes where it stopped; determinism by cell index makes the resumed
-// artefact byte-identical to an uninterrupted run. progress, when non-nil,
-// is called with a monotonic done count over len(indices). On failure the
-// partial rows come back alongside the error — under par.Collect a
-// par.Errors naming exactly the poisoned cells (grid cell indices, not
-// positions in indices), every other row being valid.
+// The cells run through one checkpoint.Cells (ck may be nil): a checkpoint
+// not sized for the grid is rejected, recorded cells are restored rather
+// than re-simulated, and each batch lands its rows as it finishes, so an
+// interrupted grid resumes where it stopped; determinism by cell index
+// makes the resumed artefact byte-identical to an uninterrupted run. The
+// pending cells form batch groups (batchGroups) and each group is one par
+// task, dispatched in order of its first position in indices. progress,
+// when non-nil, is called with a monotonic done count over len(indices).
+// On failure the partial rows come back alongside the error. A failed
+// batch fails every member: under par.Collect a par.Errors names exactly
+// the poisoned groups' cells (grid cell indices, not positions in
+// indices), each with its group's error, every other row being valid;
+// under par.FailFast the *par.TaskError names the group's first cell.
 func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.File[Row], progress func(done, total int)) ([]Row, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -427,17 +347,16 @@ func (g *Grid) RunIndices(ctx context.Context, indices []int, ck *checkpoint.Fil
 	if commits == 0 {
 		commits = core.DefaultCommits
 	}
-	groups := g.buildGroups(indices)
-	opts := par.Options{
-		Workers: g.Workers,
-		Policy:  g.OnError,
-		Order: leadersFirst(len(indices), func(k int) *groupRun { return groups[indices[k]] },
-			func(k int) bool { return ck.Done(indices[k]) }),
+	run, err := checkpoint.Begin(ck, g.Size(), indices, progress)
+	if err != nil {
+		return nil, err
 	}
-	return checkpoint.Run(ctx, ck, g.Size(), indices, opts, progress,
-		func(ctx context.Context, i int) (Row, error) {
-			return g.cellRow(ctx, i, groups[i], ck, commits)
+	groups := g.batchGroups(indices, run)
+	err = par.Run(ctx, len(groups), par.Options{Workers: g.Workers, Policy: g.OnError},
+		func(ctx context.Context, t int) error {
+			return g.runBatch(ctx, run, indices, groups[t], commits)
 		})
+	return run.End(blameMembers(err, groups))
 }
 
 // csvHeader is the long-format column set.

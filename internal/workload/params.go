@@ -138,7 +138,7 @@ func (p *Params) Validate() error {
 		{"MemFrac", p.MemFrac},
 	}
 	for _, f := range fracs {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails too
 			return fmt.Errorf("workload: %s = %v out of [0,1]", f.name, f.v)
 		}
 	}
@@ -168,10 +168,10 @@ func (p *Params) Validate() error {
 	default:
 		return fmt.Errorf("workload: unknown BranchPredictor %q", p.BranchPredictor)
 	}
-	if p.MissBurstiness < 0 || p.MissBurstiness > 1 {
+	if !(p.MissBurstiness >= 0 && p.MissBurstiness <= 1) {
 		return fmt.Errorf("workload: MissBurstiness = %v out of [0,1]", p.MissBurstiness)
 	}
-	if p.FetchBubbleProb < 0 || p.FetchBubbleProb > 1 {
+	if !(p.FetchBubbleProb >= 0 && p.FetchBubbleProb <= 1) {
 		return fmt.Errorf("workload: FetchBubbleProb = %v out of [0,1]", p.FetchBubbleProb)
 	}
 	if p.FetchBubbleProb > 0 && p.FetchBubbleMean < 1 {

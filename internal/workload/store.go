@@ -101,9 +101,8 @@ func (s *Store) Checkout(p Params, body, wrong int) (*Shared, error) {
 		return nil, err
 	}
 	s.decodes.Add(1)
-	// A busy key gets a private copy, and so does a key no map lookup can
-	// find again: Params with a NaN field is not equal to itself.
-	if kept || p != p {
+	// A busy key gets a private copy.
+	if kept {
 		s.mu.Unlock()
 		sh.Reserve(body, wrong)
 		return sh, nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"softerror/internal/isa"
@@ -31,6 +32,35 @@ func TestParamsValidateRejects(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid Params validated", i)
 		}
+	}
+}
+
+// TestParamsValidateRejectsNaN sets each float field of Params to NaN in
+// turn: Validate must reject it, and so must the stream store, whose keys
+// must equal themselves.
+func TestParamsValidateRejectsNaN(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	floats := 0
+	for f := 0; f < typ.NumField(); f++ {
+		if typ.Field(f).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		floats++
+		name := typ.Field(f).Name
+		t.Run(name, func(t *testing.T) {
+			p := Default()
+			reflect.ValueOf(&p).Elem().Field(f).SetFloat(math.NaN())
+			if err := p.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = NaN", name)
+			}
+			if sh, err := Streams().Checkout(p, 64, 0); err == nil {
+				Streams().Release(sh)
+				t.Errorf("Streams().Checkout accepted %s = NaN", name)
+			}
+		})
+	}
+	if floats != 23 {
+		t.Errorf("Params has %d float fields; the 21 fractions, MissBurstiness and FetchBubbleProb make 23", floats)
 	}
 }
 
