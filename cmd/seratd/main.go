@@ -16,10 +16,10 @@
 //	seratd -coordinator -addr :8080 -workers 127.0.0.1:8081,127.0.0.1:8082
 //	seratd -addr :8081 -join 127.0.0.1:8080   # or register explicitly
 //
-// Worker failures are absorbed: leases retry with jittered backoff, then
-// go back on the queue for the surviving workers; with no healthy worker
-// the coordinator degrades to local execution. The answer bytes are identical
-// either way.
+// Worker failures are absorbed: a lease whose delivery fails goes back on
+// the queue for the surviving workers, and the failed worker sits out
+// until a heartbeat re-admits it; with no healthy worker the coordinator
+// degrades to local execution. The answer bytes are identical either way.
 //
 // On SIGINT/SIGTERM the daemon drains: new work is rejected, accepted
 // jobs finish (or, with -checkpoint set, are interrupted and
@@ -63,8 +63,7 @@ func run(args []string) error {
 	workers := fs.String("workers", "", "comma-separated worker addresses to register at startup (coordinator mode)")
 	join := fs.String("join", "", "coordinator address to register this daemon with as a worker")
 	leaseCells := fs.Int("leasecells", 4, "grid cells per fleet lease (coordinator mode)")
-	leaseTimeout := fs.Duration("leasetimeout", 2*time.Minute, "per-attempt lease deadline (coordinator mode)")
-	leaseRetries := fs.Int("leaseretries", 2, "lease re-deliveries on the same worker before reassignment (coordinator mode)")
+	leaseTimeout := fs.Duration("leasetimeout", 2*time.Minute, "lease delivery deadline before the lease moves to another worker (coordinator mode)")
 	heartbeat := fs.Duration("heartbeat", 5*time.Second, "worker health-probe period (coordinator mode)")
 	withPprof := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	memLimit := fs.Int64("memlimit", 0, "soft Go heap limit in MiB (0: no limit); see runtime/debug.SetMemoryLimit")
@@ -100,7 +99,6 @@ func run(args []string) error {
 		co = fleet.NewCoordinator(fleet.Config{
 			LeaseCells:     *leaseCells,
 			LeaseTimeout:   *leaseTimeout,
-			Retries:        *leaseRetries,
 			HeartbeatEvery: *heartbeat,
 		})
 		defer co.Close()

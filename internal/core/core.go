@@ -135,6 +135,14 @@ type Config struct {
 // DefaultCommits is the default per-run commit count.
 const DefaultCommits = 100_000
 
+// MaxServedCommits is the most commits per run that seratd accepts in one
+// request (evals, bounds, sweeps and fleet leases). Each run reserves its
+// decoded stream for all its commits up front, at about 50 B a commit, so
+// the cap holds one reservation near 210 MB; a count off the wire must not
+// reach that reservation unchecked, since the runtime's out-of-memory
+// throw cannot be recovered. The CLIs' -commits flags are not capped.
+const MaxServedCommits = 1 << 22
+
 // simCycles accumulates every cycle simulated by this process, across all
 // workers and drivers; the evaluation service reads it to report a
 // simulated-Mcycles/s throughput gauge.

@@ -16,7 +16,7 @@ import (
 //     worker process would — the coordinator sees a transport error;
 //   - FaultHang: the handler blocks until the client gives up — the
 //     per-lease timeout must expire the lease and reassign it;
-//   - FaultError: a clean 500 — the retry/backoff path must heal it;
+//   - FaultError: a clean 500 — the lease must move to another worker;
 //   - FaultSlow: the response is delayed by Delay — stragglers must not
 //     change bytes, only wall-clock (free workers take the next leases).
 type FaultKind uint8

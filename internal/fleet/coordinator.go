@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"softerror/internal/checkpoint"
-	"softerror/internal/rng"
 	"softerror/internal/sweep"
 )
 
@@ -27,27 +26,16 @@ type Config struct {
 	// a run of consecutive pending cells, and the grid is benchmark-major,
 	// so a lease spans as few benchmarks as its length allows.
 	LeaseCells int
-	// LeaseTimeout is the per-attempt deadline for one lease delivery
-	// (default 2m). A hung worker holds a lease for at most this long
-	// before the lease expires and is retried or reassigned.
+	// LeaseTimeout is the deadline for one lease delivery (default 2m). A
+	// hung worker holds a lease for at most this long before the lease
+	// expires and moves to another worker.
 	LeaseTimeout time.Duration
-	// Retries is the number of re-deliveries attempted on the SAME worker
-	// before it is suspected unhealthy and the lease is reassigned
-	// (default 2, so 3 attempts per worker).
-	Retries int
-	// BackoffBase seeds the jittered exponential backoff between attempts
-	// (default 100ms, doubling per attempt, capped at BackoffMax).
-	BackoffBase time.Duration
-	// BackoffMax caps one backoff sleep (default 5s).
-	BackoffMax time.Duration
 	// HeartbeatEvery is the worker health-probe period (default 5s).
 	HeartbeatEvery time.Duration
-	// HeartbeatTimeout bounds one health probe (default 2s).
-	HeartbeatTimeout time.Duration
-	// Seed drives the backoff jitter stream (default 1). Jitter spreads
-	// retry storms in time; it never affects result bytes.
-	Seed uint64
 }
+
+// heartbeatTimeout bounds one health probe.
+const heartbeatTimeout = 2 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.LeaseCells <= 0 {
@@ -56,25 +44,8 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 2 * time.Minute
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 5 * time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -85,7 +56,6 @@ type WorkerStatus struct {
 	Addr     string `json:"addr"`
 	Healthy  bool   `json:"healthy"`
 	Leases   int64  `json:"leases_done"`
-	Retries  int64  `json:"lease_retries"`
 	Failures int64  `json:"lease_failures"`
 }
 
@@ -93,7 +63,6 @@ type WorkerStatus struct {
 type Snapshot struct {
 	Workers          []WorkerStatus `json:"workers"`
 	LeasesDispatched int64          `json:"leases_dispatched"`
-	LeaseRetries     int64          `json:"lease_retries"`
 	LeaseFailures    int64          `json:"lease_failures"`
 	LocalFallbacks   int64          `json:"local_fallbacks"`
 }
@@ -103,7 +72,6 @@ type worker struct {
 	addr     string
 	healthy  bool
 	leases   int64
-	retries  int64
 	failures int64
 }
 
@@ -116,11 +84,9 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	workers  map[string]*worker
-	jitter   *rng.Stream
 	leaseSeq int
 
 	dispatched atomic.Int64
-	retriesCt  atomic.Int64
 	failures   atomic.Int64
 	fallbacks  atomic.Int64
 
@@ -136,7 +102,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		client:  &http.Client{},
 		workers: make(map[string]*worker),
-		jitter:  rng.New(cfg.Seed, 0x1ea5e),
 		hbStop:  make(chan struct{}),
 	}
 	go c.heartbeatLoop()
@@ -177,7 +142,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 	c.mu.Lock()
 	snap := Snapshot{
 		LeasesDispatched: c.dispatched.Load(),
-		LeaseRetries:     c.retriesCt.Load(),
 		LeaseFailures:    c.failures.Load(),
 		LocalFallbacks:   c.fallbacks.Load(),
 	}
@@ -186,7 +150,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 			Addr:     w.addr,
 			Healthy:  w.healthy,
 			Leases:   w.leases,
-			Retries:  w.retries,
 			Failures: w.failures,
 		})
 	}
@@ -254,7 +217,7 @@ func (c *Coordinator) heartbeatLoop() {
 
 // probe health-checks one worker.
 func (c *Coordinator) probe(addr string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
 	if err != nil {
@@ -269,7 +232,7 @@ func (c *Coordinator) probe(addr string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// fatalError marks failures no retry or reassignment can heal: admission
+// fatalError marks failures no reassignment can heal: admission
 // rejections (the lease itself is malformed) and protocol violations
 // (wrong cell coverage). The dispatch loop fails the run loudly instead of
 // burning the fleet on them.
@@ -356,54 +319,11 @@ func (c *Coordinator) partition(pending []int) []*lease {
 	return leases
 }
 
-// backoff sleeps the jittered exponential delay for the given attempt
-// (1-based), honouring ctx.
-func (c *Coordinator) backoff(ctx context.Context, attempt int) {
-	d := c.cfg.BackoffBase << (attempt - 1)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
-	c.mu.Lock()
-	j := time.Duration(c.jitter.Int63n(int64(d)))
-	c.mu.Unlock()
-	d = d/2 + j // uniform in [d/2, 3d/2)
-	select {
-	case <-time.After(d):
-	case <-ctx.Done():
-	}
-}
-
-// execute delivers one lease to one worker, retrying with backoff up to the
-// per-worker attempt budget. It returns the rows in l.cells order, or a
-// retryable error (the worker is suspect) or a fatal one (the run must
-// stop).
-func (c *Coordinator) execute(ctx context.Context, addr string, sp GridSpec, l *lease) ([]sweep.Row, error) {
-	attempts := c.cfg.Retries + 1
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			c.retriesCt.Add(1)
-			c.bump(addr, func(w *worker) { w.retries++ })
-			c.backoff(ctx, a-1)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, err := c.deliver(ctx, addr, sp, l, a)
-		if err == nil {
-			return rows, nil
-		}
-		if ctx.Err() != nil || isFatal(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// deliver is one delivery attempt of one lease.
-func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *lease, attempt int) ([]sweep.Row, error) {
-	body, err := json.Marshal(LeaseRequest{Lease: l.id, Attempt: attempt, Grid: sp, Ranges: l.ranges})
+// deliver sends one lease to one worker, once. It returns the rows in
+// l.cells order, or an error that is either fatal (the run must stop) or
+// not (the worker is suspect and the lease moves on).
+func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *lease) ([]sweep.Row, error) {
+	body, err := json.Marshal(LeaseRequest{Lease: l.id, Grid: sp, Ranges: l.ranges})
 	if err != nil {
 		return nil, fatalf("fleet: marshal lease %s: %v", l.id, err)
 	}
@@ -416,7 +336,7 @@ func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: lease %s to %s (attempt %d): %w", l.id, addr, attempt, err)
+		return nil, fmt.Errorf("fleet: lease %s to %s: %w", l.id, addr, err)
 	}
 	data, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -438,12 +358,12 @@ func (c *Coordinator) deliver(ctx context.Context, addr string, sp GridSpec, l *
 		// bytes cannot heal it.
 		return nil, fatalf("fleet: worker %s rejected lease %s: %.200s", addr, l.id, data)
 	default:
-		return nil, fmt.Errorf("fleet: lease %s to %s (attempt %d): HTTP %d: %.200s",
-			l.id, addr, attempt, resp.StatusCode, data)
+		return nil, fmt.Errorf("fleet: lease %s to %s: HTTP %d: %.200s",
+			l.id, addr, resp.StatusCode, data)
 	}
 }
 
-// Run executes the grid across the fleet and returns one row per cell, in
+// Run computes the grid across the fleet and returns one row per cell, in
 // axis order — byte-equivalent to g.RunContext run locally. The grid's
 // cells go through one checkpoint.Cells, the protocol checkpoint.Run
 // drives: cells recorded in ck are restored, each lease's rows land as it
@@ -525,10 +445,10 @@ func (c *Coordinator) waves(ctx context.Context, g *sweep.Grid, run *checkpoint.
 
 // dispatch runs one wave: partition the pending cells into a shared queue
 // of leases, then drive one loop per healthy worker that takes the next
-// lease whenever it is free. A worker that exhausts a lease's attempt
-// budget is marked unhealthy and sits out the rest of the wave; its lease
-// goes back on the queue for another worker, or into the next wave. land
-// records one landed cell's row; the worker loops call it concurrently.
+// lease whenever it is free. A worker whose delivery fails is marked
+// unhealthy and sits out the rest of the wave; its lease goes back on the
+// queue for another worker, or into the next wave. land records one
+// landed cell's row; the worker loops call it concurrently.
 func (c *Coordinator) dispatch(ctx context.Context, sp GridSpec, pending []int, healthy []string, land func(cell int, row sweep.Row) error) (map[int]bool, error) {
 	q := &leaseQueue{leases: c.partition(pending)}
 	completed := make(map[int]bool, len(pending))
@@ -553,7 +473,7 @@ func (c *Coordinator) dispatch(ctx context.Context, sp GridSpec, pending []int, 
 				if l == nil {
 					return
 				}
-				rows, err := c.execute(ctx, addr, sp, l)
+				rows, err := c.deliver(ctx, addr, sp, l)
 				if err == nil {
 					for k, i := range l.cells {
 						if err := land(i, rows[k]); err != nil {
@@ -578,9 +498,9 @@ func (c *Coordinator) dispatch(ctx context.Context, sp GridSpec, pending []int, 
 					fail(err)
 					return
 				}
-				// The worker burnt the lease's attempt budget: suspect it,
-				// hand the lease to the rest of the wave, sit this one out
-				// until a heartbeat re-admits it.
+				// A deterministic lease fails the same way if re-sent:
+				// suspect the worker, hand the lease to the rest of the
+				// wave, sit this one out until a heartbeat re-admits it.
 				c.failures.Add(1)
 				c.bump(addr, func(w *worker) { w.failures++ })
 				c.setHealth(addr, false)

@@ -2,10 +2,12 @@
 // coordinator cuts a sweep grid into leases of consecutive cells, puts them
 // on one shared queue from which every free worker daemon takes the next,
 // and delivers them over the workers' HTTP surface with per-lease
-// timeouts, jittered exponential backoff, heartbeat-driven health and
-// graceful degradation to local execution when no worker is healthy. A
-// straggler holds only the lease it is running while the other workers
-// drain the queue.
+// timeouts, heartbeat-driven health and graceful degradation to local
+// execution when no worker is healthy. A lease is sent to a worker once:
+// if that delivery fails, the worker sits out the wave and the lease goes
+// back on the queue for the others, since a deterministic lease would fail
+// the same way again. A straggler holds only the lease it is running while
+// the other workers drain the queue.
 //
 // The package's contract is byte-identity: because every sweep cell is
 // deterministic by index and rows are reassembled by cell index, a grid run
@@ -52,9 +54,9 @@ var (
 
 // GridSpec is the wire form of a sweep grid: the axes by name, exactly
 // enough to rebuild the grid on a worker. It deliberately excludes the
-// coordinator's failure policy (OnError) — lease retry and reassignment
-// after network failures are the coordinator's job, so workers execute
-// leases fail-fast and report errors upward.
+// coordinator's failure policy (OnError) — lease reassignment after
+// failures is the coordinator's job, so workers run leases fail-fast
+// and report errors upward.
 type GridSpec struct {
 	Benches    []string `json:"benches"`
 	Policies   []string `json:"policies"`
@@ -81,8 +83,9 @@ func SpecOf(g *sweep.Grid) GridSpec {
 }
 
 // Build rebuilds the sweep grid a spec names, validating every axis and
-// capping the commits per cell at sweep.MaxCommits, the most a sweep's
-// pricing will price. Failures wrap ErrBadGrid.
+// capping the commits per cell at core.MaxServedCommits, so no grid a
+// sweep or lease request names can reserve an absurd stream. Failures
+// wrap ErrBadGrid.
 func (sp GridSpec) Build() (*sweep.Grid, error) {
 	if len(sp.Benches) == 0 {
 		return nil, fmt.Errorf("%w: no benchmarks", ErrBadGrid)
@@ -121,8 +124,8 @@ func (sp GridSpec) Build() (*sweep.Grid, error) {
 	if n := g.Size(); n < 1 || n > MaxGridCells {
 		return nil, fmt.Errorf("%w: grid spans %d cells, want 1..%d", ErrBadGrid, n, MaxGridCells)
 	}
-	if g.Commits > sweep.MaxCommits {
-		return nil, fmt.Errorf("%w: %d commits per cell, want at most %d", ErrBadGrid, g.Commits, sweep.MaxCommits)
+	if g.Commits > core.MaxServedCommits {
+		return nil, fmt.Errorf("%w: %d commits per cell, want at most %d", ErrBadGrid, g.Commits, core.MaxServedCommits)
 	}
 	return g, nil
 }
@@ -137,14 +140,11 @@ type Range struct {
 func (r Range) Count() int { return r.Hi - r.Lo }
 
 // LeaseRequest is the POST /v1/lease body: one unit of fleet work — a set
-// of cell ranges of one grid, leased to one worker. Attempt numbers the
-// coordinator's delivery attempts (1-based), so chaos injectors and logs
-// can distinguish a retry from a first try.
+// of cell ranges of one grid, leased to one worker.
 type LeaseRequest struct {
-	Lease   string   `json:"lease"`
-	Attempt int      `json:"attempt,omitempty"`
-	Grid    GridSpec `json:"grid"`
-	Ranges  []Range  `json:"ranges"`
+	Lease  string   `json:"lease"`
+	Grid   GridSpec `json:"grid"`
+	Ranges []Range  `json:"ranges"`
 }
 
 // Validate admission-checks the lease's ranges against a grid of the given

@@ -11,10 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"softerror/internal/checkpoint"
+	"softerror/internal/core"
 	"softerror/internal/par"
 	"softerror/internal/spec"
 	"softerror/internal/sweep"
@@ -60,14 +62,14 @@ func TestGridSpecBuildRejects(t *testing.T) {
 		{Benches: []string{"nope"}, Policies: []string{"baseline"}},
 		{Benches: []string{"mcf"}, Policies: []string{"nope"}},
 		{Benches: []string{"mcf"}, Policies: []string{"baseline"}, IQSizes: []int{0}},
-		{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: sweep.MaxCommits + 1},
+		{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: core.MaxServedCommits + 1},
 	}
 	for _, sp := range cases {
 		if _, err := sp.Build(); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("Build(%+v) = %v, want ErrBadGrid", sp, err)
 		}
 	}
-	capped := GridSpec{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: sweep.MaxCommits}
+	capped := GridSpec{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: core.MaxServedCommits}
 	if _, err := capped.Build(); err != nil {
 		t.Errorf("Build(%+v) = %v, want the cap itself accepted", capped, err)
 	}
@@ -209,14 +211,9 @@ func crashPlan(dead string) ChaosFunc {
 
 func fastConfig() Config {
 	return Config{
-		LeaseCells:       2,
-		LeaseTimeout:     5 * time.Second,
-		Retries:          1,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       4 * time.Millisecond,
-		HeartbeatEvery:   20 * time.Millisecond,
-		HeartbeatTimeout: 200 * time.Millisecond,
-		Seed:             7,
+		LeaseCells:     2,
+		LeaseTimeout:   5 * time.Second,
+		HeartbeatEvery: 20 * time.Millisecond,
 	}
 }
 
@@ -392,6 +389,61 @@ func TestCoordinatorSurvivesDeadWorker(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), localCSV(t, sp)) {
 		t.Fatal("dead-worker fleet run differs from a local run")
+	}
+}
+
+// TestCoordinatorDeliversOnceThenFallback pins that a failed delivery is
+// final for that worker: the coordinator does not re-send the lease to it.
+// The only worker fails every lease delivery, and no heartbeat re-admits
+// it during the run, so the lease is sent exactly once, counted as one
+// failure, and the grid falls back to local execution with a local run's
+// bytes. Each failure kind takes the same path.
+func TestCoordinatorDeliversOnceThenFallback(t *testing.T) {
+	sp := smallSpec()
+	want := localCSV(t, sp)
+	for _, kind := range []struct {
+		name string
+		f    FaultKind
+	}{{"crash", FaultCrash}, {"error", FaultError}, {"hang", FaultHang}} {
+		t.Run(kind.name, func(t *testing.T) {
+			var deliveries atomic.Int64
+			chaos := func(_ string, r *http.Request) Fault {
+				if r.URL.Path != "/v1/lease" {
+					return Fault{}
+				}
+				deliveries.Add(1)
+				return Fault{Kind: kind.f}
+			}
+			ts := httptest.NewServer(ChaosMiddleware("w0", chaos, leaseStub(t)))
+			defer ts.Close()
+			co := NewCoordinator(Config{
+				LeaseCells:     len(sp.IQSizes),
+				LeaseTimeout:   200 * time.Millisecond,
+				HeartbeatEvery: time.Minute,
+			})
+			defer co.Close()
+			if err := co.Register(ts.Listener.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := co.Run(context.Background(), testGrid(t, sp), nil, nil)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if n := deliveries.Load(); n != 1 {
+				t.Fatalf("lease delivered %d times, want 1", n)
+			}
+			snap := co.Snapshot()
+			if snap.LeaseFailures != 1 || snap.LocalFallbacks != 1 {
+				t.Fatalf("LeaseFailures = %d, LocalFallbacks = %d; want 1, 1", snap.LeaseFailures, snap.LocalFallbacks)
+			}
+			var buf bytes.Buffer
+			if err := sweep.WriteCSV(&buf, rows); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatal("fallback run differs from a local run")
+			}
+		})
 	}
 }
 

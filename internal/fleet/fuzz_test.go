@@ -17,7 +17,7 @@ import (
 // never an admitted malformed range.
 func FuzzLeaseRequest(f *testing.F) {
 	f.Add([]byte(`{"lease":"lease-000001","grid":{"benches":["gzip-graphic"],"policies":["baseline"]},"ranges":[{"lo":0,"hi":1}]}`))
-	f.Add([]byte(`{"lease":"l","attempt":2,"grid":{"benches":["gzip-graphic","mcf"],"policies":["baseline","squash-l1"],"iqsizes":[16,64],"ooo":[false,true],"commits":5000},"ranges":[{"lo":0,"hi":3},{"lo":5,"hi":9}]}`))
+	f.Add([]byte(`{"lease":"l","grid":{"benches":["gzip-graphic","mcf"],"policies":["baseline","squash-l1"],"iqsizes":[16,64],"ooo":[false,true],"commits":5000},"ranges":[{"lo":0,"hi":3},{"lo":5,"hi":9}]}`))
 	f.Add([]byte(`{"lease":"empty","grid":{"benches":["mcf"],"policies":["baseline"]},"ranges":[]}`))
 	f.Add([]byte(`{"lease":"inverted","grid":{"benches":["mcf"],"policies":["baseline"]},"ranges":[{"lo":3,"hi":1}]}`))
 	f.Add([]byte(`{"lease":"negative","grid":{"benches":["mcf"],"policies":["baseline"]},"ranges":[{"lo":-1,"hi":1}]}`))

@@ -91,8 +91,8 @@ func parseBoundQuery(r *http.Request) (boundSpec, error) {
 	}
 	b.commits = core.DefaultCommits
 	if v := q.Get("commits"); v != "" {
-		if b.commits, err = strconv.ParseUint(v, 10, 32); err != nil || b.commits < 1 {
-			return b, fmt.Errorf("bad commits %q, want a positive integer", v)
+		if b.commits, err = strconv.ParseUint(v, 10, 64); err != nil || b.commits < 1 || b.commits > core.MaxServedCommits {
+			return b, fmt.Errorf("bad commits %q, want 1..%d", v, core.MaxServedCommits)
 		}
 	}
 	return b, nil

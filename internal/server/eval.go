@@ -3,9 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -26,7 +24,8 @@ type EvalRequest struct {
 	Experiment string `json:"experiment"`
 	// Benches is the roster subset (empty = all 26).
 	Benches []string `json:"benches,omitempty"`
-	// Commits per run (default core.DefaultCommits).
+	// Commits per run (default core.DefaultCommits, at most
+	// core.MaxServedCommits).
 	Commits uint64 `json:"commits,omitempty"`
 	// PET buffer entries for fig2 (default 512).
 	PET int `json:"pet,omitempty"`
@@ -41,18 +40,6 @@ type EvalRequest struct {
 	Seed    uint64 `json:"seed,omitempty"`
 	// CSV selects CSV output over the aligned table.
 	CSV bool `json:"csv,omitempty"`
-}
-
-// decodeEvalRequest parses a /v1/eval body, refusing unknown fields so a
-// typo'd knob cannot silently fall back to its default.
-func decodeEvalRequest(r io.Reader) (EvalRequest, error) {
-	var req EvalRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return EvalRequest{}, err
-	}
-	return req, nil
 }
 
 // Fingerprint returns the request's content address — the cache key its
@@ -110,6 +97,8 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 		return evalSpec{}, fmt.Errorf("strikes must be non-negative, got %d", e.strikes)
 	case e.rawFIT < 0 || math.IsNaN(e.rawFIT) || math.IsInf(e.rawFIT, 0):
 		return evalSpec{}, fmt.Errorf("rawfit must be a finite non-negative rate, got %v", e.rawFIT)
+	case e.commits > core.MaxServedCommits:
+		return evalSpec{}, fmt.Errorf("commits must be at most %d, got %d", core.MaxServedCommits, e.commits)
 	}
 	var err error
 	if e.benches, err = spec.ParseList(strings.Join(r.Benches, ",")); err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -169,11 +168,13 @@ func FuzzEvalRequest(f *testing.F) {
 	f.Add([]byte(`{"experiment":"nope"}`))
 	f.Add([]byte(`{"benches":["not-a-benchmark"]}`))
 	f.Add([]byte(`{"experiment":"fig4","rawfit":1e308}`))
+	f.Add([]byte(`{"experiment":"table1","commits":4194305}`))
+	f.Add([]byte(`{"experiment":"table1","commits":1000000000000}`))
 	f.Add([]byte(`[]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeEvalRequest(bytes.NewReader(data))
-		if err != nil {
+		var req EvalRequest
+		if !decodeTestBody(data, &req) {
 			return
 		}
 		e, err := req.normalize()
@@ -183,6 +184,9 @@ func FuzzEvalRequest(f *testing.F) {
 		if e.pet < 0 || e.simPoints < 0 || e.strikes < 0 ||
 			e.rawFIT < 0 || math.IsNaN(e.rawFIT) || math.IsInf(e.rawFIT, 0) {
 			t.Fatalf("normalize accepted out-of-range knobs: %+v", e)
+		}
+		if e.commits > core.MaxServedCommits {
+			t.Fatalf("normalize accepted %d commits, past the cap %d", e.commits, core.MaxServedCommits)
 		}
 		if e.commits == 0 || e.seed == 0 || e.pet == 0 || e.simPoints == 0 || e.strikes == 0 {
 			t.Fatalf("normalize left a knob at zero (default not applied): %+v", e)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -13,8 +12,8 @@ import (
 // spec, admission-check the cell ranges, run exactly those cells, and
 // answer every leased cell exactly once. Leases share the sweep worker
 // slots — a worker saturated with local jobs sheds leases with 429 and the
-// coordinator backs off or reassigns. Execution is fail-fast: retry and
-// reassignment are the coordinator's job, so any cell error fails the
+// coordinator moves the lease to another worker. Execution is fail-fast:
+// reassignment is the coordinator's job, so any cell error fails the
 // lease loudly instead of answering partial coverage.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
@@ -23,10 +22,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.LeaseRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	g, err := req.Grid.Build()
@@ -41,7 +37,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	g.Workers = s.cfg.Workers
 
 	// Take a sweep worker slot without queueing: a lease that cannot run
-	// now is better retried elsewhere than parked here.
+	// now is better run elsewhere than parked here.
 	select {
 	case s.slots <- struct{}{}:
 	default:
@@ -93,10 +89,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.RegisterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.cfg.Fleet.Register(req.Addr); err != nil {

@@ -2,15 +2,20 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"softerror/internal/core"
 	"softerror/internal/fleet"
-	"softerror/internal/sweep"
 )
+
+// decodeTestBody decodes data as the POST handlers decode a request body.
+func decodeTestBody(data []byte, v any) bool {
+	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data))
+	return decodeBody(httptest.NewRecorder(), r, v)
+}
 
 // FuzzSweepRequest drives arbitrary JSON through the sweep submission
 // surface: decode (with the handler's unknown-field strictness) then
@@ -33,14 +38,13 @@ func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"policies":["baseline"],"unknown":1}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"policies":["baseline"],"commits":4294967296}`))
+	f.Add([]byte(`{"policies":["baseline"],"commits":4194305}`))
 
 	s := New(Config{Workers: 2})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SweepRequest
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if !decodeTestBody(data, &req) {
 			return
 		}
 		g, err := s.buildGrid(req)
@@ -58,8 +62,8 @@ func FuzzSweepRequest(f *testing.F) {
 				t.Fatalf("accepted non-positive IQ size %d", iq)
 			}
 		}
-		if g.Commits > sweep.MaxCommits {
-			t.Fatalf("accepted %d commits per cell, past the pricing cap %d", g.Commits, sweep.MaxCommits)
+		if g.Commits > core.MaxServedCommits {
+			t.Fatalf("accepted %d commits per cell, past the cap %d", g.Commits, core.MaxServedCommits)
 		}
 		fp := g.Fingerprint()
 		g2, err := s.buildGrid(req)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"runtime"
@@ -213,6 +214,37 @@ func (g *gate) enter() (func(), bool) {
 	}
 }
 
+// maxBodyBytes bounds a POST body. The largest real request, a roster
+// sweep or a lease naming its grid, is a few KiB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's body as exactly one JSON value into v, refusing
+// unknown fields so a typo'd knob cannot silently fall back to its
+// default, and reading at most maxBodyBytes, so one POST cannot make the
+// daemon buffer an arbitrarily large value. On failure it answers 413 for
+// an oversized body or 400 for any other decode error, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		// Read to the end, so the limit holds for the whole body.
+		switch err = dec.Decode(&json.RawMessage{}); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	} else {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -236,9 +268,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	req, err := decodeEvalRequest(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req EvalRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	e, err := req.normalize()
@@ -381,10 +412,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	g, err := s.buildGrid(req)
@@ -431,13 +459,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			estMcycles, s.cfg.MaxEstMcycles)
 		return
 	}
-	queued := 0
-	for _, j := range s.jobs {
-		if st := j.State(); st == JobQueued {
-			queued++
-		}
-	}
-	if queued >= s.cfg.MaxQueue {
+	// Admissions increment jobs_queued under s.mu, so two cannot both take
+	// the last seat; runJob's decrements only free seats.
+	if queued := s.metrics.jobsQueued.Value(); queued >= int64(s.cfg.MaxQueue) {
 		s.mu.Unlock()
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -450,9 +474,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.jobs[id] = j
 	s.byFP[fp] = j
 	s.wg.Add(1)
+	s.metrics.jobsQueued.Add(1)
 	s.mu.Unlock()
 
-	s.metrics.jobsQueued.Add(1)
 	go s.runJob(j, g, est)
 	writeJSON(w, http.StatusAccepted, SweepAccepted{
 		ID: id, Total: j.Total, Priced: priced, EstimatedMcycles: estMcycles,

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"softerror/internal/core"
+	"softerror/internal/fleet"
 	"softerror/internal/par"
 	"softerror/internal/spec"
 	"softerror/internal/sweep"
@@ -159,6 +160,7 @@ func TestEvalValidation(t *testing.T) {
 		{"unknown field", "/v1/eval", `{"experiment":"table1","bogus":1}`, ""},
 		{"unknown experiment", "/v1/eval", `{"experiment":"nonsense"}`, ""},
 		{"unknown bench", "/v1/eval", `{"experiment":"table1","benches":["nosuch"]}`, ""},
+		{"second value", "/v1/eval", `{"experiment":"table1"} {}`, "trailing data"},
 		{"sweep retries", "/v1/sweep", `{"policies":["baseline"],"retries":1}`, `unknown field \"retries\"`},
 		{"sweep tasktimeout", "/v1/sweep", `{"policies":["baseline"],"tasktimeout":"30s"}`, `unknown field \"tasktimeout\"`},
 		{"sweep both", "/v1/sweep",
@@ -418,6 +420,71 @@ func TestSweepUnpriceableCommitsRejected(t *testing.T) {
 	}
 	if got := s.metrics.jobsQueued.Value(); got != 0 {
 		t.Fatalf("rejected sweep queued a job (jobs_queued = %d)", got)
+	}
+}
+
+// TestCommitsOverCapRejected pins the cap on commits per run: a count
+// past core.MaxServedCommits is a 400 on every route that takes one, so no
+// request reaches the stream reservation its count would make (about
+// 50 B a commit, which at the larger counts below the runtime cannot
+// reserve and dies on). The cap itself is accepted by each route's
+// decoder, called directly so that nothing simulates.
+func TestCommitsOverCapRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, n := range []uint64{core.MaxServedCommits + 1, 1 << 31, 1<<32 - 1, 1e12} {
+		for _, r := range []struct{ method, target, body string }{
+			{"POST", "/v1/eval", fmt.Sprintf(`{"experiment":"table1","benches":["mcf"],"commits":%d}`, n)},
+			{"POST", "/v1/sweep", fmt.Sprintf(`{"benches":["mcf"],"policies":["baseline"],"commits":%d}`, n)},
+			{"POST", "/v1/lease", fmt.Sprintf(`{"lease":"l","grid":{"benches":["mcf"],"policies":["baseline"],"commits":%d},"ranges":[{"lo":0,"hi":1}]}`, n)},
+			{"GET", fmt.Sprintf("/v1/bound?bench=mcf&commits=%d", n), ""},
+		} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s %s with %d commits: status %d, want 400 (body %.200s)", r.method, r.target, n, w.Code, w.Body)
+			}
+		}
+	}
+	if got := s.metrics.jobsQueued.Value(); got != 0 {
+		t.Errorf("rejected sweeps queued %d jobs", got)
+	}
+
+	const max = core.MaxServedCommits
+	if e, err := (&EvalRequest{Experiment: "table1", Benches: []string{"mcf"}, Commits: max}).normalize(); err != nil || e.commits != max {
+		t.Errorf("eval at the cap: commits %d, err %v; want %d accepted", e.commits, err, max)
+	}
+	if g, err := s.buildGrid(SweepRequest{Benches: []string{"mcf"}, Policies: []string{"baseline"}, Commits: max}); err != nil || g.Commits != max {
+		t.Errorf("sweep or lease grid at the cap: err %v; want %d commits accepted", err, max)
+	}
+	if b, err := parseBoundQuery(httptest.NewRequest("GET", fmt.Sprintf("/v1/bound?bench=mcf&commits=%d", max), nil)); err != nil || b.commits != max {
+		t.Errorf("bound at the cap: commits %d, err %v; want %d accepted", b.commits, err, max)
+	}
+}
+
+// TestBodyOverLimit413 pins the request body limit: a POST body past
+// maxBodyBytes is refused with 413 on every POST route, whether the excess
+// sits inside the JSON value or after it, and nothing is admitted.
+func TestBodyOverLimit413(t *testing.T) {
+	co := fleet.NewCoordinator(fleet.Config{})
+	t.Cleanup(co.Close)
+	s := newTestServer(t, Config{Fleet: co})
+	pad := strings.Repeat(" ", 2<<20)
+	for _, r := range []struct{ path, body string }{
+		{"/v1/eval", `{"experiment":"table2","benches":["mcf"],"commits":8000}`},
+		{"/v1/sweep", `{"benches":["mcf"],"policies":["baseline"],"commits":8000}`},
+		{"/v1/lease", `{"lease":"l","grid":{"benches":["mcf"],"policies":["baseline"],"commits":8000},"ranges":[{"lo":0,"hi":1}]}`},
+		{"/v1/fleet/register", `{"addr":"127.0.0.1:9999"}`},
+	} {
+		for _, body := range []string{"{" + pad + r.body[1:], r.body + pad} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest("POST", r.path, strings.NewReader(body)))
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("POST %s with a %d-byte body: status %d, want 413 (body %.200s)", r.path, len(body), w.Code, w.Body)
+			}
+		}
+	}
+	if n := co.NumWorkers(); n != 0 || s.metrics.jobsQueued.Value() != 0 {
+		t.Errorf("oversized bodies admitted %d workers and %d jobs", n, s.metrics.jobsQueued.Value())
 	}
 }
 

@@ -207,12 +207,6 @@ func blameMembers(err error, groups [][]int) error {
 	return err
 }
 
-// MaxCommits is the largest per-cell commit count EstimateCells prices.
-// The grid decoder behind seratd's sweeps and fleet leases
-// (fleet.GridSpec.Build) refuses more, so no grid it admits goes unpriced
-// for its size.
-const MaxCommits = 1 << 31
-
 // EstimateCells prices every cell analytically: each benchmark's decoded
 // stream, checked out of the process-wide store (workload.Streams) and
 // loaded into the static analyzer, then one static.Analyzer.Estimate per
@@ -223,8 +217,8 @@ const MaxCommits = 1 << 31
 // holds each cell's estimated simulated cycle count
 // (static.Bounds.EstCycles). ok is false when the static analyzer cannot
 // bound some benchmark (PC-indexed branch predictors), the grid is
-// invalid, or Commits exceeds MaxCommits; callers then fall back to
-// unpriced behaviour.
+// invalid, or Commits exceeds core.MaxServedCommits; callers then fall
+// back to unpriced behaviour.
 func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if err := g.validate(); err != nil {
 		return nil, false
@@ -233,7 +227,7 @@ func (g *Grid) EstimateCells() (est []uint64, ok bool) {
 	if commits == 0 {
 		commits = core.DefaultCommits
 	}
-	if commits > MaxCommits {
+	if commits > core.MaxServedCommits {
 		return nil, false // pricing must stay cheap; don't decode absurd bodies
 	}
 	n := int(commits) + static.BodySlack

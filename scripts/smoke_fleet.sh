@@ -10,8 +10,8 @@
 #   5. SIGINT the coordinator and require a clean drain.
 #
 # Exercises the real binaries, real TCP, a real process death and the
-# retry/requeue path that the in-process suites drive only through injected
-# chaos.
+# requeue path (a failed lease moves to the surviving worker) that the
+# in-process suites drive only through injected chaos.
 set -eu
 
 workdir=$(mktemp -d)

@@ -2,8 +2,9 @@
 # Smoke test for the seratd daemon: boot it on an ephemeral port, check
 # /healthz answers ok, serve one cached evaluation, run one priced sweep job
 # to its CSV, answer two bound queries (the second served from the decoded
-# stream the first left in the store), then SIGINT it and require a clean
-# drain (exit 0). Exercises the real binary and signal path that the
+# stream the first left in the store), refuse an eval whose commit count
+# is past the served cap with 400 and stay up, then SIGINT it and require
+# a clean drain (exit 0). Exercises the real binary and signal path that the
 # in-process httptest suite cannot.
 set -eu
 
@@ -58,6 +59,14 @@ h0=$(stream_hits)
 fetch '/v1/bound?bench=mcf&policy=squash-l1&commits=9000' | grep -q '"est_cycles"'
 h1=$(stream_hits)
 [ -n "$h0" ] && [ "$h1" -gt "$h0" ] || { echo "stream_hits went from '$h0' to '$h1' on a repeated bound" >&2; exit 1; }
+
+# A commit count past the cap is a 400, not a stream reservation the
+# runtime cannot make; the daemon must still be serving afterwards.
+if fetch /v1/eval '{"experiment":"table1","benches":["mcf"],"commits":1000000000000}' >"$workdir/huge" 2>"$workdir/huge.err"; then
+	cat "$workdir/huge"; echo "eval with 10^12 commits was accepted" >&2; exit 1
+fi
+grep -q '^400 ' "$workdir/huge.err" || { cat "$workdir/huge.err" "$workdir/log"; echo "eval with 10^12 commits did not answer 400" >&2; exit 1; }
+fetch /healthz | grep -q '^ok$'
 
 # SIGINT must drain and exit 0.
 kill -INT "$pid"
