@@ -70,7 +70,7 @@ func Analyze(tr *pipeline.Trace) *Report {
 // pre-computed deadness analysis (useful when several protection scenarios
 // share one trace).
 func AnalyzeWith(tr *pipeline.Trace, dead *Deadness) *Report {
-	return AnalyzeStructure(tr.Residencies, tr.Cycles, tr.IQSize, dead)
+	return AnalyzeStructure(tr.Residencies, tr.CommitLog, tr.Cycles, tr.IQSize, dead)
 }
 
 // AnalyzeFrontEnd integrates the fetch buffer's residencies: the front-end
@@ -78,18 +78,21 @@ func AnalyzeWith(tr *pipeline.Trace, dead *Deadness) *Report {
 // before individual instructions exist. Delivery to decode is the read
 // point; flushed chunks are never read.
 func AnalyzeFrontEnd(tr *pipeline.Trace, dead *Deadness) *Report {
-	return AnalyzeStructure(tr.FrontEnd, tr.Cycles, tr.FrontEndCap, dead)
+	return AnalyzeStructure(tr.FrontEnd, tr.CommitLog, tr.Cycles, tr.FrontEndCap, dead)
 }
 
 // AnalyzeStructure integrates arbitrary residency intervals for a
-// structure with the given entry count.
-func AnalyzeStructure(residencies []pipeline.Residency, cycles uint64, entries int, dead *Deadness) *Report {
+// structure with the given entry count. log is the program-order commit
+// log dead was analysed over; each read residency takes the category of
+// its log position (pipeline.LogPositions).
+func AnalyzeStructure(residencies []pipeline.Residency, log []isa.Inst, cycles uint64, entries int, dead *Deadness) *Report {
 	r := &Report{
 		Cycles:  cycles,
 		Entries: entries,
 		BitsPer: isa.EntryPayloadBits,
 		Dead:    dead,
 	}
+	pos := pipeline.LogPositions(residencies, log)
 	for i := range residencies {
 		res := &residencies[i]
 		occ := res.Occupancy()
@@ -100,7 +103,7 @@ func AnalyzeStructure(residencies []pipeline.Residency, cycles uint64, entries i
 			r.addNeverRead(occ)
 			continue
 		}
-		cat := dead.Of(&res.Inst)
+		cat := dead.ofResidency(&res.Inst, pos[i])
 		r.addRead(res.Issue-res.Enq, res.Evict-res.Issue, cat,
 			res.Inst.Dest != isa.RegNone, res.Inst.Class.IsControl())
 	}

@@ -18,14 +18,15 @@ import (
 // the same deadness kernel runs over the shared body prefix, masked by the
 // lane's commit bitmap, in the group's one kernel scratch. A
 // BatchCollector is one lane's pipeline.BatchSink: it keys every deferred
-// charge by body index instead of sequence number, which both skips
-// instruction reconstruction on the hot path and turns Finish's lookups
-// into direct indexing; reorder-buffer reads, which only committed bodies
-// make, sum straight into per-body storage. All charges are commutative
-// uint64 sums through the same Report.addRead/addNeverRead/SBReport.add
-// helpers as the trace analyses (Analyze and friends), so the reports are
-// exactly equal to analysing a recorded trace of the run — the
-// stream-batch and batched-independent seraudit checks pin that.
+// charge by body index, the position deadness classifies by, which both
+// skips instruction reconstruction on the hot path and turns Finish's
+// lookups into direct indexing; reorder-buffer reads, which only committed
+// bodies make, sum straight into per-body storage. All charges are
+// commutative uint64 sums through the same
+// Report.addRead/addNeverRead/SBReport.add helpers as the trace analyses
+// (Analyze and friends), so the reports are exactly equal to analysing a
+// recorded trace of the run — the stream-batch and batched-independent
+// seraudit checks pin that.
 
 // CollectorConfig parameterises a BatchCollector: the geometry of the
 // structures under analysis plus which optional analyses to run. Geometry
@@ -139,13 +140,12 @@ func (g *BatchGroup) deadness(m int) *Deadness {
 	return d
 }
 
-// viewFor returns one lane's Deadness: the shared classification with the
-// lane's relabeled sequence numbers. Categories, counts and FDD distance
-// populations alias the shared analysis (they are read-only downstream);
-// the seqs slice is the lane's own, so OfSeq resolves lane coordinates.
-func (g *BatchGroup) viewFor(m int, seqs []uint64) *Deadness {
+// viewFor returns one lane's Deadness: a copy of the shared analysis's
+// header whose categories, counts and FDD distance populations alias the
+// memo (they are read-only downstream). The copy keeps a lane's Compact
+// from clearing the memo the group's other lanes read.
+func (g *BatchGroup) viewFor(m int) *Deadness {
 	d := *g.deadness(m)
-	d.seqs = seqs
 	return &d
 }
 
@@ -161,11 +161,11 @@ type batchPendingOcc struct {
 	occ  uint64
 }
 
-// commitRec is one body position's deferred IQ charge: the lane's
-// relabeled Seq, the pre-issue wait, and the post-issue linger, packed into
-// one cache line's worth so the three per-commit writes touch one array.
+// commitRec is one body position's deferred IQ charge: the pre-issue wait
+// and the post-issue linger, packed together so the per-commit writes
+// touch one array.
 type commitRec struct {
-	seq, wait, linger uint64
+	wait, linger uint64
 }
 
 // readBuckets sums read charges per (category, dest, control) bucket.
@@ -242,9 +242,10 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 // Reset re-arms a finished collector for a new lane, reusing the commit
 // record, bitmap and per-body ROB storage — the collector's big
 // allocations — so a pooled collector's steady state allocates nothing per
-// event. Safe after Finish: the returned Reports are detached copies and
-// the deadness views own their seqs and categories, so resetting never
-// mutates previously returned results.
+// event. Safe after Finish: the returned Reports are detached copies whose
+// deadness views alias only the group's memo or a fresh analysis, never
+// the collector's storage, so resetting never mutates previously returned
+// results.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	if group == nil {
 		return fmt.Errorf("ace: nil batch group")
@@ -304,7 +305,6 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 			c.robOcc = append(c.robOcc, make([]uint64, len(c.recs)-len(c.robOcc))...)
 		}
 	}
-	c.recs[body].seq = seq
 	c.recs[body].wait = issue - enq
 	c.bits[body>>6] |= 1 << (uint(body) & 63)
 	if c.cfg.RegFile {
@@ -441,27 +441,16 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	// Every body commits at most once, so c.commits == m proves the
 	// committed set is exactly the dense prefix [0, m).
 	if c.commits == m {
-		seqs := make([]uint64, m)
-		for i := range seqs {
-			seqs[i] = c.recs[i].seq
-		}
-		dead = c.group.viewFor(m, seqs)
+		dead = c.group.viewFor(m)
 		cats = dead.cats
 	} else {
 		dead = c.group.scratch.analyze(log, c.bits)
-		// Relabel to lane coordinates in place, as viewFor does.
-		j := 0
-		for i := 0; i < m; i++ {
-			if c.committed(i) {
-				dead.seqs[j] = c.recs[i].seq
-				j++
-			}
-		}
 		cats = c.group.scratch.cat
 	}
 	// catOf is a pending charge's category; a body outside the committed
-	// set is still in flight, so conservatively live — the batched
-	// equivalent of an OfSeq miss. inst is the body's content.
+	// set is still in flight, so conservatively live, as a residency
+	// missing from a recorded trace's commit log is. inst is the body's
+	// content.
 	catOf := func(body int) Category {
 		if c.committed(body) {
 			return cats[body]

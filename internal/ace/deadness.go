@@ -1,11 +1,6 @@
 package ace
 
-import (
-	"slices"
-	"sort"
-
-	"softerror/internal/isa"
-)
+import "softerror/internal/isa"
 
 // Deadness is the result of dynamic dead-code discovery over a committed
 // instruction stream. It classifies every committed instruction into a
@@ -13,17 +8,10 @@ import (
 // distance from definition to overwrite — the quantity that determines
 // whether a PET buffer of a given size can prove the instruction dead.
 type Deadness struct {
-	// seqs and cats are the per-instruction classification as parallel
-	// slices sorted by dynamic sequence number (unique per committed
-	// instruction); sequence numbers not present (e.g. wrong-path) are
-	// not stored. Two packed slices replace the former seq→category map:
-	// half the memory and a branch-free binary-search lookup.
-	seqs []uint64
+	// cats is the per-instruction classification in log order (among the
+	// analysed instructions), read through OfPos. A recorded trace's
+	// residencies reach it through pipeline.LogPositions.
 	cats []Category
-	// logCats is the same classification in log order (among the analysed
-	// instructions). It aliases cats unless the log's sequence numbers do
-	// not ascend.
-	logCats []Category
 
 	// Counts tallies committed instructions per category.
 	Counts [NumCategories]uint64
@@ -243,22 +231,15 @@ func (s *deadScratch) analyze(log []isa.Inst, mask []uint64) *Deadness {
 		}
 	}
 
-	d.seqs = make([]uint64, 0, rank)
 	d.cats = make([]Category, 0, rank)
 	d.FDDRegDist = distList(d.Counts[CatFDDReg])
 	d.FDDRetDist = distList(d.Counts[CatFDDRet])
 	d.FDDMemDist = distList(d.Counts[CatFDDMem])
-	sorted := true
 	for i := range log {
 		if !committedAt(mask, i) {
 			continue
 		}
-		in := &log[i]
 		c := s.cat[i]
-		if len(d.seqs) > 0 && in.Seq < d.seqs[len(d.seqs)-1] {
-			sorted = false
-		}
-		d.seqs = append(d.seqs, in.Seq)
 		d.cats = append(d.cats, c)
 		switch c {
 		case CatFDDReg:
@@ -268,23 +249,6 @@ func (s *deadScratch) analyze(log []isa.Inst, mask []uint64) *Deadness {
 		case CatFDDMem:
 			d.FDDMemDist = append(d.FDDMemDist, int(s.dist[i]))
 		}
-	}
-	d.logCats = d.cats
-	if !sorted {
-		// A program-order commit log has ascending sequence numbers, so
-		// this is a defensive path for hand-built logs only.
-		order := make([]int, len(d.seqs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return d.seqs[order[a]] < d.seqs[order[b]] })
-		seqs := make([]uint64, len(d.seqs))
-		cs := make([]Category, len(d.cats))
-		for i, j := range order {
-			seqs[i] = d.seqs[j]
-			cs[i] = d.cats[j]
-		}
-		d.seqs, d.cats = seqs, cs
 	}
 	return d
 }
@@ -339,46 +303,35 @@ func classify(in *isa.Inst, dist int32, f uint8) Category {
 	}
 }
 
-// Of returns the category recorded for the given dynamic instruction.
-// Wrong-path instructions (never committed) classify as CatWrongPath;
-// committed instructions missing from the log (e.g. past its end) are
-// conservatively CatACE.
-func (d *Deadness) Of(in *isa.Inst) Category {
-	if in.WrongPath {
-		return CatWrongPath
-	}
-	return d.OfSeq(in.Seq)
-}
-
-// OfSeq returns the category recorded for the given committed sequence
-// number; sequence numbers not in the analysed log are conservatively
-// CatACE. Wrong-path instructions have no committed entry — callers
-// holding an Inst should use Of, which classifies them first.
-func (d *Deadness) OfSeq(seq uint64) Category {
-	if i, ok := slices.BinarySearch(d.seqs, seq); ok {
+// OfPos returns the category of the i-th analysed instruction in log
+// order — log position i for an unmasked analysis. Positions outside the
+// analysed log are conservatively CatACE. Callers holding a residency
+// rather than a position resolve it with pipeline.LogPositions; a
+// wrong-path residency has no position and classifies as CatWrongPath.
+func (d *Deadness) OfPos(i int) Category {
+	if uint(i) < uint(len(d.cats)) {
 		return d.cats[i]
 	}
 	return CatACE
 }
 
-// OfPos returns the category of the i-th analysed instruction in log
-// order — log position i for an unmasked analysis — whatever the order of
-// the log's sequence numbers. Positions past the analysed log are
-// conservatively CatACE. Callers that walk the log they analysed read
-// categories here without Of's sequence-number search.
-func (d *Deadness) OfPos(i int) Category {
-	if uint(i) < uint(len(d.logCats)) {
-		return d.logCats[i]
+// ofResidency classifies the instruction of a residency whose commit-log
+// position is pos (-1 when it never reached the log): wrong-path copies are
+// CatWrongPath, committed instructions missing from the log (e.g. past its
+// end) are conservatively CatACE.
+func (d *Deadness) ofResidency(in *isa.Inst, pos int32) Category {
+	if in.WrongPath {
+		return CatWrongPath
 	}
-	return CatACE
+	return d.OfPos(int(pos))
 }
 
 // Compact releases the per-instruction classification, keeping only the
-// aggregate counts and FDD distance populations. After Compact, Of, OfSeq
-// and OfPos answer conservatively (CatACE) for committed instructions. Use
-// it when memoising many analyses whose per-instruction detail is no longer
+// aggregate counts and FDD distance populations. After Compact, OfPos
+// answers conservatively (CatACE) for every position. Use it when
+// memoising many analyses whose per-instruction detail is no longer
 // needed.
-func (d *Deadness) Compact() { d.seqs, d.cats, d.logCats = nil, nil, nil }
+func (d *Deadness) Compact() { d.cats = nil }
 
 // Committed returns the number of classified committed instructions.
 func (d *Deadness) Committed() uint64 {

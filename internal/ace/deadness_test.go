@@ -3,10 +3,10 @@ package ace
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"softerror/internal/isa"
+	"softerror/internal/pipeline"
 )
 
 // logBuilder assembles committed-instruction logs for deadness tests.
@@ -51,18 +51,13 @@ func (b *logBuilder) ret() int {
 	return b.add(isa.Inst{Class: isa.ClassReturn, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, PredGuard: isa.RegNone})
 }
 
-func catOf(t *testing.T, d *Deadness, log []isa.Inst, idx int) Category {
-	t.Helper()
-	return d.Of(&log[idx])
-}
-
 func TestFDDRegOverwriteWithoutRead(t *testing.T) {
 	b := &logBuilder{}
 	dead := b.alu(isa.IntReg(5), isa.IntReg(1), isa.RegNone)
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite, no read
 	b.alu(isa.IntReg(9), isa.IntReg(5), isa.RegNone) // keep second write live... needs overwrite too
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, dead); got != CatFDDReg {
+	if got := d.OfPos(dead); got != CatFDDReg {
 		t.Fatalf("overwritten-unread write classified %v, want fdd-reg", got)
 	}
 }
@@ -75,10 +70,10 @@ func TestLiveReadBeforeOverwrite(t *testing.T) {
 	b.load(isa.IntReg(7), 0x100)  // the store is read
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone)
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, def); got != CatACE {
+	if got := d.OfPos(def); got != CatACE {
 		t.Fatalf("read-then-overwritten write classified %v, want ace", got)
 	}
-	if got := catOf(t, d, b.log, use); got != CatACE {
+	if got := d.OfPos(use); got != CatACE {
 		t.Fatalf("consumer feeding live store classified %v, want ace", got)
 	}
 }
@@ -88,7 +83,7 @@ func TestLiveOutConservative(t *testing.T) {
 	def := b.alu(isa.IntReg(5), isa.IntReg(1), isa.RegNone)
 	b.nop()
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, def); got != CatACE {
+	if got := d.OfPos(def); got != CatACE {
 		t.Fatalf("never-overwritten write classified %v, want ace (live-out)", got)
 	}
 }
@@ -100,10 +95,10 @@ func TestTDDRegChain(t *testing.T) {
 	b.alu(isa.IntReg(6), isa.IntReg(2), isa.RegNone)             // overwrite 6: terminal FDD
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone)             // overwrite 5
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, terminal); got != CatFDDReg {
+	if got := d.OfPos(terminal); got != CatFDDReg {
 		t.Fatalf("terminal classified %v, want fdd-reg", got)
 	}
-	if got := catOf(t, d, b.log, producer); got != CatTDDReg {
+	if got := d.OfPos(producer); got != CatTDDReg {
 		t.Fatalf("producer classified %v, want tdd-reg", got)
 	}
 }
@@ -117,13 +112,13 @@ func TestTwoLevelTDDChain(t *testing.T) {
 	b.alu(isa.IntReg(6), isa.IntReg(2), isa.RegNone)
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone)
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, term); got != CatFDDReg {
+	if got := d.OfPos(term); got != CatFDDReg {
 		t.Fatalf("terminal = %v, want fdd-reg", got)
 	}
-	if got := catOf(t, d, b.log, mid); got != CatTDDReg {
+	if got := d.OfPos(mid); got != CatTDDReg {
 		t.Fatalf("mid = %v, want tdd-reg", got)
 	}
-	if got := catOf(t, d, b.log, root); got != CatTDDReg {
+	if got := d.OfPos(root); got != CatTDDReg {
 		t.Fatalf("root = %v, want tdd-reg", got)
 	}
 }
@@ -138,13 +133,13 @@ func TestMixedConsumersStayLive(t *testing.T) {
 	b.load(isa.IntReg(8), 0x200)
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite def
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, deadUse); got != CatFDDReg {
+	if got := d.OfPos(deadUse); got != CatFDDReg {
 		t.Fatalf("dead consumer = %v, want fdd-reg", got)
 	}
-	if got := catOf(t, d, b.log, liveUse); got != CatACE {
+	if got := d.OfPos(liveUse); got != CatACE {
 		t.Fatalf("live consumer = %v, want ace", got)
 	}
-	if got := catOf(t, d, b.log, def); got != CatACE {
+	if got := d.OfPos(def); got != CatACE {
 		t.Fatalf("def with one live reader = %v, want ace", got)
 	}
 }
@@ -156,10 +151,10 @@ func TestDeadStoreAndTDDMem(t *testing.T) {
 	b.store(isa.IntReg(2), 0x300)                    // overwrite memory, no load
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite r5
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, deadStore); got != CatFDDMem {
+	if got := d.OfPos(deadStore); got != CatFDDMem {
 		t.Fatalf("dead store = %v, want fdd-mem", got)
 	}
-	if got := catOf(t, d, b.log, producer); got != CatTDDMem {
+	if got := d.OfPos(producer); got != CatTDDMem {
 		t.Fatalf("producer of dead store = %v, want tdd-mem", got)
 	}
 }
@@ -171,10 +166,10 @@ func TestStoreReadStaysLive(t *testing.T) {
 	b.store(isa.IntReg(2), 0x400)
 	b.alu(isa.IntReg(6), isa.IntReg(5), isa.RegNone) // live-out consumer
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, st); got != CatACE {
+	if got := d.OfPos(st); got != CatACE {
 		t.Fatalf("read store = %v, want ace", got)
 	}
-	if got := catOf(t, d, b.log, ld); got != CatACE {
+	if got := d.OfPos(ld); got != CatACE {
 		t.Fatalf("load with live consumer = %v, want ace", got)
 	}
 }
@@ -189,10 +184,10 @@ func TestStoreReadOnlyByDeadLoadIsTDDMem(t *testing.T) {
 	b.store(isa.IntReg(2), 0x400)                    // overwrite memory
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite load result unread
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, ld); got != CatFDDReg {
+	if got := d.OfPos(ld); got != CatFDDReg {
 		t.Fatalf("dead load = %v, want fdd-reg", got)
 	}
-	if got := catOf(t, d, b.log, st); got != CatTDDMem {
+	if got := d.OfPos(st); got != CatTDDMem {
 		t.Fatalf("store read only by dead load = %v, want tdd-mem", got)
 	}
 }
@@ -201,7 +196,7 @@ func TestFinalStoreConservativelyLive(t *testing.T) {
 	b := &logBuilder{}
 	st := b.store(isa.IntReg(1), 0x500)
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, st); got != CatACE {
+	if got := d.OfPos(st); got != CatACE {
 		t.Fatalf("never-overwritten store = %v, want ace", got)
 	}
 }
@@ -215,7 +210,7 @@ func TestReturnDeadLocal(t *testing.T) {
 	b.alu(isa.IntReg(40), isa.IntReg(2), isa.RegNone) // overwritten in a later frame
 	b.ret()
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, local); got != CatFDDRet {
+	if got := d.OfPos(local); got != CatFDDRet {
 		t.Fatalf("return-dead local = %v, want fdd-ret", got)
 	}
 }
@@ -227,7 +222,7 @@ func TestSameFrameOverwriteIsPlainFDD(t *testing.T) {
 	b.alu(isa.IntReg(40), isa.IntReg(2), isa.RegNone) // same frame, no return between
 	b.ret()
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, first); got != CatFDDReg {
+	if got := d.OfPos(first); got != CatFDDReg {
 		t.Fatalf("same-frame overwrite = %v, want fdd-reg", got)
 	}
 }
@@ -237,10 +232,10 @@ func TestNeutralClassification(t *testing.T) {
 	n := b.nop()
 	pf := b.add(isa.Inst{Class: isa.ClassPrefetch, Dest: isa.RegNone, Src1: isa.IntReg(3), Src2: isa.RegNone, PredGuard: isa.RegNone, Addr: 0x600})
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, n); got != CatNeutral {
+	if got := d.OfPos(n); got != CatNeutral {
 		t.Fatalf("nop = %v, want neutral", got)
 	}
-	if got := catOf(t, d, b.log, pf); got != CatNeutral {
+	if got := d.OfPos(pf); got != CatNeutral {
 		t.Fatalf("prefetch = %v, want neutral", got)
 	}
 }
@@ -251,7 +246,7 @@ func TestPrefetchReadDoesNotKeepAlive(t *testing.T) {
 	b.add(isa.Inst{Class: isa.ClassPrefetch, Dest: isa.RegNone, Src1: isa.IntReg(5), Src2: isa.RegNone, PredGuard: isa.RegNone, Addr: 0x700})
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone)
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, def); got != CatFDDReg {
+	if got := d.OfPos(def); got != CatFDDReg {
 		t.Fatalf("value read only by prefetch = %v, want fdd-reg", got)
 	}
 }
@@ -266,15 +261,15 @@ func TestPredFalseClassificationAndUses(t *testing.T) {
 	b.alu(isa.IntReg(5), isa.IntReg(2), isa.RegNone) // overwrite val
 	b.add(isa.Inst{Class: isa.ClassALU, Dest: isa.PredReg(1), Src1: isa.IntReg(1), Src2: isa.RegNone, PredGuard: isa.RegNone})
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, pf); got != CatPredFalse {
+	if got := d.OfPos(pf); got != CatPredFalse {
 		t.Fatalf("pred-false inst = %v, want pred-false", got)
 	}
 	// The pred-false instruction's data source is NOT a real read.
-	if got := catOf(t, d, b.log, val); got != CatFDDReg {
+	if got := d.OfPos(val); got != CatFDDReg {
 		t.Fatalf("value read only by pred-false inst = %v, want fdd-reg", got)
 	}
 	// But its guard read is real: the compare stays live.
-	if got := catOf(t, d, b.log, cmp); got != CatACE {
+	if got := d.OfPos(cmp); got != CatACE {
 		t.Fatalf("compare read by pred-false guard = %v, want ace", got)
 	}
 }
@@ -283,20 +278,73 @@ func TestBranchesAreACE(t *testing.T) {
 	b := &logBuilder{}
 	br := b.add(isa.Inst{Class: isa.ClassBranch, Dest: isa.RegNone, Src1: isa.IntReg(1), Src2: isa.RegNone, PredGuard: isa.RegNone, Taken: true})
 	d := AnalyzeDeadness(b.log)
-	if got := catOf(t, d, b.log, br); got != CatACE {
+	if got := d.OfPos(br); got != CatACE {
 		t.Fatalf("branch = %v, want ace", got)
 	}
 }
 
+// TestOfFallbacks pins OfPos outside the analysed log: positions before
+// or past it, and every position of a compacted analysis, are
+// conservatively live.
 func TestOfFallbacks(t *testing.T) {
-	d := AnalyzeDeadness(nil)
-	wp := isa.Inst{Seq: 99, WrongPath: true, Class: isa.ClassALU}
-	if d.Of(&wp) != CatWrongPath {
-		t.Error("wrong-path fallback broken")
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 500; iter++ {
+		data := make([]byte, 5*r.Intn(200))
+		r.Read(data)
+		log, _ := decodeDeadnessLog(data)
+		d := AnalyzeDeadness(log)
+		for _, i := range []int{-1, len(log), len(log) + 7} {
+			if got := d.OfPos(i); got != CatACE {
+				t.Fatalf("OfPos(%d) past a %d-instruction log = %v, want ACE", i, len(log), got)
+			}
+		}
+		d.Compact()
+		for i := range log {
+			if got := d.OfPos(i); got != CatACE {
+				t.Fatalf("compacted OfPos(%d) = %v, want ACE", i, got)
+			}
+		}
 	}
-	unknown := isa.Inst{Seq: 42, Class: isa.ClassALU}
-	if d.Of(&unknown) != CatACE {
-		t.Error("unknown-seq fallback should be conservative ACE")
+}
+
+// TestOfPosMatchesOfSeq pins the position accessor against the
+// sequence-number lookup readers holding a residency use: an instruction
+// resolved by its Seq through pipeline.LogPositions, in shuffled
+// (out-of-order retire) order, reads the category OfPos gives its
+// position; a Seq the log does not hold is conservatively ACE and a
+// wrong-path copy is CatWrongPath.
+func TestOfPosMatchesOfSeq(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 500; iter++ {
+		data := make([]byte, 5*r.Intn(200))
+		r.Read(data)
+		log, _ := decodeDeadnessLog(data)
+		for i := range log {
+			log[i].Seq = 100 + 3*uint64(i) // program order, with gaps
+		}
+		d := AnalyzeDeadness(log)
+		res := make([]pipeline.Residency, len(log), len(log)+3)
+		for j, i := range r.Perm(len(log)) {
+			res[j].Inst = log[i]
+		}
+		res = append(res,
+			pipeline.Residency{Inst: isa.Inst{Seq: 101, Class: isa.ClassALU}},
+			pipeline.Residency{Inst: isa.Inst{Seq: 100 + 3*uint64(len(log)), Class: isa.ClassALU}},
+			pipeline.Residency{Inst: isa.Inst{Seq: 100, Class: isa.ClassALU, WrongPath: true}})
+		pos := pipeline.LogPositions(res, log)
+		for j := range res {
+			in := &res[j].Inst
+			want := CatACE
+			if in.WrongPath {
+				want = CatWrongPath
+			} else if in.Seq >= 100 && (in.Seq-100)%3 == 0 && int(in.Seq-100)/3 < len(log) {
+				want = d.OfPos(int(in.Seq-100) / 3)
+			}
+			if got := d.ofResidency(in, pos[j]); got != want {
+				t.Fatalf("%d-instruction log, seq %d (wrong path %v): %v, want %v",
+					len(log), in.Seq, in.WrongPath, got, want)
+			}
+		}
 	}
 }
 
@@ -421,9 +469,6 @@ func deadnessDefUse(log []isa.Inst) *Deadness {
 	if len(log) == 0 {
 		return d
 	}
-	d.seqs = make([]uint64, 0, len(log))
-	d.cats = make([]Category, 0, len(log))
-
 	defs := make([]defUse, len(log))
 	cats := make([]Category, len(log))
 
@@ -519,15 +564,8 @@ func deadnessDefUse(log []isa.Inst) *Deadness {
 		cats[i] = classifyDefUse(in, i, defs, cats)
 	}
 
-	sorted := true
-	for i := range log {
-		in := &log[i]
-		c := cats[i]
-		if i > 0 && in.Seq < d.seqs[len(d.seqs)-1] {
-			sorted = false
-		}
-		d.seqs = append(d.seqs, in.Seq)
-		d.cats = append(d.cats, c)
+	d.cats = cats
+	for i, c := range cats {
 		d.Counts[c]++
 		switch c {
 		case CatFDDReg:
@@ -537,23 +575,6 @@ func deadnessDefUse(log []isa.Inst) *Deadness {
 		case CatFDDMem:
 			d.FDDMemDist = append(d.FDDMemDist, int(defs[i].overwrite)-i)
 		}
-	}
-	d.logCats = cats
-	if !sorted {
-		// A program-order commit log has ascending sequence numbers, so
-		// this is a defensive path for hand-built logs only.
-		order := make([]int, len(d.seqs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return d.seqs[order[a]] < d.seqs[order[b]] })
-		seqs := make([]uint64, len(d.seqs))
-		cs := make([]Category, len(d.cats))
-		for i, j := range order {
-			seqs[i] = d.seqs[j]
-			cs[i] = d.cats[j]
-		}
-		d.seqs, d.cats = seqs, cs
 	}
 	return d
 }
@@ -619,8 +640,7 @@ func classifyDefUse(in *isa.Inst, i int, defs []defUse, cats []Category) Categor
 // overwrites collide often, and it reaches every corner the kernel must
 // agree with the oracle on: loads and stores to shared addresses,
 // predicated-false, neutral and wrong-path instructions, Src == Dest,
-// destinations on any class, call depths past maxTrackedDepth, and
-// out-of-order sequence numbers (the defensive sort).
+// destinations on any class, and call depths past maxTrackedDepth.
 func decodeDeadnessLog(data []byte) ([]isa.Inst, []uint64) {
 	regs := [...]isa.Reg{isa.RegNone, isa.IntReg(1), isa.IntReg(2), isa.IntReg(3),
 		isa.FPReg(1), isa.FPReg(2), isa.PredReg(1), isa.PredReg(2)}
@@ -632,9 +652,6 @@ func decodeDeadnessLog(data []byte) ([]isa.Inst, []uint64) {
 		b := data[5*i : 5*i+5]
 		in := &log[i]
 		in.Seq = uint64(i)
-		if b[0]&0x80 != 0 && i > 0 {
-			in.Seq, log[i-1].Seq = log[i-1].Seq, in.Seq
-		}
 		in.Class = isa.Class(b[0] % 11) // any of the 11 classes
 		in.PredFalse = b[1]&0x07 == 0
 		in.WrongPath = b[1]&0x38 == 0
@@ -682,15 +699,13 @@ func checkKernelMatchesDefUse(t *testing.T, s *deadScratch, log []isa.Inst, mask
 		t.Fatalf("masked kernel differs from the oracle on the %d-of-%d sub-log:\n got %+v\nwant %+v", len(sub), len(log), got, want)
 	}
 	// The position-indexed categories agree with the compacted ones.
-	if sort.SliceIsSorted(sub, func(a, b int) bool { return sub[a].Seq < sub[b].Seq }) {
-		j := 0
-		for i := range log {
-			if committedAt(mask, i) {
-				if s.cat[i] != want.cats[j] {
-					t.Fatalf("position %d: category %v, want %v", i, s.cat[i], want.cats[j])
-				}
-				j++
+	j := 0
+	for i := range log {
+		if committedAt(mask, i) {
+			if s.cat[i] != want.cats[j] {
+				t.Fatalf("position %d: category %v, want %v", i, s.cat[i], want.cats[j])
 			}
+			j++
 		}
 	}
 }
@@ -732,64 +747,4 @@ func FuzzDeadnessMatchesDefUse(f *testing.F) {
 		log, mask := decodeDeadnessLog(data)
 		checkKernelMatchesDefUse(t, &s, log, mask)
 	})
-}
-
-// checkOfPos asserts that OfPos reads, by log position, the category OfSeq
-// finds by sequence number, and that positions past the log are live.
-func checkOfPos(t *testing.T, log []isa.Inst) {
-	t.Helper()
-	d := AnalyzeDeadness(log)
-	for i := range log {
-		if got, want := d.OfPos(i), d.OfSeq(log[i].Seq); got != want {
-			t.Fatalf("%d-instruction log, position %d (seq %d): OfPos %v, OfSeq %v",
-				len(log), i, log[i].Seq, got, want)
-		}
-	}
-	for _, i := range []int{-1, len(log), len(log) + 7} {
-		if got := d.OfPos(i); got != CatACE {
-			t.Fatalf("OfPos(%d) past a %d-instruction log = %v, want ACE", i, len(log), got)
-		}
-	}
-}
-
-// TestOfPosMatchesOfSeq pins the position accessor against the
-// sequence-number lookup on program-order logs and on a hand-built log
-// whose sequence numbers are shuffled, which takes the defensive re-sort.
-func TestOfPosMatchesOfSeq(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 500; iter++ {
-		data := make([]byte, 5*r.Intn(200))
-		r.Read(data)
-		log, _ := decodeDeadnessLog(data)
-		for i := range log {
-			log[i].Seq = uint64(i) // program order
-		}
-		checkOfPos(t, log)
-	}
-
-	var b logBuilder
-	r1, r2 := isa.IntReg(1), isa.IntReg(2)
-	b.alu(r1, r2, isa.RegNone) // FDD: overwritten unread
-	b.alu(r1, r2, isa.RegNone) // live: the store reads it
-	b.store(r1, 0x40)          // dead store: overwritten below
-	b.call()
-	b.alu(r2, r1, isa.RegNone) // return-dead local
-	b.ret()
-	b.alu(r2, r1, isa.RegNone)
-	b.nop()
-	b.store(r2, 0x40)
-	b.load(r1, 0x40)
-	b.alu(r2, r1, r1)
-	log := b.log
-	perm := r.Perm(len(log))
-	for i := range log {
-		log[i].Seq = 100 + uint64(perm[i])
-	}
-	if sort.SliceIsSorted(log, func(a, b int) bool { return log[a].Seq < log[b].Seq }) {
-		t.Fatal("shuffled log is still in sequence order")
-	}
-	checkOfPos(t, log)
-	if want := AnalyzeDeadness(log); want.OfPos(0) != CatFDDReg || want.OfPos(2) != CatFDDMem {
-		t.Fatalf("shuffled log categories %v, %v; want FDD-reg, FDD-mem", want.OfPos(0), want.OfPos(2))
-	}
 }

@@ -21,12 +21,9 @@ func ExampleAnalyzeDeadness() {
 		mk(isa.ClassALU, isa.IntReg(5), isa.IntReg(2)), // seq 2: overwrites r5
 		mk(isa.ClassALU, isa.IntReg(4), isa.IntReg(2)), // seq 3: overwrites r4
 	}
-	for i := range log {
-		log[i].Seq = uint64(i)
-	}
 	dead := ace.AnalyzeDeadness(log)
 	for i := range log {
-		fmt.Printf("seq %d: %v\n", i, dead.Of(&log[i]))
+		fmt.Printf("seq %d: %v\n", i, dead.OfPos(i))
 	}
 	// Output:
 	// seq 0: tdd-reg

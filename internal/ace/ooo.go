@@ -33,7 +33,7 @@ const (
 
 // AnalyzeROB integrates a recorded trace's reorder-buffer residencies.
 func AnalyzeROB(tr *pipeline.Trace, dead *Deadness) *Report {
-	return AnalyzeStructure(tr.ROB, tr.Cycles, tr.ROBCap, dead)
+	return AnalyzeStructure(tr.ROB, tr.CommitLog, tr.Cycles, tr.ROBCap, dead)
 }
 
 // LSQReport is the vulnerability analysis of the load/store queue. Live
@@ -56,6 +56,7 @@ type LSQReport struct {
 // AnalyzeLSQ integrates a recorded trace's load/store-queue residencies.
 func AnalyzeLSQ(tr *pipeline.Trace, dead *Deadness) *LSQReport {
 	r := &LSQReport{Cycles: tr.Cycles, Entries: tr.LSQCap}
+	pos := pipeline.LogPositions(tr.LSQ, tr.CommitLog)
 	for i := range tr.LSQ {
 		res := &tr.LSQ[i]
 		occ := res.Occupancy()
@@ -66,7 +67,7 @@ func AnalyzeLSQ(tr *pipeline.Trace, dead *Deadness) *LSQReport {
 			r.addNeverRead(occ)
 			continue
 		}
-		r.add(occ, dead.Of(&res.Inst))
+		r.add(occ, dead.ofResidency(&res.Inst, pos[i]))
 	}
 	r.finalize()
 	return r

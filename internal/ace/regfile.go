@@ -74,8 +74,8 @@ type regValue struct {
 // deadness analysis of the same commit log (before Compact).
 func AnalyzeRegFile(tr *pipeline.Trace, dead *Deadness) *RegFileReport {
 	cats := make([]Category, len(tr.CommitLog))
-	for i := range tr.CommitLog {
-		cats[i] = dead.Of(&tr.CommitLog[i])
+	for i := range cats {
+		cats[i] = dead.OfPos(i)
 	}
 	return analyzeRegFileLog(tr.CommitLog, tr.CommitCycles, cats, nil, tr.Cycles)
 }
@@ -84,10 +84,9 @@ func AnalyzeRegFile(tr *pipeline.Trace, dead *Deadness) *RegFileReport {
 // with its issue cycles and categories index-aligned — the entry point the
 // BatchCollector shares, since the register-file analysis is inherently a
 // program-order pass over commits, not residencies. Categories come in by
-// index because a lane's log is the shared body prefix, whose Seq values
-// are not the lane's. A non-nil mask (one bit per log index) restricts the
-// pass to the committed positions of a lane that stopped with commit
-// holes; nil takes the whole log.
+// index, the way every deadness classification is kept. A non-nil mask
+// (one bit per log index) restricts the pass to the committed positions of
+// a lane that stopped with commit holes; nil takes the whole log.
 func analyzeRegFileLog(log []isa.Inst, commitCycles []uint64, cats []Category, mask []uint64, cycles uint64) *RegFileReport {
 	rep := &RegFileReport{
 		Cycles:  cycles,

@@ -66,7 +66,7 @@ func TestRegFileDeadReadWindow(t *testing.T) {
 	at := []uint64{10, 30, 40, 50}
 	tr := regTrace(100, b.log, at)
 	dead := AnalyzeDeadness(b.log)
-	if got := dead.Of(&b.log[dr]); got != CatFDDReg {
+	if got := dead.OfPos(dr); got != CatFDDReg {
 		t.Fatalf("reader should be fdd-reg, got %v", got)
 	}
 	rep := AnalyzeRegFile(tr, dead)

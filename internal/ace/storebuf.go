@@ -34,13 +34,14 @@ type SBReport struct {
 // AnalyzeStoreBuffer integrates the store buffer's residency intervals.
 func AnalyzeStoreBuffer(tr *pipeline.Trace, dead *Deadness) *SBReport {
 	r := &SBReport{Cycles: tr.Cycles, Entries: tr.StoreBufferCap}
+	pos := pipeline.LogPositions(tr.StoreBuffer, tr.CommitLog)
 	for i := range tr.StoreBuffer {
 		res := &tr.StoreBuffer[i]
 		occ := res.Occupancy()
 		if occ == 0 {
 			continue
 		}
-		r.add(occ, dead.Of(&res.Inst))
+		r.add(occ, dead.ofResidency(&res.Inst, pos[i]))
 	}
 	r.finalize()
 	return r

@@ -22,6 +22,10 @@ func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
 	return s.body[n].PC + 4*uint64(j), 0
 }
 
+// BodyPrefix aliases the body stream, as workload.Shared does, so Finish
+// reads the shared commit log without copying it.
+func (s *sliceSource) BodyPrefix(m int) []isa.Inst { return s.body[:m] }
+
 // TestBatchCollectorEventPathZeroAlloc pins the arena property on the
 // collector: once a BatchCollector has been through one Reset/feed cycle,
 // further cycles — Reset included — allocate nothing. Every event record
@@ -176,5 +180,53 @@ func TestHoledFinishAllocsIndependentOfCommits(t *testing.T) {
 	}
 	if small, large := allocs(2000), allocs(20000); small != large {
 		t.Fatalf("holed Finish allocates %.0f times at 2k commits but %.0f at 20k; want the same", small, large)
+	}
+}
+
+// TestDenseFinishBytesIndependentOfCommits pins what a hole-free lane's
+// Finish costs once the group has memoised its classification: a header
+// copy of the memo plus the reports, the same bytes at any commit count.
+// Nothing in the settle path is sized by the lane's commits.
+func TestDenseFinishBytesIndependentOfCommits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytes := func(commits int) uint64 {
+		src := &sliceSource{body: pinLog(commits + 16)}
+		group := NewBatchGroup(src)
+		cfg := StructureConfig(pipeline.DefaultConfig(), uint64(commits))
+		cfg.FrontEnd, cfg.StoreBuffer = true, true
+		coll, err := NewBatchCollector(cfg, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := coll.Reset(cfg, group); err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < commits; n++ {
+				ref := pipeline.BatchRef(n)
+				seq := uint64(n)
+				enq := 2 * seq
+				coll.BatchCommit(ref, seq, enq, enq+1)
+				coll.BatchResidency(ref, seq, enq, enq+1, enq+3, true, false)
+				coll.BatchFrontEnd(ref, seq, enq, enq+1, true)
+				coll.BatchStoreBuffer(ref, seq, enq, enq+4)
+			}
+			if coll.commits != coll.n {
+				t.Fatal("lane has a commit hole")
+			}
+			coll.Finish(uint64(2*commits + 8))
+		}
+		run() // fill the group memo and warm the collector
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if small, large := bytes(2000), bytes(20000); small != large {
+		t.Fatalf("dense Finish allocates %d bytes at 2k commits but %d at 20k; want the same", small, large)
 	}
 }

@@ -143,6 +143,13 @@ const DefaultCommits = 100_000
 // throw cannot be recovered. The CLIs' -commits flags are not capped.
 const MaxServedCommits = 1 << 22
 
+// MaxServedIQSize is the largest instruction-queue size seratd accepts in
+// one request (sweeps, fleet leases and bounds). Each lane allocates its
+// queue ring up front, tens of bytes an entry, so an unchecked size off the
+// wire reaches the same unrecoverable out-of-memory throw as an unchecked
+// commit count. The CLIs' -iqsizes flags are not capped.
+const MaxServedIQSize = 4096
+
 // simCycles accumulates every cycle simulated by this process, across all
 // workers and drivers; the evaluation service reads it to report a
 // simulated-Mcycles/s throughput gauge.

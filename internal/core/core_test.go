@@ -400,10 +400,18 @@ func TestDeadnessCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After Compact (done by the suite), Of falls back conservatively.
-	var in = r.Report.Dead
-	if in == nil {
+	// After Compact (done by the suite), OfPos falls back conservatively
+	// while the counts survive.
+	d := r.Report.Dead
+	if d == nil {
 		t.Fatal("no deadness on report")
 	}
-	_ = ace.CatACE // Of's fallback is exercised implicitly by reuse above
+	if d.Committed() == 0 || d.DeadFraction() == 0 {
+		t.Fatalf("compacted deadness lost its counts: %d committed, dead fraction %v", d.Committed(), d.DeadFraction())
+	}
+	for i := 0; i < int(d.Committed()); i++ {
+		if got := d.OfPos(i); got != ace.CatACE {
+			t.Fatalf("compacted OfPos(%d) = %v, want ACE", i, got)
+		}
+	}
 }

@@ -266,8 +266,8 @@ func (s *Suite) prewarmBench(a *Arena, b spec.Benchmark, policies []Policy) erro
 
 // simulateBatch runs one benchmark's policy set through the batched
 // evaluation path on arena a, releasing each result's per-instruction
-// classification map: the drivers only need the aggregate report and
-// distance populations.
+// classification: the drivers only need the aggregate report and distance
+// populations.
 func (s *Suite) simulateBatch(a *Arena, b spec.Benchmark, pols []Policy) ([]*Result, error) {
 	results, err := RunBatchArena(s.ctx(), a, b.Params, s.Commits, policySpecs(pols, s.OutOfOrder))
 	if err != nil {

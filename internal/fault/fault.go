@@ -12,10 +12,8 @@
 package fault
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"softerror/internal/ace"
@@ -164,34 +162,16 @@ func NewROBInjector(tr *pipeline.Trace, dead *ace.Deadness) *Injector {
 func NewStructureInjector(res []pipeline.Residency, cycles uint64, entries int, log []isa.Inst, dead *ace.Deadness) *Injector {
 	inj := &Injector{
 		residencies: res,
-		pos:         make([]int32, len(res)),
+		pos:         pipeline.LogPositions(res, log),
 		ix:          pibit.NewIndex(log),
 		dead:        dead,
 		capacity:    cycles * uint64(entries) * uint64(isa.EntryPayloadBits),
 		cum:         make([]uint64, len(res)),
 	}
 	var acc uint64
-	next := 0 // log position after the last one resolved
 	for i := range res {
 		acc += res[i].Occupancy() * uint64(isa.EntryPayloadBits)
 		inj.cum[i] = acc
-		inj.pos[i] = -1
-		in := &res[i].Inst
-		if in.WrongPath {
-			continue
-		}
-		// Residencies arrive in near program order, so the position after
-		// the last one resolved is the usual answer.
-		p, ok := next, next < len(log) && log[next].Seq == in.Seq
-		if !ok {
-			p, ok = slices.BinarySearchFunc(log, in.Seq, func(c isa.Inst, seq uint64) int {
-				return cmp.Compare(c.Seq, seq)
-			})
-		}
-		if ok {
-			inj.pos[i] = int32(p)
-			next = p + 1
-		}
 	}
 	inj.totalOcc = acc
 	return inj

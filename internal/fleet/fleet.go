@@ -83,8 +83,9 @@ func SpecOf(g *sweep.Grid) GridSpec {
 }
 
 // Build rebuilds the sweep grid a spec names, validating every axis and
-// capping the commits per cell at core.MaxServedCommits, so no grid a
-// sweep or lease request names can reserve an absurd stream. Failures
+// capping the commits per cell at core.MaxServedCommits and the IQ sizes at
+// core.MaxServedIQSize, so no grid a sweep or lease request names can
+// reserve an absurd stream or queue. Failures
 // wrap ErrBadGrid.
 func (sp GridSpec) Build() (*sweep.Grid, error) {
 	if len(sp.Benches) == 0 {
@@ -117,8 +118,8 @@ func (sp GridSpec) Build() (*sweep.Grid, error) {
 		g.OutOfOrder = []bool{false}
 	}
 	for _, iq := range g.IQSizes {
-		if iq < 1 {
-			return nil, fmt.Errorf("%w: IQ size %d, want >= 1", ErrBadGrid, iq)
+		if iq < 1 || iq > core.MaxServedIQSize {
+			return nil, fmt.Errorf("%w: IQ size %d, want 1..%d", ErrBadGrid, iq, core.MaxServedIQSize)
 		}
 	}
 	if n := g.Size(); n < 1 || n > MaxGridCells {

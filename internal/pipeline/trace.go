@@ -1,6 +1,11 @@
 package pipeline
 
-import "softerror/internal/isa"
+import (
+	"cmp"
+	"slices"
+
+	"softerror/internal/isa"
+)
 
 // Residency records one occupancy of one instruction-queue entry: the
 // interval during which a particular dynamic instruction's bits sat in the
@@ -36,6 +41,35 @@ func (r *Residency) Occupancy() uint64 {
 		return 0
 	}
 	return r.Evict - r.Enq
+}
+
+// LogPositions resolves each residency to its instruction's position in a
+// program-order commit log (ascending Seq), or -1 when the instruction
+// never reached the log: a wrong-path copy, or one issued after the log
+// ended. Residencies arrive in near program order, so the position after
+// the last one resolved is tried first; a miss (an out-of-order retire, a
+// refetched copy) falls back to a binary search.
+func LogPositions(res []Residency, log []isa.Inst) []int32 {
+	pos := make([]int32, len(res))
+	next := 0 // log position after the last one resolved
+	for i := range res {
+		pos[i] = -1
+		in := &res[i].Inst
+		if in.WrongPath {
+			continue
+		}
+		p, ok := next, next < len(log) && log[next].Seq == in.Seq
+		if !ok {
+			p, ok = slices.BinarySearchFunc(log, in.Seq, func(c isa.Inst, seq uint64) int {
+				return cmp.Compare(c.Seq, seq)
+			})
+		}
+		if ok {
+			pos[i] = int32(p)
+			next = p + 1
+		}
+	}
+	return pos
 }
 
 // Trace is the full record of one simulation: everything the AVF analysis,

@@ -80,8 +80,8 @@ func parseBoundQuery(r *http.Request) (boundSpec, error) {
 	}
 	b.iqSize = 64
 	if v := q.Get("iqsize"); v != "" {
-		if b.iqSize, err = strconv.Atoi(v); err != nil || b.iqSize < 1 {
-			return b, fmt.Errorf("bad iqsize %q, want a positive integer", v)
+		if b.iqSize, err = strconv.Atoi(v); err != nil || b.iqSize < 1 || b.iqSize > core.MaxServedIQSize {
+			return b, fmt.Errorf("bad iqsize %q, want 1..%d", v, core.MaxServedIQSize)
 		}
 	}
 	if v := q.Get("ooo"); v != "" {

@@ -34,6 +34,8 @@ func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"policies":["baseline"],"tasktimeout":"not-a-duration"}`))
 	f.Add([]byte(`{"policies":["baseline"],"iqsizes":[0]}`))
 	f.Add([]byte(`{"policies":["baseline"],"iqsizes":[-4]}`))
+	f.Add([]byte(`{"policies":["baseline"],"iqsizes":[4097]}`))
+	f.Add([]byte(`{"policies":["baseline"],"iqsizes":[1073741824]}`))
 	f.Add([]byte(`{"policies":["baseline"],"retries":-1}`))
 	f.Add([]byte(`{"policies":["baseline"],"unknown":1}`))
 	f.Add([]byte(`[]`))
@@ -58,8 +60,8 @@ func FuzzSweepRequest(f *testing.F) {
 			t.Fatalf("accepted grid has an empty axis: %+v", g)
 		}
 		for _, iq := range g.IQSizes {
-			if iq < 1 {
-				t.Fatalf("accepted non-positive IQ size %d", iq)
+			if iq < 1 || iq > core.MaxServedIQSize {
+				t.Fatalf("accepted IQ size %d outside 1..%d", iq, core.MaxServedIQSize)
 			}
 		}
 		if g.Commits > core.MaxServedCommits {

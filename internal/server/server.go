@@ -293,6 +293,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
+		if errors.Is(f.err, errEvalsFull) {
+			s.refuseEval(w)
+			return
+		}
 		if f.err != nil {
 			httpError(w, http.StatusInternalServerError, "evaluation failed: %v", f.err)
 			return
@@ -310,11 +314,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.flights, key)
 		s.mu.Unlock()
-		f.err = fmt.Errorf("too many evaluations in flight")
+		f.err = errEvalsFull
 		close(f.done)
-		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "too many evaluations in flight")
+		s.refuseEval(w)
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
@@ -332,6 +334,18 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.Put(key, f.ctype, f.body)
 	s.serveBody(w, f.ctype, "miss", f.body)
+}
+
+// errEvalsFull closes a flight whose leader the full eval gate refused;
+// the requests waiting on it are refused with the leader.
+var errEvalsFull = errors.New("too many evaluations in flight")
+
+// refuseEval answers an eval the full gate refused: 429 with Retry-After,
+// counted in rejected.
+func (s *Server) refuseEval(w http.ResponseWriter) {
+	s.metrics.rejected.Add(1)
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusTooManyRequests, "%v", errEvalsFull)
 }
 
 func (s *Server) serveBody(w http.ResponseWriter, ctype, xcache string, body []byte) {

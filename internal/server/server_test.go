@@ -221,6 +221,39 @@ func TestEvalOverflow429(t *testing.T) {
 	}
 }
 
+// TestEvalRefusedFlightWaiter429 pins what a request waiting on a
+// single-flighted miss gets when the full eval gate refused that miss's
+// leader: the leader's 429 with Retry-After, counted in rejected, not a
+// 500. The refused flight is planted already closed, as the leader leaves
+// it, so nothing simulates.
+func TestEvalRefusedFlightWaiter429(t *testing.T) {
+	s := newTestServer(t, Config{})
+	req := evalBody("table1", false)
+	e, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &flight{done: make(chan struct{}), ctype: e.contentType(), err: errEvalsFull}
+	close(f.done)
+	s.mu.Lock()
+	s.flights[e.fingerprint()] = f
+	s.mu.Unlock()
+
+	for i := 1; i <= 2; i++ {
+		w := do(s, "POST", "/v1/eval", req)
+		if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") == "" {
+			t.Fatalf("waiter on a refused flight: status %d, Retry-After %q; want 429 with Retry-After (body %s)",
+				w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+		if got := s.metrics.rejected.Value(); got != int64(i) {
+			t.Errorf("rejected = %d after %d refused waiters, want %d", got, i, i)
+		}
+	}
+	if got := s.metrics.cacheMisses.Value(); got != 0 {
+		t.Errorf("refused waiters simulated: cache_misses = %d", got)
+	}
+}
+
 // TestEvalSingleFlight sends two concurrent identical cache misses and
 // checks only one computation ran; the waiter shares its bytes.
 func TestEvalSingleFlight(t *testing.T) {
@@ -423,12 +456,13 @@ func TestSweepUnpriceableCommitsRejected(t *testing.T) {
 	}
 }
 
-// TestCommitsOverCapRejected pins the cap on commits per run: a count
-// past core.MaxServedCommits is a 400 on every route that takes one, so no
-// request reaches the stream reservation its count would make (about
-// 50 B a commit, which at the larger counts below the runtime cannot
-// reserve and dies on). The cap itself is accepted by each route's
-// decoder, called directly so that nothing simulates.
+// TestCommitsOverCapRejected pins the caps on commits per run and on IQ
+// size: a count past core.MaxServedCommits, or a queue past
+// core.MaxServedIQSize, is a 400 on every route that takes one, so no
+// request reaches the stream reservation or queue ring its value would
+// make (which at the larger values below the runtime cannot reserve and
+// dies on). Each cap itself is accepted by each route's decoder, called
+// directly so that nothing simulates.
 func TestCommitsOverCapRejected(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, n := range []uint64{core.MaxServedCommits + 1, 1 << 31, 1<<32 - 1, 1e12} {
@@ -445,6 +479,19 @@ func TestCommitsOverCapRejected(t *testing.T) {
 			}
 		}
 	}
+	for _, iq := range []int{core.MaxServedIQSize + 1, 1 << 20, 1 << 30} {
+		for _, r := range []struct{ method, target, body string }{
+			{"POST", "/v1/sweep", fmt.Sprintf(`{"benches":["mcf"],"policies":["baseline"],"iqsizes":[16,%d],"commits":1000}`, iq)},
+			{"POST", "/v1/lease", fmt.Sprintf(`{"lease":"l","grid":{"benches":["mcf"],"policies":["baseline"],"iqsizes":[%d],"commits":1000},"ranges":[{"lo":0,"hi":1}]}`, iq)},
+			{"GET", fmt.Sprintf("/v1/bound?bench=mcf&iqsize=%d", iq), ""},
+		} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s %s with IQ size %d: status %d, want 400 (body %.200s)", r.method, r.target, iq, w.Code, w.Body)
+			}
+		}
+	}
 	if got := s.metrics.jobsQueued.Value(); got != 0 {
 		t.Errorf("rejected sweeps queued %d jobs", got)
 	}
@@ -458,6 +505,13 @@ func TestCommitsOverCapRejected(t *testing.T) {
 	}
 	if b, err := parseBoundQuery(httptest.NewRequest("GET", fmt.Sprintf("/v1/bound?bench=mcf&commits=%d", max), nil)); err != nil || b.commits != max {
 		t.Errorf("bound at the cap: commits %d, err %v; want %d accepted", b.commits, err, max)
+	}
+	const maxIQ = core.MaxServedIQSize
+	if g, err := s.buildGrid(SweepRequest{Benches: []string{"mcf"}, Policies: []string{"baseline"}, IQSizes: []int{maxIQ}}); err != nil || g.IQSizes[0] != maxIQ {
+		t.Errorf("sweep or lease grid at the IQ cap: err %v; want IQ size %d accepted", err, maxIQ)
+	}
+	if b, err := parseBoundQuery(httptest.NewRequest("GET", fmt.Sprintf("/v1/bound?bench=mcf&iqsize=%d", maxIQ), nil)); err != nil || b.iqSize != maxIQ {
+		t.Errorf("bound at the IQ cap: iqsize %d, err %v; want %d accepted", b.iqSize, err, maxIQ)
 	}
 }
 
