@@ -2,6 +2,7 @@ package ace
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"softerror/internal/isa"
@@ -21,7 +22,10 @@ import (
 // charge by body index, the position deadness classifies by, which both
 // skips instruction reconstruction on the hot path and turns Finish's
 // lookups into direct indexing; reorder-buffer reads, which only committed
-// bodies make, sum straight into per-body storage. All charges are
+// bodies make, sum straight into per-body storage. The per-body records and
+// pending charges hold their cycle counts in 32 bits, which every lane of
+// the paper's runs fits; a count that does not fit is kept exact in a
+// 64-bit side entry (wideRec, charges.wide), never wrapped. All charges are
 // commutative uint64 sums through the same
 // Report.addRead/addNeverRead/SBReport.add helpers as the trace analyses
 // (Analyze and friends), so the reports are exactly equal to analysing a
@@ -149,23 +153,68 @@ func (g *BatchGroup) viewFor(m int) *Deadness {
 	return &d
 }
 
-// batchPendingRead defers one read charge to Finish, keyed by body index:
-// its category needs the complete commit log.
-type batchPendingRead struct {
-	body int
-	wait uint64
+// charge32 is one deferred charge of cycles against a body index, in 8
+// bytes; its category needs the complete commit log, so Finish settles it.
+type charge32 struct{ body, cycles uint32 }
+
+// charge is a deferred charge too wide for a charge32.
+type charge struct {
+	body   int
+	cycles uint64
 }
 
-type batchPendingOcc struct {
-	body int
-	occ  uint64
+// charges is a list of deferred charges, exact at any width: a charge
+// whose body index or cycle count exceeds 32 bits is kept whole in wide.
+// Finish sums the charges, so their order does not matter.
+type charges struct {
+	narrow []charge32
+	wide   []charge
+}
+
+func (l *charges) add(body int, cycles uint64) {
+	if uint64(body) <= math.MaxUint32 && cycles <= math.MaxUint32 {
+		l.narrow = append(l.narrow, charge32{uint32(body), uint32(cycles)})
+		return
+	}
+	l.wide = append(l.wide, charge{body, cycles})
+}
+
+func (l *charges) reset() { l.narrow, l.wide = l.narrow[:0], l.wide[:0] }
+
+// each calls f on every charge.
+func (l *charges) each(f func(body int, cycles uint64)) {
+	for _, p := range l.narrow {
+		f(int(p.body), uint64(p.cycles))
+	}
+	for _, p := range l.wide {
+		f(p.body, p.cycles)
+	}
 }
 
 // commitRec is one body position's deferred IQ charge: the pre-issue wait
 // and the post-issue linger, packed together so the per-commit writes
 // touch one array.
 type commitRec struct {
-	wait, linger uint64
+	wait, linger uint32
+}
+
+// wideRec holds what one body's IQ wait, IQ linger and ROB occupancy
+// carried past their 32-bit records: a body's total is its record plus
+// its wide entry.
+type wideRec struct{ wait, linger, rob uint64 }
+
+// add32 adds v to the 32-bit record *r. When the sum does not fit it
+// zeroes *r and returns the sum (mod 2⁶⁴, as a 64-bit record would hold
+// it) for the caller to carry into the body's wideRec; otherwise it
+// returns 0.
+func add32(r *uint32, v uint64) (carry uint64) {
+	if v <= math.MaxUint32-uint64(*r) {
+		*r += uint32(v)
+		return 0
+	}
+	carry = uint64(*r) + v
+	*r = 0
+	return carry
 }
 
 // readBuckets sums read charges per (category, dest, control) bucket.
@@ -201,12 +250,13 @@ type BatchCollector struct {
 	cfg   CollectorConfig
 	group *BatchGroup
 
-	recs    []commitRec // indexed by body position; zero value = no commit yet
-	bits    []uint64    // committed-body bitmap, parallel to recs
-	issues  []uint64    // issue cycle per body position; RegFile only
-	robOcc  []uint64    // ROB read occupancy per body position; OoO only
-	n       int         // one past the highest committed body index
-	commits int         // total commits; == n iff [0, n) is hole-free
+	recs    []commitRec      // indexed by body position; zero value = no commit yet
+	bits    []uint64         // committed-body bitmap, parallel to recs
+	issues  []uint64         // issue cycle per body position; RegFile only
+	robOcc  []uint32         // ROB read occupancy per body position; OoO only
+	wide    map[int]*wideRec // by body position; only bodies that outgrew 32 bits
+	n       int              // one past the highest committed body index
+	commits int              // total commits; == n iff [0, n) is hole-free
 
 	iq  Report
 	fe  Report
@@ -218,9 +268,22 @@ type BatchCollector struct {
 	// the run, committed ones in Finish.
 	iqReads readBuckets
 
-	fePending  []batchPendingRead
-	sbPending  []batchPendingOcc
-	lsqPending []batchPendingOcc
+	fePending  charges
+	sbPending  charges
+	lsqPending charges
+}
+
+// widen returns body's wide entry, creating it.
+func (c *BatchCollector) widen(body int) *wideRec {
+	w := c.wide[body]
+	if w == nil {
+		if c.wide == nil {
+			c.wide = make(map[int]*wideRec)
+		}
+		w = &wideRec{}
+		c.wide[body] = w
+	}
+	return w
 }
 
 // committed reports whether body index i has committed.
@@ -278,13 +341,14 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 		c.robOcc = slices.Grow(c.robOcc, want)[:want]
 		clear(c.robOcc)
 	}
+	clear(c.wide)
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
 	c.rob, c.lsq = Report{}, LSQReport{}
 	c.iqReads = readBuckets{}
-	c.fePending = c.fePending[:0]
-	c.sbPending = c.sbPending[:0]
-	c.lsqPending = c.lsqPending[:0]
+	c.fePending.reset()
+	c.sbPending.reset()
+	c.lsqPending.reset()
 	return nil
 }
 
@@ -302,10 +366,13 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 			c.issues = append(c.issues, make([]uint64, len(c.recs)-len(c.issues))...)
 		}
 		if c.cfg.ROBSize > 0 {
-			c.robOcc = append(c.robOcc, make([]uint64, len(c.recs)-len(c.robOcc))...)
+			c.robOcc = append(c.robOcc, make([]uint32, len(c.recs)-len(c.robOcc))...)
 		}
 	}
-	c.recs[body].wait = issue - enq
+	// A body commits once, so its wait record is still zero here.
+	if carry := add32(&c.recs[body].wait, issue-enq); carry != 0 {
+		c.widen(body).wait = carry
+	}
 	c.bits[body>>6] |= 1 << (uint(body) & 63)
 	if c.cfg.RegFile {
 		c.issues[body] = issue
@@ -339,7 +406,9 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	// addRead charges linger category-independently (ExACEBC only), so the
 	// fused call is bit-identical to charging wait and linger separately.
 	if body := ref.Body(); body < c.n {
-		c.recs[body].linger += linger
+		if carry := add32(&c.recs[body].linger, linger); carry != 0 {
+			c.widen(body).linger += carry
+		}
 	} else {
 		c.iq.addRead(0, linger, CatACE, false, false)
 	}
@@ -364,7 +433,7 @@ func (c *BatchCollector) BatchFrontEnd(ref pipeline.BatchRef, seq, fetched, unti
 		c.fe.addRead(wait, 0, CatWrongPath, t.Dest != isa.RegNone, t.Class.IsControl())
 		return
 	}
-	c.fePending = append(c.fePending, batchPendingRead{body: ref.Body(), wait: wait})
+	c.fePending.add(ref.Body(), wait)
 }
 
 // BatchStoreBuffer implements pipeline.BatchSink: one drained (or run-end
@@ -376,7 +445,7 @@ func (c *BatchCollector) BatchStoreBuffer(ref pipeline.BatchRef, seq, enq, evict
 	if evict <= enq {
 		return
 	}
-	c.sbPending = append(c.sbPending, batchPendingOcc{body: ref.Body(), occ: evict - enq})
+	c.sbPending.add(ref.Body(), evict-enq)
 }
 
 // BatchROB implements pipeline.BatchOOOSink: one closed reorder-buffer
@@ -397,7 +466,10 @@ func (c *BatchCollector) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64,
 		c.rob.addNeverRead(occ)
 		return
 	}
-	c.robOcc[ref.Body()] += occ
+	body := ref.Body()
+	if carry := add32(&c.robOcc[body], occ); carry != 0 {
+		c.widen(body).rob += carry
+	}
 }
 
 // BatchLSQ implements pipeline.BatchOOOSink: one closed load/store-queue
@@ -414,7 +486,7 @@ func (c *BatchCollector) BatchLSQ(ref pipeline.BatchRef, seq, enq, evict uint64,
 		c.lsq.addNeverRead(occ)
 		return
 	}
-	c.lsqPending = append(c.lsqPending, batchPendingOcc{body: ref.Body(), occ: occ})
+	c.lsqPending.add(ref.Body(), occ)
 }
 
 // Finish settles every deferred charge against the lane's deadness and
@@ -467,10 +539,18 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	var robReads readBuckets
 	for i := range log {
 		if c.committed(i) {
-			c.iqReads.add(cats[i], &log[i], c.recs[i].wait, c.recs[i].linger)
+			c.iqReads.add(cats[i], &log[i], uint64(c.recs[i].wait), uint64(c.recs[i].linger))
 			if c.cfg.ROBSize > 0 {
-				robReads.add(cats[i], &log[i], c.robOcc[i], 0)
+				robReads.add(cats[i], &log[i], uint64(c.robOcc[i]), 0)
 			}
+		}
+	}
+	// What outgrew the 32-bit records joins the same buckets: the sums,
+	// and so the reports, equal a 64-bit fold's.
+	for i, w := range c.wide {
+		if c.committed(i) {
+			c.iqReads.add(cats[i], &log[i], w.wait, w.linger)
+			robReads.add(cats[i], &log[i], w.rob, 0)
 		}
 	}
 	c.iqReads.fold(&c.iq)
@@ -488,10 +568,9 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 
 	if c.cfg.FrontEnd {
 		var reads readBuckets
-		for i := range c.fePending {
-			p := &c.fePending[i]
-			reads.add(catOf(p.body), inst(p.body), p.wait, 0)
-		}
+		c.fePending.each(func(body int, wait uint64) {
+			reads.add(catOf(body), inst(body), wait, 0)
+		})
 		reads.fold(&c.fe)
 		c.fe.Cycles = cycles
 		c.fe.Entries = c.cfg.FrontEndCap
@@ -502,10 +581,9 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.FrontEnd = &fe
 	}
 	if c.cfg.StoreBuffer {
-		for i := range c.sbPending {
-			p := &c.sbPending[i]
-			c.sb.add(p.occ, catOf(p.body))
-		}
+		c.sbPending.each(func(body int, occ uint64) {
+			c.sb.add(occ, catOf(body))
+		})
 		c.sb.Cycles = cycles
 		c.sb.Entries = c.cfg.StoreBufferCap
 		c.sb.finalize()
@@ -526,10 +604,9 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.ROB = &rob
 	}
 	if c.cfg.LSQSize > 0 {
-		for i := range c.lsqPending {
-			p := &c.lsqPending[i]
-			c.lsq.add(p.occ, catOf(p.body))
-		}
+		c.lsqPending.each(func(body int, occ uint64) {
+			c.lsq.add(occ, catOf(body))
+		})
 		c.lsq.Cycles = cycles
 		c.lsq.Entries = c.cfg.LSQSize
 		c.lsq.finalize()

@@ -2,13 +2,53 @@ package ace
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"softerror/internal/cache"
+	"softerror/internal/isa"
 	"softerror/internal/pipeline"
 	"softerror/internal/workload"
 )
+
+// sliceSource is a canned BatchSource over pre-built streams.
+type sliceSource struct{ body, wrong []isa.Inst }
+
+func (s *sliceSource) Body(n int) *isa.Inst  { return &s.body[n] }
+func (s *sliceSource) Wrong(j int) *isa.Inst { return &s.wrong[j] }
+func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
+	return s.body[n].PC + 4*uint64(j), 0
+}
+
+// BodyPrefix aliases the body stream, as workload.Shared does, so Finish
+// reads the shared commit log without copying it.
+func (s *sliceSource) BodyPrefix(m int) []isa.Inst { return s.body[:m] }
+
+// pinLog builds an n-instruction commit log that reaches every deadness
+// category at any n ≥ 100: a repeating mix of register defs and reads,
+// loads and stores over four addresses, calls and returns, and no-ops.
+// Its address set is fixed, so the kernel's pending-store map stays one
+// size whatever n is.
+func pinLog(n int) []isa.Inst {
+	b := &logBuilder{}
+	for i := 0; len(b.log) < n; i++ {
+		r := isa.IntReg(2 + i%6)
+		addr := 8 * uint64(i%4)
+		b.alu(r, isa.IntReg(2+(i+1)%6), isa.RegNone)
+		b.alu(r, r, isa.RegNone)
+		b.store(r, addr)
+		b.load(isa.IntReg(2+(i+3)%6), addr+8)
+		b.nop()
+		if i%5 == 0 {
+			b.call()
+			b.alu(isa.IntReg(20), isa.IntReg(2), isa.RegNone)
+			b.ret()
+		}
+	}
+	return b.log[:n]
+}
 
 // runLane drives one pipeline lane over the default workload's shared
 // stream into a BatchCollector built from ccfg, on a cold default
@@ -131,7 +171,124 @@ func TestCollectorDisabledAnalysesNil(t *testing.T) {
 	if got.IQ == nil || got.IQ.TotalBC() == 0 {
 		t.Fatal("IQ report missing")
 	}
-	if len(coll.fePending) != 0 || len(coll.sbPending) != 0 || len(coll.issues) != 0 {
+	if len(coll.fePending.narrow) != 0 || len(coll.sbPending.narrow) != 0 || len(coll.issues) != 0 {
 		t.Fatal("disabled analyses should retain no per-event state")
+	}
+}
+
+// TestWideRecordsMatch64BitFold drives a collector and a trace recorder
+// with the same synthetic out-of-order events, some of whose cycle counts
+// exceed 32 bits — an IQ wait, an IQ linger, ROB occupancies (one summed
+// from two reads past the limit), and front-end, store-buffer and LSQ
+// charges — and requires the collector's reports to equal the trace
+// analyses', which fold every charge in 64 bits. It also pins the record
+// sizes the 32-bit fields buy.
+func TestWideRecordsMatch64BitFold(t *testing.T) {
+	if got := unsafe.Sizeof(commitRec{}); got != 8 {
+		t.Errorf("commitRec is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(charge32{}); got != 8 {
+		t.Errorf("charge32 is %d bytes, want 8", got)
+	}
+	var c BatchCollector
+	if got := unsafe.Sizeof(c.robOcc[0]); got != 4 {
+		t.Errorf("per-body ROB occupancy is %d bytes, want 4", got)
+	}
+
+	const commits = 128
+	const big = 1<<32 + 5          // past a 32-bit record on its own
+	const half = 3 << 30           // two of these overflow one
+	const cycles = uint64(1) << 40 // the lane's length
+	src := &sliceSource{body: pinLog(commits + 16)}
+	pcfg := pipeline.DefaultConfig()
+	pcfg.OutOfOrder = true
+	ccfg := StructureConfig(pcfg, commits)
+	ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = true, true, true
+	coll, err := NewBatchCollector(ccfg, NewBatchGroup(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := pipeline.NewTraceRecorder(pcfg, commits)
+	lifted := pipeline.LiftSink(src, rec)
+	sinks := []interface {
+		pipeline.BatchSink
+		pipeline.BatchOOOSink
+	}{coll, lifted.(interface {
+		pipeline.BatchSink
+		pipeline.BatchOOOSink
+	})}
+
+	for n := 0; n < commits; n++ {
+		ref, seq := pipeline.BatchRef(n), uint64(n)
+		enq := uint64(n) << 34
+		wait, linger, rob, fe, sb, lsq := uint64(1), uint64(2), uint64(5), uint64(1), uint64(4), uint64(5)
+		switch n {
+		case 3:
+			wait = big
+		case 5:
+			linger = big
+		case 9:
+			rob = big
+		case 12:
+			fe, sb, lsq = big, big, big
+		}
+		for _, s := range sinks {
+			s.BatchCommit(ref, seq, enq, enq+wait)
+			s.BatchResidency(ref, seq, enq, enq+wait, enq+wait+linger, true, false)
+			s.BatchFrontEnd(ref, seq, enq, enq+fe, true)
+			s.BatchStoreBuffer(ref, seq, enq, enq+sb)
+			s.BatchROB(ref, seq, enq, enq+rob, true)
+			if n == 7 { // a second read of the same body, summing past 32 bits
+				s.BatchROB(ref, seq, enq, enq+half, true)
+				s.BatchROB(ref, seq, enq, enq+half, true)
+			}
+			s.BatchLSQ(ref, seq, enq, enq+lsq, true)
+		}
+	}
+	if len(coll.wide) != 4 || len(coll.fePending.wide) != 1 ||
+		len(coll.sbPending.wide) != 1 || len(coll.lsqPending.wide) != 1 {
+		t.Fatalf("wide entries: %d bodies, %d/%d/%d charges; want 4, 1/1/1",
+			len(coll.wide), len(coll.fePending.wide), len(coll.sbPending.wide), len(coll.lsqPending.wide))
+	}
+	got := coll.Finish(cycles)
+
+	tr := rec.Trace(pipeline.Stats{Cycles: cycles, Commits: commits})
+	dead := AnalyzeDeadness(tr.CommitLog)
+	want := &Reports{
+		IQ:          AnalyzeWith(tr, dead),
+		FrontEnd:    AnalyzeFrontEnd(tr, dead),
+		StoreBuffer: AnalyzeStoreBuffer(tr, dead),
+		RegFile:     AnalyzeRegFile(tr, dead),
+		ROB:         AnalyzeROB(tr, dead),
+		LSQ:         AnalyzeLSQ(tr, dead),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reports differ from the 64-bit fold:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestAdd32Carries pins add32: a sum that fits stays in the record, one
+// that does not leaves the record zero and returns the whole sum, wrapped
+// at 2⁶⁴ as a 64-bit record would be.
+func TestAdd32Carries(t *testing.T) {
+	cases := []struct {
+		r         uint32
+		v         uint64
+		wantR     uint32
+		wantCarry uint64
+	}{
+		{0, 7, 7, 0},
+		{5, math.MaxUint32 - 5, math.MaxUint32, 0},
+		{5, math.MaxUint32 - 4, 0, 1 << 32},
+		{3 << 30, 3 << 30, 0, 6 << 30},
+		{1, math.MaxUint64, 0, 0},
+		{2, math.MaxUint64, 0, 1},
+	}
+	for _, tc := range cases {
+		r := tc.r
+		if carry := add32(&r, tc.v); r != tc.wantR || carry != tc.wantCarry {
+			t.Errorf("add32(%d, %d) = record %d carry %d, want %d %d",
+				tc.r, tc.v, r, carry, tc.wantR, tc.wantCarry)
+		}
 	}
 }

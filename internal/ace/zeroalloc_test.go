@@ -13,19 +13,6 @@ import (
 	"softerror/internal/pipeline"
 )
 
-// sliceSource is a canned BatchSource over pre-built streams.
-type sliceSource struct{ body, wrong []isa.Inst }
-
-func (s *sliceSource) Body(n int) *isa.Inst  { return &s.body[n] }
-func (s *sliceSource) Wrong(j int) *isa.Inst { return &s.wrong[j] }
-func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
-	return s.body[n].PC + 4*uint64(j), 0
-}
-
-// BodyPrefix aliases the body stream, as workload.Shared does, so Finish
-// reads the shared commit log without copying it.
-func (s *sliceSource) BodyPrefix(m int) []isa.Inst { return s.body[:m] }
-
 // TestBatchCollectorEventPathZeroAlloc pins the arena property on the
 // collector: once a BatchCollector has been through one Reset/feed cycle,
 // further cycles — Reset included — allocate nothing. Every event record
@@ -98,30 +85,6 @@ func TestBatchCollectorEventPathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-}
-
-// pinLog builds an n-instruction commit log that reaches every deadness
-// category at any n ≥ 100: a repeating mix of register defs and reads,
-// loads and stores over four addresses, calls and returns, and no-ops.
-// Its address set is fixed, so the kernel's pending-store map stays one
-// size whatever n is.
-func pinLog(n int) []isa.Inst {
-	b := &logBuilder{}
-	for i := 0; len(b.log) < n; i++ {
-		r := isa.IntReg(2 + i%6)
-		addr := 8 * uint64(i%4)
-		b.alu(r, isa.IntReg(2+(i+1)%6), isa.RegNone)
-		b.alu(r, r, isa.RegNone)
-		b.store(r, addr)
-		b.load(isa.IntReg(2+(i+3)%6), addr+8)
-		b.nop()
-		if i%5 == 0 {
-			b.call()
-			b.alu(isa.IntReg(20), isa.IntReg(2), isa.RegNone)
-			b.ret()
-		}
-	}
-	return b.log[:n]
 }
 
 // TestAnalyzeDeadnessAllocsIndependentOfLength pins the kernel's array

@@ -10,6 +10,11 @@
 // composition can attribute SDC vs DUE contributions, and an optional
 // per-line π bit used by the paper's mechanism (4), π bits on caches and
 // memory.
+//
+// Every simulation starts from the same warmed hierarchy, so a simulation
+// need not own a copy of it: Hierarchy.ViewInto hands out copy-on-touch
+// views of one frozen warm template, each keeping private copies of only
+// the sets it has probed.
 package cache
 
 import (
@@ -134,10 +139,19 @@ type Eviction struct {
 }
 
 // Cache is one set-associative level. It is not safe for concurrent use.
-// Its sets lie end to end in one array, so a clone is a single copy.
+// A plain cache owns its sets, end to end in one array. A view (see
+// Hierarchy.ViewInto) reads its sets from a frozen template's array until
+// a probe first reaches one, which copies that set into the view's own
+// pool; the template is never written.
 type Cache struct {
-	cfg        Config
-	lines      []line // set s is lines[s*Assoc : (s+1)*Assoc]
+	cfg   Config
+	lines []line // set s is lines[s*Assoc : (s+1)*Assoc]; a view's are the template's
+	// A view's copy-on-touch state, nil for a plain cache: slot[s] is 1 +
+	// the index of set s's private copy in pool, or 0 while set s is still
+	// the template's; owned lists the copied sets in pool order.
+	slot       []int32
+	pool       []line
+	owned      []int32
 	setMask    uint64
 	offsetBits uint
 	clock      uint64
@@ -167,11 +181,12 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Clone returns a deep copy of the cache: lines, replacement state and
 // counters. Clones evolve independently; a clone of a warmed cache behaves
-// bit-identically to a cache warmed by replaying the same accesses.
+// bit-identically to a cache warmed by replaying the same accesses. The
+// clone of a view is a plain cache holding the view's lines.
 func (c *Cache) Clone() *Cache {
 	return &Cache{
 		cfg:        c.cfg,
-		lines:      slices.Clone(c.lines),
+		lines:      c.flat(),
 		setMask:    c.setMask,
 		offsetBits: c.offsetBits,
 		clock:      c.clock,
@@ -179,16 +194,36 @@ func (c *Cache) Clone() *Cache {
 	}
 }
 
-// CloneInto is Clone writing into dst's backing storage when dst has the
-// same configuration, so a pooled cache can be re-stamped from a warm
-// template without reallocating its line arrays. Any dst (nil, or a cache
-// of different geometry) falls back to a fresh Clone. The returned cache is
-// bit-identical to Clone's result either way.
-func (c *Cache) CloneInto(dst *Cache) *Cache {
-	if dst == nil || dst.cfg != c.cfg || len(dst.lines) != len(c.lines) {
-		return c.Clone()
+// flat returns a fresh array of the cache's lines, set after set: the
+// template's lines with the view's private sets laid over them.
+func (c *Cache) flat() []line {
+	out := slices.Clone(c.lines)
+	a := c.cfg.Assoc
+	for k, s := range c.owned {
+		copy(out[int(s)*a:], c.pool[k*a:(k+1)*a])
 	}
-	copy(dst.lines, c.lines)
+	return out
+}
+
+// viewInto returns a view of c, a plain cache that must not change while
+// the view is in use, reusing dst's slot table and pool when dst is a view
+// of the same configuration: only the slots dst touched are reset. The
+// view starts with c's replacement clock and counters.
+func (c *Cache) viewInto(dst *Cache) *Cache {
+	if c.slot != nil {
+		panic("cache: view of a view")
+	}
+	nsets := len(c.lines) / c.cfg.Assoc
+	if dst == nil || dst.cfg != c.cfg || len(dst.slot) != nsets {
+		dst = &Cache{slot: make([]int32, nsets)}
+	}
+	for _, s := range dst.owned {
+		dst.slot[s] = 0
+	}
+	dst.cfg = c.cfg
+	dst.lines = c.lines
+	dst.pool = dst.pool[:0]
+	dst.owned = dst.owned[:0]
 	dst.setMask = c.setMask
 	dst.offsetBits = c.offsetBits
 	dst.clock = c.clock
@@ -203,17 +238,40 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.offsetBits << c.offsetBits }
 
 // index returns the set addr maps to and its tag (the full line address,
-// for simplicity).
+// for simplicity). On a view it is the set's private copy, or nil while
+// the set is still the template's: the caller then takes its copy with
+// touch. The copy stays out of index so that index inlines.
 func (c *Cache) index(addr uint64) (set []line, tag uint64) {
 	la := addr >> c.offsetBits
-	s := int(la&c.setMask) * c.cfg.Assoc
-	return c.lines[s : s+c.cfg.Assoc], la
+	s := int(la & c.setMask)
+	a := c.cfg.Assoc
+	if c.slot == nil {
+		return c.lines[s*a : s*a+a], la
+	}
+	if k := int(c.slot[s]); k != 0 {
+		return c.pool[(k-1)*a : k*a], la
+	}
+	return nil, la
+}
+
+// touch copies the template's set holding line address la into a view's
+// pool and returns the copy.
+func (c *Cache) touch(la uint64) []line {
+	s := int(la & c.setMask)
+	a := c.cfg.Assoc
+	c.pool = append(c.pool, c.lines[s*a:s*a+a]...)
+	c.owned = append(c.owned, int32(s))
+	c.slot[s] = int32(len(c.owned))
+	return c.pool[len(c.pool)-a:]
 }
 
 // Lookup probes without modifying replacement state or counters. It returns
 // the line if present.
 func (c *Cache) Lookup(addr uint64) (found bool, dirty bool, pi bool) {
 	set, tag := c.index(addr)
+	if set == nil {
+		set = c.touch(tag)
+	}
 	for i := range set {
 		if ln := &set[i]; ln.holds(tag) {
 			return true, ln.dirty(), ln.pi()
@@ -228,6 +286,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
+	if set == nil {
+		set = c.touch(tag)
+	}
 	for i := range set {
 		if ln := &set[i]; ln.holds(tag) {
 			ln.lru = c.clock
@@ -248,6 +309,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
 	c.clock++
 	set, tag := c.index(addr)
+	if set == nil {
+		set = c.touch(tag)
+	}
 	victim := -1
 	for i := range set {
 		ln := &set[i]
@@ -297,6 +361,9 @@ func (c *Cache) SetPi(addr uint64, v bool) bool {
 		return false
 	}
 	set, tag := c.index(addr)
+	if set == nil {
+		set = c.touch(tag)
+	}
 	for i := range set {
 		if ln := &set[i]; ln.holds(tag) {
 			if v {
@@ -317,6 +384,9 @@ func (c *Cache) Pi(addr uint64) (pi, ok bool) {
 		return false, false
 	}
 	set, tag := c.index(addr)
+	if set == nil {
+		set = c.touch(tag)
+	}
 	for i := range set {
 		if ln := &set[i]; ln.holds(tag) {
 			return ln.pi(), true
@@ -325,8 +395,14 @@ func (c *Cache) Pi(addr uint64) (pi, ok bool) {
 	return false, false
 }
 
-// Flush invalidates every line, returning the count that were dirty.
+// Flush invalidates every line, returning the count that were dirty. A
+// flushed view is a plain cache again, owning a fresh array of invalid
+// lines.
 func (c *Cache) Flush() int {
+	if c.slot != nil {
+		c.lines = c.flat()
+		c.slot, c.pool, c.owned = nil, nil, nil
+	}
 	dirty := 0
 	for i := range c.lines {
 		if c.lines[i].word&(lineValid|lineDirty) == lineValid|lineDirty {

@@ -118,7 +118,8 @@ func MustNewDefault() *Hierarchy {
 // replacement state and counters. The OnEvict hook is not carried over —
 // observers subscribe per instance. Cloning a warmed hierarchy is
 // bit-identical to warming a fresh one with the same access sequence, which
-// is what lets concurrent simulations share one warm-up.
+// is what lets concurrent simulations share one warm-up. The clone of a
+// view is a plain hierarchy.
 func (h *Hierarchy) Clone() *Hierarchy {
 	c := &Hierarchy{
 		memLatency:       h.memLatency,
@@ -133,16 +134,20 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return c
 }
 
-// CloneInto is Clone writing into dst's storage when dst has the same
-// shape, so a pooled hierarchy can be re-stamped from a warm template
-// without reallocating ~capacity bytes of line arrays per simulation. Any
-// dst (nil, or a hierarchy of different shape) falls back to a fresh
-// Clone. Like Clone, the result carries no OnEvict hook and is
-// bit-identical to warming a fresh hierarchy — the cache clone tests pin
-// CloneInto against Clone field for field.
-func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
+// ViewInto returns a copy-on-touch view of h: a hierarchy in h's exact
+// state whose levels read h's lines until a probe first reaches a set, and
+// then work on a private copy of that set. h is the frozen template and
+// must not be probed or changed while any view of it is in use; views of
+// one template may run on concurrent goroutines, since none writes h. When
+// dst is a hierarchy of the same shape, its levels' slot tables and pools
+// are reused and only the slots dst touched are reset, so re-viewing a
+// pooled hierarchy copies nothing up front and allocates nothing once its
+// pools have grown. Like Clone, the result carries no OnEvict hook and
+// behaves bit-identically to warming a fresh hierarchy — the cache view
+// tests pin ViewInto against Clone, probe for probe.
+func (h *Hierarchy) ViewInto(dst *Hierarchy) *Hierarchy {
 	if dst == nil || len(dst.levels) != len(h.levels) {
-		return h.Clone()
+		dst = &Hierarchy{levels: make([]*Cache, len(h.levels))}
 	}
 	dst.memLatency = h.memLatency
 	dst.OnEvict = nil
@@ -151,7 +156,7 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	dst.hwPrefetches = h.hwPrefetches
 	dst.inHWPrefetch = false
 	for i, lv := range h.levels {
-		dst.levels[i] = lv.CloneInto(dst.levels[i])
+		dst.levels[i] = lv.viewInto(dst.levels[i])
 	}
 	return dst
 }

@@ -14,14 +14,16 @@ import (
 // costs per wave: warm hierarchy clones (~40% of bytes), collector record
 // arrays (~26%), the workload's decode memos (~20%) and the deadness
 // analyses (~4%). An Arena keeps three of them alive between waves —
-// pooled warm hierarchies re-stamped via cache.CloneInto, collectors
+// pooled warm hierarchies, re-viewed over the process's one frozen warm
+// template (workload.WarmedInto), which reset only the sets their last
+// lane touched instead of copying the whole hierarchy, collectors
 // re-armed via ace.BatchCollector.Reset, and the ace.BatchGroup (deadness
 // memos and kernel scratch) of its last workload and commit target — plus
 // the pipeline's lane/slab arena. The decoded streams themselves live in
 // the process-wide workload.Streams store, which every evaluation path
 // shares: a run checks its workload's stream out for the length of the
 // batch and releases it after. Reuse is invisible in the results: every
-// reused object is either re-stamped bit-identically, fully reset, or a
+// reused object is either re-viewed bit-identically, fully reset, or a
 // deterministic memo whose content depends only on the workload
 // parameters. The arena-reuse seraudit check pins fresh-arena ≡
 // reused-arena byte identity, and that two concurrent runs of one
@@ -67,18 +69,20 @@ func NewArena() *Arena { return &Arena{} }
 
 // checkout checks w's shared stream out of the process-wide store,
 // reserved for a run of about commits body instructions, and returns it
-// with the arena's analysis group bound to it. The group carries over
-// from the arena's previous run when that run had the same workload and
-// commit target; otherwise it is replaced. The caller hands the stream
-// back through release when the batch is done with it. A workload that
-// yields no shared stream (PC-indexed or invalid) fails as
-// workload.NewShared does and leaves the group in place.
-func (a *Arena) checkout(w workload.Params, commits uint64) (*workload.Shared, *ace.BatchGroup, error) {
+// with the arena's analysis group bound to it. inOrder says whether any
+// lane of the run is on the in-order core, which draws more wrong-path
+// instructions (wrongReserve). The group carries over from the arena's
+// previous run when that run had the same workload and commit target;
+// otherwise it is replaced. The caller hands the stream back through
+// release when the batch is done with it. A workload that yields no
+// shared stream (PC-indexed or invalid) fails as workload.NewShared does
+// and leaves the group in place.
+func (a *Arena) checkout(w workload.Params, commits uint64, inOrder bool) (*workload.Shared, *ace.BatchGroup, error) {
 	// Reserve the memos on a fresh decode: every lane walks ~commits body
-	// instructions (plus a small overshoot), and wrong-path draws run a
-	// fraction of that. One up-front reservation replaces the
-	// log2(commits) append-doublings the memos would otherwise pay.
-	sh, err := workload.Streams().Checkout(w, int(commits)+1024, int(commits)/4+256)
+	// instructions (plus a small overshoot), and the wrong-path draws are
+	// estimated from the workload. One up-front reservation replaces the
+	// append-growths the memos would otherwise pay.
+	sh, err := workload.Streams().Checkout(w, int(commits)+1024, wrongReserve(w, commits, inOrder))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,6 +95,24 @@ func (a *Arena) checkout(w workload.Params, commits uint64) (*workload.Shared, *
 	return sh, a.group, nil
 }
 
+// wrongReserve estimates how many wrong-path instructions a run of about
+// commits body instructions draws from w's stream. Basic blocks end in a
+// branch, so about MispredictRate/(MeanBlockLen+1) of the commits are
+// mispredicted, and each mispredict draws a family-dependent run of
+// wrong-path instructions before it resolves: about 72 on the
+// out-of-order core, and 58 + 4.6·MeanBlockLen on the in-order core. Both
+// are fitted to the default roster at 100k commits, where the estimate
+// lies within 0.8–1.45 of what a batch of Table 1's three policies draws
+// (TestWrongReserveTracksDraws).
+func wrongReserve(w workload.Params, commits uint64, inOrder bool) int {
+	perMiss := 72.0
+	if inOrder {
+		perMiss = 58 + 4.6*float64(w.MeanBlockLen)
+	}
+	misses := float64(commits) * w.MispredictRate / float64(w.MeanBlockLen+1)
+	return int(misses*perMiss) + 256
+}
+
 // release returns a stream from checkout to the store and unbinds the
 // arena's group from it, so that an idle arena pins no memo the store may
 // evict.
@@ -99,8 +121,9 @@ func (a *Arena) release(sh *workload.Shared) {
 	workload.Streams().Release(sh)
 }
 
-// warmHierarchy returns a warmed default hierarchy, re-stamping a pooled
-// one when available (bit-identical to a fresh workload.WarmedDefault).
+// warmHierarchy returns a copy-on-touch view of the warmed default
+// hierarchy, re-viewing a pooled one when available (bit-identical to a
+// fresh workload.WarmedDefault).
 func (a *Arena) warmHierarchy() *cache.Hierarchy {
 	var dst *cache.Hierarchy
 	if n := len(a.mems); n > 0 {

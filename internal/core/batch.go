@@ -77,7 +77,11 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 	if commits == 0 {
 		commits = DefaultCommits
 	}
-	sh, group, err := a.checkout(w, commits)
+	inOrder := false
+	for _, ln := range lanes {
+		inOrder = inOrder || !ln.Pipeline.OutOfOrder
+	}
+	sh, group, err := a.checkout(w, commits, inOrder)
 	if errors.Is(err, workload.ErrUnshareable) {
 		out := make([]*Result, len(lanes))
 		for i := range lanes {
@@ -104,10 +108,11 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 // runGroup runs one lane per Config over src, every lane's collector
 // sharing group.
 func runGroup(ctx context.Context, a *Arena, name string, commits uint64, src pipeline.BatchSource, group *ace.BatchGroup, lanes []Config) ([]*Result, error) {
-	// Warm hierarchies come re-stamped from the arena's pool: CloneInto is
-	// bit-identical to a fresh warm clone (pinned by the cache clone
-	// tests), and a memcpy of the warm state is far cheaper than
-	// re-simulating the warm-up K times.
+	// Warm hierarchies come from the arena's pool as copy-on-touch views of
+	// the one frozen warm template: a view is bit-identical to a fresh warm
+	// clone (pinned by the cache view tests) but copies only the sets its
+	// lane probes, far cheaper than copying — let alone re-simulating —
+	// the whole warm state K times.
 	zero := pipeline.Config{}
 	cfgs := make([]pipeline.Config, len(lanes))
 	mems := make([]*cache.Hierarchy, len(lanes))

@@ -215,7 +215,7 @@ func TestArenaRecyclesStreamMemos(t *testing.T) {
 	}
 	a := NewArena()
 	decode := func(w workload.Params) {
-		sh, _, err := a.checkout(w, commits)
+		sh, _, err := a.checkout(w, commits, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func checkArenaReuse(seed uint64, opt Options) error {
 
 	// Leg 1: Results on one persistently dirtied arena versus a fresh arena
 	// per batch. Three rounds of distinct workloads overflow nothing but do
-	// exercise collector Reset, hierarchy CloneInto re-stamping and the
+	// exercise collector Reset, re-viewing pooled hierarchies and the
 	// replacement of the arena's deadness group.
 	dirty := core.NewArena()
 	rounds := make([]round, 0, 3)

@@ -15,7 +15,7 @@ import (
 
 // TestBatchSteadyStateAllocFree pins the tentpole property of the batch
 // engine: with a warm BatchArena, a fully decoded shared stream and
-// re-stamped hierarchies, a complete multi-lane run allocates only its
+// re-viewed warm hierarchies, a complete multi-lane run allocates only its
 // []Stats result — the cycle loop itself (lane state, ring buffers, squash
 // and throttle queues, refetch backlog) runs out of the arena.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
@@ -37,13 +37,13 @@ func TestBatchSteadyStateAllocFree(t *testing.T) {
 
 	run := func() {
 		for i := range mems {
-			mems[i] = workload.WarmedInto(mems[i]) // alloc-free re-stamp once shaped
+			mems[i] = workload.WarmedInto(mems[i]) // alloc-free re-view once its pools have grown
 		}
 		if _, err := RunBatchStreamArena(ctx, commits, sh, cfgs, mems, sinks, &a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm: decode the stream, shape the hierarchies, grow the arena
+	run() // warm: decode the stream, grow the views' pools and the arena
 
 	// One allocation per run is structural: the returned []Stats. Anything
 	// beyond it is churn leaking back into the steady-state loop.

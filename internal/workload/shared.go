@@ -143,6 +143,10 @@ func (s *Shared) Recycle(old *Shared) {
 	old.gen, old.wrongSrc, old.body, old.wrong = nil, nil, nil, nil
 }
 
+// WrongDraws returns how many wrong-path instructions the stream has
+// generated so far: the length of its wrong-path memo.
+func (s *Shared) WrongDraws() int { return len(s.wrong) }
+
 // capBytes is the memory the memos hold, in bytes of capacity.
 func (s *Shared) capBytes() int64 {
 	return int64(cap(s.body)+cap(s.wrong)) * instBytes

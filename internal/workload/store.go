@@ -35,11 +35,11 @@ import (
 //     consumers that write into the shared memos.
 
 // DefaultStreamBytes is the process-wide store's budget until a caller
-// sets another: three 100k-commit streams as the simulator reserves them,
-// at 40 bytes an instruction. In-order runs outgrow the wrong-path
-// reservation, to 8–9 MB a stream, so the budget keeps about two of those:
-// each of a command-line run's two workers can run a benchmark's batches
-// back to back on one decode. A command-line run decodes each benchmark
+// sets another. The simulator reserves a 100k-commit stream's body and
+// its estimated wrong-path draws at 40 bytes an instruction: 6–9 MB for
+// an integer benchmark, 4–5 MB for a floating-point one. The budget
+// keeps about two integer streams, so each of a command-line run's two
+// workers can run a benchmark's batches back to back on one decode. A command-line run decodes each benchmark
 // once and walks the roster in order, so a larger budget only adds
 // resident memory.
 const DefaultStreamBytes = 16 << 20

@@ -11,9 +11,9 @@
 #      again at -j 1, so the parallel dispatch order cannot leak into their
 #      bytes (~35 s on 2 vCPU)
 #   3. race tier: the packages that run simulations concurrently, under the
-#      race detector (parallel engine, checkpointed cell runner, decoded
-#      stream store, suite memo, sweep grid, fault fan-out, and the
-#      server's concurrent-load test)
+#      race detector (parallel engine, checkpointed cell runner, views of
+#      the shared warm cache template, decoded stream store, suite memo,
+#      sweep grid, fault fan-out, and the server's concurrent-load test)
 #   4. chaos tier: the resilience tests — injected panics, hangs and crashes
 #      driven through the par chaos hook, checkpoint/resume byte-identity,
 #      server overflow shedding and drain/resume, and the fleet
@@ -26,8 +26,8 @@
 #      simulated AVF per structure and bit class) over a small seed sweep;
 #      plus a short go-native fuzz pass over each harness, the lane engine
 #      against the single-step reference interpreter, the deadness
-#      kernel against its def-use oracle and the π-bit replay against its
-#      map oracle included (skip with SERA_SKIP_FUZZ=1 when iterating)
+#      kernel against its def-use oracle, copy-on-touch cache views against
+#      deep clones and the π-bit replay against its map oracle included (skip with SERA_SKIP_FUZZ=1 when iterating)
 #   6. smoke tier: the real seratd binary booted on an ephemeral port,
 #      health-checked, served a cached eval and SIGINT-drained
 #   7. fleet tier: the coordinator/worker suite under the race detector,
@@ -74,7 +74,7 @@ cmp "$art/sweep_iqsize.csv" results/sweep_iqsize.csv
 	-iqsizes 16,32,64,128 > "$art/sweep_iqsize_j1.csv"
 cmp "$art/sweep_iqsize_j1.csv" results/sweep_iqsize.csv
 rm -rf "$art"
-go test -race ./internal/par ./internal/checkpoint ./internal/workload ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
+go test -race ./internal/par ./internal/checkpoint ./internal/cache ./internal/workload ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
 go test -race -run 'Chaos|CrashResume|Resilien|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity|Fallback' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
 	./internal/server ./internal/fleet ./cmd/sweep ./cmd/sersim ./cmd/repro
@@ -91,6 +91,7 @@ if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzStaticBound -fuzztime 10s ./internal/static
 	go test -run NONE -fuzz FuzzLaneMatchesReference -fuzztime 10s ./internal/pipeline
 	go test -run NONE -fuzz FuzzDeadnessMatchesDefUse -fuzztime 10s ./internal/ace
+	go test -run NONE -fuzz FuzzViewMatchesClone -fuzztime 10s ./internal/cache
 	go test -run NONE -fuzz FuzzDataflowMatchesMapOracle -fuzztime 10s ./internal/pibit
 fi
 sh scripts/smoke_seratd.sh
