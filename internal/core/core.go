@@ -127,8 +127,10 @@ type Config struct {
 	StoreBuffer bool
 	// Sink, when non-nil, receives the run's event stream alongside the
 	// analysis (and the trace recorder, under KeepTrace) — e.g. a
-	// fault.StreamRecorder that retains just the intervals an injection
-	// campaign samples.
+	// fault.StreamRecorder, which keeps only what an injection campaign's
+	// strikes read: a 24-byte record per IQ residency and 26 bytes per
+	// commit, where KeepTrace's trace holds a 72-byte residency and a
+	// 40-byte instruction.
 	Sink pipeline.Sink
 }
 
@@ -142,6 +144,15 @@ const DefaultCommits = 100_000
 // reach that reservation unchecked, since the runtime's out-of-memory
 // throw cannot be recovered. The CLIs' -commits flags are not capped.
 const MaxServedCommits = 1 << 22
+
+// MaxServedStrikes is the most strikes per configuration that seratd
+// accepts in one request (evals of outcomes and all). A campaign splits
+// each of its 8 configurations into cells of fault.DefaultChunk strikes
+// and allocates per-cell state up front, so the cap holds it to 2,048
+// cells a configuration; an unchecked count off the wire would reach the
+// same unrecoverable out-of-memory throw as an unchecked commit count.
+// The CLIs' -strikes flags are not capped.
+const MaxServedStrikes = 1 << 24
 
 // MaxServedIQSize is the largest instruction-queue size seratd accepts in
 // one request (sweeps, fleet leases and bounds). Each lane allocates its

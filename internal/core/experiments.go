@@ -694,9 +694,9 @@ func OutcomesCampaign(ctx context.Context, b spec.Benchmark, commits uint64, str
 	}
 	// Stream the simulation: the ace collector integrates the AVFs while a
 	// teed recorder (pooled: figure drivers run one campaign per roster
-	// benchmark, and the interval/log buffers dominate each) retains just
-	// the IQ intervals and commit log the injector samples — no full trace
-	// is materialised.
+	// benchmark, and the residency and commit records dominate each)
+	// retains just what the injector's strikes read — no full trace is
+	// materialised.
 	rec := fault.GetStreamRecorder(commits)
 	res, err := RunContext(ctx, Config{Workload: b.Params, Commits: commits, Sink: rec})
 	if err != nil {

@@ -40,9 +40,15 @@ func (c *Campaign) chunk() int {
 	return DefaultChunk
 }
 
-// chunksOf returns how many cells configuration ci spans.
+// chunksOf returns how many cells configuration ci spans, without the
+// overflow a rounded-up sum would hit near math.MaxInt.
 func (c *Campaign) chunksOf(ci int) int {
-	return (c.Configs[ci].Strikes + c.chunk() - 1) / c.chunk()
+	n, k := c.Configs[ci].Strikes, c.chunk()
+	cells := n / k
+	if n%k > 0 {
+		cells++
+	}
+	return cells
 }
 
 // Cells returns the total cell count across all configurations.
@@ -61,10 +67,7 @@ func (c *Campaign) cell(i int) (ci, lo, hi int) {
 		n := c.chunksOf(ci)
 		if i < n {
 			lo = i * c.chunk()
-			hi = lo + c.chunk()
-			if hi > c.Configs[ci].Strikes {
-				hi = c.Configs[ci].Strikes
-			}
+			hi = lo + min(c.chunk(), c.Configs[ci].Strikes-lo)
 			return ci, lo, hi
 		}
 		i -= n

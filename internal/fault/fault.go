@@ -14,6 +14,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"softerror/internal/ace"
@@ -114,14 +115,13 @@ func (r *Result) FalseDUEFraction() float64 { return r.Frac(OutcomeFalseDUE) }
 
 // Injector samples strikes against the residency record of one structure
 // (the instruction queue by default; the front-end fetch buffer via
-// NewFrontEndInjector). It is read-only once built, so campaign workers
+// NewFrontEndInjector). It keeps each residency as a 24-byte record and
+// the commit log as a pibit.Index, whichever constructor built it: the
+// trace constructors and StreamRecorder.Injector differ only in where
+// the records come from. It is read-only once built, so campaign workers
 // share it.
 type Injector struct {
-	residencies []pipeline.Residency
-	// pos is each residency's commit-log position, or -1 when the
-	// instruction never reached the log (wrong path, or issued after the
-	// recorded log ended).
-	pos  []int32
+	res  residencies // keys resolved to log positions
 	ix   *pibit.Index
 	dead *ace.Deadness
 
@@ -158,23 +158,117 @@ func NewROBInjector(tr *pipeline.Trace, dead *ace.Deadness) *Injector {
 // NewStructureInjector prepares fault injection over arbitrary residency
 // intervals of a structure with the given entry count. The log is the
 // committed stream in program order (ascending Seq) and dead its deadness
-// analysis, so that dead.OfPos(i) classifies log[i].
+// analysis, so that dead.OfPos(i) classifies log[i]. The injector copies
+// what strikes read, so res and log may change or be dropped afterwards.
 func NewStructureInjector(res []pipeline.Residency, cycles uint64, entries int, log []isa.Inst, dead *ace.Deadness) *Injector {
-	inj := &Injector{
-		residencies: res,
-		pos:         pipeline.LogPositions(res, log),
-		ix:          pibit.NewIndex(log),
-		dead:        dead,
-		capacity:    cycles * uint64(entries) * uint64(isa.EntryPayloadBits),
-		cum:         make([]uint64, len(res)),
+	l := residencies{recs: make([]residency, 0, len(res))}
+	for i, p := range pipeline.LogPositions(res, log) {
+		l.add(&res[i])
+		l.recs[i].key = noPos
+		if p >= 0 {
+			l.recs[i].key = uint64(p)
+		}
 	}
-	var acc uint64
-	for i := range res {
-		acc += res[i].Occupancy() * uint64(isa.EntryPayloadBits)
-		inj.cum[i] = acc
+	cum, total := l.cumulate(nil)
+	return newInjector(l, cum, total, cycles, entries, pibit.NewIndex(log), dead)
+}
+
+// newInjector assembles an injector over resolved residency records and
+// their cumulative occupancies.
+func newInjector(res residencies, cum []uint64, totalOcc, cycles uint64, entries int, ix *pibit.Index, dead *ace.Deadness) *Injector {
+	return &Injector{
+		res:      res,
+		ix:       ix,
+		dead:     dead,
+		cum:      cum,
+		totalOcc: totalOcc,
+		capacity: cycles * uint64(entries) * uint64(isa.EntryPayloadBits),
 	}
-	inj.totalOcc = acc
-	return inj
+}
+
+// residency is one structure residency as a strike reads it, in 24
+// bytes. A residency whose cycles do not all fit 32 bits sets resWide
+// and keeps them whole in its list's wide map, never wrapped.
+type residency struct {
+	// key is the instruction's Seq until the residency is resolved, then
+	// its commit-log position, or noPos when it never reached the log
+	// (wrong path, or issued after the recorded log ended).
+	key               uint64
+	enq, issue, evict uint32
+	flags             resFlags
+}
+
+// resFlags are the residency bits a strike reads.
+type resFlags uint8
+
+const (
+	resIssued    resFlags = 1 << iota // read by the issue stage
+	resWrongPath                      // fetched past a mispredicted branch
+	resDestNamed                      // the instruction names a destination
+	resWide                           // cycles are in the list's wide map
+)
+
+// noPos is a resolved key for a residency that has no log position.
+const noPos = ^uint64(0)
+
+// span64 holds a residency's cycles at full width.
+type span64 struct{ enq, issue, evict uint64 }
+
+// residencies is a list of residency records, exact at any cycle count.
+type residencies struct {
+	recs []residency
+	wide map[int]span64 // by record index; only records with a cycle past 32 bits
+}
+
+// add appends r's record, keyed by its Seq.
+func (l *residencies) add(r *pipeline.Residency) {
+	rec := residency{key: r.Inst.Seq}
+	if r.Issued {
+		rec.flags |= resIssued
+	}
+	if r.Inst.WrongPath {
+		rec.flags |= resWrongPath
+	}
+	if r.Inst.Dest != isa.RegNone {
+		rec.flags |= resDestNamed
+	}
+	if max(r.Enq, r.Issue, r.Evict) <= math.MaxUint32 {
+		rec.enq, rec.issue, rec.evict = uint32(r.Enq), uint32(r.Issue), uint32(r.Evict)
+	} else {
+		rec.flags |= resWide
+		if l.wide == nil {
+			l.wide = make(map[int]span64)
+		}
+		l.wide[len(l.recs)] = span64{r.Enq, r.Issue, r.Evict}
+	}
+	l.recs = append(l.recs, rec)
+}
+
+func (l *residencies) reset() {
+	l.recs = l.recs[:0]
+	clear(l.wide)
+}
+
+// span returns record i's enqueue, issue and eviction cycles.
+func (l *residencies) span(i int) span64 {
+	r := &l.recs[i]
+	if r.flags&resWide != 0 {
+		return l.wide[i]
+	}
+	return span64{uint64(r.enq), uint64(r.issue), uint64(r.evict)}
+}
+
+// cumulate appends each record's cumulative occupied bit-cycles to buf
+// and returns it with the total. A residency occupies [enq, evict).
+func (l *residencies) cumulate(buf []uint64) (cum []uint64, total uint64) {
+	cum = buf[:0]
+	for i := range l.recs {
+		if s := l.span(i); s.evict > s.enq {
+			total += (s.evict - s.enq) * uint64(isa.EntryPayloadBits)
+		}
+		cum = append(cum, total)
+	}
+	return cum, total
 }
 
 // strikeSeqBase offsets the RNG sequence space of strike streams; each
@@ -266,30 +360,31 @@ func (inj *Injector) strike(s *rng.Stream, cfg Config, engine *pibit.Engine) Out
 	}
 	// Locate the residency containing occupied bit-cycle u.
 	idx := sort.Search(len(inj.cum), func(i int) bool { return inj.cum[i] > u })
-	r := &inj.residencies[idx]
+	r := &inj.res.recs[idx]
+	sp := inj.res.span(idx)
 	base := uint64(0)
 	if idx > 0 {
 		base = inj.cum[idx-1]
 	}
 	off := u - base
-	cycle := r.Enq + off/uint64(isa.EntryPayloadBits)
+	cycle := sp.enq + off/uint64(isa.EntryPayloadBits)
 	bit := int(off % uint64(isa.EntryPayloadBits))
 	field := isa.FieldOfBit(bit)
 
 	// Strikes after the last read are never consumed.
-	if !r.Issued || cycle >= r.Issue {
+	if r.flags&resIssued == 0 || cycle >= sp.issue {
 		return OutcomeNeverRead
 	}
 
-	ci := int(inj.pos[idx])
+	wrongPath, logged := r.flags&resWrongPath != 0, r.key != noPos
 	cat := ace.CatACE // issued after the recorded log ended
 	switch {
-	case r.Inst.WrongPath:
+	case wrongPath:
 		cat = ace.CatWrongPath
-	case ci >= 0:
-		cat = inj.dead.OfPos(ci)
+	case logged:
+		cat = inj.dead.OfPos(int(r.key))
 	}
-	truth := ace.BitACE(cat, field, r.Inst.Dest != isa.RegNone)
+	truth := ace.BitACE(cat, field, r.flags&resDestNamed != 0)
 
 	switch cfg.Protection {
 	case cache.ProtNone:
@@ -302,7 +397,7 @@ func (inj *Injector) strike(s *rng.Stream, cfg Config, engine *pibit.Engine) Out
 	}
 
 	// Parity: the fault is detected when the entry is read at issue.
-	if r.Inst.WrongPath {
+	if wrongPath {
 		// Wrong-path instructions never reach the commit log; the commit
 		// point discards them under any π level.
 		if cfg.Level >= ace.TrackCommit {
@@ -310,14 +405,14 @@ func (inj *Injector) strike(s *rng.Stream, cfg Config, engine *pibit.Engine) Out
 		}
 		return OutcomeFalseDUE
 	}
-	if ci < 0 {
+	if !logged {
 		// Issued after the recorded log ended; be conservative.
 		if truth {
 			return OutcomeTrueDUE
 		}
 		return OutcomeFalseDUE
 	}
-	switch engine.Process(inj.ix, ci, field) {
+	switch engine.Process(inj.ix, int(r.key), field) {
 	case pibit.VerdictSignalled:
 		if truth {
 			return OutcomeTrueDUE

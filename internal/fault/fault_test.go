@@ -320,3 +320,19 @@ func TestStdErr(t *testing.T) {
 		t.Fatalf("Monte-Carlo SDC off by %v, > 4 sigma (%v)", diff, res.StdErr(OutcomeSDC))
 	}
 }
+
+// TestCellsNearMaxInt: a strike count near math.MaxInt must split into
+// cells without overflow, its last cell ending exactly at the count.
+func TestCellsNearMaxInt(t *testing.T) {
+	c := &Campaign{Configs: []Config{{Strikes: 3}, {Strikes: math.MaxInt}}}
+	want := 1 + math.MaxInt/DefaultChunk + 1
+	if got := c.Cells(); got != want {
+		t.Fatalf("Cells = %d, want %d", got, want)
+	}
+	if ci, lo, hi := c.cell(want - 1); ci != 1 || hi != math.MaxInt || hi-lo != math.MaxInt%DefaultChunk {
+		t.Fatalf("last cell = config %d [%d, %d), want config 1 ending at %d", ci, lo, hi, math.MaxInt)
+	}
+	if ci, lo, hi := c.cell(0); ci != 0 || lo != 0 || hi != 3 {
+		t.Fatalf("first cell = config %d [%d, %d), want config 0 [0, 3)", ci, lo, hi)
+	}
+}

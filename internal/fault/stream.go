@@ -1,23 +1,36 @@
 package fault
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"softerror/internal/ace"
 	"softerror/internal/isa"
+	"softerror/internal/pibit"
 	"softerror/internal/pipeline"
 )
 
 // StreamRecorder is a pipeline.Sink that retains exactly what injection
-// over the instruction queue needs — the IQ residency intervals and the
-// committed stream — and nothing else. Campaign drivers pass it as a run's
-// core.Config.Sink, so one run feeds both the streamed analytic AVFs and
-// the Monte-Carlo injector without materialising a full trace (front-end
-// and store-buffer intervals, commit cycles) that injection never samples.
+// over the instruction queue reads, and nothing else. Each IQ residency is
+// kept as a 24-byte record (its Seq, its enqueue, issue and eviction
+// cycles in 32 bits, and the issued, wrong-path and destination-named
+// bits) instead of a 72-byte pipeline.Residency, and each commit as its
+// Seq plus what π replay reads of it, an op and an address in a
+// pibit.Index, 26 bytes instead of a 40-byte isa.Inst. Campaign drivers
+// pass it as a run's core.Config.Sink, so one run feeds both the streamed
+// analytic AVFs and the Monte-Carlo injector without materialising a full
+// trace (front-end and store-buffer intervals, commit cycles) that
+// injection never samples.
 type StreamRecorder struct {
-	res []pipeline.Residency
-	log []isa.Inst
+	res  residencies // keyed by Seq until Injector resolves them
+	seqs []uint64    // each commit's Seq, parallel to ix's positions
+	ix   pibit.Index
+	cum  []uint64
+
+	// sealed is set once Injector has put the log in program order and
+	// resolved the residencies' keys to log positions.
+	sealed   bool
+	totalOcc uint64
 }
 
 // NewStreamRecorder builds a recorder; commits pre-sizes the commit log
@@ -43,22 +56,24 @@ func GetStreamRecorder(commits uint64) *StreamRecorder {
 
 // Release returns the recorder's buffers to the pool. The caller must be
 // finished with the recorder AND with every Injector built from it — the
-// injector aliases the recorded slices, it does not copy them.
+// injector aliases the recorded records, it does not copy them.
 func (rec *StreamRecorder) Release() {
 	recorderPool.Put(rec)
 }
 
 func (rec *StreamRecorder) reset(commits uint64) {
-	rec.res = rec.res[:0]
-	rec.log = rec.log[:0]
-	if commits > 0 && uint64(cap(rec.log)) < commits {
-		rec.log = make([]isa.Inst, 0, commits)
+	rec.res.reset()
+	rec.seqs = rec.seqs[:0]
+	rec.ix.Reset(int(commits))
+	if uint64(cap(rec.seqs)) < commits {
+		rec.seqs = make([]uint64, 0, commits)
 	}
+	rec.sealed = false
 }
 
 // OnResidency implements pipeline.Sink.
 func (rec *StreamRecorder) OnResidency(r pipeline.Residency) {
-	rec.res = append(rec.res, r)
+	rec.res.add(&r)
 }
 
 // OnFrontEnd implements pipeline.Sink (ignored: IQ injection only).
@@ -69,26 +84,45 @@ func (rec *StreamRecorder) OnStoreBuffer(pipeline.Residency) {}
 
 // OnCommit implements pipeline.Sink.
 func (rec *StreamRecorder) OnCommit(in isa.Inst, _, _ uint64) {
-	rec.log = append(rec.log, in)
+	rec.seqs = append(rec.seqs, in.Seq)
+	rec.ix.Append(&in)
 }
 
-// Injector builds the structure injector over the recorded stream, exactly
-// as NewInjector would over a recorded trace: same residency order, same
-// program-order commit log. cycles and entries come from the run's stats
-// and configuration (Stats.Cycles, Config.IQSize).
+// Injector builds the structure injector over the recorded stream. Its
+// strikes classify exactly as NewInjector's over a trace of the same run:
+// the same residency order, and the commit log restored to program order
+// (an out-of-order run commits in dataflow order). cycles and entries
+// come from the run's stats and configuration (Stats.Cycles,
+// Config.IQSize). The first call seals the recording; later calls reuse
+// it.
 func (rec *StreamRecorder) Injector(cycles uint64, entries int, dead *ace.Deadness) *Injector {
-	sortLogBySeq(rec.log)
-	return NewStructureInjector(rec.res, cycles, entries, rec.log, dead)
+	if !rec.sealed {
+		rec.ix.Seal(rec.seqs)
+		rec.resolve()
+		rec.cum, rec.totalOcc = rec.res.cumulate(rec.cum)
+		rec.sealed = true
+	}
+	return newInjector(rec.res, rec.cum, rec.totalOcc, cycles, entries, &rec.ix, dead)
 }
 
-// sortLogBySeq restores program order (ascending unique Seq) to a commit
-// log appended in dataflow order by an out-of-order run; an in-order log is
-// already sorted and left untouched.
-func sortLogBySeq(log []isa.Inst) {
-	for i := 1; i < len(log); i++ {
-		if log[i].Seq < log[i-1].Seq {
-			sort.Slice(log, func(a, b int) bool { return log[a].Seq < log[b].Seq })
-			return
+// resolve replaces each residency's Seq key by its position in the sorted
+// commit log, or noPos. Residencies close in roughly commit order, so the
+// position after the last one resolved is tried before a binary search.
+func (rec *StreamRecorder) resolve() {
+	next := 0
+	for i := range rec.res.recs {
+		r := &rec.res.recs[i]
+		if r.flags&resWrongPath != 0 {
+			r.key = noPos
+			continue
+		}
+		p, ok := next, next < len(rec.seqs) && rec.seqs[next] == r.key
+		if !ok {
+			p, ok = slices.BinarySearch(rec.seqs, r.key)
+		}
+		r.key = noPos
+		if ok {
+			r.key, next = uint64(p), p+1
 		}
 	}
 }

@@ -63,14 +63,13 @@ func NewEngine(level ace.TrackLevel) *Engine {
 
 // Process decides the fate of a fault detected (by parity, at issue) on
 // the commit log position faultIdx of ix, where struckField identifies the
-// corrupted bit-field. Build ix once per log with NewIndex; Process only
+// corrupted bit-field. Build ix once per log; Process only
 // reads it, so strikes on one log may share it across goroutines.
 func (e *Engine) Process(ix *Index, faultIdx int, struckField isa.Field) Verdict {
-	log := ix.log
-	if faultIdx < 0 || faultIdx >= len(log) {
-		panic(fmt.Sprintf("pibit: fault index %d out of log range %d", faultIdx, len(log)))
+	if faultIdx < 0 || faultIdx >= len(ix.ops) {
+		panic(fmt.Sprintf("pibit: fault index %d out of log range %d", faultIdx, len(ix.ops)))
 	}
-	in := &log[faultIdx]
+	in := &ix.ops[faultIdx]
 
 	// Plain parity: a conservative design raises a machine check the
 	// moment the parity error is read out of the queue.
@@ -81,16 +80,16 @@ func (e *Engine) Process(ix *Index, faultIdx int, struckField isa.Field) Verdict
 	// π carried to the commit point: the retire unit ignores errors on
 	// instructions that never commit results (§4.3.1). Wrong-path faults
 	// are handled by the caller (they never reach the commit log).
-	if in.WrongPath || in.PredFalse {
+	if in.has(opWrongPath | opPredFalse) {
 		return VerdictSuppressed
 	}
 
 	// Anti-π: neutral instruction types cannot affect the outcome unless
 	// the opcode bits themselves were struck (§4.3.2).
-	if e.Level >= ace.TrackAntiPi && in.Class.Neutral() && struckField != isa.FieldOpcode {
+	if e.Level >= ace.TrackAntiPi && in.kind == opNeutral && struckField != isa.FieldOpcode {
 		return VerdictSuppressed
 	}
-	if in.Class.Neutral() {
+	if in.kind == opNeutral {
 		// Opcode strike on a neutral instruction, or anti-π not deployed:
 		// must signal at commit.
 		return VerdictSignalled
@@ -100,7 +99,7 @@ func (e *Engine) Process(ix *Index, faultIdx int, struckField isa.Field) Verdict
 	// bit cannot follow the value (it would poison the wrong register and
 	// leave the intended one silently stale), so the hardware signals at
 	// commit whenever the dest field's parity domain faulted.
-	if in.HasDest() && struckField == isa.FieldDest {
+	if in.has(opHasDest) && struckField == isa.FieldDest {
 		return VerdictSignalled
 	}
 
@@ -118,7 +117,7 @@ func (e *Engine) Process(ix *Index, faultIdx int, struckField isa.Field) Verdict
 // windowEnd returns the log position one past the last instruction replayed
 // after a fault on faultIdx.
 func (e *Engine) windowEnd(ix *Index, faultIdx int) int {
-	return min(faultIdx+1+e.Window, len(ix.log))
+	return min(faultIdx+1+e.Window, len(ix.ops))
 }
 
 // processPET decides a fault the way the PET buffer does (§4.3.3, design
@@ -130,8 +129,8 @@ func (e *Engine) windowEnd(ix *Index, faultIdx int) int {
 // (signal). A window shorter than the buffer drains it early, which scans
 // what was logged by then.
 func (e *Engine) processPET(ix *Index, faultIdx int) Verdict {
-	in := &ix.log[faultIdx]
-	if !in.HasDest() {
+	in := &ix.ops[faultIdx]
+	if !in.has(opHasDest) {
 		// The PET buffer can only prove register FDD; stores, branches
 		// and other destination-less instructions signal at commit.
 		return VerdictSignalled
@@ -139,7 +138,7 @@ func (e *Engine) processPET(ix *Index, faultIdx int) Verdict {
 	if e.PETEntries < 1 {
 		panic(fmt.Sprintf("pibit: PET buffer size %d, want >= 1", e.PETEntries))
 	}
-	dest := slotOf(in.Dest)
+	dest := in.dest
 	end := min(faultIdx+1+e.PETEntries, e.windowEnd(ix, faultIdx))
 	for i := faultIdx + 1; i < end; {
 		next := min(blockEnd(i), end)
@@ -168,22 +167,24 @@ func (e *Engine) processPET(ix *Index, faultIdx int) Verdict {
 // skipped whole, since step changes nothing and decides nothing on an
 // instruction that touches no π state.
 func (e *Engine) processDataflow(ix *Index, faultIdx int) Verdict {
-	in := &ix.log[faultIdx]
+	in := &ix.ops[faultIdx]
 	var pi piState
 
 	// Destination-less π instructions cannot defer: a store commits
 	// possibly-incorrect data (signal at store commit for designs 2–3),
 	// and control flow cannot be tracked through memory at all.
-	if !in.HasDest() {
-		if in.Class != isa.ClassStore || e.Level < ace.TrackMemory {
+	if !in.has(opHasDest) {
+		// Process has returned for pred-false and neutral instructions, so
+		// an opStore here is exactly an executed store.
+		if in.kind != opStore || e.Level < ace.TrackMemory {
 			return VerdictSignalled
 		}
 		// Design 4: the store's π transfers to the memory block; a later
 		// load picks it up into its destination and tracking continues,
 		// an overwriting store clears it.
-		pi.mem.add(in.Addr)
+		pi.mem.add(ix.addrs[faultIdx])
 	} else {
-		pi.regs.add(slotOf(in.Dest))
+		pi.regs.add(in.dest)
 	}
 
 	memory := e.Level >= ace.TrackMemory
@@ -352,7 +353,7 @@ func (e *Engine) step(ix *Index, i int, pi *piState) (Verdict, bool) {
 	// that executed, its result is simply possibly incorrect: poison the
 	// destination and keep tracking, like any other poisoned read.
 	guardPi := pi.regs.has(o.guard)
-	if guardPi && o.predFalse {
+	if guardPi && o.has(opPredFalse) {
 		return VerdictSignalled, true
 	}
 
@@ -361,7 +362,7 @@ func (e *Engine) step(ix *Index, i int, pi *piState) (Verdict, bool) {
 	readPi := guardPi || pi.regs.has(o.src1) || pi.regs.has(o.src2)
 
 	// Loads may pick π up from a poisoned memory block (design 4).
-	loadPi := memory && o.kind == opLoad && pi.mem.has(ix.log[i].Addr)
+	loadPi := memory && o.kind == opLoad && pi.mem.has(ix.addrs[i])
 
 	switch {
 	case e.Level == ace.TrackRegFile:
@@ -379,7 +380,7 @@ func (e *Engine) step(ix *Index, i int, pi *piState) (Verdict, bool) {
 			if !memory {
 				return VerdictSignalled, true
 			}
-			pi.mem.add(ix.log[i].Addr)
+			pi.mem.add(ix.addrs[i])
 		default:
 			if o.dest != noSlot {
 				pi.regs.add(o.dest)
@@ -391,7 +392,7 @@ func (e *Engine) step(ix *Index, i int, pi *piState) (Verdict, bool) {
 	if !readPi && !loadPi {
 		pi.regs.remove(o.dest)
 		if memory && o.kind == opStore {
-			pi.mem.remove(ix.log[i].Addr)
+			pi.mem.remove(ix.addrs[i])
 		}
 	}
 	return 0, false

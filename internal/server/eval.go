@@ -35,7 +35,7 @@ type EvalRequest struct {
 	// SimPoints is the slices-per-benchmark count (default 4).
 	SimPoints int `json:"simpoints,omitempty"`
 	// Strikes and Seed parameterise the outcomes campaign (defaults
-	// 50000, 1).
+	// 50000, 1; Strikes at most core.MaxServedStrikes).
 	Strikes int    `json:"strikes,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
 	// CSV selects CSV output over the aligned table.
@@ -97,6 +97,8 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 		return evalSpec{}, fmt.Errorf("strikes must be non-negative, got %d", e.strikes)
 	case e.rawFIT < 0 || math.IsNaN(e.rawFIT) || math.IsInf(e.rawFIT, 0):
 		return evalSpec{}, fmt.Errorf("rawfit must be a finite non-negative rate, got %v", e.rawFIT)
+	case e.strikes > core.MaxServedStrikes:
+		return evalSpec{}, fmt.Errorf("strikes must be at most %d, got %d", core.MaxServedStrikes, e.strikes)
 	case e.commits > core.MaxServedCommits:
 		return evalSpec{}, fmt.Errorf("commits must be at most %d, got %d", core.MaxServedCommits, e.commits)
 	}

@@ -35,6 +35,24 @@ func TestNormalizeRejectsNegativeKnobs(t *testing.T) {
 	}
 }
 
+// TestNormalizeCapsStrikes: a strike count past core.MaxServedStrikes is
+// refused at normalisation (each of the outcomes campaign's 8
+// configurations allocates its cells up front, and 2⁴⁰ strikes would ask
+// for about 10⁹ of them), and the cap itself is accepted.
+func TestNormalizeCapsStrikes(t *testing.T) {
+	for _, exp := range []string{"outcomes", "all"} {
+		for _, n := range []int{core.MaxServedStrikes + 1, 1 << 40, math.MaxInt} {
+			if _, err := (&EvalRequest{Experiment: exp, Benches: []string{"mcf"}, Strikes: n}).normalize(); err == nil {
+				t.Errorf("%s: normalize accepted %d strikes, past the cap %d", exp, n, core.MaxServedStrikes)
+			}
+		}
+		e, err := (&EvalRequest{Experiment: exp, Benches: []string{"mcf"}, Strikes: core.MaxServedStrikes}).normalize()
+		if err != nil || e.strikes != core.MaxServedStrikes {
+			t.Errorf("%s at the cap: strikes %d, err %v; want %d accepted", exp, e.strikes, err, core.MaxServedStrikes)
+		}
+	}
+}
+
 // TestEvalFingerprintWellDefined: spelling out the documented defaults must
 // address the same content as leaving the fields zero — otherwise the cache
 // stores the same bytes twice and the CLI/server identity splits.
@@ -170,6 +188,7 @@ func FuzzEvalRequest(f *testing.F) {
 	f.Add([]byte(`{"experiment":"fig4","rawfit":1e308}`))
 	f.Add([]byte(`{"experiment":"table1","commits":4194305}`))
 	f.Add([]byte(`{"experiment":"table1","commits":1000000000000}`))
+	f.Add([]byte(`{"experiment":"outcomes","benches":["mcf"],"strikes":1099511627776}`))
 	f.Add([]byte(`[]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -187,6 +206,9 @@ func FuzzEvalRequest(f *testing.F) {
 		}
 		if e.commits > core.MaxServedCommits {
 			t.Fatalf("normalize accepted %d commits, past the cap %d", e.commits, core.MaxServedCommits)
+		}
+		if e.strikes > core.MaxServedStrikes {
+			t.Fatalf("normalize accepted %d strikes, past the cap %d", e.strikes, core.MaxServedStrikes)
 		}
 		if e.commits == 0 || e.seed == 0 || e.pet == 0 || e.simPoints == 0 || e.strikes == 0 {
 			t.Fatalf("normalize left a knob at zero (default not applied): %+v", e)

@@ -27,7 +27,9 @@
 #      plus a short go-native fuzz pass over each harness, the lane engine
 #      against the single-step reference interpreter, the deadness
 #      kernel against its def-use oracle, copy-on-touch cache views against
-#      deep clones and the π-bit replay against its map oracle included (skip with SERA_SKIP_FUZZ=1 when iterating)
+#      deep clones, the π-bit replay against its map oracle and the fault
+#      campaign's compact stream records against the trace injector
+#      included (skip with SERA_SKIP_FUZZ=1 when iterating)
 #   6. smoke tier: the real seratd binary booted on an ephemeral port,
 #      health-checked, served a cached eval and SIGINT-drained
 #   7. fleet tier: the coordinator/worker suite under the race detector,
@@ -93,6 +95,7 @@ if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzDeadnessMatchesDefUse -fuzztime 10s ./internal/ace
 	go test -run NONE -fuzz FuzzViewMatchesClone -fuzztime 10s ./internal/cache
 	go test -run NONE -fuzz FuzzDataflowMatchesMapOracle -fuzztime 10s ./internal/pibit
+	go test -run NONE -fuzz FuzzRecorderMatchesTrace -fuzztime 10s ./internal/fault
 fi
 sh scripts/smoke_seratd.sh
 if [ -z "${SERA_SKIP_FLEET:-}" ]; then
