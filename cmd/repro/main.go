@@ -108,6 +108,9 @@ func run(args []string) error {
 		Seed:      *seed,
 		Jobs:      d.Jobs(),
 	}
+	if err := p.Validate(); err != nil {
+		return cli.Usagef("%v", err)
+	}
 	// Only the outcomes campaign checkpoints; its geometry is a function of
 	// the first roster benchmark and the strike budget.
 	if *ckPath != "" && (name == "outcomes" || name == "all") {

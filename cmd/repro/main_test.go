@@ -3,6 +3,9 @@ package main
 import (
 	"os"
 	"testing"
+
+	"softerror/internal/cli"
+	"softerror/internal/core"
 )
 
 // silence routes stdout to /dev/null for the duration of a test so the
@@ -32,6 +35,29 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunRefusesBadKnobs pins that the counts and rates seratd refuses
+// are usage errors here too, refused before anything is simulated.
+func TestRunRefusesBadKnobs(t *testing.T) {
+	cases := [][]string{
+		{"-rawfit", "-1", "protection"},
+		{"-rawfit", "NaN", "protection"},
+		{"-rawfit", "+Inf", "protection"},
+		{"-pet", "-1", "fig2"},
+		{"-simpoints", "-2", "simpoints"},
+		{"-strikes", "-5", "outcomes"},
+	}
+	before := core.CyclesSimulated()
+	for _, args := range cases {
+		err := run(append([]string{"-benches", "mcf", "-commits", "2000"}, args...))
+		if code := cli.ExitCode(err); code != cli.ExitUsage {
+			t.Errorf("run(%v) exit code = %d (%v), want %d", args, code, err, cli.ExitUsage)
+		}
+	}
+	if after := core.CyclesSimulated(); after != before {
+		t.Errorf("refused runs simulated %d cycles", after-before)
 	}
 }
 

@@ -20,6 +20,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 
 	"softerror/internal/ace"
@@ -35,7 +36,6 @@ import (
 	"softerror/internal/report"
 	"softerror/internal/serate"
 	"softerror/internal/spec"
-	"softerror/internal/tracefile"
 	"softerror/internal/workload"
 )
 
@@ -53,7 +53,6 @@ func run(args []string) error {
 	rawFIT := fs.Float64("rawfit", 0.001, "raw soft-error rate per bit, in FIT")
 	freq := fs.Float64("freq", 2.5e9, "clock frequency in Hz (the paper's part: 2.5 GHz)")
 	pet := fs.Int("pet", 512, "PET buffer entries")
-	saveTrace := fs.String("savetrace", "", "write the full trace to this file (analyse with traceview)")
 	strikes := fs.Int("strikes", 0, "also run a fault-injection campaign with this many strikes per configuration (0 = skip)")
 	faultSeed := fs.Uint64("faultseed", 1, "fault-injection campaign seed")
 	ckPath := fs.String("checkpoint", "", "snapshot the fault campaign to this file; removed on success")
@@ -66,6 +65,12 @@ func run(args []string) error {
 	}
 	if *ckPath != "" && *strikes <= 0 {
 		return cli.Usagef("-checkpoint requires -strikes")
+	}
+	if err := (experiments.Params{PET: *pet, RawFIT: *rawFIT, Strikes: *strikes}).Validate(); err != nil {
+		return cli.Usagef("%v", err)
+	}
+	if !(*freq > 0) || math.IsInf(*freq, 0) {
+		return cli.Usagef("freq must be a finite positive clock rate, got %v", *freq)
 	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
@@ -96,11 +101,10 @@ func run(args []string) error {
 	}
 	pol.Apply(&pcfg)
 	// Residencies fold into the AVF integrals as they close and a fault
-	// campaign records just what injection samples. Only -savetrace needs
-	// the full trace materialised.
+	// campaign records just what injection samples: no trace is kept.
 	ccfg := core.Config{
 		Workload: params, Pipeline: pcfg, Commits: runCommits,
-		RegFile: true, FrontEnd: true, StoreBuffer: true, KeepTrace: *saveTrace != "",
+		RegFile: true, FrontEnd: true, StoreBuffer: true,
 	}
 	var rec *fault.StreamRecorder
 	if *strikes > 0 {
@@ -211,13 +215,6 @@ func run(args []string) error {
 		if err := faultCampaign(ctx, res, inj, *strikes, *faultSeed, d.Jobs(), *ckPath, *resume); err != nil {
 			return err
 		}
-	}
-
-	if *saveTrace != "" {
-		if err := tracefile.Save(*saveTrace, res.Trace); err != nil {
-			return err
-		}
-		fmt.Printf("\ntrace written to %s\n", *saveTrace)
 	}
 	return nil
 }

@@ -82,6 +82,13 @@ func TestSersimUsageExitCodes(t *testing.T) {
 		{"-bench", "nosuch"},      // unknown benchmark
 		{"-policy", "nosuch"},     // unknown policy
 		{"-nosuchflag"},           // unknown flag
+		{"-pet", "-1"},            // negative count
+		{"-strikes", "-5"},        // negative count
+		{"-rawfit", "-1"},         // negative rate
+		{"-rawfit", "NaN"},        // non-finite rate
+		{"-freq", "0"},            // no clock
+		{"-freq", "-2.5e9"},       // negative clock
+		{"-freq", "+Inf"},         // non-finite clock
 	}
 	for _, args := range cases {
 		err := run(args)

@@ -21,7 +21,6 @@
 //	internal/chip      chip-level rate budgets and protection planning
 //	internal/scrub     multi-bit strike models: scrubbing and interleaving
 //	internal/sweep     design-space grids to CSV
-//	internal/tracefile trace persistence for offline analysis
 //	internal/config    JSON experiment configs
 //	internal/core      experiment drivers (Table 1, Figures 1-4)
 //

@@ -1,14 +1,7 @@
-// Chipbudget: the §2 design loop end to end. Measure the AVFs of every
-// modelled structure on a real simulation, compose them into chip-level
-// SDC/DUE rates, check vendor-style MTTF targets, and let the planner pick
-// the cheapest protection mix that meets them.
-//
-//	go run ./examples/chipbudget
-package main
+package chipbudget_test
 
 import (
 	"fmt"
-	"log"
 
 	"softerror/internal/ace"
 	"softerror/internal/chip"
@@ -17,11 +10,10 @@ import (
 	"softerror/internal/spec"
 )
 
-func main() {
-	bench, ok := spec.ByName("gzip-graphic")
-	if !ok {
-		log.Fatal("benchmark missing")
-	}
+// Example budgets gzip-graphic's four measured structures against a
+// 5000-year SDC and a 25-year DUE target.
+func Example() {
+	bench, _ := spec.ByName("gzip-graphic")
 	res, err := core.Run(core.Config{
 		Workload:    bench.Params,
 		Commits:     80_000,
@@ -30,7 +22,8 @@ func main() {
 		RegFile:     true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println("error:", err)
+		return
 	}
 	fe, sb, rf := res.FrontEndReport, res.StoreBufferReport, res.RegFile
 
@@ -72,14 +65,16 @@ func main() {
 	fmt.Printf("measured on %s (%d commits):\n\n", bench.Name, res.Commits)
 	unprotected, err := budget.Evaluate()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println("error:", err)
+		return
 	}
 	fmt.Printf("everything unprotected:\n  SDC %s\n  meets %0.f-year SDC target: %v\n\n",
 		unprotected.SDC, budget.SDCTargetYears, unprotected.MeetsSDC)
 
 	plan, ev, err := budget.Plan()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println("error:", err)
+		return
 	}
 	fmt.Printf("cheapest protection mix meeting both targets (area cost %.1f%%):\n",
 		100*ev.AreaCost)
@@ -87,4 +82,19 @@ func main() {
 		fmt.Println("  " + line)
 	}
 	fmt.Printf("\nchip totals: SDC %s; DUE %s\n", ev.SDC, ev.DUE)
+
+	// Output:
+	// measured on gzip-graphic (80005 commits):
+	//
+	// everything unprotected:
+	//   SDC 159.9 FIT (MTTF 713.97 years)
+	//   meets 5000-year SDC target: false
+	//
+	// cheapest protection mix meeting both targets (area cost 2.8%):
+	//   register-files: parity+tracking(100%), SDC 0 FIT, DUE 92.3 FIT
+	//   front-end-buffer: parity+tracking(100%), SDC 0 FIT, DUE 33.8 FIT
+	//   instruction-queue: parity+tracking(100%), SDC 0 FIT, DUE 28.8 FIT
+	//   store-buffer: none, SDC 4.98 FIT, DUE 0 FIT
+	//
+	// chip totals: SDC 5.0 FIT (MTTF 22932.15 years); DUE 154.9 FIT (MTTF 736.91 years)
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"softerror/internal/checkpoint"
 	"softerror/internal/core"
@@ -66,6 +67,24 @@ var Defaults = Params{
 	SimPoints: 4,
 	Strikes:   50_000,
 	Seed:      1,
+}
+
+// Validate refuses the numeric knobs no experiment can run with: every
+// count and rate must be non-negative, and the raw rate finite. Zero
+// passes (seratd reads it as the default). cmd/repro and cmd/sersim refuse
+// such flags with it, and seratd such eval requests.
+func (p Params) Validate() error {
+	switch {
+	case p.PET < 0:
+		return fmt.Errorf("pet must be non-negative, got %d", p.PET)
+	case p.SimPoints < 0:
+		return fmt.Errorf("simpoints must be non-negative, got %d", p.SimPoints)
+	case p.Strikes < 0:
+		return fmt.Errorf("strikes must be non-negative, got %d", p.Strikes)
+	case p.RawFIT < 0 || math.IsNaN(p.RawFIT) || math.IsInf(p.RawFIT, 0):
+		return fmt.Errorf("rawfit must be a finite non-negative rate, got %v", p.RawFIT)
+	}
+	return nil
 }
 
 // AllOrder is the emission order of the "all" meta-experiment (simpoints

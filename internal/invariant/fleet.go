@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
 	"sync"
 	"time"
 
@@ -19,7 +16,6 @@ import (
 	"softerror/internal/rng"
 	"softerror/internal/server"
 	"softerror/internal/sweep"
-	"softerror/internal/tracefile"
 )
 
 // chaosPlan is a deterministic, budgeted HTTP fault plan shared by all
@@ -212,53 +208,6 @@ func checkFaultPartition(seed uint64, opt Options) error {
 	if *merged != *full {
 		return fmt.Errorf("%d-way partition merged to %+v, single range tallied %+v (cfg=%+v)",
 			len(frags), *merged, *full, fcfg)
-	}
-	return nil
-}
-
-// checkTraceviewRoundtrip pins the trace archive format: a random trace
-// saved and loaded again is structurally identical to the original, and
-// re-encoding the loaded trace reproduces the encoder's bytes exactly (the
-// format has one canonical encoding per trace — nothing is lost, nothing
-// drifts per round trip).
-func checkTraceviewRoundtrip(seed uint64, opt Options) error {
-	opt = opt.withDefaults()
-	s := rng.New(seed, 0x72AC)
-	params := RandomWorkload(s)
-	cfg := RandomPipelineConfig(s)
-	tr, err := runTrace(cfg, params, opt.Commits)
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "invariant-traceview-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "trace.sertr")
-
-	if err := tracefile.Save(path, tr); err != nil {
-		return fmt.Errorf("save: %w", err)
-	}
-	loaded, err := tracefile.Load(path)
-	if err != nil {
-		return fmt.Errorf("load: %w", err)
-	}
-	if !reflect.DeepEqual(tr, loaded) {
-		return fmt.Errorf("loaded trace differs from the saved one (cfg=%+v)", cfg)
-	}
-
-	var first, second bytes.Buffer
-	if err := tracefile.Write(&first, tr); err != nil {
-		return err
-	}
-	if err := tracefile.Write(&second, loaded); err != nil {
-		return err
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		return fmt.Errorf("re-encoding the loaded trace changed the bytes (%d vs %d)",
-			len(first.Bytes()), len(second.Bytes()))
 	}
 	return nil
 }

@@ -109,11 +109,6 @@ func All() []Check {
 			Run:  checkChipPlan,
 		},
 		{
-			Name: "traceview-roundtrip",
-			Doc:  "a trace saved and loaded again is structurally identical and re-encodes to the same bytes",
-			Run:  checkTraceviewRoundtrip,
-		},
-		{
 			Name: "fingerprint-injectivity",
 			Doc:  "distinct normalised eval requests never share a content address; spelled-out defaults share one with the implicit form",
 			Run:  checkFingerprintInjectivity,

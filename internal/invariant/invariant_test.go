@@ -32,7 +32,7 @@ func TestCheckNamesStable(t *testing.T) {
 		"residency-conservation", "trace-differential", "stream-batch",
 		"batched-independent", "arena-reuse", "parallel-determinism",
 		"checkpoint-resume", "fault-partition", "pi-bit-safety",
-		"chipplan-monotonicity", "traceview-roundtrip",
+		"chipplan-monotonicity",
 		"fingerprint-injectivity", "cache-concurrency", "job-lifecycle",
 		"fleet-identity", "static-bounds",
 	}

@@ -16,8 +16,8 @@ import (
 // stream into counters (the ACE/AVF integrals) implement the compact
 // BatchSink instead and skip both reconstruction and the O(commits)
 // slices; TraceRecorder is the Sink that reconstructs the Trace for
-// callers that still want materialised intervals (fault injection,
-// tracefile, traceview).
+// callers that still want materialised intervals (the trace oracles and
+// core.Config.KeepTrace).
 type Sink interface {
 	// OnResidency reports one closed instruction-queue occupancy interval
 	// (eviction, squash, wrong-path flush, or end-of-run clip).

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -88,15 +87,11 @@ func (r *EvalRequest) normalize() (evalSpec, error) {
 	}
 	// Every numeric knob is a count or a rate: negatives and non-finite
 	// rates are refused here rather than fed to the engine.
+	knobs := experiments.Params{PET: e.pet, RawFIT: e.rawFIT, SimPoints: e.simPoints, Strikes: e.strikes}
+	if err := knobs.Validate(); err != nil {
+		return evalSpec{}, err
+	}
 	switch {
-	case e.pet < 0:
-		return evalSpec{}, fmt.Errorf("pet must be non-negative, got %d", e.pet)
-	case e.simPoints < 0:
-		return evalSpec{}, fmt.Errorf("simpoints must be non-negative, got %d", e.simPoints)
-	case e.strikes < 0:
-		return evalSpec{}, fmt.Errorf("strikes must be non-negative, got %d", e.strikes)
-	case e.rawFIT < 0 || math.IsNaN(e.rawFIT) || math.IsInf(e.rawFIT, 0):
-		return evalSpec{}, fmt.Errorf("rawfit must be a finite non-negative rate, got %v", e.rawFIT)
 	case e.strikes > core.MaxServedStrikes:
 		return evalSpec{}, fmt.Errorf("strikes must be at most %d, got %d", core.MaxServedStrikes, e.strikes)
 	case e.commits > core.MaxServedCommits:

@@ -4,7 +4,9 @@
 #      change must pass), plus vet and tests of the separate perfbench
 #      module, which the root go build/test never compile (~6 s on 2 vCPU);
 #      a go-test `func Benchmark` outside perfbench/ fails the tier, since
-#      no tier runs or gates one and perfbench is the benchmark of record
+#      no tier runs or gates one and perfbench is the benchmark of record;
+#      so does a `package main` under examples/ or an examples/ directory
+#      without a `func Example`, since go test pins each example's output
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
 #      numbers may not drift silently — plus `repro all` and the sweep grid
@@ -53,6 +55,7 @@ set -eux
 fmtdirs="$(gofmt -l cmd internal examples scripts perfbench *.go)"
 [ -z "$fmtdirs" ] || { echo "gofmt needed: $fmtdirs" >&2; exit 1; }
 if grep -rln --include='*_test.go' --exclude-dir=perfbench '^func Benchmark' .; then echo "go-test benchmarks belong in perfbench/" >&2; exit 1; fi
+if grep -rl --include='*.go' --exclude='*_test.go' '^package main' examples || for d in examples/*/; do grep -qs '^func Example' "$d"*_test.go || echo "$d"; done | grep .; then echo "examples/ are package Examples go test runs, not mains" >&2; exit 1; fi
 
 go build ./...
 go vet ./...
