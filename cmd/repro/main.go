@@ -111,6 +111,10 @@ func run(args []string) error {
 	if err := p.Validate(); err != nil {
 		return cli.Usagef("%v", err)
 	}
+	// A zero count would fail only after simulating.
+	if *strikes == 0 || *simpoints == 0 {
+		return cli.Usagef("-strikes and -simpoints must be positive")
+	}
 	// Only the outcomes campaign checkpoints; its geometry is a function of
 	// the first roster benchmark and the strike budget.
 	if *ckPath != "" && (name == "outcomes" || name == "all") {

@@ -48,6 +48,8 @@ func TestRunRefusesBadKnobs(t *testing.T) {
 		{"-pet", "-1", "fig2"},
 		{"-simpoints", "-2", "simpoints"},
 		{"-strikes", "-5", "outcomes"},
+		{"-simpoints", "0", "simpoints"},
+		{"-strikes", "0", "outcomes"},
 	}
 	before := core.CyclesSimulated()
 	for _, args := range cases {

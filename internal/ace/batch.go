@@ -22,11 +22,11 @@ import (
 // charge by body index, the position deadness classifies by, which both
 // skips instruction reconstruction on the hot path and turns Finish's
 // lookups into direct indexing; reorder-buffer reads, which only committed
-// bodies make, sum straight into per-body storage. The per-body records and
-// pending charges hold their cycle counts in 32 bits, which every lane of
-// the paper's runs fits; a count that does not fit is kept exact in a
-// 64-bit side entry (wideRec, charges.wide), never wrapped. All charges are
-// commutative uint64 sums through the same
+// bodies make, sum straight into per-body storage. The per-body records
+// hold their cycle counts in 16 bits and the pending charges in 32, which
+// every lane of the paper's runs fits; a count that does not fit is kept
+// exact in a 64-bit side entry (wideRec, charges.wide), never wrapped.
+// All charges are commutative uint64 sums through the same
 // Report.addRead/addNeverRead/SBReport.add helpers as the trace analyses
 // (Analyze and friends), so the reports are exactly equal to analysing a
 // recorded trace of the run — the stream-batch and batched-independent
@@ -116,6 +116,15 @@ func NewBatchGroup(src pipeline.BatchSource) *BatchGroup {
 // stream's content, so they carry over.
 func (g *BatchGroup) Rebind(src pipeline.BatchSource) { g.src = src }
 
+// Reset re-arms the group for any stream src: it forgets the deadness
+// memos, which belong to the old stream's content, and keeps the kernel
+// scratch, so the next analysis reuses its arrays. Analyses the group
+// returned before stay valid: a memoised Deadness owns its slices.
+func (g *BatchGroup) Reset(src pipeline.BatchSource) {
+	g.src = src
+	clear(g.dead)
+}
+
 // commitLog returns the first m body instructions as a slice — the shared
 // stand-in for any lane's commit log (deadness and the per-commit fields
 // are Seq-value-independent). The workload.Shared fast path aliases the
@@ -195,21 +204,21 @@ func (l *charges) each(f func(body int, cycles uint64)) {
 // and the post-issue linger, packed together so the per-commit writes
 // touch one array.
 type commitRec struct {
-	wait, linger uint32
+	wait, linger uint16
 }
 
 // wideRec holds what one body's IQ wait, IQ linger and ROB occupancy
-// carried past their 32-bit records: a body's total is its record plus
+// carried past their 16-bit records: a body's total is its record plus
 // its wide entry.
 type wideRec struct{ wait, linger, rob uint64 }
 
-// add32 adds v to the 32-bit record *r. When the sum does not fit it
+// add16 adds v to the 16-bit record *r. When the sum does not fit it
 // zeroes *r and returns the sum (mod 2⁶⁴, as a 64-bit record would hold
 // it) for the caller to carry into the body's wideRec; otherwise it
 // returns 0.
-func add32(r *uint32, v uint64) (carry uint64) {
-	if v <= math.MaxUint32-uint64(*r) {
-		*r += uint32(v)
+func add16(r *uint16, v uint64) (carry uint64) {
+	if v <= math.MaxUint16-uint64(*r) {
+		*r += uint16(v)
 		return 0
 	}
 	carry = uint64(*r) + v
@@ -253,8 +262,8 @@ type BatchCollector struct {
 	recs    []commitRec      // indexed by body position; zero value = no commit yet
 	bits    []uint64         // committed-body bitmap, parallel to recs
 	issues  []uint64         // issue cycle per body position; RegFile only
-	robOcc  []uint32         // ROB read occupancy per body position; OoO only
-	wide    map[int]*wideRec // by body position; only bodies that outgrew 32 bits
+	robOcc  []uint16         // ROB read occupancy per body position; OoO only
+	wide    map[int]*wideRec // by body position; only bodies that outgrew 16 bits
 	n       int              // one past the highest committed body index
 	commits int              // total commits; == n iff [0, n) is hole-free
 
@@ -366,11 +375,11 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 			c.issues = append(c.issues, make([]uint64, len(c.recs)-len(c.issues))...)
 		}
 		if c.cfg.ROBSize > 0 {
-			c.robOcc = append(c.robOcc, make([]uint32, len(c.recs)-len(c.robOcc))...)
+			c.robOcc = append(c.robOcc, make([]uint16, len(c.recs)-len(c.robOcc))...)
 		}
 	}
 	// A body commits once, so its wait record is still zero here.
-	if carry := add32(&c.recs[body].wait, issue-enq); carry != 0 {
+	if carry := add16(&c.recs[body].wait, issue-enq); carry != 0 {
 		c.widen(body).wait = carry
 	}
 	c.bits[body>>6] |= 1 << (uint(body) & 63)
@@ -396,7 +405,8 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	wait := issue - enq
 	linger := evict - issue
 	if ref.Wrong() {
-		c.iqReads.add(CatWrongPath, c.group.src.Wrong(int(seq)-ref.Body()), wait, linger)
+		in := c.group.src.Wrong(int(seq) - ref.Body())
+		c.iqReads.add(CatWrongPath, &in, wait, linger)
 		return
 	}
 	// Correct path: the commit event always precedes the eviction (evict
@@ -406,7 +416,7 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	// addRead charges linger category-independently (ExACEBC only), so the
 	// fused call is bit-identical to charging wait and linger separately.
 	if body := ref.Body(); body < c.n {
-		if carry := add32(&c.recs[body].linger, linger); carry != 0 {
+		if carry := add16(&c.recs[body].linger, linger); carry != 0 {
 			c.widen(body).linger += carry
 		}
 	} else {
@@ -467,7 +477,7 @@ func (c *BatchCollector) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64,
 		return
 	}
 	body := ref.Body()
-	if carry := add32(&c.robOcc[body], occ); carry != 0 {
+	if carry := add16(&c.robOcc[body], occ); carry != 0 {
 		c.widen(body).rob += carry
 	}
 }
@@ -545,7 +555,7 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 			}
 		}
 	}
-	// What outgrew the 32-bit records joins the same buckets: the sums,
+	// What outgrew the 16-bit records joins the same buckets: the sums,
 	// and so the reports, equal a 64-bit fold's.
 	for i, w := range c.wide {
 		if c.committed(i) {

@@ -16,8 +16,8 @@ import (
 // sliceSource is a canned BatchSource over pre-built streams.
 type sliceSource struct{ body, wrong []isa.Inst }
 
-func (s *sliceSource) Body(n int) *isa.Inst  { return &s.body[n] }
-func (s *sliceSource) Wrong(j int) *isa.Inst { return &s.wrong[j] }
+func (s *sliceSource) Body(n int) *isa.Inst { return &s.body[n] }
+func (s *sliceSource) Wrong(j int) isa.Inst { return s.wrong[j] }
 func (s *sliceSource) WrongSite(n, j int) (uint64, uint8) {
 	return s.body[n].PC + 4*uint64(j), 0
 }
@@ -178,26 +178,28 @@ func TestCollectorDisabledAnalysesNil(t *testing.T) {
 
 // TestWideRecordsMatch64BitFold drives a collector and a trace recorder
 // with the same synthetic out-of-order events, some of whose cycle counts
-// exceed 32 bits — an IQ wait, an IQ linger, ROB occupancies (one summed
-// from two reads past the limit), and front-end, store-buffer and LSQ
-// charges — and requires the collector's reports to equal the trace
-// analyses', which fold every charge in 64 bits. It also pins the record
-// sizes the 32-bit fields buy.
+// exceed 16 bits (the per-body records) or 32 bits (the pending charges) —
+// IQ waits, IQ lingers, ROB occupancies (two summed from two reads past
+// the limit), and front-end, store-buffer and LSQ charges — and requires
+// the collector's reports to equal the trace analyses', which fold every
+// charge in 64 bits. It also pins the record sizes the narrow fields buy.
 func TestWideRecordsMatch64BitFold(t *testing.T) {
-	if got := unsafe.Sizeof(commitRec{}); got != 8 {
-		t.Errorf("commitRec is %d bytes, want 8", got)
+	if got := unsafe.Sizeof(commitRec{}); got != 4 {
+		t.Errorf("commitRec is %d bytes, want 4", got)
 	}
 	if got := unsafe.Sizeof(charge32{}); got != 8 {
 		t.Errorf("charge32 is %d bytes, want 8", got)
 	}
 	var c BatchCollector
-	if got := unsafe.Sizeof(c.robOcc[0]); got != 4 {
-		t.Errorf("per-body ROB occupancy is %d bytes, want 4", got)
+	if got := unsafe.Sizeof(c.robOcc[0]); got != 2 {
+		t.Errorf("per-body ROB occupancy is %d bytes, want 2", got)
 	}
 
 	const commits = 128
-	const big = 1<<32 + 5          // past a 32-bit record on its own
+	const big = 1<<32 + 5          // past a 32-bit charge on its own
 	const half = 3 << 30           // two of these overflow one
+	const past16 = 1<<16 + 3       // past a 16-bit record on its own
+	const half16 = 40000           // two of these overflow one
 	const cycles = uint64(1) << 40 // the lane's length
 	src := &sliceSource{body: pinLog(commits + 16)}
 	pcfg := pipeline.DefaultConfig()
@@ -225,10 +227,16 @@ func TestWideRecordsMatch64BitFold(t *testing.T) {
 		switch n {
 		case 3:
 			wait = big
+		case 4:
+			wait = past16
 		case 5:
 			linger = big
+		case 6:
+			linger = past16
 		case 9:
 			rob = big
+		case 10:
+			rob = past16
 		case 12:
 			fe, sb, lsq = big, big, big
 		}
@@ -238,16 +246,20 @@ func TestWideRecordsMatch64BitFold(t *testing.T) {
 			s.BatchFrontEnd(ref, seq, enq, enq+fe, true)
 			s.BatchStoreBuffer(ref, seq, enq, enq+sb)
 			s.BatchROB(ref, seq, enq, enq+rob, true)
-			if n == 7 { // a second read of the same body, summing past 32 bits
+			switch n { // more reads of the same body, summing past a record
+			case 7:
 				s.BatchROB(ref, seq, enq, enq+half, true)
 				s.BatchROB(ref, seq, enq, enq+half, true)
+			case 11:
+				s.BatchROB(ref, seq, enq, enq+half16, true)
+				s.BatchROB(ref, seq, enq, enq+half16, true)
 			}
 			s.BatchLSQ(ref, seq, enq, enq+lsq, true)
 		}
 	}
-	if len(coll.wide) != 4 || len(coll.fePending.wide) != 1 ||
+	if len(coll.wide) != 8 || len(coll.fePending.wide) != 1 ||
 		len(coll.sbPending.wide) != 1 || len(coll.lsqPending.wide) != 1 {
-		t.Fatalf("wide entries: %d bodies, %d/%d/%d charges; want 4, 1/1/1",
+		t.Fatalf("wide entries: %d bodies, %d/%d/%d charges; want 8, 1/1/1",
 			len(coll.wide), len(coll.fePending.wide), len(coll.sbPending.wide), len(coll.lsqPending.wide))
 	}
 	got := coll.Finish(cycles)
@@ -267,27 +279,28 @@ func TestWideRecordsMatch64BitFold(t *testing.T) {
 	}
 }
 
-// TestAdd32Carries pins add32: a sum that fits stays in the record, one
+// TestAdd16Carries pins add16: a sum that fits stays in the record, one
 // that does not leaves the record zero and returns the whole sum, wrapped
 // at 2⁶⁴ as a 64-bit record would be.
-func TestAdd32Carries(t *testing.T) {
+func TestAdd16Carries(t *testing.T) {
 	cases := []struct {
-		r         uint32
+		r         uint16
 		v         uint64
-		wantR     uint32
+		wantR     uint16
 		wantCarry uint64
 	}{
 		{0, 7, 7, 0},
-		{5, math.MaxUint32 - 5, math.MaxUint32, 0},
-		{5, math.MaxUint32 - 4, 0, 1 << 32},
-		{3 << 30, 3 << 30, 0, 6 << 30},
+		{5, math.MaxUint16 - 5, math.MaxUint16, 0},
+		{5, math.MaxUint16 - 4, 0, 1 << 16},
+		{40000, 40000, 0, 80000},
+		{0, 1 << 32, 0, 1 << 32},
 		{1, math.MaxUint64, 0, 0},
 		{2, math.MaxUint64, 0, 1},
 	}
 	for _, tc := range cases {
 		r := tc.r
-		if carry := add32(&r, tc.v); r != tc.wantR || carry != tc.wantCarry {
-			t.Errorf("add32(%d, %d) = record %d carry %d, want %d %d",
+		if carry := add16(&r, tc.v); r != tc.wantR || carry != tc.wantCarry {
+			t.Errorf("add16(%d, %d) = record %d carry %d, want %d %d",
 				tc.r, tc.v, r, carry, tc.wantR, tc.wantCarry)
 		}
 	}

@@ -1,6 +1,10 @@
 package ace
 
-import "softerror/internal/isa"
+import (
+	"sync"
+
+	"softerror/internal/isa"
+)
 
 // Deadness is the result of dynamic dead-code discovery over a committed
 // instruction stream. It classifies every committed instruction into a
@@ -87,9 +91,16 @@ type deadScratch struct {
 // gathered in its flag byte (any reader, a live reader, a memory-tracked
 // dead reader), then ORs its own facts into its producers.
 func AnalyzeDeadness(log []isa.Inst) *Deadness {
-	var s deadScratch
+	s := scratchPool.Get().(*deadScratch)
+	defer scratchPool.Put(s)
 	return s.analyze(log, nil)
 }
+
+// scratchPool lends AnalyzeDeadness its kernel scratch, so repeated
+// one-shot analyses (a served static bound per query, the seraudit
+// checks) reuse the arrays. The scratch refers to no log: the results own
+// their slices.
+var scratchPool = sync.Pool{New: func() any { return new(deadScratch) }}
 
 // committedAt reports whether position i is set in a commit bitmap; a nil
 // bitmap admits every position.

@@ -89,7 +89,8 @@ func TestBatchCollectorEventPathZeroAlloc(t *testing.T) {
 
 // TestAnalyzeDeadnessAllocsIndependentOfLength pins the kernel's array
 // form: a log of any length costs the same fixed set of allocations (the
-// scratch arrays and the result's slices), never one per definition.
+// result's slices; the scratch arrays come from a pool), never one per
+// definition.
 func TestAnalyzeDeadnessAllocsIndependentOfLength(t *testing.T) {
 	short, long := pinLog(2000), pinLog(20000)
 	small := testing.AllocsPerRun(5, func() { AnalyzeDeadness(short) })
@@ -191,5 +192,34 @@ func TestDenseFinishBytesIndependentOfCommits(t *testing.T) {
 	}
 	if small, large := bytes(2000), bytes(20000); small != large {
 		t.Fatalf("dense Finish allocates %d bytes at 2k commits but %d at 20k; want the same", small, large)
+	}
+}
+
+// TestBatchGroupResetKeepsScratch pins the group's re-arm: a group reset
+// onto a second stream analyses it in the kernel scratch it already
+// holds, so switching streams allocates only the new Deadness, exactly as
+// a warm scratch's analysis does, never the scratch arrays again.
+func TestBatchGroupResetKeepsScratch(t *testing.T) {
+	const n = 20000
+	srcs := [2]*sliceSource{{body: pinLog(n)}, {body: pinLog(n + 7)[7:]}}
+	g := NewBatchGroup(srcs[0])
+	var s deadScratch
+	for _, src := range srcs { // warm both streams' high-water marks
+		g.Reset(src)
+		g.deadness(n)
+		s.analyze(src.body[:n], nil)
+	}
+	i := 0
+	rearm := testing.AllocsPerRun(10, func() {
+		i++
+		g.Reset(srcs[i%2])
+		g.deadness(n)
+	})
+	warm := testing.AllocsPerRun(10, func() {
+		i++
+		s.analyze(srcs[i%2].body[:n], nil)
+	})
+	if rearm != warm {
+		t.Fatalf("a re-armed group allocates %.0f times per stream switch, a warm kernel scratch %.0f; want the same", rearm, warm)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // pooled warm hierarchies, re-viewed over the process's one frozen warm
 // template (workload.WarmedInto), which reset only the sets their last
 // lane touched instead of copying the whole hierarchy, collectors
-// re-armed via ace.BatchCollector.Reset, and the ace.BatchGroup (deadness
-// memos and kernel scratch) of its last workload and commit target — plus
+// re-armed via ace.BatchCollector.Reset, and one ace.BatchGroup, whose
+// deadness memos are those of its last workload and commit target and
+// whose kernel scratch serves every workload — plus
 // the pipeline's lane/slab arena. The decoded streams themselves live in
 // the process-wide workload.Streams store, which every evaluation path
 // shares: a run checks its workload's stream out for the length of the
@@ -71,9 +72,10 @@ func NewArena() *Arena { return &Arena{} }
 // reserved for a run of about commits body instructions, and returns it
 // with the arena's analysis group bound to it. inOrder says whether any
 // lane of the run is on the in-order core, which draws more wrong-path
-// instructions (wrongReserve). The group carries over from the arena's
-// previous run when that run had the same workload and commit target;
-// otherwise it is replaced. The caller hands the stream back through
+// instructions (wrongReserve). The group's deadness memos carry over from
+// the arena's previous run when that run had the same workload and commit
+// target; otherwise the group is re-armed (ace.BatchGroup.Reset), keeping
+// only its kernel scratch. The caller hands the stream back through
 // release when the batch is done with it. A workload that yields no
 // shared stream (PC-indexed or invalid) fails as workload.NewShared does
 // and leaves the group in place.
@@ -86,12 +88,15 @@ func (a *Arena) checkout(w workload.Params, commits uint64, inOrder bool) (*work
 	if err != nil {
 		return nil, nil, err
 	}
-	if a.group != nil && a.groupParams == w && a.groupCommits == commits {
-		a.group.Rebind(sh)
-	} else {
+	switch {
+	case a.group == nil:
 		a.group = ace.NewBatchGroup(sh)
-		a.groupParams, a.groupCommits = w, commits
+	case a.groupParams == w && a.groupCommits == commits:
+		a.group.Rebind(sh)
+	default:
+		a.group.Reset(sh)
 	}
+	a.groupParams, a.groupCommits = w, commits
 	return sh, a.group, nil
 }
 

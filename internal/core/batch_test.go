@@ -190,11 +190,11 @@ func TestArenaKeepsOneStream(t *testing.T) {
 }
 
 // TestArenaRecyclesStreamMemos pins memo recycling at the command-line
-// budget: an arena cycling through four benchmarks at 100k commits, one
+// budget: an arena cycling through four benchmarks at 100k commits, two
 // more than the default store keeps, misses every time, and each decode
 // takes over the arrays of the stream it evicts. Decoding 100k commits
-// into fresh memos allocates about 5 MB; a recycled decode allocates only
-// the generator and the arena's new deadness group.
+// into fresh memos allocates about 4.5 MB; a recycled decode allocates
+// only the generator, since the arena re-arms its deadness group.
 func TestArenaRecyclesStreamMemos(t *testing.T) {
 	const commits = 100_000
 	st := workload.Streams()
@@ -214,10 +214,16 @@ func TestArenaRecyclesStreamMemos(t *testing.T) {
 		benches[i] = b.Params
 	}
 	a := NewArena()
+	var group *ace.BatchGroup
 	decode := func(w workload.Params) {
-		sh, _, err := a.checkout(w, commits, true)
+		sh, g, err := a.checkout(w, commits, true)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if group == nil {
+			group = g
+		} else if g != group {
+			t.Fatal("the arena replaced its deadness group on a stream switch instead of re-arming it")
 		}
 		sh.BodyPrefix(commits + 512)
 		sh.Wrong(commits / 8)
@@ -298,7 +304,7 @@ func TestStoreCheckoutMatchesFreshDecode(t *testing.T) {
 		}
 	}
 	for j := 0; j < commits/4; j++ {
-		if g, f := *kept.Wrong(j), *fresh.Wrong(j); g != f {
+		if g, f := kept.Wrong(j), fresh.Wrong(j); g != f {
 			t.Fatalf("kept wrong-path draw %d = %+v, a fresh decode has %+v", j, g, f)
 		}
 	}

@@ -31,14 +31,16 @@ import (
 // j taken while body n is the next correct-path fetch. Each source kind
 // owns that last relabel. workload.Shared is the decoded-once stream every
 // lane of a batch shares; PrivateSource is one lane's own stream for
-// workloads whose content depends on the fetch order. Returned pointers
-// are valid until the next call extends the memo, and a workload.Shared's
+// workloads whose content depends on the fetch order. Body pointers are
+// valid until the next call extends the memo, and a workload.Shared's
 // only until its stream is recycled into the next one, so nothing that
 // outlives the batch may hold them: lanes shed their snapshots when the
-// run returns, and sinks receive copies.
+// run returns, and sinks receive copies. Wrong returns its draw by value:
+// a shared stream keeps wrong-path draws packed, since their readers need
+// only the class, registers and address.
 type BatchSource interface {
 	Body(n int) *isa.Inst
-	Wrong(j int) *isa.Inst
+	Wrong(j int) isa.Inst
 	WrongSite(n, j int) (pc uint64, callDepth uint8)
 }
 
@@ -88,11 +90,11 @@ func (s *PrivateSource) BodyPrefix(m int) []isa.Inst {
 
 // Wrong implements BatchSource, drawing wrong-path instructions from the
 // underlying Source up to j.
-func (s *PrivateSource) Wrong(j int) *isa.Inst {
+func (s *PrivateSource) Wrong(j int) isa.Inst {
 	for len(s.wrong) <= j {
 		s.wrong = append(s.wrong, s.src.NextWrong())
 	}
-	return &s.wrong[j]
+	return s.wrong[j]
 }
 
 // WrongSite implements BatchSource: a private draw carries the PC and call
@@ -128,7 +130,7 @@ func (r BatchRef) Inst(src BatchSource, seq uint64) isa.Inst {
 	n := r.Body()
 	if r.Wrong() {
 		j := int(seq) - n
-		in := *src.Wrong(j)
+		in := src.Wrong(j)
 		in.Seq = seq
 		in.PC, in.CallDepth = src.WrongSite(n, j)
 		return in
@@ -981,7 +983,7 @@ func (ln *batchLane) deliver(now uint64) {
 			if !admits(&ln.cfg, ln.rob.n, ln.lsq.n, in.Class) {
 				break
 			}
-			ticket = ln.oooDispatch(in, fe, now)
+			ticket = ln.oooDispatch(&in, fe, now)
 		}
 		ln.iq.push(biqEntry{ref: fe.ref, seq: fe.seq, ticket: ticket, in: fe.in, enq: now})
 		ln.recordFrontEnd(fe, now, true)

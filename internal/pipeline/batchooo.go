@@ -45,11 +45,11 @@ type BatchOOOSink interface {
 }
 
 // feContent returns the instruction content behind a front-end entry: the
-// memoised body pointer for correct-path fetches, the shared wrong-path
-// draw otherwise.
-func (ln *batchLane) feContent(fe *bfeEntry) *isa.Inst {
+// memoised body for correct-path fetches, the source's wrong-path draw
+// otherwise.
+func (ln *batchLane) feContent(fe *bfeEntry) isa.Inst {
 	if fe.in != nil {
-		return fe.in
+		return *fe.in
 	}
 	return ln.src.Wrong(int(fe.seq) - fe.ref.Body())
 }

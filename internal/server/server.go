@@ -109,7 +109,7 @@ type Server struct {
 // streamBytes is the decoded-stream store's budget in a daemon. A daemon
 // revisits every benchmark in each round of mixed traffic (evals, sweep
 // pricing and runs, bounds), so the store should keep the whole roster at
-// the commit targets such traffic uses: 26 streams of about 1.3 MB at 20k
+// the commit targets such traffic uses: 26 streams of 0.9–1.0 MB at 20k
 // commits.
 const streamBytes = 64 << 20
 

@@ -23,6 +23,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -212,9 +213,12 @@ var roster = []struct {
 	}},
 }
 
-// All returns the full 26-benchmark roster in Table-2 order (integer then
-// floating point). The returned slice and its Params are fresh copies.
-func All() []Benchmark {
+// benchmarks is the roster built and validated once: every lookup (and
+// every served request that names benchmarks) reads it instead of
+// rebuilding 26 profiles.
+var benchmarks = buildRoster()
+
+func buildRoster() []Benchmark {
 	out := make([]Benchmark, 0, len(roster))
 	for _, r := range roster {
 		p := intBase()
@@ -233,6 +237,10 @@ func All() []Benchmark {
 	return out
 }
 
+// All returns the full 26-benchmark roster in Table-2 order (integer then
+// floating point). The returned slice and its Params are fresh copies.
+func All() []Benchmark { return slices.Clone(benchmarks) }
+
 // Integer returns the integer subset of the roster.
 func Integer() []Benchmark { return filter(false) }
 
@@ -241,7 +249,7 @@ func FloatingPoint() []Benchmark { return filter(true) }
 
 func filter(fp bool) []Benchmark {
 	var out []Benchmark
-	for _, b := range All() {
+	for _, b := range benchmarks {
 		if b.FP == fp {
 			out = append(out, b)
 		}
@@ -251,7 +259,7 @@ func filter(fp bool) []Benchmark {
 
 // ByName looks a benchmark up by its Table-2 name.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range All() {
+	for _, b := range benchmarks {
 		if b.Name == name {
 			return b, true
 		}
@@ -282,9 +290,8 @@ func ParseList(list string) ([]Benchmark, error) {
 
 // Names returns the sorted benchmark names, for CLI help text.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, b := range all {
+	names := make([]string, len(benchmarks))
+	for i, b := range benchmarks {
 		names[i] = b.Name
 	}
 	sort.Strings(names)

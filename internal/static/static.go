@@ -45,6 +45,7 @@ package static
 
 import (
 	"fmt"
+	"sync"
 
 	"softerror/internal/ace"
 	"softerror/internal/isa"
@@ -103,10 +104,12 @@ type Bounds struct {
 }
 
 // Analyzer computes bounds for one loaded program across many
-// configurations. Load allocates; Query is allocation-free once the
-// deadness view for the config's cut has been built (the first Query per
-// distinct out-of-order cut builds one); Estimate builds no view and never
-// allocates. Not safe for concurrent use.
+// configurations. Load allocates only where the analyzer's previous load
+// did not reach; Query is allocation-free once the deadness view for the
+// config's cut has been built (the first Query per distinct out-of-order
+// cut builds one, into a previous load's view buffers when there are
+// any); Estimate builds no view and never allocates. Not safe for
+// concurrent use.
 type Analyzer struct {
 	body    []isa.Inst
 	commits int
@@ -126,7 +129,13 @@ type Analyzer struct {
 	hasMispred   bool
 
 	views map[int]*cutView
+	spare []*cutView // views of earlier loads, for view to rebuild
 }
+
+// maxSpareViews bounds the views an analyzer keeps for reuse across
+// loads: a one-shot Analyze builds one, and each is a few prefix arrays
+// over the whole body.
+const maxSpareViews = 2
 
 // cutView is the deadness-dependent weight state for one prefix cut.
 type cutView struct {
@@ -144,10 +153,11 @@ func NewAnalyzer() *Analyzer {
 
 // Analyze is the one-shot convenience path: check the workload's decoded
 // stream out of the process-wide store (workload.Streams), load the commit
-// prefix plus slack, and query the config. A stream the simulator or an
-// earlier bound already decoded is not decoded again. It fails only when
-// the workload's stream cannot be decoded position-addressably (PC-indexed
-// branch predictors).
+// prefix plus slack into a pooled analyzer, and query the config. A
+// stream the simulator or an earlier bound already decoded is not decoded
+// again, and an analyzer an earlier call returned to the pool lends its
+// arrays. It fails only when the workload's stream cannot be decoded
+// position-addressably (PC-indexed branch predictors).
 func Analyze(p workload.Params, commits uint64, cfg pipeline.Config) (Bounds, error) {
 	if commits > 1<<40 {
 		return Bounds{}, fmt.Errorf("static: commit target %d too large to decode", commits)
@@ -158,9 +168,29 @@ func Analyze(p workload.Params, commits uint64, cfg pipeline.Config) (Bounds, er
 		return Bounds{}, fmt.Errorf("static: %w", err)
 	}
 	defer workload.Streams().Release(sh)
-	a := NewAnalyzer()
+	a := analyzers.Get().(*Analyzer)
+	defer func() {
+		a.unload()
+		analyzers.Put(a)
+	}()
 	a.Load(sh.BodyPrefix(n), commits)
 	return a.Query(cfg), nil
+}
+
+// analyzers lends Analyze its analyzers. A pooled analyzer holds no body:
+// the stream it read goes back to the store, which may recycle it.
+var analyzers = sync.Pool{New: func() any { return NewAnalyzer() }}
+
+// unload forgets the loaded program: it drops the body and parks the cut
+// views for the next load's views to rebuild in place.
+func (a *Analyzer) unload() {
+	a.body = nil
+	for cut, cv := range a.views {
+		if len(a.spare) < maxSpareViews {
+			a.spare = append(a.spare, cv)
+		}
+		delete(a.views, cut)
+	}
 }
 
 // Load points the analyzer at a decoded committed-instruction prefix and
@@ -178,9 +208,12 @@ func (a *Analyzer) Load(body []isa.Inst, commits uint64) {
 	if commits > 1<<40 || n < 0 {
 		n = len(body) // absurd target: bound what we can see
 	}
+	a.unload()
+	if a.views == nil {
+		a.views = make(map[int]*cutView)
+	}
 	a.body = body
 	a.commits = n
-	a.views = make(map[int]*cutView)
 
 	k := len(body)
 	if cap(a.uMaxPre) < k+1 {
@@ -483,13 +516,16 @@ func (a *Analyzer) view(cut int) *cutView {
 		a.views = make(map[int]*cutView) // fuzz-shaped config churn: reset
 	}
 	k := len(a.body)
-	cv := &cutView{
-		acePreIQ: make([]uint64, k+1),
-		acePreFE: make([]uint64, k+1),
+	cv := &cutView{}
+	if n := len(a.spare); n > 0 {
+		cv, a.spare = a.spare[n-1], a.spare[:n-1]
 	}
+	cv.acePreIQ = prefixBuf(cv.acePreIQ, k+1)
+	cv.acePreFE = prefixBuf(cv.acePreFE, k+1)
 	for f := range cv.fieldPre {
-		cv.fieldPre[f] = make([]uint64, k+1)
+		cv.fieldPre[f] = prefixBuf(cv.fieldPre[f], k+1)
 	}
+	cv.sbDead = 0
 	dead := ace.AnalyzeDeadness(a.body[:cut])
 	B := uint64(isa.EntryPayloadBits)
 	for i := 0; i < k; i++ {
@@ -533,7 +569,7 @@ func (a *Analyzer) view(cut int) *cutView {
 	// charge full width, dead ones only their address bits, predicated-false
 	// and wrong-path ones nothing. Flags pin the latter two even past the
 	// cut; deadness past the cut stays at the full-width worst case.
-	cv.aceLSQPre = make([]uint64, len(a.memPos)+1)
+	cv.aceLSQPre = prefixBuf(cv.aceLSQPre, len(a.memPos)+1)
 	for j, pos := range a.memPos {
 		in := &a.body[pos]
 		var w uint64
@@ -548,6 +584,18 @@ func (a *Analyzer) view(cut int) *cutView {
 	}
 	a.views[cut] = cv
 	return cv
+}
+
+// prefixBuf returns a prefix-sum array of length n with a zero first
+// entry, reusing buf's array when large enough; the caller writes every
+// later entry.
+func prefixBuf(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	buf[0] = 0
+	return buf
 }
 
 // windowMax returns the maximum sum over any contiguous window of length

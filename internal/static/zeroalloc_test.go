@@ -6,6 +6,8 @@
 package static
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"softerror/internal/pipeline"
@@ -60,4 +62,37 @@ func TestEstimateAllocFree(t *testing.T) {
 		t.Fatalf("Estimate allocates %.1f times, want 0", avg)
 	}
 	_ = sink
+}
+
+// TestAnalyzeReusesPooledAnalyzer pins the served bound's cost: once an
+// earlier Analyze has returned its analyzer to the pool, a repeat call
+// rebuilds the prefix arrays and the deadness kernel's scratch in place,
+// so it allocates less than one prefix array over the body (the cut view
+// keeps ten of them). Only the classification it returns is new. The
+// cheapest of a few calls is taken, since a garbage collection may empty
+// the pool between two of them.
+func TestAnalyzeReusesPooledAnalyzer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const commits = 20000
+	p := workload.Default()
+	cfg := pipeline.DefaultConfig()
+	if _, err := Analyze(p, commits, cfg); err != nil { // decode and warm
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Analyze(p, commits, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n < least {
+			least = n
+		}
+	}
+	t.Logf("a warm Analyze at %d commits allocates %d bytes", commits, least)
+	if limit := uint64(8 * (commits + BodySlack + 1)); least >= limit {
+		t.Fatalf("a warm Analyze allocates %d bytes, want < %d (one prefix array)", least, limit)
+	}
 }

@@ -111,7 +111,8 @@ func TestStreamGolden(t *testing.T) {
 			x.add(sh.Body(n))
 		}
 		for j := 0; j < goldenWrong; j++ {
-			x.add(sh.Wrong(j))
+			in := sh.Wrong(j)
+			x.add(&in)
 		}
 		if got, want := x.h.Sum64(), streamGolden[b.Name]; got != want {
 			t.Errorf("%s: stream digest %#x, want %#x", b.Name, got, want)

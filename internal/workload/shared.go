@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"softerror/internal/isa"
 	"softerror/internal/rng"
@@ -41,17 +42,18 @@ var ErrUnshareable = errors.New(
 // A Shared is not safe for concurrent use: each batch checks one out of
 // a Store (or builds its own).
 //
-// Body and Wrong generate straight into the memo slot they return. A
-// pointer or slice into the memos stays valid until a later call extends
-// that memo, or until the stream is recycled: Recycle hands the arrays to
-// the next stream, which overwrites them. No one may hold a memo pointer
-// past the batch that obtained it.
+// Body generates straight into the memo slot it returns. A pointer or
+// slice into the body memo stays valid until a later call extends it, or
+// until the stream is recycled: Recycle hands the arrays to the next
+// stream, which overwrites them. No one may hold a memo pointer past the
+// batch that obtained it. The wrong-path memo holds packed records
+// (wrongRec), so Wrong returns its draws by value.
 type Shared struct {
 	params   Params
 	gen      *Generator
 	wrongSrc *rng.Stream
 	body     []isa.Inst
-	wrong    []isa.Inst
+	wrong    []wrongRec
 }
 
 // NewShared decodes the workload lazily for shared replay. It fails with
@@ -88,11 +90,11 @@ func (s *Shared) Body(n int) *isa.Inst {
 // extend returns memo lengthened to n slots for the generator to fill.
 // Slots within capacity may hold a recycled stream's instructions; the
 // generator overwrites every field.
-func extend(memo []isa.Inst, n int) []isa.Inst {
+func extend[T any](memo []T, n int) []T {
 	if n <= cap(memo) {
 		return memo[:n]
 	}
-	return append(memo, make([]isa.Inst, n-len(memo))...)
+	return append(memo, make([]T, n-len(memo))...)
 }
 
 // BodyPrefix returns the first m correct-path instructions as a slice —
@@ -119,7 +121,7 @@ func (s *Shared) Reserve(body, wrong int) {
 		s.body = grown
 	}
 	if cap(s.wrong) < wrong {
-		grown := make([]isa.Inst, len(s.wrong), wrong)
+		grown := make([]wrongRec, len(s.wrong), wrong)
 		copy(grown, s.wrong)
 		s.wrong = grown
 	}
@@ -149,20 +151,68 @@ func (s *Shared) WrongDraws() int { return len(s.wrong) }
 
 // capBytes is the memory the memos hold, in bytes of capacity.
 func (s *Shared) capBytes() int64 {
-	return int64(cap(s.body)+cap(s.wrong)) * instBytes
+	return memoBytes(cap(s.body), cap(s.wrong))
 }
 
 // Wrong returns the content of the j-th wrong-path instruction draw: Seq,
 // PC and CallDepth are zero, for the replaying configuration to assign.
-// The returned pointer is valid until the next Wrong call extends the memo.
-func (s *Shared) Wrong(j int) *isa.Inst {
+func (s *Shared) Wrong(j int) isa.Inst {
 	if i := len(s.wrong); j >= i {
 		s.wrong = extend(s.wrong, j+1)
+		var in isa.Inst
 		for ; i <= j; i++ {
-			wrongInto(s.wrongSrc, &s.wrong[i])
+			wrongInto(s.wrongSrc, &in)
+			s.wrong[i] = packWrong(&in)
 		}
 	}
-	return &s.wrong[j]
+	return s.wrong[j].inst()
+}
+
+// wrongRec is one memoised wrong-path draw in 8 bytes. A draw's content
+// is a pure function of its class, up to three registers and, for a load,
+// an address in the wrong-path region (wrongInto); everything else is
+// fixed (no guard, no outcome flags) or assigned by the replaying
+// configuration (Seq, PC, CallDepth). off is a load's address less
+// wrongBase; dest, src1 and src2 hold Reg+1, so 0 is RegNone.
+// TestWrongRecRoundTrip pins that every draw packs and unpacks exactly.
+type wrongRec struct {
+	off              uint32
+	class            isa.Class
+	dest, src1, src2 uint8
+}
+
+// wrongRecBytes is the size of one wrong-path memo slot.
+const wrongRecBytes = int64(unsafe.Sizeof(wrongRec{}))
+
+// packWrong packs a draw wrongInto produced.
+func packWrong(in *isa.Inst) wrongRec {
+	r := wrongRec{
+		class: in.Class,
+		dest:  uint8(in.Dest + 1),
+		src1:  uint8(in.Src1 + 1),
+		src2:  uint8(in.Src2 + 1),
+	}
+	if in.Class == isa.ClassLoad {
+		r.off = uint32(in.Addr - wrongBase)
+	}
+	return r
+}
+
+// inst expands the record into the draw wrongInto produced.
+func (r wrongRec) inst() isa.Inst {
+	in := isa.Inst{
+		Class:     r.class,
+		Dest:      isa.Reg(r.dest) - 1,
+		Src1:      isa.Reg(r.src1) - 1,
+		Src2:      isa.Reg(r.src2) - 1,
+		PredGuard: isa.RegNone,
+		WrongPath: true,
+	}
+	if r.class == isa.ClassLoad {
+		in.Addr = wrongBase + uint64(r.off)
+		in.MemSize = 8
+	}
+	return in
 }
 
 // WrongSite returns the fetch PC and call depth of wrong-path draw j taken

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"softerror/internal/isa"
@@ -28,7 +29,7 @@ func TestSharedRelabeling(t *testing.T) {
 		for i := 0; i < 20_000; i++ {
 			if n > 0 && drive.Bool(0.08) {
 				want := solo.NextWrong()
-				got := *sh.Wrong(w)
+				got := sh.Wrong(w)
 				got.Seq = uint64(n + w)
 				got.PC = sh.Body(n).PC + 4*uint64(w)
 				got.CallDepth = sh.Body(n - 1).CallDepth
@@ -111,8 +112,8 @@ func TestSharedRecycle(t *testing.T) {
 		}
 	}
 	for j := 0; j < 1200; j++ {
-		if *reused.Wrong(j) != *fresh.Wrong(j) {
-			t.Fatalf("recycled wrong draw %d = %+v, fresh %+v", j, *reused.Wrong(j), *fresh.Wrong(j))
+		if reused.Wrong(j) != fresh.Wrong(j) {
+			t.Fatalf("recycled wrong draw %d = %+v, fresh %+v", j, reused.Wrong(j), fresh.Wrong(j))
 		}
 	}
 
@@ -131,5 +132,66 @@ func TestSharedRecycle(t *testing.T) {
 			donor, _ := NewShared(a)
 			s.Recycle(donor)
 		}()
+	}
+}
+
+// TestWrongRecRoundTrip pins the packed wrong-path memo: every draw
+// wrongInto produces packs into a wrongRec and expands back to exactly the
+// same instruction, across every draw kind and many stream seeds.
+func TestWrongRecRoundTrip(t *testing.T) {
+	kinds := make(map[isa.Class]int)
+	for seed := uint64(0); seed < 16; seed++ {
+		checkWrongRoundTrip(t, seed, 5000, kinds)
+	}
+	for _, c := range []isa.Class{isa.ClassALU, isa.ClassLoad, isa.ClassFPU, isa.ClassNop, isa.ClassBranch} {
+		if kinds[c] == 0 {
+			t.Errorf("no %v draw exercised", c)
+		}
+	}
+}
+
+// FuzzWrongRecRoundTrip extends TestWrongRecRoundTrip to arbitrary
+// wrong-path stream seeds.
+func FuzzWrongRecRoundTrip(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(uint64(0x5e7e))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		checkWrongRoundTrip(t, seed, 256, make(map[isa.Class]int))
+	})
+}
+
+// checkWrongRoundTrip round-trips draws wrong-path draws of one stream
+// seed, counting them by class into kinds.
+func checkWrongRoundTrip(t *testing.T, seed uint64, draws int, kinds map[isa.Class]int) {
+	t.Helper()
+	s := rng.New(seed, 0x5e7e).Derive("wrong")
+	for j := 0; j < draws; j++ {
+		var in isa.Inst
+		wrongInto(s, &in)
+		kinds[in.Class]++
+		if got := packWrong(&in).inst(); got != in {
+			t.Fatalf("seed %d draw %d: packed round trip gives %+v, want %+v", seed, j, got, in)
+		}
+	}
+}
+
+// TestWrongRecFieldsFit pins the ranges the packed record relies on: a
+// wrong-path load's offset into its region fits 32 bits, every register a
+// draw can name fits a byte as Reg+1 (0 standing for RegNone), and the
+// record stays 8 bytes.
+func TestWrongRecFieldsFit(t *testing.T) {
+	if wrongSize > math.MaxUint32+1 {
+		t.Errorf("wrong-path region of %d bytes overflows the 32-bit offset", wrongSize)
+	}
+	for _, r := range []isa.Reg{
+		isa.IntReg(globalLo), isa.IntReg(globalHi),
+		isa.FPReg(fpGlobalLo), isa.FPReg(fpGlobalHi), isa.RegNone,
+	} {
+		if r+1 < 0 || r+1 > math.MaxUint8 {
+			t.Errorf("register %v does not fit a packed byte", r)
+		}
+	}
+	if wrongRecBytes != 8 {
+		t.Errorf("wrongRec is %d bytes, want 8", wrongRecBytes)
 	}
 }

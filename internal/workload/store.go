@@ -35,17 +35,24 @@ import (
 //     consumers that write into the shared memos.
 
 // DefaultStreamBytes is the process-wide store's budget until a caller
-// sets another. The simulator reserves a 100k-commit stream's body and
-// its estimated wrong-path draws at 40 bytes an instruction: 6–9 MB for
-// an integer benchmark, 4–5 MB for a floating-point one. The budget
-// keeps about two integer streams, so each of a command-line run's two
-// workers can run a benchmark's batches back to back on one decode. A command-line run decodes each benchmark
-// once and walks the roster in order, so a larger budget only adds
-// resident memory.
-const DefaultStreamBytes = 16 << 20
+// sets another. The simulator reserves a 100k-commit stream's body at 40
+// bytes an instruction (4.0 MB) and its estimated wrong-path draws at 8
+// bytes a draw: 0.4–1.0 MB for an integer benchmark, 0.1–0.3 MB for a
+// floating-point one. The budget keeps about two integer streams, so each
+// of a command-line run's two workers can run a benchmark's batches back
+// to back on one decode. A command-line run decodes each benchmark once
+// and walks the roster in order, so a larger budget only adds resident
+// memory.
+const DefaultStreamBytes = 10 << 20
 
-// instBytes is the size of one memo slot.
+// instBytes is the size of one body memo slot.
 const instBytes = int64(unsafe.Sizeof(isa.Inst{}))
+
+// memoBytes is the memory of memos holding body correct-path and wrong
+// wrong-path instructions.
+func memoBytes(body, wrong int) int64 {
+	return int64(body)*instBytes + int64(wrong)*wrongRecBytes
+}
 
 // Store keeps decoded streams for reuse across callers. The zero value is
 // not usable; build one with NewStore. A Store is safe for concurrent use;
@@ -107,7 +114,7 @@ func (s *Store) Checkout(p Params, body, wrong int) (*Shared, error) {
 		sh.Reserve(body, wrong)
 		return sh, nil
 	}
-	need := int64(body+wrong) * instBytes
+	need := memoBytes(body, wrong)
 	var victims []*Shared
 	for s.bytes+need > s.budget {
 		v := s.evictOldest()

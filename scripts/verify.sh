@@ -96,6 +96,7 @@ if [ -z "${SERA_SKIP_FUZZ:-}" ]; then
 	go test -run NONE -fuzz FuzzStaticBound -fuzztime 10s ./internal/static
 	go test -run NONE -fuzz FuzzLaneMatchesReference -fuzztime 10s ./internal/pipeline
 	go test -run NONE -fuzz FuzzDeadnessMatchesDefUse -fuzztime 10s ./internal/ace
+	go test -run NONE -fuzz FuzzWrongRecRoundTrip -fuzztime 10s ./internal/workload
 	go test -run NONE -fuzz FuzzViewMatchesClone -fuzztime 10s ./internal/cache
 	go test -run NONE -fuzz FuzzDataflowMatchesMapOracle -fuzztime 10s ./internal/pibit
 	go test -run NONE -fuzz FuzzRecorderMatchesTrace -fuzztime 10s ./internal/fault
