@@ -111,9 +111,11 @@ func run(args []string) error {
 	if err := p.Validate(); err != nil {
 		return cli.Usagef("%v", err)
 	}
-	// A zero count would fail only after simulating.
-	if *strikes == 0 || *simpoints == 0 {
-		return cli.Usagef("-strikes and -simpoints must be positive")
+	// A zero count would fail only after simulating, and a zero PET size
+	// or raw rate would print a figure seratd, reading 0 as the default,
+	// never serves.
+	if *strikes == 0 || *simpoints == 0 || *pet == 0 || *rawFIT == 0 {
+		return cli.Usagef("-strikes, -simpoints, -pet and -rawfit must be positive")
 	}
 	// Only the outcomes campaign checkpoints; its geometry is a function of
 	// the first roster benchmark and the strike budget.

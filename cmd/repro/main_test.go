@@ -50,6 +50,8 @@ func TestRunRefusesBadKnobs(t *testing.T) {
 		{"-strikes", "-5", "outcomes"},
 		{"-simpoints", "0", "simpoints"},
 		{"-strikes", "0", "outcomes"},
+		{"-pet", "0", "fig2"},
+		{"-rawfit", "0", "protection"},
 	}
 	before := core.CyclesSimulated()
 	for _, args := range cases {

@@ -19,7 +19,6 @@
 //	internal/fault     single-bit fault-injection campaigns
 //	internal/serate    FIT/MTTF/MITF arithmetic
 //	internal/chip      chip-level rate budgets and protection planning
-//	internal/scrub     multi-bit strike models: scrubbing and interleaving
 //	internal/sweep     design-space grids to CSV
 //	internal/config    JSON experiment configs
 //	internal/core      experiment drivers (Table 1, Figures 1-4)

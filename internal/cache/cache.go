@@ -7,9 +7,9 @@
 // ("L0 load miss" / "L1 load miss") — and what latency the consumer sees,
 // which sets how long instructions pool in the instruction queue. Caches
 // carry a protection attribute (none/parity/ECC) so the soft-error-rate
-// composition can attribute SDC vs DUE contributions, and an optional
-// per-line π bit used by the paper's mechanism (4), π bits on caches and
-// memory.
+// composition can attribute SDC vs DUE contributions. The paper's π bits
+// on caches and memory (§4.3) are modelled by the π-bit tracking engine
+// (internal/pibit), not per line here.
 //
 // Every simulation starts from the same warmed hierarchy, so a simulation
 // need not own a copy of it: Hierarchy.ViewInto hands out copy-on-touch
@@ -58,7 +58,6 @@ type Config struct {
 	Assoc      int // ways per set
 	HitLatency int // cycles to service a hit at this level
 	Protection Protection
-	PiBits     bool // allocate a π bit per line (paper §4.3.3 option 4)
 }
 
 func (c *Config) validate() error {
@@ -84,13 +83,13 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// minLineSize keeps the three state flags out of the tag: a line address
-// is a byte address shifted right by at least log2(8) = 3 bits, so its top
+// minLineSize keeps the two state flags out of the tag: a line address is
+// a byte address shifted right by at least log2(8) = 3 bits, so its top
 // three bits are always clear.
 const minLineSize = 8
 
 // line is one way of a set in 16 bytes: the line address in the low bits
-// of word with the valid, dirty and π flags above it, plus the LRU stamp.
+// of word with the valid and dirty flags above it, plus the LRU stamp.
 type line struct {
 	word uint64
 	lru  uint64 // last-touch stamp; larger = more recent
@@ -99,16 +98,12 @@ type line struct {
 const (
 	lineValid = 1 << 63
 	lineDirty = 1 << 62
-	linePi    = 1 << 61
-	lineFlags = lineValid | lineDirty | linePi
 )
 
-func (ln *line) tag() uint64 { return ln.word &^ lineFlags }
 func (ln *line) dirty() bool { return ln.word&lineDirty != 0 }
-func (ln *line) pi() bool    { return ln.word&linePi != 0 }
 
 // holds reports whether the line is valid and caches tag.
-func (ln *line) holds(tag uint64) bool { return ln.word&^(lineDirty|linePi) == tag|lineValid }
+func (ln *line) holds(tag uint64) bool { return ln.word&^lineDirty == tag|lineValid }
 
 // Stats accumulates per-level access counts.
 type Stats struct {
@@ -125,17 +120,6 @@ func (s Stats) MissRate() float64 {
 		return 0
 	}
 	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// Eviction describes a line displaced from a cache, delivered to the
-// hierarchy's OnEvict hook. The π-bit machinery uses it to detect π state
-// going out of scope (paper §4.2: "when the π bit goes out of scope, an
-// implementation should flag an error").
-type Eviction struct {
-	Level    int
-	LineAddr uint64
-	Dirty    bool
-	Pi       bool
 }
 
 // Cache is one set-associative level. It is not safe for concurrent use.
@@ -265,19 +249,19 @@ func (c *Cache) touch(la uint64) []line {
 	return c.pool[len(c.pool)-a:]
 }
 
-// Lookup probes without modifying replacement state or counters. It returns
-// the line if present.
-func (c *Cache) Lookup(addr uint64) (found bool, dirty bool, pi bool) {
+// Lookup probes without modifying replacement state or counters. It
+// reports whether the line is present, and whether it is dirty.
+func (c *Cache) Lookup(addr uint64) (found bool, dirty bool) {
 	set, tag := c.index(addr)
 	if set == nil {
 		set = c.touch(tag)
 	}
 	for i := range set {
 		if ln := &set[i]; ln.holds(tag) {
-			return true, ln.dirty(), ln.pi()
+			return true, ln.dirty()
 		}
 	}
-	return false, false, false
+	return false, false
 }
 
 // Access probes for addr, updating LRU and counters. On a hit it returns
@@ -303,10 +287,10 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// Fill allocates a line for addr, evicting the LRU way if needed. The
-// eviction (if any) is returned so the hierarchy can cascade writebacks and
-// π-scope exits. write marks the new line dirty.
-func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
+// Fill allocates a line for addr, evicting the LRU way if needed and
+// counting the eviction, and its writeback if the victim was dirty. write
+// marks the new line dirty.
+func (c *Cache) Fill(addr uint64, write bool) {
 	c.clock++
 	set, tag := c.index(addr)
 	if set == nil {
@@ -320,7 +304,7 @@ func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
 			if write {
 				ln.word |= lineDirty
 			}
-			return Eviction{}, false
+			return
 		}
 		if ln.word&lineValid == 0 {
 			victim = i
@@ -334,15 +318,8 @@ func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
 				victim = i
 			}
 		}
-		old := &set[victim]
-		ev = Eviction{
-			LineAddr: old.tag() << c.offsetBits,
-			Dirty:    old.dirty(),
-			Pi:       old.pi(),
-		}
-		evicted = true
 		c.stats.Evictions++
-		if old.dirty() {
+		if set[victim].dirty() {
 			c.stats.Writebacks++
 		}
 	}
@@ -350,65 +327,4 @@ func (c *Cache) Fill(addr uint64, write bool) (ev Eviction, evicted bool) {
 	if write {
 		set[victim].word |= lineDirty
 	}
-	return ev, evicted
-}
-
-// SetPi sets or clears the π bit on the line holding addr, if present and
-// if this cache was configured with π bits. It reports whether the line was
-// found.
-func (c *Cache) SetPi(addr uint64, v bool) bool {
-	if !c.cfg.PiBits {
-		return false
-	}
-	set, tag := c.index(addr)
-	if set == nil {
-		set = c.touch(tag)
-	}
-	for i := range set {
-		if ln := &set[i]; ln.holds(tag) {
-			if v {
-				ln.word |= linePi
-			} else {
-				ln.word &^= linePi
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// Pi reads the π bit of the line holding addr; ok is false if the line is
-// absent or the cache has no π bits.
-func (c *Cache) Pi(addr uint64) (pi, ok bool) {
-	if !c.cfg.PiBits {
-		return false, false
-	}
-	set, tag := c.index(addr)
-	if set == nil {
-		set = c.touch(tag)
-	}
-	for i := range set {
-		if ln := &set[i]; ln.holds(tag) {
-			return ln.pi(), true
-		}
-	}
-	return false, false
-}
-
-// Flush invalidates every line, returning the count that were dirty. A
-// flushed view is a plain cache again, owning a fresh array of invalid
-// lines.
-func (c *Cache) Flush() int {
-	if c.slot != nil {
-		c.lines = c.flat()
-		c.slot, c.pool, c.owned = nil, nil, nil
-	}
-	dirty := 0
-	for i := range c.lines {
-		if c.lines[i].word&(lineValid|lineDirty) == lineValid|lineDirty {
-			dirty++
-		}
-		c.lines[i] = line{}
-	}
-	return dirty
 }

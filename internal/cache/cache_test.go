@@ -1,12 +1,30 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"softerror/internal/rng"
 )
+
+// LevelName returns a printable name for a hierarchy level index, for
+// failure messages.
+func LevelName(level int) string {
+	switch level {
+	case LevelL0:
+		return "L0"
+	case LevelL1:
+		return "L1"
+	case LevelL2:
+		return "L2"
+	case LevelMemory:
+		return "memory"
+	default:
+		return fmt.Sprintf("level(%d)", level)
+	}
+}
 
 func smallCfg() Config {
 	return Config{Name: "t", Size: 1 << 10, LineSize: 64, Assoc: 2, HitLatency: 2}
@@ -39,8 +57,8 @@ func TestLineSize(t *testing.T) {
 }
 
 // TestHighAddressTags: a line address fills every bit below the flags at
-// the minimum line size, and still round-trips through Fill's eviction
-// without picking up dirty or π state.
+// the minimum line size, and is still found, clean, and evicted as a clean
+// line.
 func TestHighAddressTags(t *testing.T) {
 	c, err := NewCache(Config{Name: "t", Size: 64, LineSize: minLineSize, Assoc: 2})
 	if err != nil {
@@ -48,17 +66,20 @@ func TestHighAddressTags(t *testing.T) {
 	}
 	hi := uint64(1<<64-1) &^ (minLineSize - 1)
 	c.Fill(hi, false)
-	if found, dirty, pi := c.Lookup(hi); !found || dirty || pi {
-		t.Fatalf("Lookup(%#x) = %v, %v, %v, want resident and clean", hi, found, dirty, pi)
+	if found, dirty := c.Lookup(hi); !found || dirty {
+		t.Fatalf("Lookup(%#x) = %v, %v, want resident and clean", hi, found, dirty)
 	}
-	if found, _, _ := c.Lookup(hi &^ (1 << 60)); found {
+	if found, _ := c.Lookup(hi &^ (1 << 60)); found {
 		t.Fatal("an address differing in the top tag bit hits")
 	}
 	// Two more lines in hi's set (the last of four) evict it, LRU-first.
 	c.Fill(3*minLineSize, true)
-	ev, evicted := c.Fill(7*minLineSize, false)
-	if !evicted || ev.LineAddr != hi || ev.Dirty || ev.Pi {
-		t.Fatalf("eviction = %+v (%v), want the clean line %#x", ev, evicted, hi)
+	c.Fill(7*minLineSize, false)
+	if found, _ := c.Lookup(hi); found {
+		t.Fatalf("line %#x still resident, want it evicted", hi)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Writebacks != 0 {
+		t.Fatalf("stats = %+v, want one clean eviction", st)
 	}
 }
 
@@ -108,12 +129,9 @@ func TestLRUReplacement(t *testing.T) {
 	if !c.Access(a, false) { // make A most recent
 		t.Fatal("A should hit")
 	}
-	ev, evicted := c.Fill(x, false)
-	if !evicted {
+	c.Fill(x, false)
+	if c.Stats().Evictions != 1 {
 		t.Fatal("fill into full set did not evict")
-	}
-	if ev.LineAddr != b {
-		t.Fatalf("evicted %#x, want LRU line %#x", ev.LineAddr, b)
 	}
 	if !c.Access(a, false) || !c.Access(x, false) {
 		t.Fatal("A and X should be resident")
@@ -129,12 +147,12 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 	setStride := uint64(8 * 64)
 	c.Fill(0, true) // dirty
 	c.Fill(setStride, false)
-	ev, evicted := c.Fill(2*setStride, false)
-	if !evicted || !ev.Dirty {
-		t.Fatalf("expected dirty eviction, got %+v evicted=%v", ev, evicted)
+	c.Fill(2*setStride, false)
+	if st := c.Stats(); st.Evictions != 1 || st.Writebacks != 1 {
+		t.Fatalf("stats = %+v, want one dirty eviction", st)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1", c.Stats().Writebacks)
+	if found, _ := c.Lookup(0); found {
+		t.Fatal("the dirty LRU line is still resident")
 	}
 }
 
@@ -142,7 +160,7 @@ func TestWriteMarksDirtyOnHit(t *testing.T) {
 	c, _ := NewCache(smallCfg())
 	c.Fill(0x40, false)
 	c.Access(0x40, true)
-	if _, dirty, _ := c.Lookup(0x40); !dirty {
+	if _, dirty := c.Lookup(0x40); !dirty {
 		t.Fatal("write hit did not mark line dirty")
 	}
 }
@@ -150,59 +168,12 @@ func TestWriteMarksDirtyOnHit(t *testing.T) {
 func TestDoubleFillRefreshes(t *testing.T) {
 	c, _ := NewCache(smallCfg())
 	c.Fill(0x80, false)
-	ev, evicted := c.Fill(0x80, true)
-	if evicted {
-		t.Fatalf("double fill evicted %+v", ev)
+	c.Fill(0x80, true)
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Fatalf("double fill evicted %d lines", ev)
 	}
-	if _, dirty, _ := c.Lookup(0x80); !dirty {
+	if _, dirty := c.Lookup(0x80); !dirty {
 		t.Fatal("double fill with write did not mark dirty")
-	}
-}
-
-func TestPiBits(t *testing.T) {
-	cfg := smallCfg()
-	cfg.PiBits = true
-	c, _ := NewCache(cfg)
-	if c.SetPi(0x100, true) {
-		t.Fatal("SetPi on absent line succeeded")
-	}
-	c.Fill(0x100, true)
-	if !c.SetPi(0x100, true) {
-		t.Fatal("SetPi on resident line failed")
-	}
-	pi, ok := c.Pi(0x100)
-	if !ok || !pi {
-		t.Fatalf("Pi = %v,%v, want true,true", pi, ok)
-	}
-	// π travels with the eviction record.
-	setStride := uint64(8 * 64)
-	c.Fill(0x100+setStride, false)
-	ev, evicted := c.Fill(0x100+2*setStride, false)
-	if !evicted || !ev.Pi {
-		t.Fatalf("π bit lost on eviction: %+v", ev)
-	}
-}
-
-func TestPiDisabled(t *testing.T) {
-	c, _ := NewCache(smallCfg())
-	c.Fill(0x100, false)
-	if c.SetPi(0x100, true) {
-		t.Fatal("SetPi succeeded on π-less cache")
-	}
-	if _, ok := c.Pi(0x100); ok {
-		t.Fatal("Pi read succeeded on π-less cache")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c, _ := NewCache(smallCfg())
-	c.Fill(0, true)
-	c.Fill(64, false)
-	if dirty := c.Flush(); dirty != 1 {
-		t.Fatalf("Flush returned %d dirty lines, want 1", dirty)
-	}
-	if c.Access(0, false) || c.Access(64, false) {
-		t.Fatal("lines resident after flush")
 	}
 }
 
@@ -218,7 +189,7 @@ func TestResidencyInvariant(t *testing.T) {
 			if !c.Access(addr, false) {
 				c.Fill(addr, false)
 			}
-			if found, _, _ := c.Lookup(addr); !found {
+			if found, _ := c.Lookup(addr); !found {
 				return false
 			}
 		}
@@ -259,7 +230,7 @@ func TestHierarchyInclusiveFill(t *testing.T) {
 	}
 	// All levels now hold the line.
 	for i := 0; i < h.NumLevels(); i++ {
-		if found, _, _ := h.Level(i).Lookup(0x1234); !found {
+		if found, _ := h.Level(i).Lookup(0x1234); !found {
 			t.Fatalf("level %s missing line after inclusive fill", LevelName(i))
 		}
 	}
@@ -278,7 +249,7 @@ func TestHierarchyMidLevelHitFillsInner(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		h.Access(0x9000+uint64(i)*setStride, false)
 	}
-	if found, _, _ := l0.Lookup(0x9000); found {
+	if found, _ := l0.Lookup(0x9000); found {
 		t.Skip("conflict stream did not evict; geometry changed")
 	}
 	r := h.Access(0x9000, false)
@@ -288,7 +259,7 @@ func TestHierarchyMidLevelHitFillsInner(t *testing.T) {
 	if r.Latency != 10 {
 		t.Fatalf("L1 hit latency = %d, want 10", r.Latency)
 	}
-	if found, _, _ := l0.Lookup(0x9000); !found {
+	if found, _ := l0.Lookup(0x9000); !found {
 		t.Fatal("L1 hit did not refill L0")
 	}
 }
@@ -354,49 +325,12 @@ func TestHierarchyWorkingSetBehaviour(t *testing.T) {
 	}
 }
 
-func TestHierarchyEvictionHook(t *testing.T) {
-	h := MustNewDefault()
-	var evictions []Eviction
-	h.OnEvict = func(ev Eviction) { evictions = append(evictions, ev) }
-	s := rng.New(7, 7)
-	for i := 0; i < 5000; i++ {
-		h.Access(uint64(s.Int63n(1<<20))&^7, true)
-	}
-	if len(evictions) == 0 {
-		t.Fatal("no evictions observed from 1MB working set through 8KB L0")
-	}
-	for _, ev := range evictions {
-		if ev.Level < 0 || ev.Level >= h.NumLevels() {
-			t.Fatalf("eviction with bad level: %+v", ev)
-		}
-	}
-}
-
 func TestHierarchyPrefetchWarms(t *testing.T) {
 	h := MustNewDefault()
 	h.Prefetch(0x4000)
 	r := h.Access(0x4000, false)
 	if r.Level != LevelL0 {
 		t.Fatalf("access after prefetch serviced at %s, want L0", LevelName(r.Level))
-	}
-}
-
-func TestHierarchyPi(t *testing.T) {
-	cfg := DefaultHierarchy()
-	for i := range cfg.Levels {
-		cfg.Levels[i].PiBits = true
-	}
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Access(0x8000, true)
-	if !h.SetPi(0x8000, true) {
-		t.Fatal("SetPi failed on resident line")
-	}
-	pi, ok := h.Pi(0x8000)
-	if !ok || !pi {
-		t.Fatalf("Pi = %v,%v after SetPi", pi, ok)
 	}
 }
 
@@ -422,49 +356,5 @@ func TestLevelName(t *testing.T) {
 	}
 	if LevelName(42) == "" {
 		t.Error("unknown level should render")
-	}
-}
-
-func TestNextLinePrefetcher(t *testing.T) {
-	h := MustNewDefault()
-	h.NextLinePrefetch = true
-	line := uint64(h.Level(LevelL2).Config().LineSize)
-	// A demand miss to memory prefetches the next line: the subsequent
-	// access to it must hit in-cache.
-	h.Access(0x6000_0000, false)
-	if h.HWPrefetches() != 1 {
-		t.Fatalf("HWPrefetches = %d, want 1", h.HWPrefetches())
-	}
-	r := h.Access(0x6000_0000+line, false)
-	if r.Level == LevelMemory {
-		t.Fatal("next line not prefetched")
-	}
-	// Disabled by default.
-	h2 := MustNewDefault()
-	h2.Access(0x6000_0000, false)
-	if h2.HWPrefetches() != 0 {
-		t.Fatal("prefetcher ran while disabled")
-	}
-	r2 := h2.Access(0x6000_0000+line, false)
-	if r2.Level != LevelMemory {
-		t.Fatal("line resident without prefetcher")
-	}
-}
-
-func TestNextLinePrefetcherStreaming(t *testing.T) {
-	// A streaming sweep with the prefetcher on suffers roughly half the
-	// memory accesses of the same sweep without it (every other line is
-	// already inbound).
-	sweep := func(pf bool) uint64 {
-		h := MustNewDefault()
-		h.NextLinePrefetch = pf
-		for a := uint64(0x7000_0000); a < 0x7000_0000+1<<20; a += 128 {
-			h.Access(a, false)
-		}
-		return h.MemAccesses()
-	}
-	base, with := sweep(false), sweep(true)
-	if with >= base {
-		t.Fatalf("prefetcher did not reduce memory accesses: %d vs %d", with, base)
 	}
 }

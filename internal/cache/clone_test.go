@@ -56,9 +56,7 @@ func sameCache(t *testing.T, what string, a, b *Cache) {
 // state.
 func sameHierarchy(t *testing.T, a, b *Hierarchy) {
 	t.Helper()
-	if a.memLatency != b.memLatency || a.NextLinePrefetch != b.NextLinePrefetch ||
-		a.memAccesses != b.memAccesses || a.hwPrefetches != b.hwPrefetches ||
-		a.inHWPrefetch != b.inHWPrefetch || (a.OnEvict == nil) != (b.OnEvict == nil) {
+	if a.memLatency != b.memLatency || a.memAccesses != b.memAccesses {
 		t.Fatal("hierarchy state differs")
 	}
 	if len(a.levels) != len(b.levels) {
@@ -80,11 +78,8 @@ func TestViewIntoMatchesClone(t *testing.T) {
 	}
 	frozen := warm.Clone()
 
-	// Dirty a pooled view with a completely different access pattern,
-	// including an OnEvict hook and prefetcher state the re-view must shed.
+	// Dirty a pooled view with a completely different access pattern.
 	pooled := warm.ViewInto(nil)
-	pooled.NextLinePrefetch = true
-	pooled.OnEvict = func(Eviction) {}
 	for a := uint64(1 << 28); a < 1<<28+1<<16; a += 32 {
 		pooled.Access(a, true)
 	}
@@ -162,14 +157,14 @@ func TestViewsConcurrent(t *testing.T) {
 }
 
 // FuzzViewMatchesClone drives a deep clone and a view of one warmed
-// template through the same random probes — Access, Fill, Lookup, SetPi,
-// Pi, Flush, and re-viewing — and requires equal return values, counters
-// and flattened lines after every step.
+// template through the same random probes — Access, Fill, Lookup and
+// re-viewing — and requires equal return values, counters and flattened
+// lines after every step.
 func FuzzViewMatchesClone(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 5, 3, 4, 7, 9, 8, 1, 2, 3})
 	f.Add([]byte{1, 0, 0, 2, 16, 0, 5, 16, 0, 7, 16, 0, 9, 0, 0, 15, 0, 0, 6, 16, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		cfg := Config{Name: "T", Size: 4 << 10, LineSize: 64, Assoc: 4, HitLatency: 1, PiBits: true}
+		cfg := Config{Name: "T", Size: 4 << 10, LineSize: 64, Assoc: 4, HitLatency: 1}
 		tmpl, err := NewCache(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +173,6 @@ func FuzzViewMatchesClone(f *testing.F) {
 			if !tmpl.Access(a, false) {
 				tmpl.Fill(a, a%320 == 0)
 			}
-			tmpl.SetPi(a, a%448 == 0)
 		}
 		frozen := tmpl.Clone()
 		clone, view := tmpl.Clone(), tmpl.viewInto(nil)
@@ -190,21 +184,12 @@ func FuzzViewMatchesClone(f *testing.F) {
 			case 0, 1:
 				c, v = clone.Access(addr, op == 1), view.Access(addr, op == 1)
 			case 2, 3:
-				ce, cok := clone.Fill(addr, op == 3)
-				ve, vok := view.Fill(addr, op == 3)
-				c, v = [2]any{ce, cok}, [2]any{ve, vok}
+				clone.Fill(addr, op == 3)
+				view.Fill(addr, op == 3)
 			case 4:
-				cf, cd, cp := clone.Lookup(addr)
-				vf, vd, vp := view.Lookup(addr)
-				c, v = [3]bool{cf, cd, cp}, [3]bool{vf, vd, vp}
-			case 5, 6:
-				c, v = clone.SetPi(addr, op == 5), view.SetPi(addr, op == 5)
-			case 7:
-				cp, cok := clone.Pi(addr)
-				vp, vok := view.Pi(addr)
-				c, v = [2]bool{cp, cok}, [2]bool{vp, vok}
-			case 8:
-				c, v = clone.Flush(), view.Flush()
+				cf, cd := clone.Lookup(addr)
+				vf, vd := view.Lookup(addr)
+				c, v = [2]bool{cf, cd}, [2]bool{vf, vd}
 			case 9:
 				clone, view = tmpl.Clone(), tmpl.viewInto(view)
 			default: // bias towards the probes

@@ -12,22 +12,6 @@ const (
 	LevelMemory = 3
 )
 
-// LevelName returns a printable name for a hierarchy level index.
-func LevelName(level int) string {
-	switch level {
-	case LevelL0:
-		return "L0"
-	case LevelL1:
-		return "L1"
-	case LevelL2:
-		return "L2"
-	case LevelMemory:
-		return "memory"
-	default:
-		return fmt.Sprintf("level(%d)", level)
-	}
-}
-
 // HierarchyConfig sizes the full data hierarchy.
 type HierarchyConfig struct {
 	Levels     []Config
@@ -62,27 +46,11 @@ type AccessResult struct {
 // MissedLevel(LevelL1) is the paper's "L1 load miss" trigger.
 func (r AccessResult) MissedLevel(level int) bool { return r.Level > level }
 
-// Hierarchy composes cache levels with an inclusive fill policy and an
-// optional hardware next-line prefetcher. Prefetcher activity is a pure
-// hint: a soft error in its command or address stream cannot affect
-// correctness, which is why the paper attaches an anti-π bit to it
-// (§4.3.2) — mis-prefetches only perturb performance.
+// Hierarchy composes cache levels with an inclusive fill policy.
 type Hierarchy struct {
-	levels     []*Cache
-	memLatency int
-
-	// OnEvict, if non-nil, observes every line displaced from any level.
-	// Used by the π-bit machinery for out-of-scope detection.
-	OnEvict func(Eviction)
-
-	// NextLinePrefetch, when enabled, issues a prefetch for the next line
-	// after every demand miss beyond the L0 — a minimal hardware
-	// prefetcher.
-	NextLinePrefetch bool
-
-	memAccesses  uint64
-	hwPrefetches uint64
-	inHWPrefetch bool
+	levels      []*Cache
+	memLatency  int
+	memAccesses uint64
 }
 
 // NewHierarchy builds a Hierarchy from cfg.
@@ -115,18 +83,12 @@ func MustNewDefault() *Hierarchy {
 }
 
 // Clone returns a deep copy of the hierarchy: every level's lines,
-// replacement state and counters. The OnEvict hook is not carried over —
-// observers subscribe per instance. Cloning a warmed hierarchy is
+// replacement state and counters. Cloning a warmed hierarchy is
 // bit-identical to warming a fresh one with the same access sequence, which
 // is what lets concurrent simulations share one warm-up. The clone of a
 // view is a plain hierarchy.
 func (h *Hierarchy) Clone() *Hierarchy {
-	c := &Hierarchy{
-		memLatency:       h.memLatency,
-		NextLinePrefetch: h.NextLinePrefetch,
-		memAccesses:      h.memAccesses,
-		hwPrefetches:     h.hwPrefetches,
-	}
+	c := &Hierarchy{memLatency: h.memLatency, memAccesses: h.memAccesses}
 	c.levels = make([]*Cache, len(h.levels))
 	for i, lv := range h.levels {
 		c.levels[i] = lv.Clone()
@@ -142,19 +104,15 @@ func (h *Hierarchy) Clone() *Hierarchy {
 // dst is a hierarchy of the same shape, its levels' slot tables and pools
 // are reused and only the slots dst touched are reset, so re-viewing a
 // pooled hierarchy copies nothing up front and allocates nothing once its
-// pools have grown. Like Clone, the result carries no OnEvict hook and
-// behaves bit-identically to warming a fresh hierarchy — the cache view
-// tests pin ViewInto against Clone, probe for probe.
+// pools have grown. Like Clone, the result behaves bit-identically to
+// warming a fresh hierarchy — the cache view tests pin ViewInto against
+// Clone, probe for probe.
 func (h *Hierarchy) ViewInto(dst *Hierarchy) *Hierarchy {
 	if dst == nil || len(dst.levels) != len(h.levels) {
 		dst = &Hierarchy{levels: make([]*Cache, len(h.levels))}
 	}
 	dst.memLatency = h.memLatency
-	dst.OnEvict = nil
-	dst.NextLinePrefetch = h.NextLinePrefetch
 	dst.memAccesses = h.memAccesses
-	dst.hwPrefetches = h.hwPrefetches
-	dst.inHWPrefetch = false
 	for i, lv := range h.levels {
 		dst.levels[i] = lv.viewInto(dst.levels[i])
 	}
@@ -170,10 +128,6 @@ func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
 // MemAccesses returns the number of accesses serviced by main memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 
-// HWPrefetches returns the number of prefetches the hardware prefetcher
-// has issued.
-func (h *Hierarchy) HWPrefetches() uint64 { return h.hwPrefetches }
-
 // Access services a data access, probing levels inward-out, filling all
 // inner levels on the way back (inclusive). write marks lines dirty.
 func (h *Hierarchy) Access(addr uint64, write bool) AccessResult {
@@ -185,31 +139,13 @@ func (h *Hierarchy) Access(addr uint64, write bool) AccessResult {
 	}
 	h.memAccesses++
 	h.fillInner(addr, write, len(h.levels))
-	h.maybeNextLine(addr)
 	return AccessResult{Level: LevelMemory, Latency: h.memLatency}
-}
-
-// maybeNextLine issues the hardware prefetcher's next-line hint after a
-// demand miss to memory.
-func (h *Hierarchy) maybeNextLine(addr uint64) {
-	if !h.NextLinePrefetch || h.inHWPrefetch {
-		return
-	}
-	h.inHWPrefetch = true
-	line := uint64(h.levels[len(h.levels)-1].Config().LineSize)
-	h.Prefetch(addr + line)
-	h.hwPrefetches++
-	h.inHWPrefetch = false
 }
 
 // fillInner allocates addr into every level closer than hitLevel.
 func (h *Hierarchy) fillInner(addr uint64, write bool, hitLevel int) {
 	for i := hitLevel - 1; i >= 0; i-- {
-		ev, evicted := h.levels[i].Fill(addr, write)
-		if evicted && h.OnEvict != nil {
-			ev.Level = i
-			h.OnEvict(ev)
-		}
+		h.levels[i].Fill(addr, write)
 	}
 }
 
@@ -218,33 +154,10 @@ func (h *Hierarchy) fillInner(addr uint64, write bool, hitLevel int) {
 // reads.
 func (h *Hierarchy) Prefetch(addr uint64) {
 	for i, c := range h.levels {
-		if found, _, _ := c.Lookup(addr); found {
+		if found, _ := c.Lookup(addr); found {
 			h.fillInner(addr, false, i)
 			return
 		}
 	}
 	h.fillInner(addr, false, len(h.levels))
-}
-
-// SetPi propagates a π-bit write for addr to every π-capable level holding
-// the line. It reports whether any level recorded it.
-func (h *Hierarchy) SetPi(addr uint64, v bool) bool {
-	any := false
-	for _, c := range h.levels {
-		if c.SetPi(addr, v) {
-			any = true
-		}
-	}
-	return any
-}
-
-// Pi returns the π bit for addr from the innermost π-capable level holding
-// the line.
-func (h *Hierarchy) Pi(addr uint64) (pi, ok bool) {
-	for _, c := range h.levels {
-		if p, found := c.Pi(addr); found {
-			return p, true
-		}
-	}
-	return false, false
 }

@@ -57,7 +57,7 @@ func TestStoreDrainsToCache(t *testing.T) {
 		t.Fatalf("store drained after %d cycles, want >= %d", drain, DefaultConfig().StoreDrainLatency)
 	}
 	// After draining, the line is in the cache.
-	if found, dirty, _ := p.mem.Level(cache.LevelL0).Lookup(0x7000); !found || !dirty {
+	if found, dirty := p.mem.Level(cache.LevelL0).Lookup(0x7000); !found || !dirty {
 		t.Fatalf("drained store not dirty in L0: found=%v dirty=%v", found, dirty)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // FormatProgram renders an instruction body back into the kernel
 // mini-language accepted by ParseProgram. Formatting then parsing yields
 // the original body (modulo Seq/PC stamps, which the parser does not
-// produce), so programs can be exported, edited and replayed.
+// produce). Only tests need the text form back, so it lives here, where
+// the package's internal tests and its examples both see it.
 func FormatProgram(body []isa.Inst) string {
 	var b strings.Builder
 	for i := range body {

@@ -6,7 +6,15 @@
 #      a go-test `func Benchmark` outside perfbench/ fails the tier, since
 #      no tier runs or gates one and perfbench is the benchmark of record;
 #      so does a `package main` under examples/ or an examples/ directory
-#      without a `func Example`, since go test pins each example's output
+#      without a `func Example`, since go test pins each example's output;
+#      and so does the reachability lint, scripts/unreached: every declared
+#      non-test function must be linked by a root or be inlinable. Its
+#      roots are the module's main packages (cmd/*, scripts/*), the
+#      examples/* test binaries, the perfbench binary and the exported
+#      functions of the root package; a function only tests reach is
+#      deleted, moved into its package's _test.go, or kept on the lint's
+#      allowlist, whose every entry names the tests that use it as an
+#      oracle
 #   2. artefact tier: every checked-in results/ artefact regenerated from
 #      the CLIs and compared byte for byte (cmp) — the reproduction's
 #      numbers may not drift silently — plus `repro all` and the sweep grid
@@ -58,6 +66,7 @@ if grep -rln --include='*_test.go' --exclude-dir=perfbench '^func Benchmark' .; 
 if grep -rl --include='*.go' --exclude='*_test.go' '^package main' examples || for d in examples/*/; do grep -qs '^func Example' "$d"*_test.go || echo "$d"; done | grep .; then echo "examples/ are package Examples go test runs, not mains" >&2; exit 1; fi
 
 go build ./...
+go run ./scripts/unreached
 go vet ./...
 go test ./...
 (cd perfbench && go vet ./... && go test ./...)
